@@ -10,7 +10,8 @@ function ``g``::
 Two adjoint operators realize the same pairing: ``apply_box_operator`` maps
 ``f`` to an atom function, ``apply_adjoint_operator`` maps ``g`` to a scale
 function.  ``test_function`` is the Hoelder-optimal input shaped from ``mu``
-on a single box; its defining identity chain is checked by
+on a single box, the restriction of the per-level profile
+``level_test_input``; its defining identity chain is checked by
 :func:`phi_identity_check`.
 """
 
@@ -120,20 +121,34 @@ def apply_adjoint_operator(inst: Instance, g: np.ndarray) -> np.ndarray:
     return inst.mu * lattice.chain_running(inst.sys, contrib)
 
 
-def test_function(inst: Instance, cube: Cube) -> np.ndarray:
-    """Hoelder-optimal test input on the box of ``cube``.
+def level_test_input(inst: Instance, level: int) -> np.ndarray:
+    """Hoelder-optimal test input of every level-``level`` cube at once.
 
-    Equals ``s**(q-2) * mu`` on the box, zero elsewhere, where ``s`` is the
-    l2 slice of mu restricted to the box and q the conjugate exponent.  Where
-    the slice vanishes mu vanishes on the whole column, so the zero convention
-    for the (possibly negative) power is harmless.  q == 2 is short-circuited:
-    the power is identically one on the support.
+    Equals ``s**(q-2) * mu`` on the rows ``>= level`` and zero above, where
+    ``s`` is the l2 slice of mu over those rows and q the conjugate exponent.
+    The test input of a cube is this profile restricted to the cube's atoms,
+    since the slice of an atom only sees its own column.  Where the slice
+    vanishes mu vanishes on the whole column, so the zero convention for the
+    (possibly negative) power is harmless.  q == 2 is short-circuited: the
+    power is identically one on the support.
     """
-    boxed = inst.mu * inst.sys.box_mask(cube)
+    if not (0 <= level <= inst.sys.depth):
+        raise IndexError(f"level {level} outside [0, {inst.sys.depth}]")
+    boxed = np.zeros_like(inst.mu)
+    boxed[level:] = inst.mu[level:]
     if inst.q == 2.0:
         return boxed
     s = ell2_slice(boxed)
     return zero_preserving_power(s, inst.q - 2.0)[None, :] * boxed
+
+
+def test_function(inst: Instance, cube: Cube) -> np.ndarray:
+    """Hoelder-optimal test input on the box of ``cube``: the level profile
+    :func:`level_test_input` on the cube's atoms, zero elsewhere."""
+    level, _ = inst.sys.validate(cube)
+    return np.where(
+        inst.sys.atom_mask(cube)[None, :], level_test_input(inst, level), 0.0
+    )
 
 
 @dataclass(frozen=True)

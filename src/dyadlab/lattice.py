@@ -120,11 +120,6 @@ class DyadicSystem:
         index = np.unravel_index(local, (1 << level,) * self.dimension)
         return Cube(level, tuple(int(m) for m in index))
 
-    def atom_multi_index(self, atom: int) -> tuple[int, ...]:
-        if not (0 <= atom < self.num_atoms):
-            raise IndexError(f"atom id {atom} outside [0, {self.num_atoms})")
-        return tuple(int(d) for d in self._atom_digits[:, atom])
-
     # -- containment ------------------------------------------------------
 
     def atom_mask(self, cube: Cube) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lattice
-from .forms import Instance, all_box_integrals, all_cube_integrals, test_function
+from .forms import Instance, all_box_integrals, all_cube_integrals, level_test_input
 from .lattice import Cube, DyadicSystem
 from .measures import average, ksum
 
@@ -111,6 +111,10 @@ def build_ratio_family(
         raise ValueError(f"stopping factor A must be positive, got {A}")
     sys = inst.sys
     num = all_box_integrals(inst, f)
+    # A member's test input is its level's profile restricted to the member,
+    # and the trigger only reads box integrals of subcubes of the member:
+    # there the profile's box integrals are the member's own.
+    dens: dict[int, np.ndarray] = {}
 
     top_lin = sys.linear(top)
     members = [top_lin]
@@ -121,7 +125,10 @@ def build_ratio_family(
     queue = deque([top_lin])
     while queue:
         member = queue.popleft()
-        den = all_box_integrals(inst, test_function(inst, sys.cube_at(member)))
+        level = int(sys.cube_level[member])
+        if level not in dens:
+            dens[level] = all_box_integrals(inst, level_test_input(inst, level))
+        den = dens[level]
         member_ratio = float(num[member] / den[member]) if den[member] > 0 else 0.0
         threshold = A * member_ratio
         stats[member] = member_ratio
@@ -163,8 +170,10 @@ def project(sys: DyadicSystem, family: StoppingFamily, cube: Cube) -> Cube:
 
 def bracket_average(inst: Instance, f: np.ndarray, cube: Cube) -> float:
     """Box mass of f calibrated by the cube's own test input; 0/0 -> 0."""
-    num = all_box_integrals(inst, f)[inst.sys.linear(cube)]
-    den = all_box_integrals(inst, test_function(inst, cube))[inst.sys.linear(cube)]
+    lin = inst.sys.linear(cube)
+    num = all_box_integrals(inst, f)[lin]
+    level = int(inst.sys.cube_level[lin])
+    den = all_box_integrals(inst, level_test_input(inst, level))[lin]
     return num / den if den > 0 else 0.0
 
 
@@ -245,13 +254,15 @@ def collapse_scale_function(
     sys = inst.sys
     out = f * _exclusive_box_mask(sys, avg_family, member)
     num = all_box_integrals(inst, f)
-    phi_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    profiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for c in cross_children(sys, avg_family, ratio_family, member):
-        proj_lin = sys.linear(project(sys, ratio_family, sys.cube_at(c)))
-        if proj_lin not in phi_cache:
-            phi = test_function(inst, sys.cube_at(proj_lin))
-            phi_cache[proj_lin] = (phi, all_box_integrals(inst, phi))
-        phi, den = phi_cache[proj_lin]
+        # c lies inside its ratio projection, whose test input is therefore
+        # the projection level's profile on the box of c.
+        level = project(sys, ratio_family, sys.cube_at(c)).level
+        if level not in profiles:
+            phi = level_test_input(inst, level)
+            profiles[level] = (phi, all_box_integrals(inst, phi))
+        phi, den = profiles[level]
         coeff = num[c] / den[c] if den[c] > 0 else 0.0
         out = out + coeff * (phi * sys.box_mask(sys.cube_at(c)))
     return out

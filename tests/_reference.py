@@ -2,10 +2,23 @@
 
 Everything here is written with plain Python loops straight from the
 defining formulas, deliberately ignoring the package's vectorized paths.
-Only meant for tiny systems.
+Only meant for tiny systems.  The per-cube testing-constant loops at the
+end are the exception: they reuse the package's per-cube helpers, so their
+results compare bit for bit with the level-factored package code.
 """
 
 import math
+
+import numpy as np
+
+from dyadlab import lattice, measures
+from dyadlab.forms import all_box_integrals, test_function
+from dyadlab.testing_constants import (
+    TestingSide,
+    dual_kernel,
+    norming_atom_function,
+    norming_scale_function,
+)
 
 
 def atom_digits(n, depth, atom):
@@ -137,3 +150,47 @@ def carleson_condition_constant(n, depth, a_map, nu):
         elif sub > 0:
             return math.inf
     return best
+
+
+# -- per-cube testing-constant loops ---------------------------------------
+#
+# The package computes both testing constants level by level; these loops
+# evaluate the defining per-cube ratio on every cube, in enumeration order,
+# keeping the first strict maximum.  They use the package's own helpers so
+# that results can be compared bit for bit.
+
+
+def forward_testing_constant_loop(inst):
+    sys = inst.sys
+    best, best_cube, best_witness = 0.0, None, np.zeros(sys.num_atoms)
+    for lin in range(sys.num_cubes):
+        cube = sys.cube_at(lin)
+        phi = test_function(inst, cube)
+        phinorm = measures.mixed_norm(phi, inst.sigma, inst.p)
+        if phinorm == 0.0:
+            continue
+        contrib = inst.lam * all_box_integrals(inst, phi)
+        running = lattice.chain_running(sys, contrib, start_level=cube.level)
+        h = running[sys.depth] * sys.atom_mask(cube)
+        ratio = measures.lp_norm(h, inst.omega, inst.p) / phinorm
+        if ratio > best:
+            best, best_cube = ratio, cube
+            best_witness = norming_atom_function(h, inst.omega, inst.p)
+    return TestingSide(best, best_cube, best_witness)
+
+
+def dual_testing_constant_loop(inst):
+    sys = inst.sys
+    best, best_cube = 0.0, None
+    best_witness = np.zeros((sys.num_levels, sys.num_atoms))
+    for lin in range(sys.num_cubes):
+        cube = sys.cube_at(lin)
+        denom = measures.mass(sys, inst.omega, cube) ** (1.0 / inst.q)
+        if denom == 0.0:
+            continue
+        kernel = dual_kernel(inst, cube)
+        ratio = measures.mixed_norm(kernel, inst.sigma, inst.q) / denom
+        if ratio > best:
+            best, best_cube = ratio, cube
+            best_witness = norming_scale_function(kernel, inst.sigma, inst.p, inst.q)
+    return TestingSide(best, best_cube, best_witness)

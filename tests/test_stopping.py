@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab import Cube, Instance, build_system, worked_instances
+from dyadlab import Cube, Instance, build_system, lattice, worked_instances
+from dyadlab.forms import all_box_integrals
 from dyadlab.forms import test_function as make_test_input
 from dyadlab.generators import (
     GenSpec,
@@ -258,3 +259,30 @@ def test_projection_uniqueness():
         assert levels.count(max(levels)) == 1
         best = containing[levels.index(max(levels))]
         assert inst.sys.cube_at(best) == member
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_ratio_family_member_masses_are_their_own(p):
+    # stats and phi_mass come from one profile per level; they equal the
+    # values computed from each member's own test input, bit for bit
+    for seed in range(3):
+        inst = generate(GenSpec(seed=seed, dimension=2, depth=3, p=p))
+        f = random_scale_function(inst.sys, seed, base=inst.mu)
+        fam = build_ratio_family(inst, inst.sys.root, f, A=1.5)
+        assert len(fam.members) > 1
+        num = all_box_integrals(inst, f)
+        for m in fam.members:
+            den = all_box_integrals(inst, make_test_input(inst, inst.sys.cube_at(m)))[m]
+            assert fam.phi_mass[m] == float(den)
+            assert fam.stats[m] == (float(num[m] / den) if den > 0 else 0.0)
+
+
+def test_ratio_family_passes_scale_with_levels(monkeypatch):
+    inst = adversarial_family("deep-chain", dimension=3, depth=4, p=2.0)[0]
+    f, _ = deep_chain_profiles(inst.sys)
+    original = lattice.box_sums
+    calls = []
+    monkeypatch.setattr(lattice, "box_sums", lambda *a, **k: calls.append(1) or original(*a, **k))
+    fam = build_ratio_family(inst, inst.sys.root, f)
+    assert len(fam.members) > inst.sys.num_cubes // 2
+    assert len(calls) <= inst.sys.num_levels + 1

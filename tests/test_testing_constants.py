@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab import Cube, Instance, build_system, lambda_array, worked_instances
-from dyadlab.forms import lambda_form_local, test_function as make_test_input
-from dyadlab.measures import conjugate, lp_norm, mixed_norm
+import _reference as ref
+from dyadlab import Cube, Instance, build_system, generators, lambda_array, lattice, worked_instances
+from dyadlab.forms import level_test_input, lambda_form_local, test_function as make_test_input
+from dyadlab.measures import conjugate, ell2_slice, lp_norm, mixed_norm, zero_preserving_power
 from dyadlab.testing_constants import (
     dual_kernel,
     dual_testing_constant,
@@ -152,3 +153,115 @@ def test_dual_witness_is_true_norming_function():
             best = max(best, lambda_form_local(inst, cube, f, ind) / den)
     assert best <= rep.dual * (1 + 1e-10)
     assert best >= rep.dual * 0.95  # random probes come close on 4 cells
+
+
+# -- level factoring: bit-identical to the per-cube loops --------------------
+
+
+def _sparse_instance(dim, depth, p, seed):
+    s = build_system(dim, depth)
+    rng = np.random.Generator(np.random.Philox(key=[seed, 53]))
+    return Instance(
+        s,
+        p,
+        rng.random(s.num_atoms) * (rng.random(s.num_atoms) > 0.2),
+        rng.random(s.num_atoms) * (rng.random(s.num_atoms) > 0.2),
+        rng.random((s.num_levels, s.num_atoms)) * (rng.random((s.num_levels, s.num_atoms)) > 0.2),
+        rng.random(s.num_cubes) * (rng.random(s.num_cubes) > 0.4),
+    )
+
+
+def _assert_same_report(inst):
+    rep = testing_report(inst)
+    fwd = ref.forward_testing_constant_loop(inst)
+    dua = ref.dual_testing_constant_loop(inst)
+    assert (rep.forward, rep.forward_cube) == (fwd.value, fwd.cube)
+    assert (rep.dual, rep.dual_cube) == (dua.value, dua.cube)
+    assert np.array_equal(rep.witness_g, fwd.witness)
+    assert np.array_equal(rep.witness_f, dua.witness)
+    return rep
+
+
+SHAPES = [(1, d) for d in range(1, 7)] + [(2, d) for d in range(1, 4)] + [(3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("dim,depth", SHAPES)
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 6.0])
+def test_level_scan_matches_per_cube_loop(dim, depth, p):
+    for seed in range(3):
+        _assert_same_report(_sparse_instance(dim, depth, p, seed))
+
+
+@pytest.mark.parametrize("name", ["w1", "w2", "w3"])
+def test_level_scan_matches_loop_on_worked_instances(name):
+    _assert_same_report(W[name])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_level_scan_keeps_first_of_exact_ties(p):
+    # constant lambda on one level with symmetric weights: every cube of the
+    # level attains the maximum, and the first one in enumeration order wins
+    for dim, depth, level in ((1, 4, 2), (2, 3, 1), (1, 3, 3)):
+        s = build_system(dim, depth)
+        lam = np.zeros(s.num_cubes)
+        lam[s.level_offset[level] : s.level_offset[level + 1]] = 1.0
+        mu = np.repeat(0.5 ** np.arange(s.num_levels, dtype=float)[:, None], s.num_atoms, axis=1)
+        inst = Instance(s, p, np.ones(s.num_atoms), np.ones(s.num_atoms), mu, lam)
+        rep = _assert_same_report(inst)
+        assert rep.forward_cube == s.cube_at(int(s.level_offset[level]))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_level_scan_matches_loop_on_null_data(p):
+    base = _sparse_instance(2, 2, p, 7)
+    s = base.sys
+    no_lam = Instance(s, p, base.sigma, base.omega, base.mu, np.zeros(s.num_cubes))
+    rep = _assert_same_report(no_lam)
+    assert (rep.forward, rep.dual, rep.forward_cube, rep.dual_cube) == (0.0, 0.0, None, None)
+    no_omega = Instance(s, p, base.sigma, np.zeros(s.num_atoms), base.mu, base.lam)
+    rep = _assert_same_report(no_omega)
+    assert rep.forward == rep.dual == 0.0
+    mu = base.mu.copy()
+    mu[:, ::3] = 0.0  # mu vanishes on whole columns
+    _assert_same_report(Instance(s, p, base.sigma, base.omega, mu, base.lam))
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 4), (2, 2), (3, 1)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_test_function_is_level_profile_on_the_cube(dim, depth, p):
+    inst = _sparse_instance(dim, depth, p, 11)
+    s = inst.sys
+    for lin in range(s.num_cubes):
+        cube = s.cube_at(lin)
+        phi = make_test_input(inst, cube)
+        am = s.atom_mask(cube)
+        assert np.array_equal(phi[:, am], level_test_input(inst, cube.level)[:, am])
+        assert not phi[:, ~am].any()
+        # the defining formula on the Carleson box of the cube
+        boxed = inst.mu * s.box_mask(cube)
+        shaped = zero_preserving_power(ell2_slice(boxed), inst.q - 2.0)[None, :] * boxed
+        assert np.array_equal(phi, boxed if inst.q == 2.0 else shaped)
+
+
+# -- complexity guard: whole-lattice passes per level, not per cube ----------
+
+
+def _count_calls(monkeypatch, *names):
+    calls = {name: 0 for name in names}
+    for name in names:
+        original = getattr(lattice, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 8), (2, 4)])
+def test_testing_report_passes_scale_with_levels(monkeypatch, dim, depth):
+    inst = generators.generate(generators.GenSpec(seed=3, dimension=dim, depth=depth, p=3.0))
+    calls = _count_calls(monkeypatch, "box_sums", "chain_running")
+    testing_report(inst)
+    assert calls["box_sums"] + calls["chain_running"] <= 3 * inst.sys.num_levels + 8
