@@ -21,7 +21,7 @@ from .errors import GuardError
 from .forms import Instance, all_box_integrals
 from .lattice import DyadicSystem
 from .measures import ksum, lp_norm, mixed_norm
-from .stopping import StoppingFamily, _exclusive_box_mask
+from .stopping import StoppingFamily, _exclusive_box_mask, _largest_subtree_ratio, _subtree_totals
 
 
 @dataclass(frozen=True)
@@ -199,12 +199,7 @@ class LiftedMeasure:
 def lifted_measure(family: StoppingFamily) -> LiftedMeasure:
     if family.kind != "ratio":
         raise ValueError("lifted measure requires a ratio family")
-    box: dict[int, float] = {}
-    for member in reversed(family.members):
-        box[member] = family.phi_mass[member] + sum(
-            box[c] for c in family.children[member]
-        )
-    return LiftedMeasure(dict(family.phi_mass), box)
+    return LiftedMeasure(dict(family.phi_mass), _subtree_totals(family, family.phi_mass))
 
 
 @dataclass(frozen=True)
@@ -238,24 +233,15 @@ def stopping_embedding_report(
     rhs = mixed_norm(f, inst.sigma, inst.p) ** inst.p
     ratio = lhs / rhs if rhs > 0 else 0.0
 
-    lifted = lifted_measure(family)
-    nested: dict[int, float] = {}
-    factor = 0.0
-    for member in reversed(family.members):
-        nested[member] = lifted.box_mass[member] + sum(
-            nested[c] for c in family.children[member]
-        )
-        if lifted.box_mass[member] > 0:
-            factor = max(factor, nested[member] / lifted.box_mass[member])
+    factor = _largest_subtree_ratio(family, lifted_measure(family).box_mass)[0]
 
     weights = inst.sigma[None, :] * f * inst.mu
     exclusive: dict[int, float] = {
         m: ksum(weights[_exclusive_box_mask(sys, family, m)]) for m in family.members
     }
+    acc = _subtree_totals(family, exclusive)
     err = 0.0
-    acc: dict[int, float] = {}
     for member in reversed(family.members):
-        acc[member] = exclusive[member] + sum(acc[c] for c in family.children[member])
         target = num[member]
         scale = max(abs(target), abs(acc[member]), 1e-300)
         err = max(err, abs(acc[member] - target) / scale)

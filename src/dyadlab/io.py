@@ -280,27 +280,38 @@ def summary_to_csv(summary: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _member_paths(sys, family: StoppingFamily) -> dict[int, str]:
+    """Each member's path, built once: its stopping parent's path plus the
+    child codes of the cubes down to the member (members list parents first)."""
+    dim = sys.dimension
+    # Bit i of a child code is the last bit of the coordinate-i index, which
+    # sits at bit level*(dim-1-i) of the cube's lexicographic local id.
+    code = sum(((sys.cube_local >> (sys.cube_level * (dim - 1 - i))) & 1) << i for i in range(dim))
+    code, up_of, level = code.tolist(), sys.parent_linear.tolist(), sys.cube_level.tolist()
+    paths = {family.top: lattice.path_of(sys, sys.cube_at(family.top))}
+    for m in family.members[1:]:
+        up, c, steps = family.parent[m], m, []
+        for _ in range(level[m] - level[up]):
+            steps.append(str(code[c]))
+            c = up_of[c]
+        paths[m] = "/".join(([paths[up]] if paths[up] else []) + steps[::-1])
+    return paths
+
+
 def family_to_dict(sys, family: StoppingFamily) -> dict:
+    paths = _member_paths(sys, family)
     members = []
     for m in family.members:
-        cube = sys.cube_at(m)
-        entry = {
-            "path": lattice.path_of(sys, cube),
-            "stat": family.stats[m],
-        }
+        entry = {"path": paths[m], "stat": family.stats[m]}
         if m in family.parent:
-            entry["parent"] = lattice.path_of(sys, sys.cube_at(family.parent[m]))
+            entry["parent"] = paths[family.parent[m]]
         if family.phi_mass:
             entry["test_input_mass"] = family.phi_mass[m]
         members.append(entry)
-    edges = [
-        [lattice.path_of(sys, sys.cube_at(m)), lattice.path_of(sys, sys.cube_at(c))]
-        for m in family.members
-        for c in family.children[m]
-    ]
+    edges = [[paths[m], paths[c]] for m in family.members for c in family.children[m]]
     return {
         "kind": family.kind,
-        "top": lattice.path_of(sys, sys.cube_at(family.top)),
+        "top": paths[family.top],
         "params": dict(family.params),
         "members": members,
         "edges": edges,

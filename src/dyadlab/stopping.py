@@ -8,18 +8,23 @@ Two constructions, both iterated maximal-cube selections below a top cube:
   function, calibrated by the member's optimal test input, jumps by more than
   a factor ``A``.
 
-Members form a tree (the stopping tree) that is in general much sparser than
-the lattice tree.  On top of the families live the projection to the smallest
-member, the calibrated bracket average, the exclusive sets (member minus its
-stopping children), the cross children (stopping children whose projection
-under the *other* family stays inside the member), and the two collapse
-operations that replace a function below cross children by calibrated
-profiles without changing the integrals the form sees.
+Both are built by one top-down sweep over the levels below the top, which
+tests each strict subcube once, one array comparison per level, against the
+threshold of its nearest strict-ancestor member.  Members form a tree (the
+stopping tree) that is in general much sparser than the lattice tree; a
+member's stopping children are listed by level, then in Morton order (the
+order of ``lattice.children``: coordinate 0 in the high bit of each child
+code), and ``members`` is the breadth-first order of the stopping tree.  On
+top of the families live the projection to the smallest member, the
+calibrated bracket average, the exclusive sets (member minus its stopping
+children), the cross children (stopping children whose projection under the
+*other* family stays inside the member), and the two collapse operations that
+replace a function below cross children by calibrated profiles without
+changing the integrals the form sees.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,21 +58,43 @@ def default_ratio_constants(p: float) -> tuple[float, float]:
     return 4.0 * b ** (2.0 - q), b
 
 
-def _scan_maximal(sys: DyadicSystem, member: int, trigger) -> list[int]:
-    """Maximal strict subcubes of ``member`` satisfying ``trigger``, BFS."""
+def _level_sweep(
+    sys: DyadicSystem, top: int, triggered
+) -> tuple[list[int], dict[int, tuple[int, ...]], dict[int, int]]:
+    """Members (BFS order), stopping children and parents below ``top``.
+
+    One pass per level walks the top's subtree in ``lattice.children`` order,
+    the order a per-member BFS visits cubes.  Each strict subcube is tested
+    once, against its owner (its nearest strict-ancestor member):
+    ``triggered(cubes, owners)`` marks the cubes that become members.
+    """
+    is_member = np.zeros(sys.num_cubes, dtype=bool)
+    owner = np.zeros(sys.num_cubes, dtype=np.intp)
+    is_member[top] = True
+    codes = np.arange(1 << sys.dimension)
+    offsets = [(codes >> (sys.dimension - 1 - i)) & 1 for i in range(sys.dimension)]
+    cubes = np.array([top])
     found: list[int] = []
-    queue = deque(
-        sys.linear(c) for c in lattice.children(sys, sys.cube_at(member))
-    )
-    while queue:
-        lin = queue.popleft()
-        if trigger(lin):
-            found.append(lin)
-        else:
-            queue.extend(
-                sys.linear(c) for c in lattice.children(sys, sys.cube_at(lin))
-            )
-    return found
+    for j in range(int(sys.cube_level[top]) + 1, sys.num_levels):
+        digits = np.unravel_index(cubes - sys.level_offset[j - 1], (1 << (j - 1),) * sys.dimension)
+        up = np.repeat(cubes, len(codes))
+        cubes = sys.level_offset[j] + np.ravel_multi_index(
+            tuple((2 * d[:, None] + o).ravel() for d, o in zip(digits, offsets)),
+            (1 << j,) * sys.dimension,
+        )
+        owner[cubes] = np.where(is_member[up], up, owner[up])
+        hits = cubes[triggered(cubes, owner[cubes])]
+        is_member[hits] = True
+        found.extend(hits.tolist())
+
+    below: dict[int, list[int]] = {m: [] for m in [top, *found]}
+    for c, o in zip(found, owner[found].tolist()):
+        below[o].append(c)
+    members = [top]
+    for member in members:  # grows while it is walked: a BFS queue
+        members.extend(below[member])
+    children = {m: tuple(below[m]) for m in members}
+    return members, children, {c: m for m in members for c in children[m]}
 
 
 def build_average_family(inst: Instance, top: Cube, g: np.ndarray) -> StoppingFamily:
@@ -78,19 +105,9 @@ def build_average_family(inst: Instance, top: Cube, g: np.ndarray) -> StoppingFa
     avg = np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
 
     top_lin = sys.linear(top)
-    members = [top_lin]
-    children: dict[int, tuple[int, ...]] = {}
-    parents: dict[int, int] = {}
-    queue = deque([top_lin])
-    while queue:
-        member = queue.popleft()
-        threshold = 2.0 * avg[member]
-        ch = _scan_maximal(sys, member, lambda lin: avg[lin] > threshold)
-        children[member] = tuple(ch)
-        for c in ch:
-            parents[c] = member
-            members.append(c)
-        queue.extend(ch)
+    members, children, parents = _level_sweep(
+        sys, top_lin, lambda cubes, owners: avg[cubes] > 2.0 * avg[owners]
+    )
     stats = {m: float(avg[m]) for m in members}
     return StoppingFamily("average", top_lin, tuple(members), children, parents, stats)
 
@@ -113,36 +130,32 @@ def build_ratio_family(
     num = all_box_integrals(inst, f)
     # A member's test input is its level's profile restricted to the member,
     # and the trigger only reads box integrals of subcubes of the member:
-    # there the profile's box integrals are the member's own.
+    # there the profile's box integrals are the member's own.  ``ratio``
+    # holds each cube's calibrated mass under its own level's profile.
     dens: dict[int, np.ndarray] = {}
+    ratio = np.zeros(sys.num_cubes)
+
+    def den_at(level: int) -> np.ndarray:
+        if level not in dens:
+            dens[level] = den = all_box_integrals(inst, level_test_input(inst, level))
+            lo, hi = sys.level_offset[level], sys.level_offset[level + 1]
+            np.divide(num[lo:hi], den[lo:hi], out=ratio[lo:hi], where=den[lo:hi] > 0)
+        return dens[level]
+
+    def triggered(cubes: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        owner_level = sys.cube_level[owners]
+        den = np.empty(len(cubes))
+        for level in set(owner_level.tolist()):
+            at = owner_level == level
+            den[at] = den_at(level)[cubes[at]]
+        calibrated = np.divide(num[cubes], den, out=np.zeros_like(den), where=den > 0)
+        return (den > 0) & (calibrated > A * ratio[owners])
 
     top_lin = sys.linear(top)
-    members = [top_lin]
-    children: dict[int, tuple[int, ...]] = {}
-    parents: dict[int, int] = {}
-    stats: dict[int, float] = {}
-    phi_mass: dict[int, float] = {}
-    queue = deque([top_lin])
-    while queue:
-        member = queue.popleft()
-        level = int(sys.cube_level[member])
-        if level not in dens:
-            dens[level] = all_box_integrals(inst, level_test_input(inst, level))
-        den = dens[level]
-        member_ratio = float(num[member] / den[member]) if den[member] > 0 else 0.0
-        threshold = A * member_ratio
-        stats[member] = member_ratio
-        phi_mass[member] = float(den[member])
-
-        def trigger(lin: int) -> bool:
-            return den[lin] > 0 and num[lin] / den[lin] > threshold
-
-        ch = _scan_maximal(sys, member, trigger)
-        children[member] = tuple(ch)
-        for c in ch:
-            parents[c] = member
-            members.append(c)
-        queue.extend(ch)
+    members, children, parents = _level_sweep(sys, top_lin, triggered)
+    levels = sys.cube_level[members].tolist()
+    phi_mass = {m: float(den_at(level)[m]) for m, level in zip(members, levels)}
+    stats = {m: float(ratio[m]) for m in members}  # den_at filled every member level
     return StoppingFamily(
         "ratio",
         top_lin,
@@ -158,10 +171,9 @@ def build_ratio_family(
 def project(sys: DyadicSystem, family: StoppingFamily, cube: Cube) -> Cube:
     """Smallest family member containing ``cube``."""
     lin = sys.linear(cube)
-    member_set = set(family.members)
     top_level = int(sys.cube_level[family.top])
     while True:
-        if lin in member_set:
+        if lin in family.children:  # keyed by every member
             return sys.cube_at(lin)
         if int(sys.cube_level[lin]) <= top_level:
             raise ValueError(f"cube {cube} lies outside the family top")
@@ -177,20 +189,34 @@ def bracket_average(inst: Instance, f: np.ndarray, cube: Cube) -> float:
     return num / den if den > 0 else 0.0
 
 
+def _subtree_totals(family: StoppingFamily, own) -> dict[int, float]:
+    """Per member: ``own[member]`` plus the totals of its stopping children,
+    summed children before parents, in member order."""
+    total: dict[int, float] = {}
+    for member in reversed(family.members):
+        total[member] = own[member] + sum(total[c] for c in family.children[member])
+    return total
+
+
+def _largest_subtree_ratio(family: StoppingFamily, own) -> tuple[float, bool]:
+    """Largest ratio of a member's subtree total to its own value, over members
+    with a positive own value, and whether a member with no own value carries
+    a positive total."""
+    total = _subtree_totals(family, own)
+    best, flagged = 0.0, False
+    for member in reversed(family.members):
+        if own[member] > 0:
+            best = max(best, float(total[member] / own[member]))
+        elif total[member] > 0:
+            flagged = True
+    return best, flagged
+
+
 def carleson_constant(sys: DyadicSystem, family: StoppingFamily, w: np.ndarray) -> float:
     """Largest subfamily-to-member mass ratio; inf if a massless member
     carries positive subfamily mass."""
     masses = lattice.cube_sums(sys, np.asarray(w, dtype=np.float64))
-    sub: dict[int, float] = {}
-    best = 0.0
-    flagged = False
-    for member in reversed(family.members):  # children precede parents
-        total = masses[member] + sum(sub[c] for c in family.children[member])
-        sub[member] = total
-        if masses[member] > 0:
-            best = max(best, float(total / masses[member]))
-        elif total > 0:
-            flagged = True
+    best, flagged = _largest_subtree_ratio(family, masses)
     return float("inf") if flagged else best
 
 
@@ -199,18 +225,12 @@ def cross_children(
 ) -> list[int]:
     """Stopping children of ``member`` whose projection under the other
     family stays inside ``member``."""
-    member_cube = sys.cube_at(member)
-    out = []
-    for c in family.children[member]:
-        proj = project(sys, other, sys.cube_at(c))
-        proj_lin = sys.linear(proj)
-        # proj inside member <=> member is the level-cut ancestor of proj
-        lin = proj_lin
-        while int(sys.cube_level[lin]) > member_cube.level:
-            lin = int(sys.parent_linear[lin])
-        if lin == member:
-            out.append(c)
-    return out
+    # proj and member both contain c, so they nest: proj lies inside member
+    # exactly when it is no coarser
+    level = int(sys.cube_level[member])
+    return [
+        c for c in family.children[member] if project(sys, other, sys.cube_at(c)).level >= level
+    ]
 
 
 def _exclusive_box_mask(sys: DyadicSystem, family: StoppingFamily, member: int) -> np.ndarray:
@@ -306,11 +326,4 @@ def subfamily_mass_bound(family: StoppingFamily) -> float:
     (member mass)."""
     if family.kind != "ratio":
         raise ValueError("test-input masses exist only for ratio families")
-    sub: dict[int, float] = {}
-    worst = 0.0
-    for member in reversed(family.members):
-        total = family.phi_mass[member] + sum(sub[c] for c in family.children[member])
-        sub[member] = total
-        if family.phi_mass[member] > 0:
-            worst = max(worst, total / family.phi_mass[member])
-    return worst
+    return _largest_subtree_ratio(family, family.phi_mass)[0]

@@ -2,17 +2,25 @@
 
 Everything here is written with plain Python loops straight from the
 defining formulas, deliberately ignoring the package's vectorized paths.
-Only meant for tiny systems.  The per-cube testing-constant loops at the
-end are the exception: they reuse the package's per-cube helpers, so their
-results compare bit for bit with the level-factored package code.
+Only meant for tiny systems.  The per-cube testing-constant loops and the
+per-member stopping-family BFS at the end are the exception: they reuse the
+package's helpers, so their results compare bit for bit with the package's
+whole-lattice passes.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
 from dyadlab import lattice, measures
-from dyadlab.forms import all_box_integrals, test_function
+from dyadlab.forms import (
+    all_box_integrals,
+    all_cube_integrals,
+    level_test_input,
+    test_function,
+)
+from dyadlab.stopping import StoppingFamily, default_ratio_constants
 from dyadlab.testing_constants import (
     TestingSide,
     dual_kernel,
@@ -194,3 +202,120 @@ def dual_testing_constant_loop(inst):
             best, best_cube = ratio, cube
             best_witness = norming_scale_function(kernel, inst.sigma, inst.p, inst.q)
     return TestingSide(best, best_cube, best_witness)
+
+
+# -- stopping families by per-member BFS -----------------------------------
+#
+# The package builds both families with one top-down level sweep and writes
+# family JSON with one path per member.  These are the per-member BFS
+# builders and the ``path_of``-per-reference writer they replaced; tests
+# compare the two bit for bit.
+
+
+def _scan_maximal(sys, member, trigger):
+    """Maximal strict subcubes of ``member`` satisfying ``trigger``, BFS."""
+    found = []
+    queue = deque(
+        sys.linear(c) for c in lattice.children(sys, sys.cube_at(member))
+    )
+    while queue:
+        lin = queue.popleft()
+        if trigger(lin):
+            found.append(lin)
+        else:
+            queue.extend(
+                sys.linear(c) for c in lattice.children(sys, sys.cube_at(lin))
+            )
+    return found
+
+
+def build_average_family_bfs(inst, top, g):
+    sys = inst.sys
+    masses = lattice.cube_sums(sys, inst.omega)
+    integrals = all_cube_integrals(inst, g)
+    avg = np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
+
+    top_lin = sys.linear(top)
+    members = [top_lin]
+    children = {}
+    parents = {}
+    queue = deque([top_lin])
+    while queue:
+        member = queue.popleft()
+        threshold = 2.0 * avg[member]
+        ch = _scan_maximal(sys, member, lambda lin: avg[lin] > threshold)
+        children[member] = tuple(ch)
+        for c in ch:
+            parents[c] = member
+            members.append(c)
+        queue.extend(ch)
+    stats = {m: float(avg[m]) for m in members}
+    return StoppingFamily("average", top_lin, tuple(members), children, parents, stats)
+
+
+def build_ratio_family_bfs(inst, top, f, A=None):
+    a_default, b = default_ratio_constants(inst.p)
+    if A is None:
+        A = a_default
+    sys = inst.sys
+    num = all_box_integrals(inst, f)
+    dens = {}
+
+    top_lin = sys.linear(top)
+    members = [top_lin]
+    children = {}
+    parents = {}
+    stats = {}
+    phi_mass = {}
+    queue = deque([top_lin])
+    while queue:
+        member = queue.popleft()
+        level = int(sys.cube_level[member])
+        if level not in dens:
+            dens[level] = all_box_integrals(inst, level_test_input(inst, level))
+        den = dens[level]
+        member_ratio = float(num[member] / den[member]) if den[member] > 0 else 0.0
+        threshold = A * member_ratio
+        stats[member] = member_ratio
+        phi_mass[member] = float(den[member])
+
+        def trigger(lin):
+            return den[lin] > 0 and num[lin] / den[lin] > threshold
+
+        ch = _scan_maximal(sys, member, trigger)
+        children[member] = tuple(ch)
+        for c in ch:
+            parents[c] = member
+            members.append(c)
+        queue.extend(ch)
+    return StoppingFamily(
+        "ratio", top_lin, tuple(members), children, parents, stats, phi_mass,
+        {"A": float(A), "B": float(b)},
+    )
+
+
+def family_to_dict_path_of(sys, family):
+    members = []
+    for m in family.members:
+        cube = sys.cube_at(m)
+        entry = {
+            "path": lattice.path_of(sys, cube),
+            "stat": family.stats[m],
+        }
+        if m in family.parent:
+            entry["parent"] = lattice.path_of(sys, sys.cube_at(family.parent[m]))
+        if family.phi_mass:
+            entry["test_input_mass"] = family.phi_mass[m]
+        members.append(entry)
+    edges = [
+        [lattice.path_of(sys, sys.cube_at(m)), lattice.path_of(sys, sys.cube_at(c))]
+        for m in family.members
+        for c in family.children[m]
+    ]
+    return {
+        "kind": family.kind,
+        "top": lattice.path_of(sys, sys.cube_at(family.top)),
+        "params": dict(family.params),
+        "members": members,
+        "edges": edges,
+    }

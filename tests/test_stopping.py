@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from dyadlab import Cube, Instance, build_system, lattice, worked_instances
+import _reference as ref
+from dyadlab import Cube, Instance, build_system, io, lattice, worked_instances
 from dyadlab.forms import all_box_integrals
 from dyadlab.forms import test_function as make_test_input
 from dyadlab.generators import (
@@ -286,3 +288,116 @@ def test_ratio_family_passes_scale_with_levels(monkeypatch):
     fam = build_ratio_family(inst, inst.sys.root, f)
     assert len(fam.members) > inst.sys.num_cubes // 2
     assert len(calls) <= inst.sys.num_levels + 1
+
+
+# -- level sweep against the per-member BFS ---------------------------------
+
+
+def _assert_same_family(sys, got, want):
+    for name in ("kind", "top", "members", "children", "parent", "stats", "phi_mass", "params"):
+        assert getattr(got, name) == getattr(want, name), name
+    # line lists, so that a failure reports the first differing line
+    lines = json.dumps(io.family_to_dict(sys, got), indent=1).splitlines()
+    assert lines == json.dumps(ref.family_to_dict_path_of(sys, want), indent=1).splitlines()
+
+
+def _assert_both_families(inst, top, f, g, A=None):
+    _assert_same_family(
+        inst.sys,
+        build_average_family(inst, top, g),
+        ref.build_average_family_bfs(inst, top, g),
+    )
+    _assert_same_family(
+        inst.sys,
+        build_ratio_family(inst, top, f, A=A),
+        ref.build_ratio_family_bfs(inst, top, f, A=A),
+    )
+
+
+SWEEP_SHAPES = [(1, D) for D in range(1, 9)] + [(2, D) for D in range(1, 5)] + [
+    (3, D) for D in range(1, 4)
+]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("dimension,depth", SWEEP_SHAPES)
+def test_level_sweep_matches_bfs(dimension, depth, p):
+    for seed in range(2):
+        inst = generate(GenSpec(seed=seed, dimension=dimension, depth=depth, p=p))
+        f = random_scale_function(inst.sys, seed, base=inst.mu)
+        g = random_atom_function(inst.sys, seed)
+        _assert_both_families(inst, inst.sys.root, f, g)
+        _assert_both_families(inst, inst.sys.root, f, g, A=1.5)
+        _assert_both_families(inst, Cube(1, (0,) * dimension), f, g, A=1.25)
+
+
+def test_level_sweep_matches_bfs_on_deep_chain():
+    inst = adversarial_family("deep-chain", dimension=3, depth=4, p=2.0)[0]
+    f, g = deep_chain_profiles(inst.sys)
+    _assert_both_families(inst, inst.sys.root, f, g)
+    assert len(build_ratio_family(inst, inst.sys.root, f).members) > inst.sys.num_cubes // 2
+
+
+def test_level_sweep_matches_bfs_on_fixtures():
+    for inst in W.values():
+        sys = inst.sys
+        f = np.arange(1.0, 1.0 + sys.num_levels * sys.num_atoms).reshape(sys.num_levels, -1)
+        g = np.arange(1.0, 1.0 + sys.num_atoms)
+        _assert_both_families(inst, sys.root, f, g)
+
+    inst = generate(GenSpec(seed=4, dimension=2, depth=4, p=3.0))
+    sys = inst.sys
+    f = random_scale_function(sys, 4, base=inst.mu)
+    g = random_atom_function(sys, 4)
+    no_lam = Instance(sys, inst.p, inst.sigma, inst.omega, inst.mu, np.zeros(sys.num_cubes))
+    _assert_both_families(no_lam, sys.root, f, g, A=1.5)
+    # weights and densities zero on whole columns: the cubes over them carry
+    # 0/0 averages and brackets, which never trigger
+    dead = sys.atom_mask(Cube(1, (0, 1))) | sys.atom_mask(Cube(2, (3, 3)))
+    omega = np.where(dead, 0.0, inst.omega)
+    mu = np.where(dead[None, :], 0.0, inst.mu)
+    holes = Instance(sys, inst.p, inst.sigma, omega, mu, inst.lam)
+    _assert_both_families(holes, sys.root, f * (~dead), g * (~dead), A=1.5)
+    _assert_both_families(holes, sys.root, f, g, A=1.5)
+
+
+def test_builders_never_walk_cubes_one_at_a_time(monkeypatch):
+    calls = {"children": 0, "cube_at": 0}
+    children, cube_at = lattice.children, lattice.DyadicSystem.cube_at
+
+    def counted_children(*a, **k):
+        calls["children"] += 1
+        return children(*a, **k)
+
+    def counted_cube_at(*a, **k):
+        calls["cube_at"] += 1
+        return cube_at(*a, **k)
+
+    deep = adversarial_family("deep-chain", dimension=3, depth=4, p=2.0)[0]
+    deep_f, deep_g = deep_chain_profiles(deep.sys)
+    inst = generate(GenSpec(seed=3, dimension=2, depth=4, p=2.0))
+    cases = [
+        (inst, random_scale_function(inst.sys, 3, base=inst.mu), random_atom_function(inst.sys, 3)),
+        (deep, deep_f, deep_g),
+    ]
+    monkeypatch.setattr(lattice, "children", counted_children)
+    monkeypatch.setattr(lattice.DyadicSystem, "cube_at", counted_cube_at)
+    for case, f, g in cases:
+        build_average_family(case, case.sys.root, g)
+        build_ratio_family(case, case.sys.root, f, A=1.5)
+    assert calls == {"children": 0, "cube_at": 0}
+
+
+def test_project_on_handmade_family():
+    s = build_system(1, 2)
+    handmade = StoppingFamily(
+        kind="average",
+        top=0,
+        members=(0, 4),
+        children={0: (4,), 4: ()},
+        parent={4: 0},
+        stats={0: 0.0, 4: 0.0},
+    )
+    assert project(s, handmade, Cube(2, (1,))) == Cube(2, (1,))
+    assert project(s, handmade, Cube(2, (2,))) == Cube(0, (0,))
+    assert project(s, handmade, Cube(1, (0,))) == Cube(0, (0,))
