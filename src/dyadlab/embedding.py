@@ -12,6 +12,7 @@ empirical constant dominates the condition constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .errors import GuardError
 from .forms import Instance, all_box_integrals
 from .lattice import DyadicSystem
 from .measures import ksum, lp_norm, mixed_norm
-from .stopping import StoppingFamily, _exclusive_box_mask, _largest_subtree_ratio, _subtree_totals
+from .stopping import StoppingFamily, _largest_subtree_ratio, _subtree_totals, cell_projection
 
 
 @dataclass(frozen=True)
@@ -235,10 +236,15 @@ def stopping_embedding_report(
 
     factor = _largest_subtree_ratio(family, lifted_measure(family).box_mass)[0]
 
-    weights = inst.sigma[None, :] * f * inst.mu
-    exclusive: dict[int, float] = {
-        m: ksum(weights[_exclusive_box_mask(sys, family, m)]) for m in family.members
-    }
+    # One grouping of the cells by owner gives every exclusive-box sum; fsum
+    # is correctly rounded, so the order inside a group does not matter.
+    owner = cell_projection(sys, family).ravel()
+    order = np.argsort(owner, kind="stable")
+    weights = (inst.sigma[None, :] * f * inst.mu).ravel()[order].tolist()
+    owner = owner[order]
+    starts = np.searchsorted(owner, family.members).tolist()
+    ends = np.searchsorted(owner, family.members, side="right").tolist()
+    exclusive = {m: math.fsum(weights[a:b]) for m, a, b in zip(family.members, starts, ends)}
     acc = _subtree_totals(family, exclusive)
     err = 0.0
     for member in reversed(family.members):

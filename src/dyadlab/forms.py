@@ -107,14 +107,6 @@ def apply_box_operator(inst: Instance, f: np.ndarray) -> np.ndarray:
     return lattice.chain_total(inst.sys, contrib)
 
 
-def apply_box_operator_local(inst: Instance, top: Cube, f: np.ndarray) -> np.ndarray:
-    """Box operator with the cube sum restricted to subcubes of ``top``."""
-    level, _ = inst.sys.validate(top)
-    contrib = inst.lam * all_box_integrals(inst, f)
-    running = lattice.chain_running(inst.sys, contrib, start_level=level)
-    return running[inst.sys.depth] * inst.sys.atom_mask(top)
-
-
 def apply_adjoint_operator(inst: Instance, g: np.ndarray) -> np.ndarray:
     """Adjoint of the box operator: a scale function supported where mu is."""
     contrib = inst.lam * all_cube_integrals(inst, g)

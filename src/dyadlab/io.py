@@ -238,8 +238,6 @@ def read_rows(fp) -> list[ReportRow]:
                 kwargs[f.name] = float(raw)
             elif f.type == "int":
                 kwargs[f.name] = int(raw)
-            elif f.type == "Optional[str]":
-                kwargs[f.name] = raw
             else:
                 kwargs[f.name] = raw
         out.append(ReportRow(**kwargs))

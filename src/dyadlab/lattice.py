@@ -182,21 +182,6 @@ def children(sys: DyadicSystem, cube: Cube) -> list[Cube]:
     return out
 
 
-def subcubes(sys: DyadicSystem, cube: Cube) -> list[Cube]:
-    """All subcubes of ``cube`` including itself, level-major lexicographic."""
-    level, index = sys.validate(cube)
-    out = []
-    for j in range(level, sys.num_levels):
-        shift = j - level
-        ranges = [range(m << shift, (m + 1) << shift) for m in index]
-        grids = np.meshgrid(*[np.array(list(r)) for r in ranges], indexing="ij")
-        stacked = np.stack([g.ravel() for g in grids], axis=1)
-        # meshgrid ij order == lexicographic over the multi-index
-        for row in stacked:
-            out.append(Cube(j, tuple(int(v) for v in row)))
-    return out
-
-
 def box_members(sys: DyadicSystem, cube: Cube) -> set[tuple[int, int]]:
     """The Carleson box of ``cube`` as a set of (atom, level) pairs."""
     level, _ = sys.validate(cube)

@@ -61,10 +61,6 @@ def as_weights(sys: DyadicSystem, values) -> np.ndarray:
     return _validated(values, (sys.num_atoms,), "weights")
 
 
-def as_atom_function(sys: DyadicSystem, values) -> np.ndarray:
-    return _validated(values, (sys.num_atoms,), "atom function")
-
-
 def as_scale_function(sys: DyadicSystem, values) -> np.ndarray:
     return _validated(values, (sys.num_levels, sys.num_atoms), "scale function")
 

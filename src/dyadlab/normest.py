@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import lattice
 from .errors import GuardError
 from .forms import Instance, apply_adjoint_operator, apply_box_operator, lambda_form, test_function
 from .measures import ell2_slice, ksum, lp_norm, mixed_norm, zero_preserving_power
@@ -202,12 +203,7 @@ def form_kernel(inst: Instance) -> np.ndarray:
     sys = inst.sys
     if sys.num_levels * sys.num_atoms * sys.num_atoms > _KERNEL_CELL_LIMIT:
         raise GuardError("system too large for a dense kernel")
-    prefix = np.zeros((sys.num_levels, sys.num_atoms))
-    acc = np.zeros(sys.num_atoms)
-    for j in range(sys.num_levels):
-        vals = inst.lam[sys.level_offset[j] : sys.level_offset[j + 1]]
-        acc = acc + vals[sys.ancestor_local[j]]
-        prefix[j] = acc
+    prefix = lattice.chain_running(sys, inst.lam)
     shared = shared_chain_levels(sys)
     cut = np.minimum(np.arange(sys.num_levels)[:, None, None], shared[None, :, :])
     chain = prefix[cut, np.arange(sys.num_atoms)[None, :, None]]

@@ -15,8 +15,8 @@ stopping tree) that is in general much sparser than the lattice tree; a
 member's stopping children are listed by level, then in Morton order (the
 order of ``lattice.children``: coordinate 0 in the high bit of each child
 code), and ``members`` is the breadth-first order of the stopping tree.  On
-top of the families live the projection to the smallest member, the
-calibrated bracket average, the exclusive sets (member minus its stopping
+top of the families live the projection to the smallest member (one table
+per family, which also defines the exclusive sets: member minus its stopping
 children), the cross children (stopping children whose projection under the
 *other* family stays inside the member), and the two collapse operations that
 replace a function below cross children by calibrated profiles without
@@ -45,9 +45,6 @@ class StoppingFamily:
     stats: dict[int, float]           # per-member average (avg) or bracket (ratio)
     phi_mass: dict[int, float] = field(default_factory=dict)  # ratio kind only
     params: dict[str, float] = field(default_factory=dict)
-
-    def member_cubes(self, sys: DyadicSystem) -> list[Cube]:
-        return [sys.cube_at(m) for m in self.members]
 
 
 def default_ratio_constants(p: float) -> tuple[float, float]:
@@ -168,6 +165,26 @@ def build_ratio_family(
     )
 
 
+def projection(sys: DyadicSystem, family: StoppingFamily) -> np.ndarray:
+    """Per linear cube id: the smallest family member containing the cube,
+    -1 for cubes outside the top.  One top-down pass per level below the top:
+    a cube that is no member inherits its parent's projection."""
+    proj = np.full(sys.num_cubes, -1, dtype=np.intp)
+    proj[list(family.members)] = family.members
+    for j in range(int(sys.cube_level[family.top]) + 1, sys.num_levels):
+        lo, hi = sys.level_offset[j], sys.level_offset[j + 1]
+        proj[lo:hi] = np.where(proj[lo:hi] >= 0, proj[lo:hi], proj[sys.parent_linear[lo:hi]])
+    return proj
+
+
+def cell_projection(sys: DyadicSystem, family: StoppingFamily) -> np.ndarray:
+    """Per cell ``(j, a)``: the projection of the level-j cube containing atom
+    a.  A member's exclusive box (its box minus the boxes of its stopping
+    children) is where this equals the member; its exclusive atoms (its atoms
+    minus those of its stopping children) are where the last row does."""
+    return projection(sys, family)[sys.level_offset[:-1, None] + sys.ancestor_local]
+
+
 def project(sys: DyadicSystem, family: StoppingFamily, cube: Cube) -> Cube:
     """Smallest family member containing ``cube``."""
     lin = sys.linear(cube)
@@ -178,15 +195,6 @@ def project(sys: DyadicSystem, family: StoppingFamily, cube: Cube) -> Cube:
         if int(sys.cube_level[lin]) <= top_level:
             raise ValueError(f"cube {cube} lies outside the family top")
         lin = int(sys.parent_linear[lin])
-
-
-def bracket_average(inst: Instance, f: np.ndarray, cube: Cube) -> float:
-    """Box mass of f calibrated by the cube's own test input; 0/0 -> 0."""
-    lin = inst.sys.linear(cube)
-    num = all_box_integrals(inst, f)[lin]
-    level = int(inst.sys.cube_level[lin])
-    den = all_box_integrals(inst, level_test_input(inst, level))[lin]
-    return num / den if den > 0 else 0.0
 
 
 def _subtree_totals(family: StoppingFamily, own) -> dict[int, float]:
@@ -233,32 +241,6 @@ def cross_children(
     ]
 
 
-def _exclusive_box_mask(sys: DyadicSystem, family: StoppingFamily, member: int) -> np.ndarray:
-    mask = sys.box_mask(sys.cube_at(member))
-    for c in family.children[member]:
-        mask &= ~sys.box_mask(sys.cube_at(c))
-    return mask
-
-
-def _exclusive_atom_mask(sys: DyadicSystem, family: StoppingFamily, member: int) -> np.ndarray:
-    mask = sys.atom_mask(sys.cube_at(member))
-    for c in family.children[member]:
-        mask &= ~sys.atom_mask(sys.cube_at(c))
-    return mask
-
-
-def exclusive_box(sys: DyadicSystem, family: StoppingFamily, member: int) -> set[tuple[int, int]]:
-    """Box of the member minus the boxes of its stopping children."""
-    mask = _exclusive_box_mask(sys, family, member)
-    levels, atoms = np.nonzero(mask)
-    return {(int(a), int(j)) for j, a in zip(levels, atoms)}
-
-
-def exclusive_atoms(sys: DyadicSystem, family: StoppingFamily, member: int) -> set[int]:
-    """Member's atoms minus those of its stopping children."""
-    return {int(a) for a in np.flatnonzero(_exclusive_atom_mask(sys, family, member))}
-
-
 def collapse_scale_function(
     inst: Instance,
     f: np.ndarray,
@@ -272,7 +254,7 @@ def collapse_scale_function(
     if member not in avg_family.children:
         raise ValueError("member does not belong to the average family")
     sys = inst.sys
-    out = f * _exclusive_box_mask(sys, avg_family, member)
+    out = f * (cell_projection(sys, avg_family) == member)
     num = all_box_integrals(inst, f)
     profiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for c in cross_children(sys, avg_family, ratio_family, member):
@@ -300,7 +282,7 @@ def collapse_atom_function(
     if member not in ratio_family.children:
         raise ValueError("member does not belong to the ratio family")
     sys = inst.sys
-    out = g * _exclusive_atom_mask(sys, ratio_family, member)
+    out = g * (cell_projection(sys, ratio_family)[-1] == member)
     for c in cross_children(sys, ratio_family, avg_family, member):
         cube = sys.cube_at(c)
         out = out + average(sys, g, inst.omega, cube) * sys.atom_mask(cube)

@@ -2,10 +2,11 @@
 
 Everything here is written with plain Python loops straight from the
 defining formulas, deliberately ignoring the package's vectorized paths.
-Only meant for tiny systems.  The per-cube testing-constant loops and the
-per-member stopping-family BFS at the end are the exception: they reuse the
-package's helpers, so their results compare bit for bit with the package's
-whole-lattice passes.
+Only meant for tiny systems.  The per-cube testing-constant loops, the
+per-member stopping-family BFS and the per-member exclusive masks at the end
+are the exception: they reuse the package's helpers, so their results compare
+bit for bit with the package's whole-lattice passes.  The helpers in between
+are small definitions that only tests call.
 """
 
 import math
@@ -14,13 +15,21 @@ from collections import deque
 import numpy as np
 
 from dyadlab import lattice, measures
+from dyadlab.embedding import StoppingEmbeddingReport, lifted_measure
 from dyadlab.forms import (
     all_box_integrals,
     all_cube_integrals,
     level_test_input,
     test_function,
 )
-from dyadlab.stopping import StoppingFamily, default_ratio_constants
+from dyadlab.stopping import (
+    StoppingFamily,
+    _largest_subtree_ratio,
+    _subtree_totals,
+    cross_children,
+    default_ratio_constants,
+    project,
+)
 from dyadlab.testing_constants import (
     TestingSide,
     dual_kernel,
@@ -158,6 +167,45 @@ def carleson_condition_constant(n, depth, a_map, nu):
         elif sub > 0:
             return math.inf
     return best
+
+
+# -- helpers only tests call ------------------------------------------------
+
+
+def subcubes(sys, cube):
+    """All subcubes of ``cube`` including itself, level-major lexicographic."""
+    level, index = sys.validate(cube)
+    out = []
+    for j in range(level, sys.num_levels):
+        shift = j - level
+        ranges = [range(m << shift, (m + 1) << shift) for m in index]
+        grids = np.meshgrid(*[np.array(list(r)) for r in ranges], indexing="ij")
+        stacked = np.stack([g.ravel() for g in grids], axis=1)
+        # meshgrid ij order == lexicographic over the multi-index
+        for row in stacked:
+            out.append(lattice.Cube(j, tuple(int(v) for v in row)))
+    return out
+
+
+def apply_box_operator_local(inst, top, f):
+    """Box operator with the cube sum restricted to subcubes of ``top``."""
+    level, _ = inst.sys.validate(top)
+    contrib = inst.lam * all_box_integrals(inst, f)
+    running = lattice.chain_running(inst.sys, contrib, start_level=level)
+    return running[inst.sys.depth] * inst.sys.atom_mask(top)
+
+
+def bracket_average(inst, f, cube):
+    """Box mass of f calibrated by the cube's own test input; 0/0 -> 0."""
+    lin = inst.sys.linear(cube)
+    num = all_box_integrals(inst, f)[lin]
+    level = int(inst.sys.cube_level[lin])
+    den = all_box_integrals(inst, level_test_input(inst, level))[lin]
+    return num / den if den > 0 else 0.0
+
+
+def member_cubes(sys, family):
+    return [sys.cube_at(m) for m in family.members]
 
 
 # -- per-cube testing-constant loops ---------------------------------------
@@ -319,3 +367,88 @@ def family_to_dict_path_of(sys, family):
         "members": members,
         "edges": edges,
     }
+
+
+# -- exclusive sets by per-member masks --------------------------------------
+#
+# The package reads a member's exclusive box and atoms off one projection
+# table per family.  These build them from the definition, the member's box
+# or atoms minus those of its stopping children, together with the
+# per-member-mask collapse operations and embedding report they replaced.
+
+
+def exclusive_box_mask(sys, family, member):
+    mask = sys.box_mask(sys.cube_at(member))
+    for c in family.children[member]:
+        mask &= ~sys.box_mask(sys.cube_at(c))
+    return mask
+
+
+def exclusive_atom_mask(sys, family, member):
+    mask = sys.atom_mask(sys.cube_at(member))
+    for c in family.children[member]:
+        mask &= ~sys.atom_mask(sys.cube_at(c))
+    return mask
+
+
+def exclusive_box(sys, family, member):
+    """Box of the member minus the boxes of its stopping children."""
+    levels, atoms = np.nonzero(exclusive_box_mask(sys, family, member))
+    return {(int(a), int(j)) for j, a in zip(levels, atoms)}
+
+
+def exclusive_atoms(sys, family, member):
+    """Member's atoms minus those of its stopping children."""
+    return {int(a) for a in np.flatnonzero(exclusive_atom_mask(sys, family, member))}
+
+
+def collapse_scale_function_masks(inst, f, avg_family, ratio_family, member):
+    sys = inst.sys
+    out = f * exclusive_box_mask(sys, avg_family, member)
+    num = all_box_integrals(inst, f)
+    profiles = {}
+    for c in cross_children(sys, avg_family, ratio_family, member):
+        level = project(sys, ratio_family, sys.cube_at(c)).level
+        if level not in profiles:
+            phi = level_test_input(inst, level)
+            profiles[level] = (phi, all_box_integrals(inst, phi))
+        phi, den = profiles[level]
+        coeff = num[c] / den[c] if den[c] > 0 else 0.0
+        out = out + coeff * (phi * sys.box_mask(sys.cube_at(c)))
+    return out
+
+
+def collapse_atom_function_masks(inst, g, avg_family, ratio_family, member):
+    sys = inst.sys
+    out = g * exclusive_atom_mask(sys, ratio_family, member)
+    for c in cross_children(sys, ratio_family, avg_family, member):
+        cube = sys.cube_at(c)
+        out = out + measures.average(sys, g, inst.omega, cube) * sys.atom_mask(cube)
+    return out
+
+
+def stopping_embedding_report_masks(inst, f, family):
+    sys = inst.sys
+    num = all_box_integrals(inst, f)
+    brackets = {
+        m: (num[m] / family.phi_mass[m] if family.phi_mass[m] > 0 else 0.0)
+        for m in family.members
+    }
+    lhs = measures.ksum([brackets[m] ** inst.p * family.phi_mass[m] for m in family.members])
+    rhs = measures.mixed_norm(f, inst.sigma, inst.p) ** inst.p
+    ratio = lhs / rhs if rhs > 0 else 0.0
+
+    factor = _largest_subtree_ratio(family, lifted_measure(family).box_mass)[0]
+
+    weights = inst.sigma[None, :] * f * inst.mu
+    exclusive = {
+        m: measures.ksum(weights[exclusive_box_mask(sys, family, m)]) for m in family.members
+    }
+    acc = _subtree_totals(family, exclusive)
+    err = 0.0
+    for member in reversed(family.members):
+        target = num[member]
+        scale = max(abs(target), abs(acc[member]), 1e-300)
+        err = max(err, abs(acc[member] - target) / scale)
+
+    return StoppingEmbeddingReport(lhs, rhs, ratio, factor, err)

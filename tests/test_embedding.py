@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab import build_system, worked_instances
+from dyadlab import Cube, build_system, lattice, worked_instances
 from dyadlab.embedding import (
     CarlesonData,
     carleson_condition_constant,
@@ -16,6 +16,8 @@ from dyadlab.embedding import (
 from dyadlab.errors import GuardError
 from dyadlab.generators import (
     GenSpec,
+    adversarial_family,
+    deep_chain_profiles,
     generate,
     lemma_violation_fixture,
     random_scale_function,
@@ -23,6 +25,7 @@ from dyadlab.generators import (
 from dyadlab.stopping import build_ratio_family
 
 import _reference as ref
+from test_stopping import SWEEP_SHAPES
 
 W = worked_instances()
 
@@ -155,3 +158,46 @@ def test_stopping_embedding_structure_random(p):
         assert lifted.total == pytest.approx(
             sum(fam.phi_mass.values()), rel=1e-12, abs=1e-300
         )
+
+
+# -- exclusive sums by one grouping against the per-member masks -------------
+
+REPORT_FIELDS = ("lhs", "rhs", "ratio", "nu_carleson_factor", "alpha_identity_rel_err")
+
+
+def _assert_same_report(inst, f, fam):
+    got = stopping_embedding_report(inst, f, fam)
+    want = ref.stopping_embedding_report_masks(inst, f, fam)
+    for name in REPORT_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("dimension,depth", [(1, 10), (3, 4), (1, 12)])
+def test_stopping_embedding_matches_member_masks_on_deep_chain(dimension, depth):
+    inst = adversarial_family("deep-chain", dimension=dimension, depth=depth, p=2.0)[0]
+    f, _ = deep_chain_profiles(inst.sys)
+    fam = build_ratio_family(inst, inst.sys.root, f)
+    assert len(fam.members) > inst.sys.num_cubes // 2
+    _assert_same_report(inst, f, fam)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_stopping_embedding_matches_member_masks_on_sweep(p):
+    for dimension, depth in SWEEP_SHAPES:
+        inst = generate(GenSpec(seed=0, dimension=dimension, depth=depth, p=p))
+        f = random_scale_function(inst.sys, 0, base=inst.mu)
+        for top, A in ((inst.sys.root, None), (inst.sys.root, 1.5), (Cube(1, (0,) * dimension), 1.25)):
+            _assert_same_report(inst, f, build_ratio_family(inst, top, f, A=A))
+
+
+def test_stopping_embedding_builds_no_box_masks(monkeypatch):
+    inst = adversarial_family("deep-chain", dimension=3, depth=4, p=2.0)[0]
+    f, _ = deep_chain_profiles(inst.sys)
+    fam = build_ratio_family(inst, inst.sys.root, f)
+    box_mask = lattice.DyadicSystem.box_mask
+    calls = []
+    monkeypatch.setattr(
+        lattice.DyadicSystem, "box_mask", lambda *a, **k: calls.append(1) or box_mask(*a, **k)
+    )
+    stopping_embedding_report(inst, f, fam)
+    assert calls == []

