@@ -7,7 +7,9 @@ averages by the p-th power of the Lp norm; its smallest constant is
 comparable (p-dependently) to the smallest constant in the cube-mass
 condition.  The condition side is exact arithmetic; the embedding side is a
 seeded ratio maximization whose indicator seeds already certify that the
-empirical constant dominates the condition constant.
+empirical constant dominates the condition constant.  The search takes one
+cube-averages pass per evaluated function; the ascent step after it reuses
+those averages for its gradient.
 """
 
 from __future__ import annotations
@@ -59,21 +61,6 @@ def carleson_condition_constant(sys: DyadicSystem, data: CarlesonData) -> float:
     return float(np.max(sub[positive] / masses[positive]))
 
 
-def embedding_sum(sys: DyadicSystem, data: CarlesonData, h: np.ndarray, p: float) -> float:
-    """Left side of the embedding: sum over cubes of a * (average of h)**p."""
-    masses = lattice.cube_sums(sys, data.nu)
-    integrals = lattice.cube_sums(sys, data.nu * np.asarray(h, dtype=np.float64))
-    avg = np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
-    return ksum(data.a * avg**p)
-
-
-def _embedding_ratio(sys: DyadicSystem, data: CarlesonData, h: np.ndarray, p: float) -> float:
-    den = lp_norm(h, data.nu, p) ** p
-    if den == 0.0:
-        return 0.0
-    return embedding_sum(sys, data, h, p) / den
-
-
 @dataclass(frozen=True)
 class RatioSearchResult:
     value: float
@@ -81,12 +68,14 @@ class RatioSearchResult:
     evaluations: int
 
 
+_ASCENT_STEPS = 40  # fixed-point steps per seed
+
+
 def embedding_ratio_search(
     sys: DyadicSystem,
     data: CarlesonData,
     p: float,
     restarts: int = 4,
-    iterations: int = 40,
     seed: int = 0,
 ) -> RatioSearchResult:
     """Empirical embedding constant by seeded fixed-point ascent.
@@ -95,29 +84,32 @@ def embedding_ratio_search(
     dominates the condition constant), the constant function, and ``restarts``
     random starts.  From each seed the update replaces h by the (1/(p-1))-th
     power of the collected average-gradient, which is the stationarity shape
-    of the ratio; the best ratio over every iterate is kept.
+    of the ratio; the best ratio over every iterate is kept.  Each evaluation
+    computes the iterate's cube averages once, and the next step takes its
+    gradient from them.
     """
     masses = lattice.cube_sums(sys, data.nu)
     best = 0.0
     best_h = np.zeros(sys.num_atoms)
     evals = 0
 
-    def consider(h: np.ndarray) -> float:
+    def consider(h: np.ndarray) -> tuple[float, np.ndarray]:
+        """Embedding ratio of h and its cube averages."""
         nonlocal best, best_h, evals
         evals += 1
-        r = _embedding_ratio(sys, data, h, p)
+        integrals = lattice.cube_sums(sys, data.nu * h)
+        avg = np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
+        n = lp_norm(h, data.nu, p)
+        den = n**p
+        r = 0.0 if den == 0.0 else ksum(data.a * avg**p) / den
         if r > best:
             best = r
-            n = lp_norm(h, data.nu, p)
             best_h = h / n if n > 0 else h
-        return r
+        return r, avg
 
     def ascend(h: np.ndarray):
-        for _ in range(iterations):
-            integrals = lattice.cube_sums(sys, data.nu * h)
-            avg = np.divide(
-                integrals, masses, out=np.zeros_like(integrals), where=masses > 0
-            )
+        _, avg = consider(h)
+        for _ in range(_ASCENT_STEPS):
             t = np.divide(
                 data.a * avg ** (p - 1.0),
                 masses,
@@ -130,8 +122,9 @@ def embedding_ratio_search(
             if top == 0.0:
                 return
             h_new /= top
-            consider(h_new)
-            if np.allclose(h_new, h, rtol=1e-13, atol=0.0):
+            _, avg = consider(h_new)
+            # iterates are finite or NaN, and NaN never counts as converged
+            if np.all(np.abs(h_new - h) <= 1e-13 * np.abs(h)):
                 return
             h = h_new
 
@@ -141,7 +134,7 @@ def embedding_ratio_search(
         if masses[lin] == 0:
             continue
         h = sys.atom_mask(sys.cube_at(lin)).astype(np.float64)
-        r = consider(h)
+        r, _ = consider(h)
         if indicator_best is None or r > indicator_best[0]:
             indicator_best = (r, h)
     if indicator_best is not None:
@@ -150,7 +143,6 @@ def embedding_ratio_search(
         rng = np.random.Generator(np.random.Philox(key=[seed, k]))
         seeds.append(rng.random(sys.num_atoms))
     for h in seeds:
-        consider(h)
         ascend(h)
     return RatioSearchResult(best, best_h, evals)
 

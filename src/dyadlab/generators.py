@@ -23,7 +23,10 @@ STREAM_F, STREAM_G, STREAM_A, STREAM_H = 10, 11, 12, 13
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), stream]))
+    """Philox stream keyed (seed mod 2**64, stream).  The key is built as
+    uint64 so seeds at or above 2**63, negative ones included, stay distinct."""
+    key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _log_uniform(rng, lo: float, hi: float, shape) -> np.ndarray:
@@ -82,12 +85,10 @@ def random_scale_function(
     seed: int,
     stream: int = STREAM_F,
     base: np.ndarray | None = None,
-    value_range: tuple[float, float] = (0.25, 4.0),
-    sparsity: float = 0.1,
 ) -> np.ndarray:
     """Random nonnegative scale function; optionally modulates ``base``."""
     rng = _rng(seed, stream)
-    field = _sparse_field(rng, *value_range, sparsity, (sys.num_levels, sys.num_atoms))
+    field = _sparse_field(rng, 0.25, 4.0, 0.1, (sys.num_levels, sys.num_atoms))
     return field if base is None else np.asarray(base) * field
 
 
@@ -95,11 +96,9 @@ def random_atom_function(
     sys: DyadicSystem,
     seed: int,
     stream: int = STREAM_G,
-    value_range: tuple[float, float] = (0.25, 4.0),
-    sparsity: float = 0.1,
 ) -> np.ndarray:
     rng = _rng(seed, stream)
-    return _sparse_field(rng, *value_range, sparsity, sys.num_atoms)
+    return _sparse_field(rng, 0.25, 4.0, 0.1, sys.num_atoms)
 
 
 def embedding_probe_function(inst, seed: int) -> np.ndarray:

@@ -75,14 +75,12 @@ def alternating_maximization(
     max_iter: int = 1000,
     seed: int = 0,
     report: TestingReport | None = None,
-    extra_seeds=(),
 ) -> NormEstimate:
     """Best ratio over seeded alternating ascents.
 
     Seeds: the two testing witnesses paired with their test inputs, the
-    constant pair, ``restarts`` counter-keyed random pairs, then any caller
-    extras.  Each random stream is keyed (seed, k) so results do not depend
-    on evaluation order.
+    constant pair and ``restarts`` counter-keyed random pairs.  Each random
+    stream is keyed (seed, k) so results do not depend on evaluation order.
     """
     if restarts < 1:
         raise GuardError(f"restarts must be >= 1, got {restarts}")
@@ -104,7 +102,6 @@ def alternating_maximization(
     for k in range(restarts):
         rng = np.random.Generator(np.random.Philox(key=[seed, k]))
         seeds.append((rng.random((sys.num_levels, sys.num_atoms)), rng.random(sys.num_atoms)))
-    seeds.extend(extra_seeds)
 
     best_value = 0.0
     best_pair: tuple[np.ndarray, np.ndarray] | None = None
@@ -152,7 +149,7 @@ def alternating_maximization(
     return NormEstimate(value, wf, wg, total_iters, len(seeds), converged_best, False)
 
 
-def attach_oracle(inst: Instance, estimate: NormEstimate, resolution: int = 24) -> NormEstimate:
+def attach_oracle(inst: Instance, estimate: NormEstimate) -> NormEstimate:
     """Attach the applicable oracle value, if any, to an estimate.
 
     Silently returns the estimate unchanged when no oracle applies (p != 2
@@ -166,7 +163,7 @@ def attach_oracle(inst: Instance, estimate: NormEstimate, resolution: int = 24) 
         dof = inst.sys.num_levels * inst.sys.num_atoms + inst.sys.num_atoms
         if dof <= 6:
             return replace(
-                estimate, oracle_value=grid_oracle(inst, resolution), oracle_kind="grid"
+                estimate, oracle_value=grid_oracle(inst, 24), oracle_kind="grid"
             )
     except GuardError:
         pass
@@ -210,7 +207,7 @@ def form_kernel(inst: Instance) -> np.ndarray:
     return inst.mu[:, :, None] * chain
 
 
-def spectral_oracle_p2(inst: Instance, tol: float = 1e-12, max_iter: int = 200_000) -> float:
+def spectral_oracle_p2(inst: Instance) -> float:
     """Exact form norm at p = 2: largest singular value by power iteration."""
     if inst.p != 2.0:
         raise GuardError(f"spectral oracle requires p = 2, got {inst.p}")
@@ -223,7 +220,7 @@ def spectral_oracle_p2(inst: Instance, tol: float = 1e-12, max_iter: int = 200_0
     ).reshape(sys.num_levels * sys.num_atoms, sys.num_atoms)
     v = np.ones(sys.num_atoms) / np.sqrt(sys.num_atoms)
     sigma_old = 0.0
-    for _ in range(max_iter):
+    for _ in range(200_000):
         u = m @ v
         sigma_new = float(np.linalg.norm(u))
         if sigma_new == 0.0:
@@ -233,7 +230,7 @@ def spectral_oracle_p2(inst: Instance, tol: float = 1e-12, max_iter: int = 200_0
         if vn == 0.0:
             return sigma_new
         v /= vn
-        if abs(sigma_new - sigma_old) <= tol * max(sigma_new, 1e-300):
+        if abs(sigma_new - sigma_old) <= 1e-12 * max(sigma_new, 1e-300):
             return sigma_new
         sigma_old = sigma_new
     return sigma_old
@@ -245,7 +242,7 @@ def _axis_grid(dof: int, resolution: int) -> np.ndarray:
     return pts[1:]  # drop the origin
 
 
-def grid_oracle(inst: Instance, resolution: int = 24) -> float:
+def grid_oracle(inst: Instance, resolution: int) -> float:
     """Dense nonnegative direction search for tiny systems (<= 6 DOF).
 
     Directions on one sphere are enumerated on an axis grid; the other side

@@ -26,8 +26,6 @@ def evaluate_instance(
     seed: int,
     restarts: int = 4,
     tol: float = 1e-10,
-    max_iter: int = 400,
-    with_oracle: bool = True,
 ) -> ReportRow:
     """Full measurement battery for one instance.
 
@@ -39,10 +37,9 @@ def evaluate_instance(
 
     report = testing_report(inst)
     estimate = alternating_maximization(
-        inst, restarts=restarts, tol=tol, max_iter=max_iter, seed=seed, report=report
+        inst, restarts=restarts, tol=tol, max_iter=400, seed=seed, report=report
     )
-    if with_oracle:
-        estimate = attach_oracle(inst, estimate)
+    estimate = attach_oracle(inst, estimate)
 
     total = report.forward + report.dual
     if total > 0 and inst.p >= 2.0:
@@ -62,9 +59,7 @@ def evaluate_instance(
     g_carleson = carleson_constant(sys, avg_family, inst.omega)
     sparse_max = child_mass_bound(ratio_family)
 
-    rng = np.random.Generator(
-        np.random.Philox(key=[seed & (2**64 - 1), generators.STREAM_A])
-    )
+    rng = generators._rng(seed, generators.STREAM_A)
     a = np.exp(rng.random(sys.num_cubes) * 2.0 - 1.0) * (rng.random(sys.num_cubes) >= 0.5)
     data = CarlesonData(a, inst.omega)
     cprime = carleson_condition_constant(sys, data)
@@ -106,7 +101,6 @@ def sweep_rows(
     depth: int,
     restarts: int = 4,
     tol: float = 1e-10,
-    with_oracle: bool = True,
 ) -> list[ReportRow]:
     rows = []
     for k in range(count):
@@ -121,7 +115,6 @@ def sweep_rows(
                 seed=seed,
                 restarts=restarts,
                 tol=tol,
-                with_oracle=with_oracle,
             )
         )
     return rows

@@ -54,7 +54,7 @@ from .stopping import (
     collapse_atom_function,
     collapse_scale_function,
     default_ratio_constants,
-    project,
+    projection,
     subfamily_mass_bound,
 )
 from .testing_constants import testing_report
@@ -290,10 +290,11 @@ def _check_stopping(s: _Suite):
         if carleson_constant(sys, gfam, inst.omega) > 2.0:
             fails_c.append((inst, "average family exceeds the 2-Carleson bound"))
         ffam = build_ratio_family(inst, sys.root, f)
+        fproj = projection(sys, ffam)
         a_const, _ = default_ratio_constants(inst.p)
         for lin in range(0, sys.num_cubes, max(1, sys.num_cubes // 6)):
             cube = sys.cube_at(lin)
-            member = project(sys, ffam, cube)
+            member = sys.cube_at(int(fproj[lin]))
             phi = test_function(inst, member)
             den_q = box_integral(sys, phi, inst.mu, inst.sigma, cube)
             num_q = box_integral(sys, f, inst.mu, inst.sigma, cube)
@@ -324,25 +325,29 @@ def _check_stopping(s: _Suite):
         f, g = generators.deep_chain_profiles(sys)
         gfam = build_average_family(inst, sys.root, g)
         ffam = build_ratio_family(inst, sys.root, f)
+        fproj, gproj = projection(sys, ffam), projection(sys, gfam)
+        collapsed_f, collapsed_g = {}, {}  # one collapse per member
         for lin in range(sys.num_cubes):
             cube = sys.cube_at(lin)
-            fm = project(sys, ffam, cube)
-            gm = project(sys, gfam, cube)
+            fkey, gkey = int(fproj[lin]), int(gproj[lin])
+            fm, gm = sys.cube_at(fkey), sys.cube_at(gkey)
             fa, ga = set(sys.atoms_of(fm)), set(sys.atoms_of(gm))
             checked += 1
             if not (fa <= ga or ga <= fa):
                 fails.append((inst, f"projections not nested at {cube}"))
                 continue
             if fm.level >= gm.level and fm != gm:  # f-member strictly inside g-member
-                fg = collapse_scale_function(inst, f, gfam, ffam, sys.linear(gm))
+                if gkey not in collapsed_f:
+                    collapsed_f[gkey] = collapse_scale_function(inst, f, gfam, ffam, gkey)
                 a = box_integral(sys, f, inst.mu, inst.sigma, cube)
-                b = box_integral(sys, fg, inst.mu, inst.sigma, cube)
+                b = box_integral(sys, collapsed_f[gkey], inst.mu, inst.sigma, cube)
                 if _rel(a, b) > 1e-12:
                     fails.append((inst, f"scale collapse changes box mass at {cube}"))
             if gm.level >= fm.level:  # g-member inside f-member (or equal)
-                gf = collapse_atom_function(inst, g, gfam, ffam, sys.linear(fm))
+                if fkey not in collapsed_g:
+                    collapsed_g[fkey] = collapse_atom_function(inst, g, gfam, ffam, fkey)
                 a = cube_integral(sys, g, inst.omega, cube)
-                b = cube_integral(sys, gf, inst.omega, cube)
+                b = cube_integral(sys, collapsed_g[fkey], inst.omega, cube)
                 if _rel(a, b) > 1e-12:
                     fails.append((inst, f"atom collapse changes cube mass at {cube}"))
     s.record("collapse-substitution-identities", fails, checked)

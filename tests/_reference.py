@@ -3,9 +3,10 @@
 Everything here is written with plain Python loops straight from the
 defining formulas, deliberately ignoring the package's vectorized paths.
 Only meant for tiny systems.  The per-cube testing-constant loops, the
-per-member stopping-family BFS and the per-member exclusive masks at the end
-are the exception: they reuse the package's helpers, so their results compare
-bit for bit with the package's whole-lattice passes.  The helpers in between
+per-member stopping-family BFS, the per-member exclusive masks and the
+three-pass embedding search at the end are the exception: they reuse the
+package's helpers, so their results compare bit for bit with the package's
+whole-lattice passes.  The helpers in between
 are small definitions that only tests call.
 """
 
@@ -15,7 +16,7 @@ from collections import deque
 import numpy as np
 
 from dyadlab import lattice, measures
-from dyadlab.embedding import StoppingEmbeddingReport, lifted_measure
+from dyadlab.embedding import RatioSearchResult, StoppingEmbeddingReport, lifted_measure
 from dyadlab.forms import (
     all_box_integrals,
     all_cube_integrals,
@@ -452,3 +453,86 @@ def stopping_embedding_report_masks(inst, f, family):
         err = max(err, abs(acc[member] - target) / scale)
 
     return StoppingEmbeddingReport(lhs, rhs, ratio, factor, err)
+
+
+# -- the embedding search with three averages passes per step ----------------
+#
+# The package's search computes each iterate's cube averages once and feeds
+# the next ascent step from them.  This is the search it replaced: the ratio
+# recomputes the constant masses and the averages of every iterate, and each
+# ascent step recomputes the averages of its start.  Same arithmetic, so the
+# results compare with ``==``.
+
+
+def embedding_sum(sys, data, h, p):
+    """Left side of the embedding: sum over cubes of a * (average of h)**p."""
+    masses = lattice.cube_sums(sys, data.nu)
+    integrals = lattice.cube_sums(sys, data.nu * np.asarray(h, dtype=np.float64))
+    avg = np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
+    return measures.ksum(data.a * avg**p)
+
+
+def _embedding_ratio(sys, data, h, p):
+    den = measures.lp_norm(h, data.nu, p) ** p
+    if den == 0.0:
+        return 0.0
+    return embedding_sum(sys, data, h, p) / den
+
+
+def embedding_ratio_search_three_pass(sys, data, p, restarts=4, iterations=40, seed=0):
+    masses = lattice.cube_sums(sys, data.nu)
+    best = 0.0
+    best_h = np.zeros(sys.num_atoms)
+    evals = 0
+
+    def consider(h):
+        nonlocal best, best_h, evals
+        evals += 1
+        r = _embedding_ratio(sys, data, h, p)
+        if r > best:
+            best = r
+            n = measures.lp_norm(h, data.nu, p)
+            best_h = h / n if n > 0 else h
+        return r
+
+    def ascend(h):
+        for _ in range(iterations):
+            integrals = lattice.cube_sums(sys, data.nu * h)
+            avg = np.divide(
+                integrals, masses, out=np.zeros_like(integrals), where=masses > 0
+            )
+            t = np.divide(
+                data.a * avg ** (p - 1.0),
+                masses,
+                out=np.zeros_like(avg),
+                where=masses > 0,
+            )
+            grad = lattice.chain_total(sys, t)
+            h_new = grad ** (1.0 / (p - 1.0))
+            top = h_new.max()
+            if top == 0.0:
+                return
+            h_new /= top
+            consider(h_new)
+            if np.allclose(h_new, h, rtol=1e-13, atol=0.0):
+                return
+            h = h_new
+
+    seeds = [np.ones(sys.num_atoms)]
+    indicator_best = None
+    for lin in range(sys.num_cubes):
+        if masses[lin] == 0:
+            continue
+        h = sys.atom_mask(sys.cube_at(lin)).astype(np.float64)
+        r = consider(h)
+        if indicator_best is None or r > indicator_best[0]:
+            indicator_best = (r, h)
+    if indicator_best is not None:
+        seeds.append(indicator_best[1])
+    for k in range(restarts):
+        rng = np.random.Generator(np.random.Philox(key=[seed, k]))
+        seeds.append(rng.random(sys.num_atoms))
+    for h in seeds:
+        consider(h)
+        ascend(h)
+    return RatioSearchResult(best, best_h, evals)

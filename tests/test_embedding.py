@@ -9,7 +9,6 @@ from dyadlab.embedding import (
     carleson_condition_constant,
     disjointness_inequality,
     embedding_ratio_search,
-    embedding_sum,
     lifted_measure,
     stopping_embedding_report,
 )
@@ -60,8 +59,8 @@ def test_condition_constant_against_reference(seed):
 
 def test_embedding_sum_example():
     s, data = _w1_data()
-    assert embedding_sum(s, data, np.ones(2), 2.0) == 4.0
-    assert embedding_sum(s, data, np.zeros(2), 2.0) == 0.0
+    assert ref.embedding_sum(s, data, np.ones(2), 2.0) == 4.0
+    assert ref.embedding_sum(s, data, np.zeros(2), 2.0) == 0.0
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -76,7 +75,7 @@ def test_search_dominates_condition_constant(p):
         result = embedding_ratio_search(s, data, p, restarts=2, seed=seed)
         assert result.value >= cprime * (1 - 1e-12)
         # the witness itself realizes the reported ratio
-        lhs = embedding_sum(s, data, result.witness, p)
+        lhs = ref.embedding_sum(s, data, result.witness, p)
         den = float(np.sum(nu * result.witness**p))
         assert lhs == pytest.approx(result.value * den, rel=1e-9)
 
@@ -158,6 +157,69 @@ def test_stopping_embedding_structure_random(p):
         assert lifted.total == pytest.approx(
             sum(fam.phi_mass.values()), rel=1e-12, abs=1e-300
         )
+
+
+# -- one averages pass per evaluation against the three-pass search ---------
+
+SEARCH_SHAPES = [(1, D) for D in range(1, 7)] + [(2, D) for D in range(1, 4)] + [
+    (3, D) for D in range(1, 3)
+]
+
+
+def _search_data(s, seed):
+    """Random masses and measure; at seed 0 also the same with the measure
+    zero on some atoms, no cube mass at all, and mass on a single cube."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 63]))
+    a = rng.random(s.num_cubes) * (rng.random(s.num_cubes) > 0.4)
+    nu = 0.1 + rng.random(s.num_atoms)
+    cases = [CarlesonData(a, nu)]
+    if seed == 0:
+        single = np.zeros(s.num_cubes)
+        single[s.num_cubes // 2] = 2.0
+        cases += [
+            CarlesonData(a, nu * (rng.random(s.num_atoms) > 0.3)),
+            CarlesonData(np.zeros(s.num_cubes), nu),
+            CarlesonData(single, nu),
+        ]
+    return cases
+
+
+def _assert_same_search(s, data, p, restarts, seed):
+    got = embedding_ratio_search(s, data, p, restarts=restarts, seed=seed)
+    want = ref.embedding_ratio_search_three_pass(s, data, p, restarts=restarts, seed=seed)
+    assert got.value == want.value
+    assert np.array_equal(got.witness, want.witness)
+    assert got.evaluations == want.evaluations
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0])
+def test_search_matches_three_pass_search(p):
+    for dimension, depth in SEARCH_SHAPES:
+        s = build_system(dimension, depth)
+        for seed in range(3):
+            for data in _search_data(s, seed):
+                for restarts in (0, 2):
+                    _assert_same_search(s, data, p, restarts, seed)
+
+
+def test_search_takes_one_averages_pass_per_evaluation(monkeypatch):
+    s = build_system(2, 3)
+    data = _search_data(s, 1)[0]
+    cube_sums, allclose = lattice.cube_sums, np.allclose
+    calls = {"cube_sums": 0, "allclose": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(lattice, "cube_sums", counted("cube_sums", cube_sums))
+    monkeypatch.setattr(np, "allclose", counted("allclose", allclose))
+    result = embedding_ratio_search(s, data, 3.0, restarts=2, seed=1)
+    assert result.evaluations > s.num_cubes
+    assert calls == {"cube_sums": result.evaluations + 1, "allclose": 0}
 
 
 # -- exclusive sums by one grouping against the per-member masks -------------

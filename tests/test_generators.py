@@ -4,6 +4,7 @@ import pytest
 from dyadlab import GenSpec, adversarial_family, generate, worked_instances
 from dyadlab import io
 from dyadlab.generators import (
+    _rng,
     deep_chain_profiles,
     lemma_violation_fixture,
     random_atom_function,
@@ -25,6 +26,17 @@ def test_seed42_digest_frozen():
         io.digest(inst)
         == "e86f1f8f25bced3b42bdc49ada75330348404fce28ffaf0df6ba9a5842ece94d"
     )
+
+
+@pytest.mark.filterwarnings("error")
+def test_negative_seeds_draw_their_own_streams():
+    digests = {seed: io.digest(generate(GenSpec(seed=seed, depth=2))) for seed in (-1, -2, 0)}
+    assert len(set(digests.values())) == 3
+    # nonnegative seeds keep the draws of the plain (seed, stream) key
+    for seed in (0, 7, 123456789, 2**63 - 1):
+        for stream in (0, 12):
+            want = np.random.Generator(np.random.Philox(key=[seed, stream])).random(8)
+            assert np.array_equal(_rng(seed, stream).random(8), want)
 
 
 def test_sparsity_extremes():

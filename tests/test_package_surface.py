@@ -6,6 +6,11 @@ that every top-level function and class, and every method, is referenced by
 name somewhere in the package: a call, an attribute access, or an import
 (re-exports in ``__init__`` count).  Dunder methods are called by the
 interpreter and are exempt.
+
+It also checks that every defaulted parameter of a package function is
+passed by some call inside the package, by keyword or positionally at its
+index: a default that no caller overrides is a constant, not an option.  The
+entry points that only outside callers configure are listed with a reason.
 """
 
 import ast
@@ -16,17 +21,21 @@ import dyadlab
 PACKAGE = pathlib.Path(dyadlab.__file__).parent
 
 
+def _parse_package():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
+
 def _defined_and_used():
     defined, used = [], set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for module, tree in _parse_package():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path.stem, node.name, node.name))
+                defined.append((module, node.name, node.name))
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
-                        defined.append((path.stem, f"{node.name}.{item.name}", item.name))
+                        defined.append((module, f"{node.name}.{item.name}", item.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -46,3 +55,72 @@ def test_every_package_name_is_used_by_the_package():
         if not (name.startswith("__") and name.endswith("__")) and name not in used
     ]
     assert unused == []
+
+
+# Defaulted parameters that no call inside the package passes, and why they stay.
+UNPASSED_DEFAULTS = {
+    "cli.main(argv)": "console entry point; tests and scripts pass an argument list",
+    "generators.adversarial_family(seed)": "stress families for tests and benchmarks",
+    "generators.adversarial_family(count)": "stress families for tests and benchmarks",
+    "stopping.build_ratio_family(A)": "tests build families at non-default constants",
+}
+
+
+def _defaulted_parameters():
+    """Per defaulted parameter: its label ``module.function(param)``, the
+    function name, the parameter name, and the index a call passes it at
+    positionally (None for keyword-only)."""
+    for module, tree in _parse_package():
+        methods = {
+            id(item)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            # callers of a method do not pass self or cls
+            bound = id(node) in methods and positional and positional[0].arg in ("self", "cls")
+            shift = 1 if bound else 0
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], start=first):
+                yield f"{module}.{node.name}({arg.arg})", node.name, arg.arg, index - shift
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{module}.{node.name}({arg.arg})", node.name, arg.arg, None
+
+
+def _passed_arguments():
+    """Per called name: the keywords passed and the most positional arguments
+    any call passes (``**`` and ``*`` pass everything)."""
+    keywords, positional = {}, {}
+    for _, tree in _parse_package():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            count = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                count = float("inf")
+            positional[name] = max(positional.get(name, 0), count)
+            passed = keywords.setdefault(name, set())
+            passed.update(k.arg if k.arg is not None else "**" for k in node.keywords)
+    return keywords, positional
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    keywords, positional = _passed_arguments()
+    unpassed = []
+    for label, name, arg, index in _defaulted_parameters():
+        passed = keywords.get(name, set())
+        by_position = index is not None and positional.get(name, 0) > index
+        if not (arg in passed or "**" in passed or by_position):
+            unpassed.append(label)
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
