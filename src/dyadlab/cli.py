@@ -144,7 +144,7 @@ def _cmd_stopping(args) -> int:
 def _cmd_embed_check(args) -> int:
     inst = _load_or_generate(args)
     sys_ = inst.sys
-    rng = np.random.Generator(np.random.Philox(key=[args.seed, generators.STREAM_A]))
+    rng = generators.philox(args.seed, generators.STREAM_A)
     nu = np.exp(rng.random(sys_.num_atoms) * 2.0 - 1.0)
     a = np.exp(rng.random(sys_.num_cubes)) * (rng.random(sys_.num_cubes) >= 0.4)
     data = CarlesonData(a, nu)
@@ -158,9 +158,7 @@ def _cmd_embed_check(args) -> int:
     violations = 0
     for k in range(max(args.instances, 1) * 10):
         h = generators.random_scale_function(sys_, args.seed + k, stream=generators.STREAM_H)
-        labels = np.random.Generator(
-            np.random.Philox(key=[args.seed + k, 77])
-        ).integers(0, 3, size=h.shape)
+        labels = generators.philox(args.seed + k, 77).integers(0, 3, size=h.shape)
         parts = [
             {(int(a_), int(j)) for j, a_ in np.argwhere(labels == i)} for i in range(2)
         ]

@@ -14,16 +14,15 @@ those averages for its gradient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import lattice
+from . import generators, lattice
 from .errors import GuardError
 from .forms import Instance, all_box_integrals
 from .lattice import DyadicSystem
-from .measures import ksum, lp_norm, mixed_norm
+from .measures import group_ksum, ksum, lp_norm, mixed_norm
 from .stopping import StoppingFamily, _largest_subtree_ratio, _subtree_totals, cell_projection
 
 
@@ -140,7 +139,7 @@ def embedding_ratio_search(
     if indicator_best is not None:
         seeds.append(indicator_best[1])
     for k in range(restarts):
-        rng = np.random.Generator(np.random.Philox(key=[seed, k]))
+        rng = generators.philox(seed, k)
         seeds.append(rng.random(sys.num_atoms))
     for h in seeds:
         ascend(h)
@@ -228,15 +227,10 @@ def stopping_embedding_report(
 
     factor = _largest_subtree_ratio(family, lifted_measure(family).box_mass)[0]
 
-    # One grouping of the cells by owner gives every exclusive-box sum; fsum
-    # is correctly rounded, so the order inside a group does not matter.
+    # One grouping of the cells by owner gives every exclusive-box sum.
+    weights = (inst.sigma[None, :] * f * inst.mu).ravel()
     owner = cell_projection(sys, family).ravel()
-    order = np.argsort(owner, kind="stable")
-    weights = (inst.sigma[None, :] * f * inst.mu).ravel()[order].tolist()
-    owner = owner[order]
-    starts = np.searchsorted(owner, family.members).tolist()
-    ends = np.searchsorted(owner, family.members, side="right").tolist()
-    exclusive = {m: math.fsum(weights[a:b]) for m, a, b in zip(family.members, starts, ends)}
+    exclusive = dict(zip(family.members, group_ksum(owner, weights, family.members)))
     acc = _subtree_totals(family, exclusive)
     err = 0.0
     for member in reversed(family.members):

@@ -22,9 +22,10 @@ _SIGMA, _OMEGA, _MU, _LAMBDA = 0, 1, 2, 3
 STREAM_F, STREAM_G, STREAM_A, STREAM_H = 10, 11, 12, 13
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    """Philox stream keyed (seed mod 2**64, stream).  The key is built as
-    uint64 so seeds at or above 2**63, negative ones included, stay distinct."""
+def philox(seed: int, stream: int) -> np.random.Generator:
+    """Philox stream keyed (seed mod 2**64, stream), the one key builder for
+    every seeded draw in the package.  The key is built as uint64 so seeds at
+    or above 2**63, negative ones included, stay distinct."""
     key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -67,15 +68,15 @@ class GenSpec:
 def generate(spec: GenSpec) -> Instance:
     sys = build_system(spec.dimension, spec.depth)
     lo, hi = spec.weight_range
-    sigma = _sparse_field(_rng(spec.seed, _SIGMA), lo, hi, spec.weight_sparsity, sys.num_atoms)
-    omega = _sparse_field(_rng(spec.seed, _OMEGA), lo, hi, spec.weight_sparsity, sys.num_atoms)
+    sigma = _sparse_field(philox(spec.seed, _SIGMA), lo, hi, spec.weight_sparsity, sys.num_atoms)
+    omega = _sparse_field(philox(spec.seed, _OMEGA), lo, hi, spec.weight_sparsity, sys.num_atoms)
     mlo, mhi = spec.mu_range
     mu = _sparse_field(
-        _rng(spec.seed, _MU), mlo, mhi, spec.mu_sparsity, (sys.num_levels, sys.num_atoms)
+        philox(spec.seed, _MU), mlo, mhi, spec.mu_sparsity, (sys.num_levels, sys.num_atoms)
     )
     llo, lhi = spec.lambda_range
     lam = _sparse_field(
-        _rng(spec.seed, _LAMBDA), llo, lhi, spec.lambda_sparsity, sys.num_cubes
+        philox(spec.seed, _LAMBDA), llo, lhi, spec.lambda_sparsity, sys.num_cubes
     )
     return Instance(sys, spec.p, sigma, omega, mu, lam)
 
@@ -87,7 +88,7 @@ def random_scale_function(
     base: np.ndarray | None = None,
 ) -> np.ndarray:
     """Random nonnegative scale function; optionally modulates ``base``."""
-    rng = _rng(seed, stream)
+    rng = philox(seed, stream)
     field = _sparse_field(rng, 0.25, 4.0, 0.1, (sys.num_levels, sys.num_atoms))
     return field if base is None else np.asarray(base) * field
 
@@ -97,7 +98,7 @@ def random_atom_function(
     seed: int,
     stream: int = STREAM_G,
 ) -> np.ndarray:
-    rng = _rng(seed, stream)
+    rng = philox(seed, stream)
     return _sparse_field(rng, 0.25, 4.0, 0.1, sys.num_atoms)
 
 
@@ -111,7 +112,7 @@ def embedding_probe_function(inst, seed: int) -> np.ndarray:
     sys = inst.sys
     if seed % 2 == 0:
         base = test_function(inst, sys.root)
-        rng = _rng(seed, STREAM_F)
+        rng = philox(seed, STREAM_F)
         return base * np.exp(
             rng.random(base.shape) * (math.log(2.0) - math.log(0.5)) + math.log(0.5)
         )
@@ -176,7 +177,7 @@ def adversarial_family(
             base = generate(GenSpec(seed=seed + k, dimension=dimension, depth=depth, p=p))
             level = k % sys.num_levels
             mu = np.zeros((sys.num_levels, sys.num_atoms))
-            mu[level] = _log_uniform(_rng(seed + k, _MU), 0.25, 4.0, sys.num_atoms)
+            mu[level] = _log_uniform(philox(seed + k, _MU), 0.25, 4.0, sys.num_atoms)
             out.append(Instance(sys, p, base.sigma, base.omega, mu, base.lam))
     elif kind == "lacunary-lambda":
         theta = params.get("theta", 1.0)

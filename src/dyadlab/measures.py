@@ -27,6 +27,20 @@ def ksum(values) -> float:
     return math.fsum(arr.ravel().tolist())
 
 
+def group_ksum(keys: np.ndarray, values: np.ndarray, groups) -> list[float]:
+    """``ksum(values[keys == g])`` for each g in ``groups``, 0.0 for an empty one.
+
+    One stable sort brings each group's values together in their original
+    order, so every group is one ``math.fsum`` over a contiguous slice.
+    """
+    order = np.argsort(keys, kind="stable")
+    ordered = np.asarray(values, dtype=np.float64)[order].tolist()
+    keys = np.asarray(keys)[order]
+    starts = np.searchsorted(keys, groups).tolist()
+    ends = np.searchsorted(keys, groups, side="right").tolist()
+    return [math.fsum(ordered[a:b]) for a, b in zip(starts, ends)]
+
+
 @dataclass(frozen=True)
 class Exponent:
     """An integrability exponent together with its Hoelder conjugate."""

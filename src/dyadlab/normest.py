@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import lattice
+from . import generators, lattice
 from .errors import GuardError
 from .forms import Instance, apply_adjoint_operator, apply_box_operator, lambda_form, test_function
 from .measures import ell2_slice, ksum, lp_norm, mixed_norm, zero_preserving_power
@@ -100,7 +100,7 @@ def alternating_maximization(
         (np.ones((sys.num_levels, sys.num_atoms)), np.ones(sys.num_atoms))
     )
     for k in range(restarts):
-        rng = np.random.Generator(np.random.Philox(key=[seed, k]))
+        rng = generators.philox(seed, k)
         seeds.append((rng.random((sys.num_levels, sys.num_atoms)), rng.random(sys.num_atoms)))
 
     best_value = 0.0

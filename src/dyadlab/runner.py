@@ -59,7 +59,7 @@ def evaluate_instance(
     g_carleson = carleson_constant(sys, avg_family, inst.omega)
     sparse_max = child_mass_bound(ratio_family)
 
-    rng = generators._rng(seed, generators.STREAM_A)
+    rng = generators.philox(seed, generators.STREAM_A)
     a = np.exp(rng.random(sys.num_cubes) * 2.0 - 1.0) * (rng.random(sys.num_cubes) >= 0.5)
     data = CarlesonData(a, inst.omega)
     cprime = carleson_condition_constant(sys, data)

@@ -13,21 +13,21 @@ the free function) has a closed form:
 Neither ratio depends on Q beyond its level and its atoms.  The test input of
 Q is the level profile ``level_test_input`` restricted to Q, and the dual
 kernel of Q is ``mu * chain_running(lam * cube_sums(omega), start=level)``
-restricted to Q.  So one level costs the same few whole-lattice passes for
-all of its cubes (forward: one ``box_sums``, one ``chain_running`` and two
-``bincount`` over ``ancestor_local[level]``; dual: one ``chain_running`` and
-one ``bincount``), O(levels**2 * atoms) in all.
+restricted to Q.  So each ratio is a sum over Q's atoms of per-atom terms
+that one level computes for all of its cubes at once (forward: one
+``box_sums`` and one ``chain_running``; dual: one ``chain_running``),
+O(levels**2 * atoms) in all.
 
-The scan sums with ``bincount``, not with the exactly rounded ``ksum``, so
-its ratios are only close to the per-cube formula.  Selection is therefore
-exact in a second step: every cube whose scanned ratio lies within
-``RESELECT_MARGIN`` of the scan's maximum is evaluated again with the
-per-cube formula, in enumeration order, and the first strict maximum wins.
-Sums of at most 4096 nonnegative terms keep the scanned ratio within about
-1e-12 of the exact one, so the winner, its value and its witness are those
-of a loop over every cube.  Cubes the scan
-cannot bound that tightly (non-finite level data, or a root or ratio below
-the normal range) are always evaluated again.
+Each level's terms are summed twice.  A ``bincount`` scan gives every cube a
+ratio close to the exact one; the cubes within ``RESELECT_MARGIN`` of the
+scan's maximum, and the cubes it cannot bound to about 1e-12 (a root or
+ratio outside the normal range), are the candidates.  Each level holding a
+candidate then sums the same terms exactly with one ``group_ksum`` over the
+level's atoms, and the first strict maximum in enumeration order wins.  The
+terms off a cube are exact zeros in the per-cube formula and ``fsum`` is
+correctly rounded, so the winner, its value and its witness are those of a
+loop over every cube evaluating that formula.  The witness is rebuilt from
+the winning level alone.
 
 The recorded witnesses are the norming functions, so plugging them back into
 the localized form reproduces ``constant * norm * norm`` exactly.
@@ -40,15 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .forms import Instance, all_box_integrals, level_test_input, test_function
+from .forms import Instance, all_box_integrals, level_test_input
 from .lattice import Cube
-from .measures import (
-    ell2_slice,
-    lp_norm,
-    mass,
-    mixed_norm,
-    zero_preserving_power,
-)
+from .measures import ell2_slice, group_ksum, lp_norm, mixed_norm, zero_preserving_power
 
 
 @dataclass(frozen=True)
@@ -86,116 +80,94 @@ def norming_scale_function(k: np.ndarray, sigma: np.ndarray, p: float, q: float)
     return shaped / n
 
 
-# Scanned ratios this close to the scan's maximum, relatively, are evaluated
-# again with the exact per-cube formula.
+# Scanned ratios this close to the scan's maximum, relatively, are candidates
+# for the exact sums.
 RESELECT_MARGIN = 1e-9
 _TINY = np.finfo(np.float64).tiny
 
 
-def _select(inst: Instance, exponent: float, level_sums, exact):
-    """Enumeration-order first maximizer of the per-cube ratio ``exact``.
+def _select(sys, exponent: float, num_terms, den_terms, skip: np.ndarray):
+    """Enumeration-order first maximizer of the per-cube ratio
+    ``sum(num)**(1/exponent) / sum(den)**(1/exponent)`` over the cube's atoms.
 
-    ``level_sums(level)`` gives, per cube of the level, the scanned numerator
-    and denominator sums of the ratio (each taken to ``1/exponent``) and
-    whether the level's data is finite.  ``exact(inst, cube)`` is the
-    per-cube formula, returning ``(ratio, data)`` or None for a skipped cube.
+    ``num_terms[level]`` and ``den_terms[level]`` are the level's per-atom
+    terms; cubes flagged in ``skip`` (per linear id) have no ratio.  Returns
+    the winning ratio and cube, or ``(0.0, None)``.
     """
-    sys = inst.sys
     ratio = np.zeros(sys.num_cubes)
     viable = np.zeros(sys.num_cubes, dtype=bool)
     sure = np.zeros(sys.num_cubes, dtype=bool)
     for level in range(sys.num_levels):
         cut = slice(sys.level_offset[level], sys.level_offset[level + 1])
-        num, den, finite = level_sums(level)
+        anc, size = sys.ancestor_local[level], int(sys.level_sizes[level])
+        num = np.bincount(anc, weights=num_terms[level], minlength=size)
+        den = np.bincount(anc, weights=den_terms[level], minlength=size)
         with np.errstate(all="ignore"):
             num_root, den_root = num ** (1.0 / exponent), den ** (1.0 / exponent)
             r = num_root / den_root
         ratio[cut] = r
         viable[cut] = (num > 0) & (den > 0)
         scanned = np.stack([num_root, den_root, r])
-        sure[cut] = finite & np.all((scanned >= _TINY) & (scanned < np.inf), axis=0)
+        sure[cut] = np.all((scanned >= _TINY) & (scanned < np.inf), axis=0)
+    viable &= ~skip
     top = ratio[viable & sure].max(initial=0.0)
     picks = viable & (~sure | (ratio >= (1.0 - RESELECT_MARGIN) * top))
-    best, best_cube, best_data = 0.0, None, None
-    for lin in np.flatnonzero(picks):
-        cube = sys.cube_at(int(lin))
-        got = exact(inst, cube)
-        if got is not None and got[0] > best:
-            best, best_cube, best_data = got[0], cube, got[1]
-    return best, best_cube, best_data
-
-
-def _forward_ratio(inst: Instance, cube: Cube):
-    """Forward ratio of one cube and the operator image h it is measured on."""
-    sys = inst.sys
-    phi = test_function(inst, cube)
-    phinorm = mixed_norm(phi, inst.sigma, inst.p)
-    if phinorm == 0.0:
-        return None
-    contrib = inst.lam * all_box_integrals(inst, phi)
-    running = lattice.chain_running(sys, contrib, start_level=cube.level)
-    h = running[sys.depth] * sys.atom_mask(cube)
-    return lp_norm(h, inst.omega, inst.p) / phinorm, h
+    best, best_lin = 0.0, None
+    for level in range(sys.num_levels):
+        lo = int(sys.level_offset[level])
+        local = np.flatnonzero(picks[lo : sys.level_offset[level + 1]])
+        if local.size == 0:
+            continue
+        anc = sys.ancestor_local[level]
+        nums = group_ksum(anc, num_terms[level], local)
+        dens = group_ksum(anc, den_terms[level], local)
+        # a viable cube has a positive denominator term, so no zero divides
+        for i, num, den in zip(local.tolist(), nums, dens):
+            r = num ** (1.0 / exponent) / den ** (1.0 / exponent)
+            if r > best:
+                best, best_lin = r, lo + i
+    return best, None if best_lin is None else sys.cube_at(best_lin)
 
 
 def forward_testing_constant(inst: Instance) -> TestingSide:
     sys = inst.sys
-
-    def level_sums(level: int):
+    rows, num_terms, den_terms = [], [], []
+    for level in range(sys.num_levels):
         phi = level_test_input(inst, level)
         contrib = inst.lam * all_box_integrals(inst, phi)
-        running = lattice.chain_running(sys, contrib, start_level=level)
-        anc, size = sys.ancestor_local[level], int(sys.level_sizes[level])
-        num = np.bincount(anc, weights=inst.omega * running[sys.depth] ** inst.p, minlength=size)
-        den = np.bincount(anc, weights=inst.sigma * ell2_slice(phi) ** inst.p, minlength=size)
-        # A cube's own test input vanishes off its atoms, so no value on the
-        # rest of the level reaches its ratio, finite or not.
-        return num, den, True
-
-    best, cube, h = _select(inst, inst.p, level_sums, _forward_ratio)
+        row = lattice.chain_running(sys, contrib, start_level=level)[sys.depth]
+        rows.append(row)
+        num_terms.append(inst.omega * row**inst.p)
+        den_terms.append(inst.sigma * ell2_slice(phi) ** inst.p)
+    # A cube's own test input vanishes off its atoms, so no value on the rest
+    # of the level reaches its ratio, finite or not.
+    skip = np.zeros(sys.num_cubes, dtype=bool)
+    best, cube = _select(sys, inst.p, num_terms, den_terms, skip)
     if cube is None:
         return TestingSide(0.0, None, np.zeros(sys.num_atoms))
+    h = np.where(sys.atom_mask(cube), rows[cube.level], 0.0)
     return TestingSide(best, cube, norming_atom_function(h, inst.omega, inst.p))
-
-
-def dual_kernel(inst: Instance, cube: Cube) -> np.ndarray:
-    """Scale-function kernel representing f -> localized form of (f, 1_cube)."""
-    sys = inst.sys
-    level, _ = sys.validate(cube)
-    contrib = inst.lam * lattice.cube_sums(sys, inst.omega)
-    running = lattice.chain_running(sys, contrib, start_level=level)
-    return inst.mu * running * sys.atom_mask(cube)[None, :]
-
-
-def _dual_ratio(inst: Instance, cube: Cube):
-    """Dual ratio of one cube and its kernel."""
-    denom = mass(inst.sys, inst.omega, cube) ** (1.0 / inst.q)
-    if denom == 0.0:
-        return None
-    kernel = dual_kernel(inst, cube)
-    return mixed_norm(kernel, inst.sigma, inst.q) / denom, kernel
 
 
 def dual_testing_constant(inst: Instance) -> TestingSide:
     sys = inst.sys
-    masses = lattice.cube_sums(sys, inst.omega)
-    contrib = inst.lam * masses
-
-    def level_sums(level: int):
-        # A cube's kernel is this one masked to its atoms, and the mask turns
-        # an overflow anywhere on the level into NaN: such levels go exact.
+    contrib = inst.lam * lattice.cube_sums(sys, inst.omega)
+    num_terms = []
+    skip = np.zeros(sys.num_cubes, dtype=bool)
+    for level in range(sys.num_levels):
         kernel = inst.mu * lattice.chain_running(sys, contrib, start_level=level)
-        num = np.bincount(
-            sys.ancestor_local[level],
-            weights=inst.sigma * ell2_slice(kernel) ** inst.q,
-            minlength=int(sys.level_sizes[level]),
-        )
+        num_terms.append(inst.sigma * ell2_slice(kernel) ** inst.q)
+        # A cube's kernel is this one times its atom mask, which turns a
+        # non-finite column off the cube into NaN: such cubes have no ratio.
         cut = slice(sys.level_offset[level], sys.level_offset[level + 1])
-        return num, masses[cut], bool(np.isfinite(kernel).all())
-
-    best, cube, kernel = _select(inst, inst.q, level_sums, _dual_ratio)
+        bad = ~np.isfinite(kernel).all(axis=0)
+        inside = np.bincount(sys.ancestor_local[level], weights=bad, minlength=cut.stop - cut.start)
+        skip[cut] = inside < bad.sum()
+    best, cube = _select(sys, inst.q, num_terms, [inst.omega] * sys.num_levels, skip)
     if cube is None:
         return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)))
+    running = lattice.chain_running(sys, contrib, start_level=cube.level)
+    kernel = inst.mu * running * sys.atom_mask(cube)[None, :]
     return TestingSide(best, cube, norming_scale_function(kernel, inst.sigma, inst.p, inst.q))
 
 

@@ -146,7 +146,7 @@ def _check_lattice(s: _Suite):
     s.record("lattice-box-partition", fails, checked)
 
     fails, checked = [], 0
-    rng = np.random.Generator(np.random.Philox(key=[s.seed, 100]))
+    rng = generators.philox(s.seed, 100)
     for _ in range(50):
         a = int(rng.integers(sys.num_atoms))
         chain = [sys.cube_at(lin) for lin in range(sys.num_cubes) if sys.contains(sys.cube_at(lin), a)]
@@ -355,7 +355,7 @@ def _check_stopping(s: _Suite):
 
 def _check_embedding(s: _Suite):
     fails, checked = [], 0
-    rng = np.random.Generator(np.random.Philox(key=[s.seed, 200]))
+    rng = generators.philox(s.seed, 200)
     for inst, f, g in s.draws():
         sys = inst.sys
         nu = np.exp(rng.random(sys.num_atoms) * 2.0 - 1.0)
@@ -383,7 +383,7 @@ def _check_embedding(s: _Suite):
     s.record("stopping-embedding-report", fails, checked)
 
     fails, checked = [], 0
-    rng = np.random.Generator(np.random.Philox(key=[s.seed, 201]))
+    rng = generators.philox(s.seed, 201)
     for inst, f, g in s.draws():
         if inst.p < 2:
             continue

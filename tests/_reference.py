@@ -2,7 +2,8 @@
 
 Everything here is written with plain Python loops straight from the
 defining formulas, deliberately ignoring the package's vectorized paths.
-Only meant for tiny systems.  The per-cube testing-constant loops, the
+Only meant for tiny systems.  The per-cube testing-constant loops (with
+``dual_kernel``, the per-cube dual kernel the package no longer builds), the
 per-member stopping-family BFS, the per-member exclusive masks and the
 three-pass embedding search at the end are the exception: they reuse the
 package's helpers, so their results compare bit for bit with the package's
@@ -31,12 +32,7 @@ from dyadlab.stopping import (
     default_ratio_constants,
     project,
 )
-from dyadlab.testing_constants import (
-    TestingSide,
-    dual_kernel,
-    norming_atom_function,
-    norming_scale_function,
-)
+from dyadlab.testing_constants import TestingSide, norming_atom_function, norming_scale_function
 
 
 def atom_digits(n, depth, atom):
@@ -234,6 +230,15 @@ def forward_testing_constant_loop(inst):
             best, best_cube = ratio, cube
             best_witness = norming_atom_function(h, inst.omega, inst.p)
     return TestingSide(best, best_cube, best_witness)
+
+
+def dual_kernel(inst, cube):
+    """Scale-function kernel representing f -> localized form of (f, 1_cube)."""
+    sys = inst.sys
+    level, _ = sys.validate(cube)
+    contrib = inst.lam * lattice.cube_sums(sys, inst.omega)
+    running = lattice.chain_running(sys, contrib, start_level=level)
+    return inst.mu * running * sys.atom_mask(cube)[None, :]
 
 
 def dual_testing_constant_loop(inst):

@@ -4,7 +4,7 @@ import pytest
 from dyadlab import GenSpec, adversarial_family, generate, worked_instances
 from dyadlab import io
 from dyadlab.generators import (
-    _rng,
+    philox,
     deep_chain_profiles,
     lemma_violation_fixture,
     random_atom_function,
@@ -36,7 +36,7 @@ def test_negative_seeds_draw_their_own_streams():
     for seed in (0, 7, 123456789, 2**63 - 1):
         for stream in (0, 12):
             want = np.random.Generator(np.random.Philox(key=[seed, stream])).random(8)
-            assert np.array_equal(_rng(seed, stream).random(8), want)
+            assert np.array_equal(philox(seed, stream).random(8), want)
 
 
 def test_sparsity_extremes():

@@ -208,3 +208,14 @@ def test_cli_verify_passes_and_is_deterministic(tmp_path):
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["normest", "embed-check"])
+def test_cli_seed_is_taken_mod_2_64(capsys, command):
+    # argparse accepts any integer seed; every Philox key reduces it mod 2**64
+    outputs = []
+    for seed in ("-1", str(2**64 - 1)):
+        assert main([command, "--seed", seed, "--depth", "2", "--p", "2.5"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

@@ -11,6 +11,8 @@ from dyadlab.measures import (
     box_integral,
     cube_integral,
     ell2_slice,
+    group_ksum,
+    ksum,
     lp_norm,
     mass,
     mixed_norm,
@@ -169,3 +171,71 @@ def test_validation_rejects_bad_values():
         as_weights(s, [1.0])
     with pytest.raises(ValueError):
         as_scale_function(s, np.ones((3, 2)))
+
+
+# -- grouped exact sums ------------------------------------------------------
+
+_TERMS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 1.0, 1e16, 1e308, math.inf, math.nan]),
+    st.floats(min_value=0.0, max_value=1e308),
+)
+
+
+def _per_group(keys, values, groups):
+    """``ksum(values[keys == g])`` per group, or the first error it raises."""
+    try:
+        return [ksum(values[keys == g]) for g in groups]
+    except OverflowError as err:
+        return err
+
+
+def _grouped(keys, values, groups):
+    try:
+        return group_ksum(keys, values, groups)
+    except OverflowError as err:
+        return err
+
+
+def _same(a, b):
+    if isinstance(a, OverflowError) or isinstance(b, OverflowError):
+        return type(a) is type(b)
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 5), _TERMS), max_size=40),
+    st.lists(st.integers(-1, 7), max_size=8),
+    st.randoms(use_true_random=False),
+)
+def test_group_ksum_is_ksum_of_each_group(pairs, groups, rnd):
+    keys = np.array([k for k, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=np.float64)
+    got = _grouped(keys, values, groups)
+    assert _same(got, _per_group(keys, values, groups))
+    if not isinstance(got, OverflowError):
+        assert all(type(x) is float for x in got)
+        # absent groups sum to zero
+        assert all(x == 0.0 for g, x in zip(groups, got) if g not in keys)
+    # correctly rounded: any order of the terms gives the same sums, unless
+    # an intermediate overflow depends on where an inf sits
+    rnd.shuffle(pairs)
+    shuffled = _grouped(
+        np.array([k for k, _ in pairs], dtype=np.int64),
+        np.array([v for _, v in pairs], dtype=np.float64),
+        groups,
+    )
+    if not isinstance(got, OverflowError) and not isinstance(shuffled, OverflowError):
+        assert np.array_equal(shuffled, got, equal_nan=True)
+
+
+def test_group_ksum_overflows_when_ksum_does():
+    keys = np.array([0, 1, 1, 2])
+    values = np.array([1e308, 1e308, 1e308, 1.0])
+    with pytest.raises(OverflowError):
+        ksum(values[keys == 1])
+    with pytest.raises(OverflowError):
+        group_ksum(keys, values, [1])
+    assert group_ksum(keys, values, [2, 0, 3]) == [1.0, 1e308, 0.0]
+    # exactly rounded, unlike a plain running sum
+    assert group_ksum(np.zeros(3, dtype=np.int64), np.array([1.0, 1e100, -1e100]), [0]) == [1.0]

@@ -7,12 +7,7 @@ import _reference as ref
 from dyadlab import Cube, Instance, build_system, generators, lambda_array, lattice, worked_instances
 from dyadlab.forms import level_test_input, lambda_form_local, test_function as make_test_input
 from dyadlab.measures import conjugate, ell2_slice, lp_norm, mixed_norm, zero_preserving_power
-from dyadlab.testing_constants import (
-    dual_kernel,
-    dual_testing_constant,
-    forward_testing_constant,
-    testing_report,
-)
+from dyadlab.testing_constants import dual_testing_constant, forward_testing_constant, testing_report
 
 W = worked_instances()
 ROOT2 = math.sqrt(2.0)
@@ -43,7 +38,7 @@ def test_forward_argmax_at_left_child():
 
 def test_dual_constant_on_w1():
     w1 = W["w1"]
-    kernel = dual_kernel(w1, w1.sys.root)
+    kernel = ref.dual_kernel(w1, w1.sys.root)
     assert np.array_equal(kernel, np.full((2, 2), 2.0))
     side = dual_testing_constant(w1)
     assert side.value == pytest.approx(2 * ROOT2, rel=1e-12)
@@ -177,8 +172,9 @@ def _assert_same_report(inst):
     dua = ref.dual_testing_constant_loop(inst)
     assert (rep.forward, rep.forward_cube) == (fwd.value, fwd.cube)
     assert (rep.dual, rep.dual_cube) == (dua.value, dua.cube)
-    assert np.array_equal(rep.witness_g, fwd.witness)
-    assert np.array_equal(rep.witness_f, dua.witness)
+    # NaN wherever the loop's witness has NaN, equal everywhere else
+    assert np.array_equal(rep.witness_g, fwd.witness, equal_nan=True)
+    assert np.array_equal(rep.witness_f, dua.witness, equal_nan=True)
     return rep
 
 
@@ -197,18 +193,67 @@ def test_level_scan_matches_loop_on_worked_instances(name):
     _assert_same_report(W[name])
 
 
+def _tied_instance(dim, depth, level, p):
+    """Constant lambda on one level with symmetric weights: every cube of the
+    level has the same ratio."""
+    s = build_system(dim, depth)
+    lam = np.zeros(s.num_cubes)
+    lam[s.level_offset[level] : s.level_offset[level + 1]] = 1.0
+    mu = np.repeat(0.5 ** np.arange(s.num_levels, dtype=float)[:, None], s.num_atoms, axis=1)
+    return Instance(s, p, np.ones(s.num_atoms), np.ones(s.num_atoms), mu, lam)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_level_scan_keeps_first_of_exact_ties(p):
-    # constant lambda on one level with symmetric weights: every cube of the
-    # level attains the maximum, and the first one in enumeration order wins
-    for dim, depth, level in ((1, 4, 2), (2, 3, 1), (1, 3, 3)):
-        s = build_system(dim, depth)
-        lam = np.zeros(s.num_cubes)
-        lam[s.level_offset[level] : s.level_offset[level + 1]] = 1.0
-        mu = np.repeat(0.5 ** np.arange(s.num_levels, dtype=float)[:, None], s.num_atoms, axis=1)
-        inst = Instance(s, p, np.ones(s.num_atoms), np.ones(s.num_atoms), mu, lam)
+    # every cube of the level attains the maximum, and the first one in
+    # enumeration order wins; ties on the deepest level and the one above it
+    # send every cube of that level to the exact sums
+    ties = [(1, 4, 2), (2, 3, 1), (1, 3, 3)]
+    ties += [(1, 6, 6), (1, 6, 5), (2, 3, 3), (2, 3, 2), (3, 2, 2), (3, 2, 1)]
+    for dim, depth, level in ties:
+        inst = _tied_instance(dim, depth, level, p)
         rep = _assert_same_report(inst)
-        assert rep.forward_cube == s.cube_at(int(s.level_offset[level]))
+        assert rep.forward_cube == inst.sys.cube_at(int(inst.sys.level_offset[level]))
+
+
+def _scaled(dim, depth, p, lam=1.0, sigma=1.0):
+    base = generators.generate(generators.GenSpec(seed=2, dimension=dim, depth=depth, p=p))
+    return Instance(base.sys, p, sigma * base.sigma, base.omega, base.mu, lam * base.lam)
+
+
+# Inputs at the edges of binary64: terms or sums that overflow or underflow
+# on the way, and p = 1.01 (q = 101).  The exact sums agree with the loops
+# there too, inf and 0 included.
+EXTREME_SCALES = {
+    "lambda*1e300 d1 D3 p2": (1, 3, 2.0, 1e300, 1.0),
+    "sigma*1e250 d1 D3 p3": (1, 3, 3.0, 1.0, 1e250),
+    "lambda*1e-200 d1 D3 p2": (1, 3, 2.0, 1e-200, 1.0),
+    "lambda*1e-200 d2 D3 p3": (2, 3, 3.0, 1e-200, 1.0),
+    "sigma*1e-200 d2 D3 p3": (2, 3, 3.0, 1.0, 1e-200),
+    "p=1.01 d1 D4": (1, 4, 1.01, 1.0, 1.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(EXTREME_SCALES))
+def test_exact_sums_match_loop_at_extreme_scales(name):
+    _assert_same_report(_scaled(*EXTREME_SCALES[name]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dual_skips_cubes_with_a_non_finite_kernel_column_off_them():
+    # mu * running overflows in column 5 on row 2, so the level 0-2 kernels
+    # hold an inf there.  A cube's kernel is the level's times its atom mask,
+    # so every cube of those levels without atom 5 gets NaN and no ratio;
+    # sigma vanishes at atom 5, so the cubes with it get NaN as well.
+    s = build_system(1, 3)
+    sigma = np.ones(s.num_atoms)
+    sigma[5] = 0.0
+    mu = np.ones((s.num_levels, s.num_atoms))
+    mu[2, 5] = 1e308
+    inst = Instance(s, 3.0, sigma, np.ones(s.num_atoms), mu, np.ones(s.num_cubes))
+    rep = _assert_same_report(inst)
+    assert rep.dual > 0 and rep.dual_cube.level == 3
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -262,6 +307,15 @@ def _count_calls(monkeypatch, *names):
 @pytest.mark.parametrize("dim,depth", [(1, 8), (2, 4)])
 def test_testing_report_passes_scale_with_levels(monkeypatch, dim, depth):
     inst = generators.generate(generators.GenSpec(seed=3, dimension=dim, depth=depth, p=3.0))
+    calls = _count_calls(monkeypatch, "box_sums", "chain_running")
+    testing_report(inst)
+    assert calls["box_sums"] + calls["chain_running"] <= 3 * inst.sys.num_levels + 8
+
+
+def test_testing_report_passes_on_a_tied_level(monkeypatch):
+    # every cube of the deepest level ties: the exact sums still cost a few
+    # passes per level, not a few per tied cube
+    inst = _tied_instance(1, 10, 10, 3.0)
     calls = _count_calls(monkeypatch, "box_sums", "chain_running")
     testing_report(inst)
     assert calls["box_sums"] + calls["chain_running"] <= 3 * inst.sys.num_levels + 8
