@@ -7,7 +7,7 @@ from .errors import GuardError, PathError, SchemaError, SizeLimitError
 from .forms import Instance, lambda_array, lambda_form, lambda_form_local, test_function
 from .generators import GenSpec, adversarial_family, generate, worked_instances
 from .lattice import Cube, DyadicSystem, build_system
-from .measures import Exponent, conjugate, ell2_slice, lp_norm, mixed_norm
+from .measures import conjugate, ell2_slice, lp_norm, mixed_norm
 from .normest import NormEstimate, alternating_maximization, grid_oracle, spectral_oracle_p2
 from .stopping import StoppingFamily, build_average_family, build_ratio_family
 from .testing_constants import TestingReport, testing_report
@@ -15,7 +15,6 @@ from .testing_constants import TestingReport, testing_report
 __all__ = [
     "Cube",
     "DyadicSystem",
-    "Exponent",
     "GenSpec",
     "GuardError",
     "Instance",

@@ -1,12 +1,14 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 schema violation (with a field-path diagnostic),
-3 numeric/size guard violation, 4 property failure from ``verify``.
+3 numeric/size guard violation (including an exact sum that overflows
+binary64), 4 property failure from ``verify``.
 """
 
 from __future__ import annotations
 
 import argparse
+import io as _io
 import json
 import sys as _sys
 
@@ -67,11 +69,9 @@ def _cmd_gen(args) -> int:
     inst = generators.generate(
         generators.GenSpec(seed=args.seed, dimension=args.dim, depth=args.depth, p=args.p)
     )
-    if args.out:
-        with open(args.out, "w") as fp:
-            io.write_instance(inst, fp)
-    else:
-        io.write_instance(inst, _sys.stdout)
+    buf = _io.StringIO()
+    io.write_instance(inst, buf)
+    _emit(args, buf.getvalue())
     return EXIT_OK
 
 
@@ -86,8 +86,6 @@ def _cmd_eval(args) -> int:
         args.seed, args.instances, args.p, args.dim, args.depth,
         restarts=args.restarts, tol=args.tol,
     )
-    import io as _io
-
     buf = _io.StringIO()
     io.write_rows(rows, buf, args.format)
     _emit(args, buf.getvalue())
@@ -237,7 +235,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=_sys.stderr)
         return EXIT_SCHEMA
-    except GuardError as exc:
+    except (GuardError, OverflowError) as exc:
         print(f"guard violation: {exc}", file=_sys.stderr)
         return EXIT_GUARD
 

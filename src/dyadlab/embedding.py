@@ -176,25 +176,6 @@ def disjointness_inequality(
 
 
 @dataclass(frozen=True)
-class LiftedMeasure:
-    """Test-input masses of a ratio family, read as a measure whose box
-    masses nest along the stopping tree."""
-
-    point_mass: dict[int, float]  # member -> own test-input mass
-    box_mass: dict[int, float]    # member -> subtree total
-
-    @property
-    def total(self) -> float:
-        return ksum(list(self.point_mass.values()))
-
-
-def lifted_measure(family: StoppingFamily) -> LiftedMeasure:
-    if family.kind != "ratio":
-        raise ValueError("lifted measure requires a ratio family")
-    return LiftedMeasure(dict(family.phi_mass), _subtree_totals(family, family.phi_mass))
-
-
-@dataclass(frozen=True)
 class StoppingEmbeddingReport:
     lhs: float
     rhs: float
@@ -207,7 +188,8 @@ def stopping_embedding_report(
     inst: Instance, f: np.ndarray, family: StoppingFamily
 ) -> StoppingEmbeddingReport:
     """Embedding sum of bracket averages against test-input masses, plus the
-    two structural facts its proof runs on: the lifted measure is a Carleson
+    two structural facts its proof runs on: the lifted measure (each
+    member's test-input mass summed over its stopping subtree) is a Carleson
     family with factor at most 4, and box masses of f reconstruct exactly
     from the exclusive boxes of the stopping subtree."""
     if inst.p < 2.0:
@@ -225,7 +207,7 @@ def stopping_embedding_report(
     rhs = mixed_norm(f, inst.sigma, inst.p) ** inst.p
     ratio = lhs / rhs if rhs > 0 else 0.0
 
-    factor = _largest_subtree_ratio(family, lifted_measure(family).box_mass)[0]
+    factor = _largest_subtree_ratio(family, _subtree_totals(family, family.phi_mass))[0]
 
     # One grouping of the cells by owner gives every exclusive-box sum.
     weights = (inst.sigma[None, :] * f * inst.mu).ravel()

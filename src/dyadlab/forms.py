@@ -24,9 +24,9 @@ import numpy as np
 from . import lattice
 from .lattice import Cube, DyadicSystem
 from .measures import (
-    Exponent,
     as_scale_function,
     as_weights,
+    conjugate,
     ell2_slice,
     ksum,
     mixed_norm,
@@ -46,8 +46,8 @@ class Instance:
     lam: np.ndarray
 
     def __post_init__(self):
-        exp = Exponent.of(self.p)
-        object.__setattr__(self, "p", exp.p)
+        conjugate(self.p)  # validates p
+        object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "sigma", _frozen(as_weights(self.sys, self.sigma)))
         object.__setattr__(self, "omega", _frozen(as_weights(self.sys, self.omega)))
         object.__setattr__(self, "mu", _frozen(as_scale_function(self.sys, self.mu)))
@@ -63,7 +63,7 @@ class Instance:
     @property
     def q(self) -> float:
         """Hoelder conjugate of p."""
-        return self.p / (self.p - 1.0)
+        return conjugate(self.p)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ orders being stable.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,13 +160,6 @@ class DyadicSystem:
 def build_system(dimension: int, depth: int) -> DyadicSystem:
     """Build the truncated lattice; rejects sizes beyond the memory guard."""
     return DyadicSystem(dimension, depth)
-
-
-def parent(sys: DyadicSystem, cube: Cube) -> Optional[Cube]:
-    """Parent cube, or None for the root."""
-    lin = sys.linear(cube)
-    up = int(sys.parent_linear[lin])
-    return None if up < 0 else sys.cube_at(up)
 
 
 def children(sys: DyadicSystem, cube: Cube) -> list[Cube]:

@@ -1,4 +1,5 @@
-"""Discrete weights, scale functions, mixed and scalar norms, box integrals.
+"""Discrete weights, scale functions, mixed and scalar norms, their Hoelder
+norming maps, box integrals.
 
 Three array shapes carry all function data:
 
@@ -14,7 +15,6 @@ run at 1e-10 .. 1e-12 relative tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,23 +41,12 @@ def group_ksum(keys: np.ndarray, values: np.ndarray, groups) -> list[float]:
     return [math.fsum(ordered[a:b]) for a, b in zip(starts, ends)]
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """An integrability exponent together with its Hoelder conjugate."""
-
-    p: float
-    q: float
-
-    @classmethod
-    def of(cls, p: float) -> "Exponent":
-        p = float(p)
-        if not (1.0 < p < math.inf):
-            raise ValueError(f"exponent must lie in (1, inf), got {p}")
-        return cls(p, p / (p - 1.0))
-
-
 def conjugate(p: float) -> float:
-    return Exponent.of(p).q
+    """Hoelder conjugate of an exponent in (1, inf)."""
+    p = float(p)
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"exponent must lie in (1, inf), got {p}")
+    return p / (p - 1.0)
 
 
 def _validated(values, shape, what: str) -> np.ndarray:
@@ -104,6 +93,33 @@ def mixed_norm(f: np.ndarray, sigma: np.ndarray, p: float) -> float:
 def lp_norm(g: np.ndarray, w: np.ndarray, p: float) -> float:
     g = np.asarray(g, dtype=np.float64)
     return ksum(w * g**p) ** (1.0 / p)
+
+
+def lp_norming(h: np.ndarray, w: np.ndarray, p: float):
+    """The unit-Lq(w) atom function norming h, with q the conjugate of p.
+
+    Returns (g, value) with value = ||h||_{Lp(w)} = the w-pairing of g and
+    h; (None, 0.0) when h vanishes.
+    """
+    value = lp_norm(h, w, p)
+    if value == 0.0:
+        return None, 0.0
+    return (h / value) ** (p - 1.0), value
+
+
+def mixed_norming(k: np.ndarray, sigma: np.ndarray, p: float):
+    """The unit mixed-p-norm scale function norming k in the sigma-pairing.
+
+    Returns (f, value) with value = the mixed q-norm of k = the pairing of f
+    and k, q the conjugate of p; (None, 0.0) when k vanishes.
+    """
+    q = conjugate(p)
+    s = ell2_slice(k)
+    value = ksum(sigma * s**q) ** (1.0 / q)
+    if value == 0.0:
+        return None, 0.0
+    shaped = k if q == 2.0 else zero_preserving_power(s, q - 2.0)[None, :] * k
+    return shaped / mixed_norm(shaped, sigma, p), value
 
 
 def box_integral(

@@ -22,7 +22,7 @@ import numpy as np
 from . import generators, lattice
 from .errors import GuardError
 from .forms import Instance, apply_adjoint_operator, apply_box_operator, lambda_form, test_function
-from .measures import ell2_slice, ksum, lp_norm, mixed_norm, zero_preserving_power
+from .measures import lp_norming, mixed_norm, mixed_norming
 from .testing_constants import TestingReport, testing_report
 
 
@@ -32,27 +32,13 @@ def best_f_given_g(inst: Instance, g: np.ndarray):
     Returns (f, value) with value = form(f, g); (None, 0.0) when the adjoint
     kernel vanishes (degenerate direction).
     """
-    kernel = apply_adjoint_operator(inst, g)
-    s = ell2_slice(kernel)
-    value = ksum(inst.sigma * s**inst.q) ** (1.0 / inst.q)
-    if value == 0.0:
-        return None, 0.0
-    shaped = (
-        kernel
-        if inst.q == 2.0
-        else zero_preserving_power(s, inst.q - 2.0)[None, :] * kernel
-    )
-    return shaped / mixed_norm(shaped, inst.sigma, inst.p), value
+    return mixed_norming(apply_adjoint_operator(inst, g), inst.sigma, inst.p)
 
 
 def best_g_given_f(inst: Instance, f: np.ndarray):
     """Unit dual-norm maximizer of the form against a fixed unit scale
     function.  Returns (g, value) with value = form(f, g), or (None, 0.0)."""
-    h = apply_box_operator(inst, f)
-    value = lp_norm(h, inst.omega, inst.p)
-    if value == 0.0:
-        return None, 0.0
-    return (h / value) ** (inst.p - 1.0), value
+    return lp_norming(apply_box_operator(inst, f), inst.omega, inst.p)
 
 
 @dataclass(frozen=True)

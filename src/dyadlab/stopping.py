@@ -32,7 +32,7 @@ import numpy as np
 from . import lattice
 from .forms import Instance, all_box_integrals, all_cube_integrals, level_test_input
 from .lattice import Cube, DyadicSystem
-from .measures import average, ksum
+from .measures import average, conjugate, ksum
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class StoppingFamily:
 def default_ratio_constants(p: float) -> tuple[float, float]:
     """The (A, B) pair that makes the child test-input mass geometrically
     summable: B = 4**(1/q), A = 4*B**(2-q) with q the conjugate exponent."""
-    q = p / (p - 1.0)
+    q = conjugate(p)
     b = 4.0 ** (1.0 / q)
     return 4.0 * b ** (2.0 - q), b
 
@@ -185,18 +185,6 @@ def cell_projection(sys: DyadicSystem, family: StoppingFamily) -> np.ndarray:
     return projection(sys, family)[sys.level_offset[:-1, None] + sys.ancestor_local]
 
 
-def project(sys: DyadicSystem, family: StoppingFamily, cube: Cube) -> Cube:
-    """Smallest family member containing ``cube``."""
-    lin = sys.linear(cube)
-    top_level = int(sys.cube_level[family.top])
-    while True:
-        if lin in family.children:  # keyed by every member
-            return sys.cube_at(lin)
-        if int(sys.cube_level[lin]) <= top_level:
-            raise ValueError(f"cube {cube} lies outside the family top")
-        lin = int(sys.parent_linear[lin])
-
-
 def _subtree_totals(family: StoppingFamily, own) -> dict[int, float]:
     """Per member: ``own[member]`` plus the totals of its stopping children,
     summed children before parents, in member order."""
@@ -233,12 +221,17 @@ def cross_children(
 ) -> list[int]:
     """Stopping children of ``member`` whose projection under the other
     family stays inside ``member``."""
-    # proj and member both contain c, so they nest: proj lies inside member
-    # exactly when it is no coarser
-    level = int(sys.cube_level[member])
-    return [
-        c for c in family.children[member] if project(sys, other, sys.cube_at(c)).level >= level
-    ]
+    proj = projection(sys, other)
+    level = sys.cube_level[member]
+    out = []
+    for c in family.children[member]:
+        if proj[c] < 0:
+            raise ValueError(f"cube {sys.cube_at(c)} lies outside the family top")
+        # proj and member both contain c, so they nest: proj lies inside
+        # member exactly when it is no coarser
+        if sys.cube_level[proj[c]] >= level:
+            out.append(c)
+    return out
 
 
 def collapse_scale_function(
@@ -256,11 +249,12 @@ def collapse_scale_function(
     sys = inst.sys
     out = f * (cell_projection(sys, avg_family) == member)
     num = all_box_integrals(inst, f)
+    proj = projection(sys, ratio_family)
     profiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for c in cross_children(sys, avg_family, ratio_family, member):
         # c lies inside its ratio projection, whose test input is therefore
         # the projection level's profile on the box of c.
-        level = project(sys, ratio_family, sys.cube_at(c)).level
+        level = int(sys.cube_level[proj[c]])
         if level not in profiles:
             phi = level_test_input(inst, level)
             profiles[level] = (phi, all_box_integrals(inst, phi))

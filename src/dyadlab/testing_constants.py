@@ -29,8 +29,9 @@ correctly rounded, so the winner, its value and its witness are those of a
 loop over every cube evaluating that formula.  The witness is rebuilt from
 the winning level alone.
 
-The recorded witnesses are the norming functions, so plugging them back into
-the localized form reproduces ``constant * norm * norm`` exactly.
+The recorded witnesses are the norming functions of the winning cube
+(``measures.lp_norming`` and ``measures.mixed_norming``), so plugging them
+back into the localized form reproduces ``constant * norm * norm`` exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from . import lattice
 from .forms import Instance, all_box_integrals, level_test_input
 from .lattice import Cube
-from .measures import ell2_slice, group_ksum, lp_norm, mixed_norm, zero_preserving_power
+from .measures import ell2_slice, group_ksum, lp_norming, mixed_norming
 
 
 @dataclass(frozen=True)
@@ -60,24 +61,6 @@ class TestingReport:
     dual_cube: Cube | None
     witness_g: np.ndarray
     witness_f: np.ndarray
-
-
-def norming_atom_function(h: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """Unit-Lq(w) maximizer of the pairing against h; zero if h vanishes."""
-    n = lp_norm(h, w, p)
-    if n == 0.0:
-        return np.zeros_like(h)
-    return (h / n) ** (p - 1.0)
-
-
-def norming_scale_function(k: np.ndarray, sigma: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Unit mixed-p-norm maximizer of the sigma-pairing against k."""
-    s = ell2_slice(k)
-    shaped = zero_preserving_power(s, q - 2.0)[None, :] * k if q != 2.0 else k
-    n = mixed_norm(shaped, sigma, p)
-    if n == 0.0:
-        return np.zeros_like(k)
-    return shaped / n
 
 
 # Scanned ratios this close to the scan's maximum, relatively, are candidates
@@ -146,7 +129,7 @@ def forward_testing_constant(inst: Instance) -> TestingSide:
     if cube is None:
         return TestingSide(0.0, None, np.zeros(sys.num_atoms))
     h = np.where(sys.atom_mask(cube), rows[cube.level], 0.0)
-    return TestingSide(best, cube, norming_atom_function(h, inst.omega, inst.p))
+    return TestingSide(best, cube, lp_norming(h, inst.omega, inst.p)[0])
 
 
 def dual_testing_constant(inst: Instance) -> TestingSide:
@@ -168,7 +151,7 @@ def dual_testing_constant(inst: Instance) -> TestingSide:
         return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)))
     running = lattice.chain_running(sys, contrib, start_level=cube.level)
     kernel = inst.mu * running * sys.atom_mask(cube)[None, :]
-    return TestingSide(best, cube, norming_scale_function(kernel, inst.sigma, inst.p, inst.q))
+    return TestingSide(best, cube, mixed_norming(kernel, inst.sigma, inst.p)[0])
 
 
 def testing_report(inst: Instance) -> TestingReport:

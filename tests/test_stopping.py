@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import _reference as ref
+from _reference import project
 from dyadlab import Cube, Instance, build_system, io, lattice, worked_instances
 from dyadlab.forms import all_box_integrals
 from dyadlab.forms import test_function as make_test_input
@@ -28,7 +30,6 @@ from dyadlab.stopping import (
     collapse_scale_function,
     cross_children,
     default_ratio_constants,
-    project,
     projection,
     subfamily_mass_bound,
 )
@@ -96,6 +97,34 @@ def test_projection_outside_top_rejected():
     fam = build_average_family(inst, Cube(1, (0,)), np.ones(4))
     with pytest.raises(ValueError):
         project(s, fam, Cube(1, (1,)))
+
+
+def test_cross_child_outside_other_top_rejected():
+    """A stopping child outside the other family's top has no projection
+    there (its table entry is -1): the cross-child test and both collapses
+    reject it instead of reading the entry as a member."""
+    inst = generate(GenSpec(seed=2, dimension=1, depth=4, p=2.0))
+    s = inst.sys
+    outside = re.escape("cube Cube(level=1, index=(1,)) lies outside the family top")
+    spike = np.ones(s.num_atoms)
+    spike[-1] += 4.0**4
+    # average family at the root, ratio family on the left half
+    avg = build_average_family(inst, s.root, spike)
+    flat_f = np.ones((s.num_levels, s.num_atoms))
+    ratio = build_ratio_family(inst, Cube(1, (0,)), flat_f, A=1.25)
+    assert s.linear(Cube(1, (1,))) in avg.children[avg.top]
+    with pytest.raises(ValueError, match=outside):
+        cross_children(s, avg, ratio, avg.top)
+    with pytest.raises(ValueError, match=outside):
+        collapse_scale_function(inst, flat_f, avg, ratio, avg.top)
+    # the mirror: ratio family at the root, average family on the left half
+    ratio = build_ratio_family(inst, s.root, flat_f + spike, A=1.25)
+    avg = build_average_family(inst, Cube(1, (0,)), np.ones(s.num_atoms))
+    assert s.linear(Cube(1, (1,))) in ratio.children[ratio.top]
+    with pytest.raises(ValueError, match=outside):
+        cross_children(s, ratio, avg, ratio.top)
+    with pytest.raises(ValueError, match=outside):
+        collapse_atom_function(inst, spike, avg, ratio, ratio.top)
 
 
 def test_carleson_constant_examples():
