@@ -35,17 +35,20 @@ EXIT_GUARD = 3
 EXIT_PROPERTY = 4
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--p", type=float, default=2.0)
-    sub.add_argument("--dim", type=int, default=1)
-    sub.add_argument("--depth", type=int, default=3)
-    sub.add_argument("--instances", type=int, default=1)
-    sub.add_argument("--restarts", type=int, default=4)
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--in", dest="infile", type=str, default=None)
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+_OPTIONS = {
+    "--seed": dict(type=int, default=1),
+    "--p": dict(type=float, default=2.0),
+    "--dim": dict(type=int, default=1),
+    "--depth": dict(type=int, default=3),
+    "--instances": dict(type=int, default=1),
+    "--restarts": dict(type=int, default=4),
+    "--tol": dict(type=float, default=1e-10),
+    "--in": dict(dest="infile", type=str, default=None),
+    "--out": dict(type=str, default=None),
+    "--format": dict(choices=("json", "csv"), default="json"),
+}
+# the options ``_load_or_generate`` reads
+_INSTANCE = ("--in", "--seed", "--p", "--dim", "--depth")
 
 
 def _emit(args, text: str):
@@ -205,15 +208,16 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+# Each command with the options it reads; argparse rejects any other.
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "eval": _cmd_eval,
-    "testing": _cmd_testing,
-    "normest": _cmd_normest,
-    "stopping": _cmd_stopping,
-    "embed-check": _cmd_embed_check,
-    "verify": _cmd_verify,
-    "report": _cmd_report,
+    "gen": (_cmd_gen, _INSTANCE[1:] + ("--out",)),
+    "eval": (_cmd_eval, tuple(_OPTIONS)),
+    "testing": (_cmd_testing, _INSTANCE + ("--out",)),
+    "normest": (_cmd_normest, _INSTANCE + ("--restarts", "--tol", "--out")),
+    "stopping": (_cmd_stopping, _INSTANCE + ("--out",)),
+    "embed-check": (_cmd_embed_check, _INSTANCE + ("--instances", "--restarts", "--out")),
+    "verify": (_cmd_verify, _INSTANCE[1:] + ("--instances", "--restarts", "--tol", "--out")),
+    "report": (_cmd_report, ("--in", "--format", "--out")),
 }
 
 
@@ -223,15 +227,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="two-weight testing laboratory for a positive dyadic box operator",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _add_common(subs.add_parser(name))
+    for name, (_, options) in _COMMANDS.items():
+        # no prefix matching: ``verify --in 3`` must not read as ``--instances 3``
+        sub = subs.add_parser(name, allow_abbrev=False)
+        for option in options:
+            sub.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=_sys.stderr)
         return EXIT_SCHEMA

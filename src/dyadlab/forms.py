@@ -26,6 +26,7 @@ from .lattice import Cube, DyadicSystem
 from .measures import (
     as_scale_function,
     as_weights,
+    box_integral,
     conjugate,
     ell2_slice,
     ksum,
@@ -153,18 +154,8 @@ class PhiIdentityReport:
     phi_norm_power: float    # mixed p-norm of phi, to the p
     max_rel_spread: float
 
-    def values(self) -> tuple[float, float, float, float]:
-        return (
-            self.box_pairing,
-            self.slice_integral,
-            self.mu_norm_power,
-            self.phi_norm_power,
-        )
-
 
 def phi_identity_check(inst: Instance, cube: Cube) -> PhiIdentityReport:
-    from .measures import box_integral  # local import keeps module load cheap
-
     phi = test_function(inst, cube)
     boxed = inst.mu * inst.sys.box_mask(cube)
     s = ell2_slice(boxed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .forms import Instance, lambda_array
+from .forms import Instance, lambda_array, test_function
 from .lattice import DyadicSystem, build_system
 
 # stream ids: instance components, then auxiliary draws
@@ -107,8 +107,6 @@ def embedding_probe_function(inst, seed: int) -> np.ndarray:
     modulations of the root test input (the near-extremal direction, whose
     embedding ratio stays near one at every depth) and broad modulations of
     the instance density."""
-    from .forms import test_function  # deferred: forms imports this module's peers
-
     sys = inst.sys
     if seed % 2 == 0:
         base = test_function(inst, sys.root)

@@ -281,11 +281,7 @@ def summary_to_csv(summary: list[dict]) -> str:
 def _member_paths(sys, family: StoppingFamily) -> dict[int, str]:
     """Each member's path, built once: its stopping parent's path plus the
     child codes of the cubes down to the member (members list parents first)."""
-    dim = sys.dimension
-    # Bit i of a child code is the last bit of the coordinate-i index, which
-    # sits at bit level*(dim-1-i) of the cube's lexicographic local id.
-    code = sum(((sys.cube_local >> (sys.cube_level * (dim - 1 - i))) & 1) << i for i in range(dim))
-    code, up_of, level = code.tolist(), sys.parent_linear.tolist(), sys.cube_level.tolist()
+    code, up_of, level = sys.child_code.tolist(), sys.parent_linear.tolist(), sys.cube_level.tolist()
     paths = {family.top: lattice.path_of(sys, sys.cube_at(family.top))}
     for m in family.members[1:]:
         up, c, steps = family.parent[m], m, []

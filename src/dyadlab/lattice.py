@@ -7,8 +7,9 @@ pairs ``(atom, level)`` with the atom inside ``Q`` and the level at least
 ``Q.level`` -- i.e. scales no coarser than the side length of ``Q``.
 
 Atoms are enumerated in lexicographic multi-index order, cubes level-major and
-lexicographically within each level.  Every other module relies on these
-orders being stable.
+lexicographically within each level.  The tables of :class:`DyadicSystem` are
+the one definition of this layout: other modules read cells, parents,
+children and path codes off them and derive no index themselves.
 """
 
 from __future__ import annotations
@@ -60,33 +61,41 @@ class DyadicSystem:
 
         # Atom digits: multi-index per coordinate, shape (dimension, num_atoms).
         side = 1 << self.depth
-        self._atom_digits = np.indices((side,) * self.dimension).reshape(
-            self.dimension, self.num_atoms
-        )
+        digits = np.indices((side,) * self.dimension).reshape(self.dimension, self.num_atoms)
 
         # ancestor_local[j, a]: local index (within level j) of the level-j
-        # cube containing atom a.  This single table powers containment tests
-        # and all tree aggregations.
-        anc = np.empty((self.num_levels, self.num_atoms), dtype=np.intp)
-        for j in range(self.num_levels):
-            shifted = self._atom_digits >> (self.depth - j)
-            anc[j] = np.ravel_multi_index(
-                tuple(shifted), (1 << j,) * self.dimension
-            )
-        anc.flags.writeable = False
-        self.ancestor_local = anc
+        # cube containing atom a, whose multi-index is digits >> (depth - j);
+        # cell_cube[j, a]: its linear id.  These and the tables below are the
+        # one definition of the index layout.
+        level = np.arange(self.num_levels)[:, None]
+        self.ancestor_local = sum(
+            (digits[i] >> (self.depth - level)) << (level * (self.dimension - 1 - i))
+            for i in range(self.dimension)
+        )
+        self.cell_cube = self.level_offset[:-1, None] + self.ancestor_local
 
         # parent_linear[c]: linear id of the parent cube, -1 for the root.
-        parent = np.full(self.num_cubes, -1, dtype=np.intp)
-        for j in range(1, self.num_levels):
-            locs = np.arange(1 << (self.dimension * j))
-            digits = np.unravel_index(locs, (1 << j,) * self.dimension)
-            up = tuple(d >> 1 for d in digits)
-            parent[self.level_offset[j] + locs] = self.level_offset[j - 1] + (
-                np.ravel_multi_index(up, (1 << (j - 1),) * self.dimension)
-            )
-        parent.flags.writeable = False
-        self.parent_linear = parent
+        self.parent_linear = np.full(self.num_cubes, -1, dtype=np.intp)
+        self.parent_linear[self.cell_cube[1:]] = self.cell_cube[:-1]
+
+        # child_linear[c]: the children of a non-atom cube c in ``children``
+        # order, lexicographic in the multi-index; a stable sort by parent
+        # keeps each row's ids ascending.
+        order = np.argsort(self.parent_linear[1:], kind="stable")
+        self.child_linear = (1 + order).reshape(-1, 1 << self.dimension)
+
+        # child_code[c]: the path code of c below its parent (0 for the root).
+        # Bit i of a code is the child's offset in coordinate i; in a
+        # ``child_linear`` row, coordinate 0 is the high bit of the position.
+        k = np.arange(1 << self.dimension)
+        self.child_code = np.zeros(self.num_cubes, dtype=np.intp)
+        self.child_code[self.child_linear] = sum(
+            ((k >> (self.dimension - 1 - i)) & 1) << i for i in range(self.dimension)
+        )
+        for table in (
+            self.ancestor_local, self.cell_cube, self.parent_linear, self.child_linear, self.child_code
+        ):
+            table.flags.writeable = False
 
     # -- identifier conversions -------------------------------------------
 
@@ -124,9 +133,8 @@ class DyadicSystem:
 
     def atom_mask(self, cube: Cube) -> np.ndarray:
         """Boolean mask over atoms: which atoms lie inside ``cube``."""
-        level, index = self.validate(cube)
-        local = np.ravel_multi_index(index, (1 << level,) * self.dimension)
-        return self.ancestor_local[level] == local
+        lin = self.linear(cube)
+        return self.cell_cube[self.cube_level[lin]] == lin
 
     def atoms_of(self, cube: Cube) -> np.ndarray:
         return np.flatnonzero(self.atom_mask(cube))
@@ -145,15 +153,9 @@ class DyadicSystem:
 
     def descendant_mask(self, cube: Cube) -> np.ndarray:
         """Boolean mask over linear cube ids: all subcubes of ``cube`` (incl. itself)."""
-        level, index = self.validate(cube)
-        local = np.ravel_multi_index(index, (1 << level,) * self.dimension)
+        level, _ = self.validate(cube)
         mask = np.zeros(self.num_cubes, dtype=bool)
-        for j in range(level, self.num_levels):
-            locs = np.arange(1 << (self.dimension * j))
-            digits = np.unravel_index(locs, (1 << j,) * self.dimension)
-            up = tuple(d >> (j - level) for d in digits)
-            here = np.ravel_multi_index(up, (1 << level,) * self.dimension) == local
-            mask[self.level_offset[j] + locs] = here
+        mask[self.cell_cube[level:, self.atom_mask(cube)]] = True
         return mask
 
 
@@ -164,15 +166,10 @@ def build_system(dimension: int, depth: int) -> DyadicSystem:
 
 def children(sys: DyadicSystem, cube: Cube) -> list[Cube]:
     """The 2**dimension children, in lexicographic multi-index order."""
-    level, index = sys.validate(cube)
-    if level == sys.depth:
+    lin = sys.linear(cube)
+    if sys.cube_level[lin] == sys.depth:
         return []
-    out = []
-    for local in range(1 << sys.dimension):
-        # Offsets enumerated so the resulting multi-indices are lexicographic.
-        offs = tuple((local >> (sys.dimension - 1 - i)) & 1 for i in range(sys.dimension))
-        out.append(Cube(level + 1, tuple(2 * m + o for m, o in zip(index, offs))))
-    return out
+    return [sys.cube_at(c) for c in sys.child_linear[lin].tolist()]
 
 
 def box_members(sys: DyadicSystem, cube: Cube) -> set[tuple[int, int]]:
@@ -211,15 +208,11 @@ def cube_from_path(sys: DyadicSystem, path: str) -> Cube:
 
 
 def path_of(sys: DyadicSystem, cube: Cube) -> str:
-    level, index = sys.validate(cube)
-    codes = []
-    for step in range(1, level + 1):
-        code = 0
-        for i in range(sys.dimension):
-            bit = (index[i] >> (level - step)) & 1
-            code |= bit << i
-        codes.append(str(code))
-    return "/".join(codes)
+    lin, codes = sys.linear(cube), []
+    while lin > 0:  # the root is cube 0
+        codes.append(str(sys.child_code[lin]))
+        lin = sys.parent_linear[lin]
+    return "/".join(codes[::-1])
 
 
 # -- tree aggregations -----------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import generators, lattice
+from . import generators
 from .errors import GuardError
 from .forms import Instance, apply_adjoint_operator, apply_box_operator, lambda_form, test_function
 from .measures import lp_norming, mixed_norm, mixed_norming
@@ -161,36 +161,19 @@ def attach_oracle(inst: Instance, estimate: NormEstimate) -> NormEstimate:
 _KERNEL_CELL_LIMIT = 4_000_000
 
 
-def shared_chain_levels(sys) -> np.ndarray:
-    """For every atom pair, the deepest level whose cells contain both."""
-    digits = sys._atom_digits
-    out = np.full((sys.num_atoms, sys.num_atoms), sys.depth, dtype=np.int64)
-    for i in range(sys.dimension):
-        diff = digits[i][:, None] ^ digits[i][None, :]
-        bits = np.zeros_like(diff)
-        v = diff.copy()
-        while np.any(v):
-            positive = v > 0
-            bits += positive
-            v >>= 1
-        np.minimum(out, sys.depth - bits, out=out)
-    return out
-
-
 def form_kernel(inst: Instance) -> np.ndarray:
     """Dense kernel S[j, a, b] with form(f, g) = sum sigma_a f[j,a] S om_b g_b.
 
     S collects mu times the lam-mass of the cubes containing atom b whose box
-    contains the cell (a, j).
+    contains the cell (a, j): the cubes ``cell_cube[l, b]`` with l <= j that
+    also hold atom a.
     """
     sys = inst.sys
     if sys.num_levels * sys.num_atoms * sys.num_atoms > _KERNEL_CELL_LIMIT:
         raise GuardError("system too large for a dense kernel")
-    prefix = lattice.chain_running(sys, inst.lam)
-    shared = shared_chain_levels(sys)
-    cut = np.minimum(np.arange(sys.num_levels)[:, None, None], shared[None, :, :])
-    chain = prefix[cut, np.arange(sys.num_atoms)[None, :, None]]
-    return inst.mu[:, :, None] * chain
+    cells = sys.cell_cube
+    shared = cells[:, :, None] == cells[:, None, :]
+    return inst.mu[:, :, None] * np.cumsum(shared * inst.lam[cells][:, None, :], axis=0)
 
 
 def spectral_oracle_p2(inst: Instance) -> float:

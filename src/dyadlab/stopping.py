@@ -60,25 +60,20 @@ def _level_sweep(
 ) -> tuple[list[int], dict[int, tuple[int, ...]], dict[int, int]]:
     """Members (BFS order), stopping children and parents below ``top``.
 
-    One pass per level walks the top's subtree in ``lattice.children`` order,
-    the order a per-member BFS visits cubes.  Each strict subcube is tested
+    One pass per level walks the top's subtree along the lattice's
+    ``child_linear`` rows, in ``lattice.children`` order, the order a
+    per-member BFS visits cubes.  Each strict subcube is tested
     once, against its owner (its nearest strict-ancestor member):
     ``triggered(cubes, owners)`` marks the cubes that become members.
     """
     is_member = np.zeros(sys.num_cubes, dtype=bool)
     owner = np.zeros(sys.num_cubes, dtype=np.intp)
     is_member[top] = True
-    codes = np.arange(1 << sys.dimension)
-    offsets = [(codes >> (sys.dimension - 1 - i)) & 1 for i in range(sys.dimension)]
     cubes = np.array([top])
     found: list[int] = []
-    for j in range(int(sys.cube_level[top]) + 1, sys.num_levels):
-        digits = np.unravel_index(cubes - sys.level_offset[j - 1], (1 << (j - 1),) * sys.dimension)
-        up = np.repeat(cubes, len(codes))
-        cubes = sys.level_offset[j] + np.ravel_multi_index(
-            tuple((2 * d[:, None] + o).ravel() for d, o in zip(digits, offsets)),
-            (1 << j,) * sys.dimension,
-        )
+    for _ in range(sys.depth - int(sys.cube_level[top])):
+        up = np.repeat(cubes, 1 << sys.dimension)
+        cubes = sys.child_linear[cubes].ravel()
         owner[cubes] = np.where(is_member[up], up, owner[up])
         hits = cubes[triggered(cubes, owner[cubes])]
         is_member[hits] = True
@@ -182,7 +177,7 @@ def cell_projection(sys: DyadicSystem, family: StoppingFamily) -> np.ndarray:
     a.  A member's exclusive box (its box minus the boxes of its stopping
     children) is where this equals the member; its exclusive atoms (its atoms
     minus those of its stopping children) are where the last row does."""
-    return projection(sys, family)[sys.level_offset[:-1, None] + sys.ancestor_local]
+    return projection(sys, family)[sys.cell_cube]
 
 
 def _subtree_totals(family: StoppingFamily, own) -> dict[int, float]:

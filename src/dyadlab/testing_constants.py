@@ -77,22 +77,15 @@ def _select(sys, exponent: float, num_terms, den_terms, skip: np.ndarray):
     terms; cubes flagged in ``skip`` (per linear id) have no ratio.  Returns
     the winning ratio and cube, or ``(0.0, None)``.
     """
-    ratio = np.zeros(sys.num_cubes)
-    viable = np.zeros(sys.num_cubes, dtype=bool)
-    sure = np.zeros(sys.num_cubes, dtype=bool)
-    for level in range(sys.num_levels):
-        cut = slice(sys.level_offset[level], sys.level_offset[level + 1])
-        anc, size = sys.ancestor_local[level], int(sys.level_sizes[level])
-        num = np.bincount(anc, weights=num_terms[level], minlength=size)
-        den = np.bincount(anc, weights=den_terms[level], minlength=size)
-        with np.errstate(all="ignore"):
-            num_root, den_root = num ** (1.0 / exponent), den ** (1.0 / exponent)
-            r = num_root / den_root
-        ratio[cut] = r
-        viable[cut] = (num > 0) & (den > 0)
-        scanned = np.stack([num_root, den_root, r])
-        sure[cut] = np.all((scanned >= _TINY) & (scanned < np.inf), axis=0)
-    viable &= ~skip
+    cells = sys.cell_cube.ravel()
+    num = np.bincount(cells, weights=np.ravel(num_terms), minlength=sys.num_cubes)
+    den = np.bincount(cells, weights=np.ravel(den_terms), minlength=sys.num_cubes)
+    with np.errstate(all="ignore"):
+        num_root, den_root = num ** (1.0 / exponent), den ** (1.0 / exponent)
+        ratio = num_root / den_root
+    viable = (num > 0) & (den > 0) & ~skip
+    scanned = np.stack([num_root, den_root, ratio])
+    sure = np.all((scanned >= _TINY) & (scanned < np.inf), axis=0)
     top = ratio[viable & sure].max(initial=0.0)
     picks = viable & (~sure | (ratio >= (1.0 - RESELECT_MARGIN) * top))
     best, best_lin = 0.0, None

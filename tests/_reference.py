@@ -10,7 +10,10 @@ the three-pass embedding search at the end are the exception: they reuse the
 package's helpers, so their results compare bit for bit with the package's
 whole-lattice passes.  The helpers in between are small definitions that
 only tests call, among them the parent-walking ``project`` that
-``stopping.projection`` replaced.
+``stopping.projection`` replaced, and the multi-index derivations of parents,
+children, paths, subcube masks and the dense form kernel that the
+``lattice.DyadicSystem`` tables replaced; the BFS builders and the path-based
+family writer use those, not the tables they check.
 """
 
 import math
@@ -170,6 +173,93 @@ def carleson_condition_constant(n, depth, a_map, nu):
     return best
 
 
+# -- the index layout, derived again ----------------------------------------
+#
+# The package reads parents, children, path codes and subcube masks off the
+# tables ``lattice.DyadicSystem`` builds.  These are the multi-index
+# derivations those tables replaced, kept as they were.
+
+
+def parent_table(sys):
+    """parent_linear[c]: linear id of the parent cube, -1 for the root."""
+    parent = np.full(sys.num_cubes, -1, dtype=np.intp)
+    for j in range(1, sys.num_levels):
+        locs = np.arange(1 << (sys.dimension * j))
+        digits = np.unravel_index(locs, (1 << j,) * sys.dimension)
+        up = tuple(d >> 1 for d in digits)
+        parent[sys.level_offset[j] + locs] = sys.level_offset[j - 1] + (
+            np.ravel_multi_index(up, (1 << (j - 1),) * sys.dimension)
+        )
+    return parent
+
+
+def descendant_mask(sys, cube):
+    """Boolean mask over linear cube ids: all subcubes of ``cube`` (incl. itself)."""
+    level, index = sys.validate(cube)
+    local = np.ravel_multi_index(index, (1 << level,) * sys.dimension)
+    mask = np.zeros(sys.num_cubes, dtype=bool)
+    for j in range(level, sys.num_levels):
+        locs = np.arange(1 << (sys.dimension * j))
+        digits = np.unravel_index(locs, (1 << j,) * sys.dimension)
+        up = tuple(d >> (j - level) for d in digits)
+        here = np.ravel_multi_index(up, (1 << level,) * sys.dimension) == local
+        mask[sys.level_offset[j] + locs] = here
+    return mask
+
+
+def children(sys, cube):
+    """The 2**dimension children, in lexicographic multi-index order."""
+    level, index = sys.validate(cube)
+    if level == sys.depth:
+        return []
+    out = []
+    for local in range(1 << sys.dimension):
+        # Offsets enumerated so the resulting multi-indices are lexicographic.
+        offs = tuple((local >> (sys.dimension - 1 - i)) & 1 for i in range(sys.dimension))
+        out.append(Cube(level + 1, tuple(2 * m + o for m, o in zip(index, offs))))
+    return out
+
+
+def path_of(sys, cube):
+    level, index = sys.validate(cube)
+    codes = []
+    for step in range(1, level + 1):
+        code = 0
+        for i in range(sys.dimension):
+            bit = (index[i] >> (level - step)) & 1
+            code |= bit << i
+        codes.append(str(code))
+    return "/".join(codes)
+
+
+def shared_chain_levels(sys) -> np.ndarray:
+    """For every atom pair, the deepest level whose cells contain both."""
+    side = 1 << sys.depth
+    digits = np.indices((side,) * sys.dimension).reshape(sys.dimension, sys.num_atoms)
+    out = np.full((sys.num_atoms, sys.num_atoms), sys.depth, dtype=np.int64)
+    for i in range(sys.dimension):
+        diff = digits[i][:, None] ^ digits[i][None, :]
+        bits = np.zeros_like(diff)
+        v = diff.copy()
+        while np.any(v):
+            positive = v > 0
+            bits += positive
+            v >>= 1
+        np.minimum(out, sys.depth - bits, out=out)
+    return out
+
+
+def form_kernel(inst) -> np.ndarray:
+    """Dense kernel S[j, a, b] with form(f, g) = sum sigma_a f[j,a] S om_b g_b,
+    read off the running lam-sums at the deepest level shared by a and b."""
+    sys = inst.sys
+    prefix = lattice.chain_running(sys, inst.lam)
+    shared = shared_chain_levels(sys)
+    cut = np.minimum(np.arange(sys.num_levels)[:, None, None], shared[None, :, :])
+    chain = prefix[cut, np.arange(sys.num_atoms)[None, :, None]]
+    return inst.mu[:, :, None] * chain
+
+
 # -- helpers only tests call ------------------------------------------------
 
 
@@ -314,7 +404,7 @@ def _scan_maximal(sys, member, trigger):
     """Maximal strict subcubes of ``member`` satisfying ``trigger``, BFS."""
     found = []
     queue = deque(
-        sys.linear(c) for c in lattice.children(sys, sys.cube_at(member))
+        sys.linear(c) for c in children(sys, sys.cube_at(member))
     )
     while queue:
         lin = queue.popleft()
@@ -322,7 +412,7 @@ def _scan_maximal(sys, member, trigger):
             found.append(lin)
         else:
             queue.extend(
-                sys.linear(c) for c in lattice.children(sys, sys.cube_at(lin))
+                sys.linear(c) for c in children(sys, sys.cube_at(lin))
             )
     return found
 
@@ -397,22 +487,22 @@ def family_to_dict_path_of(sys, family):
     for m in family.members:
         cube = sys.cube_at(m)
         entry = {
-            "path": lattice.path_of(sys, cube),
+            "path": path_of(sys, cube),
             "stat": family.stats[m],
         }
         if m in family.parent:
-            entry["parent"] = lattice.path_of(sys, sys.cube_at(family.parent[m]))
+            entry["parent"] = path_of(sys, sys.cube_at(family.parent[m]))
         if family.phi_mass:
             entry["test_input_mass"] = family.phi_mass[m]
         members.append(entry)
     edges = [
-        [lattice.path_of(sys, sys.cube_at(m)), lattice.path_of(sys, sys.cube_at(c))]
+        [path_of(sys, sys.cube_at(m)), path_of(sys, sys.cube_at(c))]
         for m in family.members
         for c in family.children[m]
     ]
     return {
         "kind": family.kind,
-        "top": lattice.path_of(sys, sys.cube_at(family.top)),
+        "top": path_of(sys, sys.cube_at(family.top)),
         "params": dict(family.params),
         "members": members,
         "edges": edges,

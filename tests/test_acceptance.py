@@ -79,11 +79,11 @@ def test_criterion_1_identity_chain():
             rep = phi_identity_check(inst, inst.sys.cube_at(lin))
             worst = max(worst, rep.max_rel_spread)
             cubes_checked += 1
-    w1 = phi_identity_check(W["w1"], W["w1"].sys.root)
-    w2 = phi_identity_check(W["w2"], W["w2"].sys.root)
-    fixture_ok = all(abs(v - 4.0) <= 4e-10 for v in w1.values()) and all(
-        abs(v - 16.0) <= 16e-10 for v in w2.values()
-    )
+    fixture_ok = True
+    for name, value, tol in (("w1", 4.0, 4e-10), ("w2", 16.0, 16e-10)):
+        rep = phi_identity_check(W[name], W[name].sys.root)
+        chain = (rep.box_pairing, rep.slice_integral, rep.mu_norm_power, rep.phi_norm_power)
+        fixture_ok &= all(abs(v - value) <= tol for v in chain)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and fixture_ok and elapsed <= 30.0
     _report(

@@ -1,13 +1,14 @@
 import io as _io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from dyadlab import GenSpec, SchemaError, generate, worked_instances
 from dyadlab import io
-from dyadlab.cli import main
+from dyadlab.cli import build_parser, main
 from dyadlab.io import ReportRow
 
 W = worked_instances()
@@ -169,6 +170,30 @@ def test_cli_fsum_overflow_exits_as_guard_violation(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "guard violation: intermediate overflow in fsum\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["testing", "--format", "csv"],
+        ["verify", "--in", "/nonexistent"],
+        ["report", "--seed", "5", "--depth", "12"],
+    ],
+)
+def test_cli_rejects_options_the_command_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_readme_examples_parse():
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    examples = [line.split("#")[0].split()[1:] for line in lines if line.startswith("dyadlab ")]
+    assert len(examples) == 9
+    for argv in examples:
+        build_parser().parse_args(argv)
 
 
 def test_cli_gen_out_matches_stdout(tmp_path, capsys):

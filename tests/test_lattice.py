@@ -173,3 +173,34 @@ def test_aggregation_helpers(n, d):
     for lin in range(s.num_cubes):
         mask = s.descendant_mask(s.cube_at(lin))
         assert sub[lin] == pytest.approx(cv[mask].sum(), rel=1e-13)
+
+
+@pytest.mark.parametrize("n,d", [(1, 0), (1, 4), (2, 3), (3, 2)])
+def test_index_tables_match_multi_index_definitions(n, d):
+    s = build_system(n, d)
+    assert np.array_equal(s.parent_linear, ref.parent_table(s))
+    assert s.parent_linear[0] == -1
+    inner = 0
+    for lin in range(s.num_cubes):
+        cube = s.cube_at(lin)
+        level, index = cube
+        if level > 0:
+            up = s.parent_linear[lin]
+            assert s.cube_at(up) == Cube(level - 1, tuple(m >> 1 for m in index))
+            path = ref.path_of(s, s.cube_at(up))
+            code = str(s.child_code[lin])
+            assert lattice.cube_from_path(s, f"{path}/{code}" if path else code) == cube
+        assert lattice.path_of(s, cube) == ref.path_of(s, cube)
+        assert lattice.children(s, cube) == ref.children(s, cube)
+        if level < d:
+            assert [s.cube_at(c) for c in s.child_linear[lin]] == ref.children(s, cube)
+            inner += 1
+        want = [a for a in range(s.num_atoms) if ref.atom_in_cube(n, d, a, level, index)]
+        assert np.flatnonzero(s.cell_cube[level] == lin).tolist() == want
+        assert s.atoms_of(cube).tolist() == want
+        mask = s.descendant_mask(cube)
+        assert np.array_equal(mask, ref.descendant_mask(s, cube))
+        assert np.flatnonzero(mask).tolist() == [s.linear(c) for c in ref.subcubes(s, cube)]
+    assert s.child_linear.shape == (inner, 2**n)
+    for table in (s.cell_cube, s.parent_linear, s.child_linear, s.child_code):
+        assert not table.flags.writeable

@@ -6,8 +6,8 @@ import pytest
 from dyadlab import Instance, build_system, worked_instances
 from dyadlab.errors import GuardError
 from dyadlab.forms import lambda_form
-from dyadlab.generators import GenSpec, generate
-from dyadlab.measures import conjugate, lp_norm, mixed_norm
+from dyadlab.generators import GenSpec, generate, random_atom_function, random_scale_function
+from dyadlab.measures import conjugate, ksum, lp_norm, mixed_norm
 from dyadlab.normest import (
     alternating_maximization,
     attach_oracle,
@@ -19,6 +19,8 @@ from dyadlab.normest import (
     testing_norm_ratios,
 )
 from dyadlab.testing_constants import testing_report
+
+import _reference as ref
 
 W = worked_instances()
 ROOT2 = math.sqrt(2.0)
@@ -110,6 +112,18 @@ def test_spectral_oracle_w1_and_rank_one():
         * lp_norm(np.ones(4), omega, 2.0)
     )
     assert spectral_oracle_p2(inst) == pytest.approx(expect, rel=1e-9)
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (1, 6), (2, 2), (3, 1)])
+@pytest.mark.parametrize("seed", range(4))
+def test_form_kernel_represents_the_form(n, d, seed):
+    inst = generate(GenSpec(seed=seed, dimension=n, depth=d, p=2.5))
+    f = random_scale_function(inst.sys, seed, base=inst.mu)
+    g = random_atom_function(inst.sys, seed)
+    kernel = form_kernel(inst)
+    assert np.array_equal(kernel, ref.form_kernel(inst))
+    terms = inst.sigma[None, :, None] * f[:, :, None] * kernel * (inst.omega * g)[None, None, :]
+    assert ksum(terms) == pytest.approx(lambda_form(inst, f, g), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
