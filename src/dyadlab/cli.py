@@ -24,7 +24,7 @@ from .embedding import (
 )
 from .errors import GuardError, SchemaError
 from .forms import lambda_form
-from .lattice import path_of
+from .lattice import paths
 from .normest import alternating_maximization, attach_oracle
 from .stopping import build_average_family, build_ratio_family
 from .testing_constants import testing_report
@@ -59,9 +59,17 @@ def _emit(args, text: str):
         _sys.stdout.write(text)
 
 
+def _open_input(args):
+    """The ``--in`` file opened for reading; an unreadable one is a schema error."""
+    try:
+        return open(args.infile)
+    except OSError as exc:
+        raise SchemaError("$", f"cannot read {args.infile}: {exc.strerror or exc}")
+
+
 def _load_or_generate(args):
     if args.infile:
-        with open(args.infile) as fp:
+        with _open_input(args) as fp:
             return io.read_instance(fp)
     return generators.generate(
         generators.GenSpec(seed=args.seed, dimension=args.dim, depth=args.depth, p=args.p)
@@ -83,7 +91,7 @@ def _cmd_eval(args) -> int:
         inst = _load_or_generate(args)
         f = np.ones((inst.sys.num_levels, inst.sys.num_atoms))
         g = np.ones(inst.sys.num_atoms)
-        print(f"{lambda_form(inst, f, g):.17g}")
+        _emit(args, f"{lambda_form(inst, f, g):.17g}\n")
         return EXIT_OK
     rows = runner.sweep_rows(
         args.seed, args.instances, args.p, args.dim, args.depth,
@@ -98,11 +106,13 @@ def _cmd_eval(args) -> int:
 def _cmd_testing(args) -> int:
     inst = _load_or_generate(args)
     rep = testing_report(inst)
+    argmax = [c for c in (rep.forward_cube, rep.dual_cube) if c is not None]
+    named = paths(inst.sys, argmax)
     payload = {
         "T": rep.forward,
         "Tstar": rep.dual,
-        "argmax_T": path_of(inst.sys, rep.forward_cube) if rep.forward_cube else None,
-        "argmax_Tstar": path_of(inst.sys, rep.dual_cube) if rep.dual_cube else None,
+        "argmax_T": named.get(rep.forward_cube),
+        "argmax_Tstar": named.get(rep.dual_cube),
         "witness_g": rep.witness_g.tolist(),
         "witness_f": rep.witness_f.tolist(),
     }
@@ -198,7 +208,7 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     if not args.infile:
         raise GuardError("report requires --in with a CSV of rows")
-    with open(args.infile) as fp:
+    with _open_input(args) as fp:
         rows = io.read_rows(fp)
     summary = io.summarize_rows(rows)
     if args.format == "csv":

@@ -132,7 +132,7 @@ def embedding_ratio_search(
     for lin in range(sys.num_cubes):
         if masses[lin] == 0:
             continue
-        h = sys.atom_mask(sys.cube_at(lin)).astype(np.float64)
+        h = sys.atom_mask(lin).astype(np.float64)
         r, _ = consider(h)
         if indicator_best is None or r > indicator_best[0]:
             indicator_best = (r, h)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .lattice import Cube, DyadicSystem
+from .lattice import DyadicSystem
 from .measures import (
     as_scale_function,
     as_weights,
@@ -37,7 +37,7 @@ from .measures import (
 
 @dataclass(frozen=True)
 class Instance:
-    """One full problem datum.  Arrays are validated and frozen on creation."""
+    """One full problem datum.  Arrays are checked and frozen on creation."""
 
     sys: DyadicSystem
     p: float
@@ -47,7 +47,7 @@ class Instance:
     lam: np.ndarray
 
     def __post_init__(self):
-        conjugate(self.p)  # validates p
+        conjugate(self.p)  # checks p
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "sigma", _frozen(as_weights(self.sys, self.sigma)))
         object.__setattr__(self, "omega", _frozen(as_weights(self.sys, self.omega)))
@@ -77,7 +77,7 @@ def lambda_array(sys: DyadicSystem, mapping: dict[str, float]) -> np.ndarray:
     """Coefficient array from a {path: value} mapping; absent paths mean 0."""
     lam = np.zeros(sys.num_cubes, dtype=np.float64)
     for path, value in mapping.items():
-        lam[sys.linear(lattice.cube_from_path(sys, path))] = value
+        lam[lattice.cube_from_path(sys, path)] = value
     return lam
 
 
@@ -95,7 +95,7 @@ def lambda_form(inst: Instance, f: np.ndarray, g: np.ndarray) -> float:
     return ksum(inst.lam * all_box_integrals(inst, f) * all_cube_integrals(inst, g))
 
 
-def lambda_form_local(inst: Instance, top: Cube, f: np.ndarray, g: np.ndarray) -> float:
+def lambda_form_local(inst: Instance, top: int, f: np.ndarray, g: np.ndarray) -> float:
     """Same sum restricted to the subcubes of ``top``."""
     terms = inst.lam * all_box_integrals(inst, f) * all_cube_integrals(inst, g)
     return ksum(terms[inst.sys.descendant_mask(top)])
@@ -135,13 +135,11 @@ def level_test_input(inst: Instance, level: int) -> np.ndarray:
     return zero_preserving_power(s, inst.q - 2.0)[None, :] * boxed
 
 
-def test_function(inst: Instance, cube: Cube) -> np.ndarray:
+def test_function(inst: Instance, cube: int) -> np.ndarray:
     """Hoelder-optimal test input on the box of ``cube``: the level profile
     :func:`level_test_input` on the cube's atoms, zero elsewhere."""
-    level, _ = inst.sys.validate(cube)
-    return np.where(
-        inst.sys.atom_mask(cube)[None, :], level_test_input(inst, level), 0.0
-    )
+    profile = level_test_input(inst, inst.sys.level_of(cube))
+    return np.where(inst.sys.atom_mask(cube)[None, :], profile, 0.0)
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,7 @@ class PhiIdentityReport:
     max_rel_spread: float
 
 
-def phi_identity_check(inst: Instance, cube: Cube) -> PhiIdentityReport:
+def phi_identity_check(inst: Instance, cube: int) -> PhiIdentityReport:
     phi = test_function(inst, cube)
     boxed = inst.mu * inst.sys.box_mask(cube)
     s = ell2_slice(boxed)

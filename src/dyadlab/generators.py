@@ -184,7 +184,7 @@ def adversarial_family(
             lam = np.zeros(sys.num_cubes)
             cube = sys.root
             while True:
-                lam[sys.linear(cube)] = 2.0 ** (-cube.level * (theta + 0.5 * k))
+                lam[cube] = 2.0 ** (-sys.level_of(cube) * (theta + 0.5 * k))
                 ch = lattice.children(sys, cube)
                 if not ch:
                     break

@@ -62,10 +62,7 @@ def _parse_int(value, path: str) -> int:
 
 def instance_to_dict(inst: Instance) -> dict:
     sys = inst.sys
-    lam_map = {}
-    for lin in range(sys.num_cubes):
-        if inst.lam[lin] != 0.0:
-            lam_map[lattice.path_of(sys, sys.cube_at(lin))] = _fmt(inst.lam[lin])
+    named = lattice.paths(sys, np.flatnonzero(inst.lam).tolist())
     return {
         "version": SCHEMA_VERSION,
         "p": _fmt(inst.p),
@@ -74,7 +71,7 @@ def instance_to_dict(inst: Instance) -> dict:
         "sigma": [_fmt(v) for v in inst.sigma],
         "omega": [_fmt(v) for v in inst.omega],
         "mu": [[_fmt(v) for v in row] for row in inst.mu],
-        "lambda": lam_map,
+        "lambda": {path: _fmt(inst.lam[c]) for c, path in named.items()},
     }
 
 
@@ -278,22 +275,8 @@ def summary_to_csv(summary: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _member_paths(sys, family: StoppingFamily) -> dict[int, str]:
-    """Each member's path, built once: its stopping parent's path plus the
-    child codes of the cubes down to the member (members list parents first)."""
-    code, up_of, level = sys.child_code.tolist(), sys.parent_linear.tolist(), sys.cube_level.tolist()
-    paths = {family.top: lattice.path_of(sys, sys.cube_at(family.top))}
-    for m in family.members[1:]:
-        up, c, steps = family.parent[m], m, []
-        for _ in range(level[m] - level[up]):
-            steps.append(str(code[c]))
-            c = up_of[c]
-        paths[m] = "/".join(([paths[up]] if paths[up] else []) + steps[::-1])
-    return paths
-
-
 def family_to_dict(sys, family: StoppingFamily) -> dict:
-    paths = _member_paths(sys, family)
+    paths = lattice.paths(sys, family.members)
     members = []
     for m in family.members:
         entry = {"path": paths[m], "stat": family.stats[m]}

@@ -4,17 +4,17 @@ The unit cube is split dyadically down to a fixed depth ``D``.  Scale levels
 ``j = 0..D`` stand for side length ``2**-j``; the cells of the finest level are
 called atoms.  The (discretized) Carleson box of a cube ``Q`` is the set of
 pairs ``(atom, level)`` with the atom inside ``Q`` and the level at least
-``Q.level`` -- i.e. scales no coarser than the side length of ``Q``.
+that of ``Q`` -- i.e. scales no coarser than the side length of ``Q``.
 
 Atoms are enumerated in lexicographic multi-index order, cubes level-major and
-lexicographically within each level.  The tables of :class:`DyadicSystem` are
-the one definition of this layout: other modules read cells, parents,
-children and path codes off them and derive no index themselves.
+lexicographically within each level; a cube's position in that order, its
+linear id, is its only name inside the package (the root is id 0).  The
+tables of :class:`DyadicSystem` are the one definition of this layout: other
+modules read cells, parents, children and path codes off them and derive no
+index themselves.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,19 +24,12 @@ from .errors import PathError, SizeLimitError
 MAX_DEPTH = {1: 12, 2: 6, 3: 4}
 
 
-class Cube(NamedTuple):
-    """Identifier of one dyadic cube: scale level and multi-index."""
-
-    level: int
-    index: tuple[int, ...]
-
-
 class DyadicSystem:
     """Immutable indexing tables for one (dimension, depth) lattice.
 
     The heavy lifting elsewhere in the package happens on flat numpy arrays:
     weights are indexed by atom id, cube data by the linear cube id (level
-    major).  This class owns the conversion tables and is safe to share
+    major).  This class owns the index tables and is safe to share
     between threads; nothing mutates it after construction.
     """
 
@@ -57,7 +50,6 @@ class DyadicSystem:
         self.num_cubes = int(self.level_offset[-1])
 
         self.cube_level = np.repeat(np.arange(self.num_levels), counts)
-        self.cube_local = np.concatenate([np.arange(c) for c in counts])
 
         # Atom digits: multi-index per coordinate, shape (dimension, num_atoms).
         side = 1 << self.depth
@@ -97,65 +89,40 @@ class DyadicSystem:
         ):
             table.flags.writeable = False
 
-    # -- identifier conversions -------------------------------------------
+    # -- cube ids ---------------------------------------------------------
 
-    @property
-    def root(self) -> Cube:
-        return Cube(0, (0,) * self.dimension)
+    root = 0
 
-    def validate(self, cube: Cube) -> Cube:
-        level, index = cube
-        if not (0 <= level <= self.depth):
-            raise IndexError(f"cube level {level} outside [0, {self.depth}]")
-        if len(index) != self.dimension:
-            raise IndexError(f"cube index {index} has wrong arity")
-        if any(not (0 <= m < (1 << level)) for m in index):
-            raise IndexError(f"cube index {index} outside [0, 2^{level})")
-        return Cube(int(level), tuple(int(m) for m in index))
-
-    def linear(self, cube: Cube) -> int:
-        """Linear id of a cube in level-major enumeration order."""
-        level, index = self.validate(cube)
-        local = int(
-            np.ravel_multi_index(index, (1 << level,) * self.dimension)
-        )
-        return int(self.level_offset[level]) + local
-
-    def cube_at(self, lin: int) -> Cube:
-        if not (0 <= lin < self.num_cubes):
-            raise IndexError(f"cube id {lin} outside [0, {self.num_cubes})")
-        level = int(self.cube_level[lin])
-        local = int(self.cube_local[lin])
-        index = np.unravel_index(local, (1 << level,) * self.dimension)
-        return Cube(level, tuple(int(m) for m in index))
+    def level_of(self, cube: int) -> int:
+        """Level of a cube id; the one range check on cube ids."""
+        if not 0 <= cube < self.num_cubes:
+            raise IndexError(f"cube id {cube} outside [0, {self.num_cubes})")
+        return int(self.cube_level[cube])
 
     # -- containment ------------------------------------------------------
 
-    def atom_mask(self, cube: Cube) -> np.ndarray:
+    def atom_mask(self, cube: int) -> np.ndarray:
         """Boolean mask over atoms: which atoms lie inside ``cube``."""
-        lin = self.linear(cube)
-        return self.cell_cube[self.cube_level[lin]] == lin
+        return self.cell_cube[self.level_of(cube)] == cube
 
-    def atoms_of(self, cube: Cube) -> np.ndarray:
+    def atoms_of(self, cube: int) -> np.ndarray:
         return np.flatnonzero(self.atom_mask(cube))
 
-    def contains(self, cube: Cube, atom: int) -> bool:
+    def contains(self, cube: int, atom: int) -> bool:
         if not (0 <= atom < self.num_atoms):
             raise IndexError(f"atom id {atom} outside [0, {self.num_atoms})")
         return bool(self.atom_mask(cube)[atom])
 
-    def box_mask(self, cube: Cube) -> np.ndarray:
+    def box_mask(self, cube: int) -> np.ndarray:
         """Boolean mask of shape (levels, atoms) for the Carleson box."""
-        level, _ = self.validate(cube)
         mask = np.zeros((self.num_levels, self.num_atoms), dtype=bool)
-        mask[level:, :] = self.atom_mask(cube)
+        mask[self.level_of(cube):, :] = self.atom_mask(cube)
         return mask
 
-    def descendant_mask(self, cube: Cube) -> np.ndarray:
-        """Boolean mask over linear cube ids: all subcubes of ``cube`` (incl. itself)."""
-        level, _ = self.validate(cube)
+    def descendant_mask(self, cube: int) -> np.ndarray:
+        """Boolean mask over cube ids: all subcubes of ``cube`` (incl. itself)."""
         mask = np.zeros(self.num_cubes, dtype=bool)
-        mask[self.cell_cube[level:, self.atom_mask(cube)]] = True
+        mask[self.cell_cube[self.level_of(cube):, self.atom_mask(cube)]] = True
         return mask
 
 
@@ -164,29 +131,28 @@ def build_system(dimension: int, depth: int) -> DyadicSystem:
     return DyadicSystem(dimension, depth)
 
 
-def children(sys: DyadicSystem, cube: Cube) -> list[Cube]:
+def children(sys: DyadicSystem, cube: int) -> list[int]:
     """The 2**dimension children, in lexicographic multi-index order."""
-    lin = sys.linear(cube)
-    if sys.cube_level[lin] == sys.depth:
+    if sys.level_of(cube) == sys.depth:
         return []
-    return [sys.cube_at(c) for c in sys.child_linear[lin].tolist()]
+    return sys.child_linear[cube].tolist()
 
 
-def box_members(sys: DyadicSystem, cube: Cube) -> set[tuple[int, int]]:
+def box_members(sys: DyadicSystem, cube: int) -> set[tuple[int, int]]:
     """The Carleson box of ``cube`` as a set of (atom, level) pairs."""
-    level, _ = sys.validate(cube)
     atoms = sys.atoms_of(cube)
-    return {(int(a), j) for j in range(level, sys.num_levels) for a in atoms}
+    return {(int(a), j) for j in range(sys.level_of(cube), sys.num_levels) for a in atoms}
 
 
 # -- path grammar ----------------------------------------------------------
 #
 # A path is the child-code string from the root, codes separated by "/";
 # the empty string is the root.  Bit i of a code is the offset of the child
-# in coordinate i.
+# in coordinate i.  Paths name cubes outside the package, ids inside it:
+# ``cube_from_path`` and ``paths`` are the two conversions.
 
 
-def cube_from_path(sys: DyadicSystem, path: str) -> Cube:
+def cube_from_path(sys: DyadicSystem, path: str) -> int:
     if path == "":
         return sys.root
     index = [0] * sys.dimension
@@ -204,15 +170,29 @@ def cube_from_path(sys: DyadicSystem, path: str) -> Cube:
             )
         for i in range(sys.dimension):
             index[i] = (index[i] << 1) | ((code >> i) & 1)
-    return Cube(len(parts), tuple(index))
+    # the lexicographic local index, as in ``DyadicSystem.ancestor_local``
+    level = len(parts)
+    return int(sys.level_offset[level]) + sum(
+        m << (level * (sys.dimension - 1 - i)) for i, m in enumerate(index)
+    )
 
 
-def path_of(sys: DyadicSystem, cube: Cube) -> str:
-    lin, codes = sys.linear(cube), []
-    while lin > 0:  # the root is cube 0
-        codes.append(str(sys.child_code[lin]))
-        lin = sys.parent_linear[lin]
-    return "/".join(codes[::-1])
+def paths(sys: DyadicSystem, cubes) -> dict[int, str]:
+    """The path of each id in ``cubes``, in their order.  A path is its
+    parent's path plus the cube's child code; each is built once."""
+    code, up = sys.child_code.tolist(), sys.parent_linear.tolist()
+    memo, out = {sys.root: ""}, {}
+    for cube in cubes:
+        sys.level_of(cube)  # the range check: a list would wrap -1
+        chain, c = [], cube
+        while c not in memo:
+            chain.append(c)
+            c = up[c]
+        for c in reversed(chain):
+            above = memo[up[c]]
+            memo[c] = f"{above}/{code[c]}" if above else str(code[c])
+        out[cube] = memo[cube]
+    return out
 
 
 # -- tree aggregations -----------------------------------------------------
@@ -236,7 +216,7 @@ def cube_sums(sys: DyadicSystem, atom_values: np.ndarray) -> np.ndarray:
 def box_sums(sys: DyadicSystem, cell_values: np.ndarray) -> np.ndarray:
     """Per-cube Carleson-box sums of a (levels, atoms) array.
 
-    out[Q] = sum of values over the pairs (atom in Q, level >= Q.level).
+    out[Q] = sum of values over the pairs (atom in Q, level >= level of Q).
     """
     w = np.asarray(cell_values, dtype=np.float64)
     suffix = np.cumsum(w[::-1], axis=0)[::-1]

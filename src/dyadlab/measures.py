@@ -1,7 +1,7 @@
 """Discrete weights, scale functions, mixed and scalar norms, their Hoelder
 norming maps, box integrals.
 
-Three array shapes carry all function data:
+Two array shapes carry all function data:
 
 * weights / atom functions: shape ``(atoms,)``,
 * scale functions: shape ``(levels, atoms)`` -- one row per scale level.
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .lattice import Cube, DyadicSystem
+from .lattice import DyadicSystem
 
 
 def ksum(values) -> float:
@@ -49,7 +49,7 @@ def conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _validated(values, shape, what: str) -> np.ndarray:
+def _checked(values, shape, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
@@ -61,11 +61,11 @@ def _validated(values, shape, what: str) -> np.ndarray:
 
 
 def as_weights(sys: DyadicSystem, values) -> np.ndarray:
-    return _validated(values, (sys.num_atoms,), "weights")
+    return _checked(values, (sys.num_atoms,), "weights")
 
 
 def as_scale_function(sys: DyadicSystem, values) -> np.ndarray:
-    return _validated(values, (sys.num_levels, sys.num_atoms), "scale function")
+    return _checked(values, (sys.num_levels, sys.num_atoms), "scale function")
 
 
 def zero_preserving_power(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -123,10 +123,10 @@ def mixed_norming(k: np.ndarray, sigma: np.ndarray, p: float):
 
 
 def box_integral(
-    sys: DyadicSystem, f: np.ndarray, mu: np.ndarray, sigma: np.ndarray, cube: Cube
+    sys: DyadicSystem, f: np.ndarray, mu: np.ndarray, sigma: np.ndarray, cube: int
 ) -> float:
     """Weighted pairing of f and mu over the Carleson box of ``cube``."""
-    level, _ = sys.validate(cube)
+    level = sys.level_of(cube)
     am = sys.atom_mask(cube)
     f = np.asarray(f, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
@@ -134,16 +134,16 @@ def box_integral(
     return ksum(block * np.asarray(sigma)[am])
 
 
-def cube_integral(sys: DyadicSystem, g: np.ndarray, w: np.ndarray, cube: Cube) -> float:
+def cube_integral(sys: DyadicSystem, g: np.ndarray, w: np.ndarray, cube: int) -> float:
     am = sys.atom_mask(cube)
     return ksum((np.asarray(w) * np.asarray(g))[am])
 
 
-def mass(sys: DyadicSystem, w: np.ndarray, cube: Cube) -> float:
+def mass(sys: DyadicSystem, w: np.ndarray, cube: int) -> float:
     return ksum(np.asarray(w)[sys.atom_mask(cube)])
 
 
-def average(sys: DyadicSystem, g: np.ndarray, w: np.ndarray, cube: Cube) -> float:
+def average(sys: DyadicSystem, g: np.ndarray, w: np.ndarray, cube: int) -> float:
     """Weighted average over a cube; zero when the cube carries no mass."""
     m = mass(sys, w, cube)
     if m == 0.0:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import lattice
 from .forms import Instance, all_box_integrals, all_cube_integrals, level_test_input
-from .lattice import Cube, DyadicSystem
+from .lattice import DyadicSystem
 from .measures import average, conjugate, ksum
 
 
@@ -66,12 +66,13 @@ def _level_sweep(
     once, against its owner (its nearest strict-ancestor member):
     ``triggered(cubes, owners)`` marks the cubes that become members.
     """
+    steps = sys.depth - sys.level_of(top)
     is_member = np.zeros(sys.num_cubes, dtype=bool)
     owner = np.zeros(sys.num_cubes, dtype=np.intp)
     is_member[top] = True
     cubes = np.array([top])
     found: list[int] = []
-    for _ in range(sys.depth - int(sys.cube_level[top])):
+    for _ in range(steps):
         up = np.repeat(cubes, 1 << sys.dimension)
         cubes = sys.child_linear[cubes].ravel()
         owner[cubes] = np.where(is_member[up], up, owner[up])
@@ -89,23 +90,22 @@ def _level_sweep(
     return members, children, {c: m for m in members for c in children[m]}
 
 
-def build_average_family(inst: Instance, top: Cube, g: np.ndarray) -> StoppingFamily:
+def build_average_family(inst: Instance, top: int, g: np.ndarray) -> StoppingFamily:
     """Average-stopping family for an atom function, threshold factor 2."""
     sys = inst.sys
     masses = lattice.cube_sums(sys, inst.omega)
     integrals = all_cube_integrals(inst, g)
     avg = np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
 
-    top_lin = sys.linear(top)
     members, children, parents = _level_sweep(
-        sys, top_lin, lambda cubes, owners: avg[cubes] > 2.0 * avg[owners]
+        sys, top, lambda cubes, owners: avg[cubes] > 2.0 * avg[owners]
     )
     stats = {m: float(avg[m]) for m in members}
-    return StoppingFamily("average", top_lin, tuple(members), children, parents, stats)
+    return StoppingFamily("average", top, tuple(members), children, parents, stats)
 
 
 def build_ratio_family(
-    inst: Instance, top: Cube, f: np.ndarray, A: float | None = None
+    inst: Instance, top: int, f: np.ndarray, A: float | None = None
 ) -> StoppingFamily:
     """Ratio-stopping family for a scale function.
 
@@ -143,14 +143,13 @@ def build_ratio_family(
         calibrated = np.divide(num[cubes], den, out=np.zeros_like(den), where=den > 0)
         return (den > 0) & (calibrated > A * ratio[owners])
 
-    top_lin = sys.linear(top)
-    members, children, parents = _level_sweep(sys, top_lin, triggered)
+    members, children, parents = _level_sweep(sys, top, triggered)
     levels = sys.cube_level[members].tolist()
     phi_mass = {m: float(den_at(level)[m]) for m, level in zip(members, levels)}
     stats = {m: float(ratio[m]) for m in members}  # den_at filled every member level
     return StoppingFamily(
         "ratio",
-        top_lin,
+        top,
         tuple(members),
         children,
         parents,
@@ -221,7 +220,7 @@ def cross_children(
     out = []
     for c in family.children[member]:
         if proj[c] < 0:
-            raise ValueError(f"cube {sys.cube_at(c)} lies outside the family top")
+            raise ValueError(f"cube {lattice.paths(sys, [c])[c]!r} lies outside the family top")
         # proj and member both contain c, so they nest: proj lies inside
         # member exactly when it is no coarser
         if sys.cube_level[proj[c]] >= level:
@@ -255,7 +254,7 @@ def collapse_scale_function(
             profiles[level] = (phi, all_box_integrals(inst, phi))
         phi, den = profiles[level]
         coeff = num[c] / den[c] if den[c] > 0 else 0.0
-        out = out + coeff * (phi * sys.box_mask(sys.cube_at(c)))
+        out = out + coeff * (phi * sys.box_mask(c))
     return out
 
 
@@ -273,8 +272,7 @@ def collapse_atom_function(
     sys = inst.sys
     out = g * (cell_projection(sys, ratio_family)[-1] == member)
     for c in cross_children(sys, ratio_family, avg_family, member):
-        cube = sys.cube_at(c)
-        out = out + average(sys, g, inst.omega, cube) * sys.atom_mask(cube)
+        out = out + average(sys, g, inst.omega, c) * sys.atom_mask(c)
     return out
 
 

@@ -42,14 +42,13 @@ import numpy as np
 
 from . import lattice
 from .forms import Instance, all_box_integrals, level_test_input
-from .lattice import Cube
 from .measures import ell2_slice, group_ksum, lp_norming, mixed_norming
 
 
 @dataclass(frozen=True)
 class TestingSide:
     value: float
-    cube: Cube | None
+    cube: int | None
     witness: np.ndarray  # atom function (forward) or scale function (dual)
 
 
@@ -57,8 +56,8 @@ class TestingSide:
 class TestingReport:
     forward: float
     dual: float
-    forward_cube: Cube | None
-    dual_cube: Cube | None
+    forward_cube: int | None
+    dual_cube: int | None
     witness_g: np.ndarray
     witness_f: np.ndarray
 
@@ -88,7 +87,7 @@ def _select(sys, exponent: float, num_terms, den_terms, skip: np.ndarray):
     sure = np.all((scanned >= _TINY) & (scanned < np.inf), axis=0)
     top = ratio[viable & sure].max(initial=0.0)
     picks = viable & (~sure | (ratio >= (1.0 - RESELECT_MARGIN) * top))
-    best, best_lin = 0.0, None
+    best, best_cube = 0.0, None
     for level in range(sys.num_levels):
         lo = int(sys.level_offset[level])
         local = np.flatnonzero(picks[lo : sys.level_offset[level + 1]])
@@ -101,8 +100,8 @@ def _select(sys, exponent: float, num_terms, den_terms, skip: np.ndarray):
         for i, num, den in zip(local.tolist(), nums, dens):
             r = num ** (1.0 / exponent) / den ** (1.0 / exponent)
             if r > best:
-                best, best_lin = r, lo + i
-    return best, None if best_lin is None else sys.cube_at(best_lin)
+                best, best_cube = r, lo + i
+    return best, best_cube
 
 
 def forward_testing_constant(inst: Instance) -> TestingSide:
@@ -121,7 +120,7 @@ def forward_testing_constant(inst: Instance) -> TestingSide:
     best, cube = _select(sys, inst.p, num_terms, den_terms, skip)
     if cube is None:
         return TestingSide(0.0, None, np.zeros(sys.num_atoms))
-    h = np.where(sys.atom_mask(cube), rows[cube.level], 0.0)
+    h = np.where(sys.atom_mask(cube), rows[sys.level_of(cube)], 0.0)
     return TestingSide(best, cube, lp_norming(h, inst.omega, inst.p)[0])
 
 
@@ -142,7 +141,7 @@ def dual_testing_constant(inst: Instance) -> TestingSide:
     best, cube = _select(sys, inst.q, num_terms, [inst.omega] * sys.num_levels, skip)
     if cube is None:
         return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)))
-    running = lattice.chain_running(sys, contrib, start_level=cube.level)
+    running = lattice.chain_running(sys, contrib, start_level=sys.level_of(cube))
     kernel = inst.mu * running * sys.atom_mask(cube)[None, :]
     return TestingSide(best, cube, mixed_norming(kernel, inst.sigma, inst.p)[0])
 

@@ -8,6 +8,7 @@ set: no timings, no environment data.
 
 from __future__ import annotations
 
+import io as _io
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,11 @@ class _Suite:
             self.results.append(CheckResult(name, True, f"checked={checked}"))
 
 
+def _at(sys, cube: int) -> str:
+    """A cube named for a failure detail: by its path."""
+    return f"cube {lattice.paths(sys, [cube])[cube]!r}"
+
+
 def _rel(a: float, b: float) -> float:
     scale = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / scale
@@ -134,23 +140,22 @@ def run_suite(
 def _check_lattice(s: _Suite):
     fails, checked = [], 0
     sys = s.instances[0].sys if s.instances else generators.worked_instances()["w1"].sys
-    for lin in range(sys.num_cubes):
-        cube = sys.cube_at(lin)
+    for cube in range(sys.num_cubes):
         box = lattice.box_members(sys, cube)
-        own = {(int(a), cube.level) for a in sys.atoms_of(cube)}
+        own = {(int(a), sys.level_of(cube)) for a in sys.atoms_of(cube)}
         rest = set()
         for child in lattice.children(sys, cube):
             rest |= lattice.box_members(sys, child)
         checked += 1
         if box != own | rest or own & rest:
-            fails.append((None, f"box partition broken at {cube}"))
+            fails.append((None, f"box partition broken at {_at(sys, cube)}"))
     s.record("lattice-box-partition", fails, checked)
 
     fails, checked = [], 0
     rng = generators.philox(s.seed, 100)
     for _ in range(50):
         a = int(rng.integers(sys.num_atoms))
-        chain = [sys.cube_at(lin) for lin in range(sys.num_cubes) if sys.contains(sys.cube_at(lin), a)]
+        chain = [cube for cube in range(sys.num_cubes) if sys.contains(cube, a)]
         checked += 1
         ordered = all(
             set(sys.atoms_of(chain[i + 1])) <= set(sys.atoms_of(chain[i]))
@@ -177,8 +182,7 @@ def _check_measures(s: _Suite):
     fails, checked = [], 0
     for inst, f, g in s.draws:
         sys = inst.sys
-        for lin in range(0, sys.num_cubes, max(1, sys.num_cubes // 8)):
-            cube = sys.cube_at(lin)
+        for cube in range(0, sys.num_cubes, max(1, sys.num_cubes // 8)):
             bm = sys.box_mask(cube)
             lhs = box_integral(sys, f, inst.mu, inst.sigma, cube)
             rhs = mixed_norm(f * bm, inst.sigma, inst.p) * mixed_norm(
@@ -186,7 +190,7 @@ def _check_measures(s: _Suite):
             )
             checked += 1
             if lhs > rhs * (1 + 1e-12):
-                fails.append((inst, f"Hoelder violated at {cube}"))
+                fails.append((inst, f"Hoelder violated at {_at(sys, cube)}"))
     s.record("box-integral-hoelder", fails, checked)
 
     fails, checked = [], 0
@@ -217,8 +221,8 @@ def _check_forms(s: _Suite):
 
     fails, checked = [], 0
     for inst in s.instances + s.fixtures:
-        for lin in range(inst.sys.num_cubes):
-            rep = phi_identity_check(inst, inst.sys.cube_at(lin))
+        for cube in range(inst.sys.num_cubes):
+            rep = phi_identity_check(inst, cube)
             checked += 1
             if rep.max_rel_spread > 1e-10:
                 fails.append((inst, f"identity chain spread {rep.max_rel_spread:.2e}"))
@@ -260,16 +264,15 @@ def _check_testing(s: _Suite):
                 fails.append((inst, f"dual witness off: {attained} vs {target}"))
         # random testing-type ratios never beat the constants
         best = max(rep.forward, rep.dual)
-        for lin in range(0, inst.sys.num_cubes, max(1, inst.sys.num_cubes // 4)):
-            cube = inst.sys.cube_at(lin)
+        for cube in range(0, inst.sys.num_cubes, max(1, inst.sys.num_cubes // 4)):
             phi = test_function(inst, cube)
             d1 = mixed_norm(phi, inst.sigma, inst.p) * lp_norm(g, inst.omega, conjugate(inst.p))
             if d1 > 0 and lambda_form_local(inst, cube, phi, g) > best * d1 * (1 + 1e-12):
-                fails.append((inst, f"forward ratio beats constant at {cube}"))
+                fails.append((inst, f"forward ratio beats constant at {_at(inst.sys, cube)}"))
             ind = inst.sys.atom_mask(cube).astype(float)
             d2 = mixed_norm(f, inst.sigma, inst.p) * lp_norm(ind, inst.omega, conjugate(inst.p))
             if d2 > 0 and lambda_form_local(inst, cube, f, ind) > best * d2 * (1 + 1e-12):
-                fails.append((inst, f"dual ratio beats constant at {cube}"))
+                fails.append((inst, f"dual ratio beats constant at {_at(inst.sys, cube)}"))
     s.record("testing-witness-attainment", fails, checked)
 
     fails, checked = [], 0
@@ -293,9 +296,8 @@ def _check_stopping(s: _Suite):
         ffam = build_ratio_family(inst, sys.root, f)
         fproj = projection(sys, ffam)
         a_const, _ = default_ratio_constants(inst.p)
-        for lin in range(0, sys.num_cubes, max(1, sys.num_cubes // 6)):
-            cube = sys.cube_at(lin)
-            member = sys.cube_at(int(fproj[lin]))
+        for cube in range(0, sys.num_cubes, max(1, sys.num_cubes // 6)):
+            member = int(fproj[cube])
             phi = test_function(inst, member)
             den_q = box_integral(sys, phi, inst.mu, inst.sigma, cube)
             num_q = box_integral(sys, f, inst.mu, inst.sigma, cube)
@@ -304,7 +306,7 @@ def _check_stopping(s: _Suite):
             lhs = num_q / den_q if den_q > 0 else 0.0
             rhs = a_const * (num_m / den_m if den_m > 0 else 0.0)
             if lhs > rhs * (1 + 1e-12):
-                fails_p.append((inst, f"stopping bound broken at {cube}"))
+                fails_p.append((inst, f"stopping bound broken at {_at(sys, cube)}"))
         if inst.p >= 2.0:
             # the geometric mass decay is a consequence of the default
             # constants only in the p >= 2 regime
@@ -328,29 +330,28 @@ def _check_stopping(s: _Suite):
         ffam = build_ratio_family(inst, sys.root, f)
         fproj, gproj = projection(sys, ffam), projection(sys, gfam)
         collapsed_f, collapsed_g = {}, {}  # one collapse per member
-        for lin in range(sys.num_cubes):
-            cube = sys.cube_at(lin)
-            fkey, gkey = int(fproj[lin]), int(gproj[lin])
-            fm, gm = sys.cube_at(fkey), sys.cube_at(gkey)
-            fa, ga = set(sys.atoms_of(fm)), set(sys.atoms_of(gm))
+        for cube in range(sys.num_cubes):
+            fkey, gkey = int(fproj[cube]), int(gproj[cube])
+            fa, ga = set(sys.atoms_of(fkey)), set(sys.atoms_of(gkey))
             checked += 1
             if not (fa <= ga or ga <= fa):
-                fails.append((inst, f"projections not nested at {cube}"))
+                fails.append((inst, f"projections not nested at {_at(sys, cube)}"))
                 continue
-            if fm.level >= gm.level and fm != gm:  # f-member strictly inside g-member
+            f_level, g_level = sys.level_of(fkey), sys.level_of(gkey)
+            if f_level >= g_level and fkey != gkey:  # f-member strictly inside g-member
                 if gkey not in collapsed_f:
                     collapsed_f[gkey] = collapse_scale_function(inst, f, gfam, ffam, gkey)
                 a = box_integral(sys, f, inst.mu, inst.sigma, cube)
                 b = box_integral(sys, collapsed_f[gkey], inst.mu, inst.sigma, cube)
                 if _rel(a, b) > 1e-12:
-                    fails.append((inst, f"scale collapse changes box mass at {cube}"))
-            if gm.level >= fm.level:  # g-member inside f-member (or equal)
+                    fails.append((inst, f"scale collapse changes box mass at {_at(sys, cube)}"))
+            if g_level >= f_level:  # g-member inside f-member (or equal)
                 if fkey not in collapsed_g:
                     collapsed_g[fkey] = collapse_atom_function(inst, g, gfam, ffam, fkey)
                 a = cube_integral(sys, g, inst.omega, cube)
                 b = cube_integral(sys, collapsed_g[fkey], inst.omega, cube)
                 if _rel(a, b) > 1e-12:
-                    fails.append((inst, f"atom collapse changes cube mass at {cube}"))
+                    fails.append((inst, f"atom collapse changes cube mass at {_at(sys, cube)}"))
     s.record("collapse-substitution-identities", fails, checked)
 
 
@@ -445,8 +446,6 @@ def _check_normest(s: _Suite):
 
 
 def _check_io(s: _Suite):
-    import io as _io
-
     fails, checked = [], 0
     for inst in s.instances[:10] + s.fixtures:
         buf = _io.StringIO()

@@ -13,13 +13,16 @@ only tests call, among them the parent-walking ``project`` that
 ``stopping.projection`` replaced, and the multi-index derivations of parents,
 children, paths, subcube masks and the dense form kernel that the
 ``lattice.DyadicSystem`` tables replaced; the BFS builders and the path-based
-family writer use those, not the tables they check.
+family writer use those, not the tables they check.  They name a cube by the
+``Cube(level, index)`` tuple the package used before the linear id became a
+cube's only name, converted with copies of the package's old ``linear`` and
+``cube_at``.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,8 +41,51 @@ from dyadlab.stopping import (
     cross_children,
     default_ratio_constants,
 )
-from dyadlab.lattice import Cube, DyadicSystem
+from dyadlab.lattice import DyadicSystem
 from dyadlab.testing_constants import TestingSide
+
+
+# -- the multi-index cube identifier ---------------------------------------
+#
+# The package names a cube by its linear id only.  These are the identifier
+# and the conversions it had before, kept as they were (``cube_at`` computes
+# the local index from ``level_offset``, the table it used is gone).
+
+
+class Cube(NamedTuple):
+    """Identifier of one dyadic cube: scale level and multi-index."""
+
+    level: int
+    index: tuple[int, ...]
+
+
+def validate(sys, cube: Cube) -> Cube:
+    level, index = cube
+    if not (0 <= level <= sys.depth):
+        raise IndexError(f"cube level {level} outside [0, {sys.depth}]")
+    if len(index) != sys.dimension:
+        raise IndexError(f"cube index {index} has wrong arity")
+    if any(not (0 <= m < (1 << level)) for m in index):
+        raise IndexError(f"cube index {index} outside [0, 2^{level})")
+    return Cube(int(level), tuple(int(m) for m in index))
+
+
+def linear(sys, cube: Cube) -> int:
+    """Linear id of a cube in level-major enumeration order."""
+    level, index = validate(sys, cube)
+    local = int(
+        np.ravel_multi_index(index, (1 << level,) * sys.dimension)
+    )
+    return int(sys.level_offset[level]) + local
+
+
+def cube_at(sys, lin: int) -> Cube:
+    if not (0 <= lin < sys.num_cubes):
+        raise IndexError(f"cube id {lin} outside [0, {sys.num_cubes})")
+    level = int(sys.cube_level[lin])
+    local = lin - int(sys.level_offset[level])
+    index = np.unravel_index(local, (1 << level,) * sys.dimension)
+    return Cube(level, tuple(int(m) for m in index))
 
 
 def atom_digits(n, depth, atom):
@@ -195,7 +241,7 @@ def parent_table(sys):
 
 def descendant_mask(sys, cube):
     """Boolean mask over linear cube ids: all subcubes of ``cube`` (incl. itself)."""
-    level, index = sys.validate(cube)
+    level, index = validate(sys, cube)
     local = np.ravel_multi_index(index, (1 << level,) * sys.dimension)
     mask = np.zeros(sys.num_cubes, dtype=bool)
     for j in range(level, sys.num_levels):
@@ -209,7 +255,7 @@ def descendant_mask(sys, cube):
 
 def children(sys, cube):
     """The 2**dimension children, in lexicographic multi-index order."""
-    level, index = sys.validate(cube)
+    level, index = validate(sys, cube)
     if level == sys.depth:
         return []
     out = []
@@ -221,7 +267,7 @@ def children(sys, cube):
 
 
 def path_of(sys, cube):
-    level, index = sys.validate(cube)
+    level, index = validate(sys, cube)
     codes = []
     for step in range(1, level + 1):
         code = 0
@@ -265,27 +311,27 @@ def form_kernel(inst) -> np.ndarray:
 
 def parent(sys: DyadicSystem, cube: Cube) -> Optional[Cube]:
     """Parent cube, or None for the root."""
-    lin = sys.linear(cube)
+    lin = linear(sys, cube)
     up = int(sys.parent_linear[lin])
-    return None if up < 0 else sys.cube_at(up)
+    return None if up < 0 else cube_at(sys, up)
 
 
-def project(sys: DyadicSystem, family: StoppingFamily, cube: Cube) -> Cube:
+def project(sys: DyadicSystem, family: StoppingFamily, cube: int) -> int:
     """Smallest family member containing ``cube``, by walking up the parents
     (the package reads it off ``stopping.projection``)."""
-    lin = sys.linear(cube)
+    lin = cube
     top_level = int(sys.cube_level[family.top])
     while True:
         if lin in family.children:  # keyed by every member
-            return sys.cube_at(lin)
+            return lin
         if int(sys.cube_level[lin]) <= top_level:
-            raise ValueError(f"cube {cube} lies outside the family top")
+            raise ValueError(f"cube {cube_at(sys, cube)} lies outside the family top")
         lin = int(sys.parent_linear[lin])
 
 
 def subcubes(sys, cube):
     """All subcubes of ``cube`` including itself, level-major lexicographic."""
-    level, index = sys.validate(cube)
+    level, index = validate(sys, cube)
     out = []
     for j in range(level, sys.num_levels):
         shift = j - level
@@ -294,13 +340,13 @@ def subcubes(sys, cube):
         stacked = np.stack([g.ravel() for g in grids], axis=1)
         # meshgrid ij order == lexicographic over the multi-index
         for row in stacked:
-            out.append(lattice.Cube(j, tuple(int(v) for v in row)))
+            out.append(Cube(j, tuple(int(v) for v in row)))
     return out
 
 
 def apply_box_operator_local(inst, top, f):
     """Box operator with the cube sum restricted to subcubes of ``top``."""
-    level, _ = inst.sys.validate(top)
+    level = inst.sys.level_of(top)
     contrib = inst.lam * all_box_integrals(inst, f)
     running = lattice.chain_running(inst.sys, contrib, start_level=level)
     return running[inst.sys.depth] * inst.sys.atom_mask(top)
@@ -308,15 +354,14 @@ def apply_box_operator_local(inst, top, f):
 
 def bracket_average(inst, f, cube):
     """Box mass of f calibrated by the cube's own test input; 0/0 -> 0."""
-    lin = inst.sys.linear(cube)
-    num = all_box_integrals(inst, f)[lin]
-    level = int(inst.sys.cube_level[lin])
-    den = all_box_integrals(inst, level_test_input(inst, level))[lin]
+    num = all_box_integrals(inst, f)[cube]
+    level = inst.sys.level_of(cube)
+    den = all_box_integrals(inst, level_test_input(inst, level))[cube]
     return num / den if den > 0 else 0.0
 
 
 def member_cubes(sys, family):
-    return [sys.cube_at(m) for m in family.members]
+    return [cube_at(sys, m) for m in family.members]
 
 
 # -- per-cube testing-constant loops ---------------------------------------
@@ -350,14 +395,13 @@ def norming_scale_function(k: np.ndarray, sigma: np.ndarray, p: float, q: float)
 def forward_testing_constant_loop(inst):
     sys = inst.sys
     best, best_cube, best_witness = 0.0, None, np.zeros(sys.num_atoms)
-    for lin in range(sys.num_cubes):
-        cube = sys.cube_at(lin)
+    for cube in range(sys.num_cubes):
         phi = test_function(inst, cube)
         phinorm = measures.mixed_norm(phi, inst.sigma, inst.p)
         if phinorm == 0.0:
             continue
         contrib = inst.lam * all_box_integrals(inst, phi)
-        running = lattice.chain_running(sys, contrib, start_level=cube.level)
+        running = lattice.chain_running(sys, contrib, start_level=sys.level_of(cube))
         h = running[sys.depth] * sys.atom_mask(cube)
         ratio = measures.lp_norm(h, inst.omega, inst.p) / phinorm
         if ratio > best:
@@ -369,9 +413,8 @@ def forward_testing_constant_loop(inst):
 def dual_kernel(inst, cube):
     """Scale-function kernel representing f -> localized form of (f, 1_cube)."""
     sys = inst.sys
-    level, _ = sys.validate(cube)
     contrib = inst.lam * lattice.cube_sums(sys, inst.omega)
-    running = lattice.chain_running(sys, contrib, start_level=level)
+    running = lattice.chain_running(sys, contrib, start_level=sys.level_of(cube))
     return inst.mu * running * sys.atom_mask(cube)[None, :]
 
 
@@ -379,8 +422,7 @@ def dual_testing_constant_loop(inst):
     sys = inst.sys
     best, best_cube = 0.0, None
     best_witness = np.zeros((sys.num_levels, sys.num_atoms))
-    for lin in range(sys.num_cubes):
-        cube = sys.cube_at(lin)
+    for cube in range(sys.num_cubes):
         denom = measures.mass(sys, inst.omega, cube) ** (1.0 / inst.q)
         if denom == 0.0:
             continue
@@ -395,8 +437,8 @@ def dual_testing_constant_loop(inst):
 # -- stopping families by per-member BFS -----------------------------------
 #
 # The package builds both families with one top-down level sweep and writes
-# family JSON with one path per member.  These are the per-member BFS
-# builders and the ``path_of``-per-reference writer they replaced; tests
+# family and instance JSON with one path per cube.  These are the per-member
+# BFS builders and the ``path_of``-per-reference writers they replaced; tests
 # compare the two bit for bit.
 
 
@@ -404,7 +446,7 @@ def _scan_maximal(sys, member, trigger):
     """Maximal strict subcubes of ``member`` satisfying ``trigger``, BFS."""
     found = []
     queue = deque(
-        sys.linear(c) for c in children(sys, sys.cube_at(member))
+        linear(sys, c) for c in children(sys, cube_at(sys, member))
     )
     while queue:
         lin = queue.popleft()
@@ -412,7 +454,7 @@ def _scan_maximal(sys, member, trigger):
             found.append(lin)
         else:
             queue.extend(
-                sys.linear(c) for c in children(sys, sys.cube_at(lin))
+                linear(sys, c) for c in children(sys, cube_at(sys, lin))
             )
     return found
 
@@ -423,11 +465,10 @@ def build_average_family_bfs(inst, top, g):
     integrals = all_cube_integrals(inst, g)
     avg = np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
 
-    top_lin = sys.linear(top)
-    members = [top_lin]
+    members = [top]
     children = {}
     parents = {}
-    queue = deque([top_lin])
+    queue = deque([top])
     while queue:
         member = queue.popleft()
         threshold = 2.0 * avg[member]
@@ -438,7 +479,7 @@ def build_average_family_bfs(inst, top, g):
             members.append(c)
         queue.extend(ch)
     stats = {m: float(avg[m]) for m in members}
-    return StoppingFamily("average", top_lin, tuple(members), children, parents, stats)
+    return StoppingFamily("average", top, tuple(members), children, parents, stats)
 
 
 def build_ratio_family_bfs(inst, top, f, A=None):
@@ -449,13 +490,12 @@ def build_ratio_family_bfs(inst, top, f, A=None):
     num = all_box_integrals(inst, f)
     dens = {}
 
-    top_lin = sys.linear(top)
-    members = [top_lin]
+    members = [top]
     children = {}
     parents = {}
     stats = {}
     phi_mass = {}
-    queue = deque([top_lin])
+    queue = deque([top])
     while queue:
         member = queue.popleft()
         level = int(sys.cube_level[member])
@@ -477,32 +517,43 @@ def build_ratio_family_bfs(inst, top, f, A=None):
             members.append(c)
         queue.extend(ch)
     return StoppingFamily(
-        "ratio", top_lin, tuple(members), children, parents, stats, phi_mass,
+        "ratio", top, tuple(members), children, parents, stats, phi_mass,
         {"A": float(A), "B": float(b)},
     )
+
+
+def instance_lambda_map_path_of(inst):
+    """The ``lambda`` map of ``io.instance_to_dict``, one ``path_of`` per
+    nonzero coefficient."""
+    sys = inst.sys
+    lam_map = {}
+    for lin in range(sys.num_cubes):
+        if inst.lam[lin] != 0.0:
+            lam_map[path_of(sys, cube_at(sys, lin))] = inst.lam[lin].hex()
+    return lam_map
 
 
 def family_to_dict_path_of(sys, family):
     members = []
     for m in family.members:
-        cube = sys.cube_at(m)
+        cube = cube_at(sys, m)
         entry = {
             "path": path_of(sys, cube),
             "stat": family.stats[m],
         }
         if m in family.parent:
-            entry["parent"] = path_of(sys, sys.cube_at(family.parent[m]))
+            entry["parent"] = path_of(sys, cube_at(sys, family.parent[m]))
         if family.phi_mass:
             entry["test_input_mass"] = family.phi_mass[m]
         members.append(entry)
     edges = [
-        [path_of(sys, sys.cube_at(m)), path_of(sys, sys.cube_at(c))]
+        [path_of(sys, cube_at(sys, m)), path_of(sys, cube_at(sys, c))]
         for m in family.members
         for c in family.children[m]
     ]
     return {
         "kind": family.kind,
-        "top": path_of(sys, sys.cube_at(family.top)),
+        "top": path_of(sys, cube_at(sys, family.top)),
         "params": dict(family.params),
         "members": members,
         "edges": edges,
@@ -518,16 +569,16 @@ def family_to_dict_path_of(sys, family):
 
 
 def exclusive_box_mask(sys, family, member):
-    mask = sys.box_mask(sys.cube_at(member))
+    mask = sys.box_mask(member)
     for c in family.children[member]:
-        mask &= ~sys.box_mask(sys.cube_at(c))
+        mask &= ~sys.box_mask(c)
     return mask
 
 
 def exclusive_atom_mask(sys, family, member):
-    mask = sys.atom_mask(sys.cube_at(member))
+    mask = sys.atom_mask(member)
     for c in family.children[member]:
-        mask &= ~sys.atom_mask(sys.cube_at(c))
+        mask &= ~sys.atom_mask(c)
     return mask
 
 
@@ -548,13 +599,13 @@ def collapse_scale_function_masks(inst, f, avg_family, ratio_family, member):
     num = all_box_integrals(inst, f)
     profiles = {}
     for c in cross_children(sys, avg_family, ratio_family, member):
-        level = project(sys, ratio_family, sys.cube_at(c)).level
+        level = sys.level_of(project(sys, ratio_family, c))
         if level not in profiles:
             phi = level_test_input(inst, level)
             profiles[level] = (phi, all_box_integrals(inst, phi))
         phi, den = profiles[level]
         coeff = num[c] / den[c] if den[c] > 0 else 0.0
-        out = out + coeff * (phi * sys.box_mask(sys.cube_at(c)))
+        out = out + coeff * (phi * sys.box_mask(c))
     return out
 
 
@@ -562,8 +613,7 @@ def collapse_atom_function_masks(inst, g, avg_family, ratio_family, member):
     sys = inst.sys
     out = g * exclusive_atom_mask(sys, ratio_family, member)
     for c in cross_children(sys, ratio_family, avg_family, member):
-        cube = sys.cube_at(c)
-        out = out + measures.average(sys, g, inst.omega, cube) * sys.atom_mask(cube)
+        out = out + measures.average(sys, g, inst.omega, c) * sys.atom_mask(c)
     return out
 
 
@@ -681,7 +731,7 @@ def embedding_ratio_search_three_pass(sys, data, p, restarts=4, iterations=40, s
     for lin in range(sys.num_cubes):
         if masses[lin] == 0:
             continue
-        h = sys.atom_mask(sys.cube_at(lin)).astype(np.float64)
+        h = sys.atom_mask(lin).astype(np.float64)
         r = consider(h)
         if indicator_best is None or r > indicator_best[0]:
             indicator_best = (r, h)

@@ -76,7 +76,7 @@ def test_criterion_1_identity_chain():
         depth = 1 + (k // 4) % 4
         inst = generate(GenSpec(seed=10_000 + k, dimension=1, depth=depth, p=p))
         for lin in range(inst.sys.num_cubes):
-            rep = phi_identity_check(inst, inst.sys.cube_at(lin))
+            rep = phi_identity_check(inst, lin)
             worst = max(worst, rep.max_rel_spread)
             cubes_checked += 1
     fixture_ok = True
@@ -416,21 +416,20 @@ def test_criterion_9_decomposition_identities():
             ffam = build_ratio_family(inst, sys.root, f)
             assert len(ffam.members) > 1 and len(gfam.members) > 1
             collapsed_f, collapsed_g = {}, {}
-            for lin in range(sys.num_cubes):
-                cube = sys.cube_at(lin)
+            for cube in range(sys.num_cubes):
                 fm = project(sys, ffam, cube)
                 gm = project(sys, gfam, cube)
                 fa, ga = set(sys.atoms_of(fm)), set(sys.atoms_of(gm))
                 assert fa <= ga or ga <= fa  # the unique pair always nests
-                if fm.level > gm.level:
-                    key = sys.linear(gm)
+                if sys.level_of(fm) > sys.level_of(gm):
+                    key = gm
                     if key not in collapsed_f:
                         collapsed_f[key] = collapse_scale_function(inst, f, gfam, ffam, key)
                     a = box_integral(sys, f, inst.mu, inst.sigma, cube)
                     b = box_integral(sys, collapsed_f[key], inst.mu, inst.sigma, cube)
                     worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
-                if gm.level >= fm.level:
-                    key = sys.linear(fm)
+                if sys.level_of(gm) >= sys.level_of(fm):
+                    key = fm
                     if key not in collapsed_g:
                         collapsed_g[key] = collapse_atom_function(inst, g, gfam, ffam, key)
                     a = cube_integral(sys, g, inst.omega, cube)

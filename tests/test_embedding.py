@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab import Cube, build_system, lattice, worked_instances
+from dyadlab import build_system, lattice, worked_instances
 from dyadlab.embedding import (
     CarlesonData,
     carleson_condition_constant,
@@ -50,8 +50,7 @@ def test_condition_constant_against_reference(seed):
     data = CarlesonData(a, nu)
     a_map = {}
     for lin in range(s.num_cubes):
-        c = s.cube_at(lin)
-        a_map[(c.level, c.index)] = float(a[lin])
+        a_map[ref.cube_at(s, lin)] = float(a[lin])
     expect = ref.carleson_condition_constant(1, 3, a_map, nu.tolist())
     assert carleson_condition_constant(s, data) == pytest.approx(expect, rel=1e-12)
 
@@ -246,7 +245,8 @@ def test_stopping_embedding_matches_member_masks_on_sweep(p):
     for dimension, depth in SWEEP_SHAPES:
         inst = generate(GenSpec(seed=0, dimension=dimension, depth=depth, p=p))
         f = random_scale_function(inst.sys, 0, base=inst.mu)
-        for top, A in ((inst.sys.root, None), (inst.sys.root, 1.5), (Cube(1, (0,) * dimension), 1.25)):
+        left = lattice.cube_from_path(inst.sys, "0")
+        for top, A in ((inst.sys.root, None), (inst.sys.root, 1.5), (left, 1.25)):
             _assert_same_report(inst, f, build_ratio_family(inst, top, f, A=A))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyadlab import Cube, Instance, build_system, lambda_array, worked_instances
+from dyadlab import Instance, build_system, lambda_array, lattice, worked_instances
 from dyadlab.forms import (
     apply_adjoint_operator,
     apply_box_operator,
@@ -35,7 +35,7 @@ def test_lambda_form_examples():
 def test_lambda_form_local_examples():
     w1 = W["w1"]
     ones_f, ones_g = np.ones((2, 2)), np.ones(2)
-    assert lambda_form_local(w1, Cube(1, (0,)), ones_f, ones_g) == 0.0
+    assert lambda_form_local(w1, lattice.cube_from_path(w1.sys, "0"), ones_f, ones_g) == 0.0
     assert lambda_form_local(w1, w1.sys.root, ones_f, ones_g) == 8.0
     assert lambda_form_local(w1, w1.sys.root, np.zeros((2, 2)), ones_g) == 0.0
 
@@ -103,10 +103,7 @@ def test_form_against_reference(seed, p):
     s = inst.sys
     f = rng.random((s.num_levels, s.num_atoms))
     g = rng.random(s.num_atoms)
-    lam_map = {
-        (c.level, c.index): inst.lam[s.linear(c)]
-        for c in (s.cube_at(l) for l in range(s.num_cubes))
-    }
+    lam_map = {ref.cube_at(s, l): inst.lam[l] for l in range(s.num_cubes)}
     expect = ref.lambda_form(
         1, 2, lam_map, f.tolist(), g.tolist(), inst.mu.tolist(),
         inst.sigma.tolist(), inst.omega.tolist(),
@@ -115,9 +112,9 @@ def test_form_against_reference(seed, p):
     expect_op = ref.box_operator(1, 2, lam_map, f.tolist(), inst.mu.tolist(), inst.sigma.tolist())
     assert apply_box_operator(inst, f) == pytest.approx(expect_op, rel=1e-12)
     for lin in range(s.num_cubes):
-        cube = s.cube_at(lin)
+        cube = ref.cube_at(s, lin)
         expect_phi = ref.make_test_input(1, 2, inst.mu.tolist(), inst.q, cube.level, cube.index)
-        assert make_test_input(inst, cube) == pytest.approx(np.array(expect_phi), rel=1e-12)
+        assert make_test_input(inst, lin) == pytest.approx(np.array(expect_phi), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -137,7 +134,7 @@ def test_adjointness_triple_identity(seed):
 def test_phi_identity_chain_random(seed, p):
     inst, _ = _random_instance(seed, p=p)
     for lin in range(inst.sys.num_cubes):
-        rep = phi_identity_check(inst, inst.sys.cube_at(lin))
+        rep = phi_identity_check(inst, lin)
         assert rep.max_rel_spread <= 1e-10
 
 
@@ -158,8 +155,7 @@ def test_local_box_operator_matches_duality():
     s = inst.sys
     f = rng.random((s.num_levels, s.num_atoms))
     g = rng.random(s.num_atoms)
-    for lin in range(s.num_cubes):
-        cube = s.cube_at(lin)
+    for cube in range(s.num_cubes):
         h = ref.apply_box_operator_local(inst, cube, f)
         pairing = ksum(inst.omega * g * h)
         assert pairing == pytest.approx(

@@ -106,7 +106,7 @@ def test_adversarial_kinds():
         support = np.flatnonzero(inst.lam)
         # one coefficient per level along a single chain
         assert len(support) == inst.sys.num_levels
-        levels = [inst.sys.cube_at(int(l)).level for l in support]
+        levels = [inst.sys.level_of(int(l)) for l in support]
         assert sorted(levels) == list(range(inst.sys.num_levels))
 
     fam = adversarial_family("deep-chain", depth=4, p=3.0)
@@ -124,7 +124,7 @@ def test_single_scale_identity_chain_still_exact():
 
     for inst in adversarial_family("single-scale-mu", depth=2, count=2, p=3.0):
         for lin in range(inst.sys.num_cubes):
-            rep = phi_identity_check(inst, inst.sys.cube_at(lin))
+            rep = phi_identity_check(inst, lin)
             assert rep.max_rel_spread <= 1e-10
 
 

@@ -6,10 +6,19 @@ import pathlib
 import numpy as np
 import pytest
 
-from dyadlab import GenSpec, SchemaError, generate, worked_instances
-from dyadlab import io
+from dyadlab import GenSpec, Instance, SchemaError, generate, worked_instances
+from dyadlab import io, lattice, verify
 from dyadlab.cli import build_parser, main
+from dyadlab.generators import (
+    adversarial_family,
+    deep_chain_profiles,
+    random_atom_function,
+    random_scale_function,
+)
 from dyadlab.io import ReportRow
+from dyadlab.stopping import build_average_family, build_ratio_family
+
+import _reference as ref
 
 W = worked_instances()
 
@@ -34,8 +43,6 @@ def test_round_trip_bit_exact(seed):
 
 def test_round_trip_awkward_values():
     w1 = W["w1"]
-    from dyadlab import Instance
-
     awkward = Instance(
         w1.sys,
         2.0 + 2.0**-45,
@@ -141,6 +148,63 @@ def test_cli_eval_prints_w1_form(tmp_path, capsys):
         io.write_instance(W["w1"], fp)
     assert main(["eval", "--in", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "8"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_eval_in_writes_the_value_to_out(tmp_path, capsys, fmt):
+    # --format shapes rows only: the one value is the same text in both
+    path, out = tmp_path / "w1.json", tmp_path / "o.txt"
+    with open(path, "w") as fp:
+        io.write_instance(W["w1"], fp)
+    assert main(["eval", "--in", str(path), "--out", str(out), "--format", fmt]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == "8\n"
+
+
+@pytest.mark.parametrize("command", ["testing", "report"])
+def test_cli_unreadable_input_is_a_schema_error(tmp_path, capsys, command):
+    cases = ((tmp_path / "missing", "No such file or directory"), (tmp_path, "Is a directory"))
+    for path, reason in cases:
+        assert main([command, "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"schema error: $: cannot read {path}: {reason}\n"
+
+
+def test_cli_testing_names_the_root_by_the_empty_path(tmp_path, capsys):
+    # the root is cube id 0: its path is "", and no argmax at all is null
+    w1 = W["w1"]
+    no_lam = Instance(w1.sys, w1.p, w1.sigma, w1.omega, w1.mu, np.zeros(w1.sys.num_cubes))
+    for inst, name in ((w1, ""), (no_lam, None)):
+        path = tmp_path / "inst.json"
+        with open(path, "w") as fp:
+            io.write_instance(inst, fp)
+        assert main(["testing", "--in", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["argmax_T"] == payload["argmax_Tstar"] == name
+
+
+def _path_cases():
+    for dimension, depth in ((1, 12), (2, 6), (3, 4)):
+        for seed in (1, 2, 3):
+            inst = generate(GenSpec(seed=seed, dimension=dimension, depth=depth, p=2.0))
+            f = random_scale_function(inst.sys, seed, base=inst.mu)
+            yield inst, f, random_atom_function(inst.sys, seed)
+    deep = adversarial_family("deep-chain", dimension=3, depth=4, p=2.0)[0]
+    yield (deep, *deep_chain_profiles(deep.sys))
+
+
+def test_paths_match_per_cube_path_of():
+    # same text and same key order as one path_of walk per cube
+    for inst, f, g in _path_cases():
+        sys = inst.sys
+        got = io.instance_to_dict(inst)["lambda"]
+        assert list(got.items()) == list(ref.instance_lambda_map_path_of(inst).items())
+        for fam in (build_average_family(inst, sys.root, g), build_ratio_family(inst, sys.root, f)):
+            want = ref.family_to_dict_path_of(sys, fam)
+            assert json.dumps(io.family_to_dict(sys, fam)) == json.dumps(want)
+        names = lattice.paths(sys, range(sys.num_cubes))
+        assert list(names.values()) == [ref.path_of(sys, ref.cube_at(sys, c)) for c in names]
 
 
 def test_cli_schema_error_exit_code(tmp_path, capsys):
@@ -254,6 +318,18 @@ def test_cli_verify_passes_and_is_deterministic(tmp_path):
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_verify_failure_details_name_cubes_by_path(monkeypatch):
+    # break the box of the root only: the detail names it by its path ""
+    box_members = lattice.box_members
+    monkeypatch.setattr(lattice, "box_members", lambda s, c: box_members(s, c) if c else set())
+    results, ok = verify.run_suite(instances=1, depth=2)
+    assert not ok
+    failed = [r for r in results if not r.passed]
+    assert [(r.name, r.detail) for r in failed] == [
+        ("lattice-box-partition", "1/7 failed: box partition broken at cube ''")
+    ]
 
 
 @pytest.mark.filterwarnings("error")

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from _reference import project
-from dyadlab import Cube, Instance, build_system, io, lattice, worked_instances
+from _reference import Cube, project
+from dyadlab import Instance, build_system, io, lattice, worked_instances
 from dyadlab.forms import all_box_integrals
 from dyadlab.forms import test_function as make_test_input
 from dyadlab.generators import (
@@ -85,7 +85,7 @@ def test_default_constants():
 def test_projection_and_bracket():
     w1 = W["w1"]
     fam = build_average_family(w1, w1.sys.root, np.ones(2))
-    assert project(w1.sys, fam, Cube(1, (0,))) == w1.sys.root
+    assert project(w1.sys, fam, lattice.cube_from_path(w1.sys, "0")) == w1.sys.root
     assert ref.bracket_average(w1, np.ones((2, 2)), w1.sys.root) == pytest.approx(1.0)
     nomu = Instance(w1.sys, 2.0, w1.sigma, w1.omega, np.zeros((2, 2)), w1.lam)
     assert ref.bracket_average(nomu, np.ones((2, 2)), w1.sys.root) == 0.0
@@ -94,9 +94,9 @@ def test_projection_and_bracket():
 def test_projection_outside_top_rejected():
     s = build_system(1, 2)
     inst = Instance(s, 2.0, np.ones(4), np.ones(4), np.ones((3, 4)), np.zeros(7))
-    fam = build_average_family(inst, Cube(1, (0,)), np.ones(4))
+    fam = build_average_family(inst, lattice.cube_from_path(s, "0"), np.ones(4))
     with pytest.raises(ValueError):
-        project(s, fam, Cube(1, (1,)))
+        project(s, fam, lattice.cube_from_path(s, "1"))
 
 
 def test_cross_child_outside_other_top_rejected():
@@ -105,22 +105,23 @@ def test_cross_child_outside_other_top_rejected():
     reject it instead of reading the entry as a member."""
     inst = generate(GenSpec(seed=2, dimension=1, depth=4, p=2.0))
     s = inst.sys
-    outside = re.escape("cube Cube(level=1, index=(1,)) lies outside the family top")
+    outside = re.escape("cube '1' lies outside the family top")
+    left, right = lattice.cube_from_path(s, "0"), lattice.cube_from_path(s, "1")
     spike = np.ones(s.num_atoms)
     spike[-1] += 4.0**4
     # average family at the root, ratio family on the left half
     avg = build_average_family(inst, s.root, spike)
     flat_f = np.ones((s.num_levels, s.num_atoms))
-    ratio = build_ratio_family(inst, Cube(1, (0,)), flat_f, A=1.25)
-    assert s.linear(Cube(1, (1,))) in avg.children[avg.top]
+    ratio = build_ratio_family(inst, left, flat_f, A=1.25)
+    assert right in avg.children[avg.top]
     with pytest.raises(ValueError, match=outside):
         cross_children(s, avg, ratio, avg.top)
     with pytest.raises(ValueError, match=outside):
         collapse_scale_function(inst, flat_f, avg, ratio, avg.top)
     # the mirror: ratio family at the root, average family on the left half
     ratio = build_ratio_family(inst, s.root, flat_f + spike, A=1.25)
-    avg = build_average_family(inst, Cube(1, (0,)), np.ones(s.num_atoms))
-    assert s.linear(Cube(1, (1,))) in ratio.children[ratio.top]
+    avg = build_average_family(inst, left, np.ones(s.num_atoms))
+    assert right in ratio.children[ratio.top]
     with pytest.raises(ValueError, match=outside):
         cross_children(s, ratio, avg, ratio.top)
     with pytest.raises(ValueError, match=outside):
@@ -199,8 +200,7 @@ def test_stopping_bound_after_construction(p):
         sys = inst.sys
         f = random_scale_function(sys, 17, base=inst.mu)
         fam = build_ratio_family(inst, sys.root, f)
-        for lin in range(sys.num_cubes):
-            cube = sys.cube_at(lin)
+        for cube in range(sys.num_cubes):
             member = project(sys, fam, cube)
             phi = make_test_input(inst, member)
             num_q = box_integral(sys, f, inst.mu, inst.sigma, cube)
@@ -238,22 +238,21 @@ def test_collapse_substitution_identities(p):
 
     collapsed_f = {}
     collapsed_g = {}
-    for lin in range(sys.num_cubes):
-        cube = sys.cube_at(lin)
+    for cube in range(sys.num_cubes):
         fm = project(sys, ffam, cube)
         gm = project(sys, gfam, cube)
         # the two projections always nest
         fa, ga = set(sys.atoms_of(fm)), set(sys.atoms_of(gm))
         assert fa <= ga or ga <= fa
-        if fm.level > gm.level:  # ratio member strictly inside average member
-            key = sys.linear(gm)
+        if sys.level_of(fm) > sys.level_of(gm):  # ratio member strictly inside average member
+            key = gm
             if key not in collapsed_f:
                 collapsed_f[key] = collapse_scale_function(inst, f, gfam, ffam, key)
             a = box_integral(sys, f, inst.mu, inst.sigma, cube)
             b = box_integral(sys, collapsed_f[key], inst.mu, inst.sigma, cube)
             assert b == pytest.approx(a, rel=1e-12, abs=1e-300)
-        if gm.level >= fm.level:  # average member inside ratio member
-            key = sys.linear(fm)
+        if sys.level_of(gm) >= sys.level_of(fm):  # average member inside ratio member
+            key = fm
             if key not in collapsed_g:
                 collapsed_g[key] = collapse_atom_function(inst, g, gfam, ffam, key)
             a = cube_integral(sys, g, inst.omega, cube)
@@ -277,18 +276,17 @@ def test_projection_uniqueness():
     inst = adversarial_family("deep-chain", depth=4, p=2.0)[0]
     f, _ = deep_chain_profiles(inst.sys)
     fam = build_ratio_family(inst, inst.sys.root, f)
-    for lin in range(inst.sys.num_cubes):
-        cube = inst.sys.cube_at(lin)
+    for cube in range(inst.sys.num_cubes):
         member = project(inst.sys, fam, cube)
         # the projection is the unique minimal member containing the cube
         containing = [
             m for m in fam.members
-            if set(inst.sys.atoms_of(cube)) <= set(inst.sys.atoms_of(inst.sys.cube_at(m)))
+            if set(inst.sys.atoms_of(cube)) <= set(inst.sys.atoms_of(m))
         ]
-        levels = [inst.sys.cube_at(m).level for m in containing]
+        levels = [inst.sys.level_of(m) for m in containing]
         assert levels.count(max(levels)) == 1
         best = containing[levels.index(max(levels))]
-        assert inst.sys.cube_at(best) == member
+        assert best == member
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -302,7 +300,7 @@ def test_ratio_family_member_masses_are_their_own(p):
         assert len(fam.members) > 1
         num = all_box_integrals(inst, f)
         for m in fam.members:
-            den = all_box_integrals(inst, make_test_input(inst, inst.sys.cube_at(m)))[m]
+            den = all_box_integrals(inst, make_test_input(inst, m))[m]
             assert fam.phi_mass[m] == float(den)
             assert fam.stats[m] == (float(num[m] / den) if den > 0 else 0.0)
 
@@ -356,7 +354,7 @@ def test_level_sweep_matches_bfs(dimension, depth, p):
         g = random_atom_function(inst.sys, seed)
         _assert_both_families(inst, inst.sys.root, f, g)
         _assert_both_families(inst, inst.sys.root, f, g, A=1.5)
-        _assert_both_families(inst, Cube(1, (0,) * dimension), f, g, A=1.25)
+        _assert_both_families(inst, lattice.cube_from_path(inst.sys, "0"), f, g, A=1.25)
 
 
 def test_level_sweep_matches_bfs_on_deep_chain():
@@ -381,7 +379,8 @@ def test_level_sweep_matches_bfs_on_fixtures():
     _assert_both_families(no_lam, sys.root, f, g, A=1.5)
     # weights and densities zero on whole columns: the cubes over them carry
     # 0/0 averages and brackets, which never trigger
-    dead = sys.atom_mask(Cube(1, (0, 1))) | sys.atom_mask(Cube(2, (3, 3)))
+    dead = sys.atom_mask(ref.linear(sys, Cube(1, (0, 1))))
+    dead |= sys.atom_mask(ref.linear(sys, Cube(2, (3, 3))))
     omega = np.where(dead, 0.0, inst.omega)
     mu = np.where(dead[None, :], 0.0, inst.mu)
     holes = Instance(sys, inst.p, inst.sigma, omega, mu, inst.lam)
@@ -390,16 +389,18 @@ def test_level_sweep_matches_bfs_on_fixtures():
 
 
 def test_builders_never_walk_cubes_one_at_a_time(monkeypatch):
-    calls = {"children": 0, "cube_at": 0}
-    children, cube_at = lattice.children, lattice.DyadicSystem.cube_at
+    # every per-cube call of the package passes the id range check, so a
+    # build that checks only its top visits no cube on its own
+    calls = {"children": 0, "level_of": 0}
+    children, level_of = lattice.children, lattice.DyadicSystem.level_of
 
     def counted_children(*a, **k):
         calls["children"] += 1
         return children(*a, **k)
 
-    def counted_cube_at(*a, **k):
-        calls["cube_at"] += 1
-        return cube_at(*a, **k)
+    def counted_level_of(*a, **k):
+        calls["level_of"] += 1
+        return level_of(*a, **k)
 
     deep = adversarial_family("deep-chain", dimension=3, depth=4, p=2.0)[0]
     deep_f, deep_g = deep_chain_profiles(deep.sys)
@@ -409,11 +410,11 @@ def test_builders_never_walk_cubes_one_at_a_time(monkeypatch):
         (deep, deep_f, deep_g),
     ]
     monkeypatch.setattr(lattice, "children", counted_children)
-    monkeypatch.setattr(lattice.DyadicSystem, "cube_at", counted_cube_at)
+    monkeypatch.setattr(lattice.DyadicSystem, "level_of", counted_level_of)
     for case, f, g in cases:
         build_average_family(case, case.sys.root, g)
         build_ratio_family(case, case.sys.root, f, A=1.5)
-    assert calls == {"children": 0, "cube_at": 0}
+    assert calls == {"children": 0, "level_of": 2 * len(cases)}
 
 
 def test_project_on_handmade_family():
@@ -426,9 +427,10 @@ def test_project_on_handmade_family():
         parent={4: 0},
         stats={0: 0.0, 4: 0.0},
     )
-    assert project(s, handmade, Cube(2, (1,))) == Cube(2, (1,))
-    assert project(s, handmade, Cube(2, (2,))) == Cube(0, (0,))
-    assert project(s, handmade, Cube(1, (0,))) == Cube(0, (0,))
+    assert ref.linear(s, Cube(2, (1,))) == 4
+    assert project(s, handmade, ref.linear(s, Cube(2, (1,)))) == 4
+    assert project(s, handmade, ref.linear(s, Cube(2, (2,)))) == 0
+    assert project(s, handmade, ref.linear(s, Cube(1, (0,)))) == 0
 
 
 # -- projection table against the per-cube walk and the definitions -----------
@@ -441,7 +443,7 @@ def _projection_families():
         inst = generate(GenSpec(seed=0, dimension=dimension, depth=depth, p=2.0))
         f = random_scale_function(inst.sys, 0, base=inst.mu)
         g = random_atom_function(inst.sys, 0)
-        for top, A in ((inst.sys.root, 1.5), (Cube(1, (0,) * dimension), 1.25)):
+        for top, A in ((inst.sys.root, 1.5), (lattice.cube_from_path(inst.sys, "0"), 1.25)):
             yield inst.sys, build_average_family(inst, top, g)
             yield inst.sys, build_ratio_family(inst, top, f, A=A)
     deep = adversarial_family("deep-chain", dimension=3, depth=4, p=2.0)[0]
@@ -457,15 +459,14 @@ def _projection_families():
 def test_projection_table_matches_project():
     for sys, fam in _projection_families():
         table = projection(sys, fam)
-        top = sys.cube_at(fam.top)
-        inside = sys.descendant_mask(top)
+        inside = sys.descendant_mask(fam.top)
         for lin in range(sys.num_cubes):
             if inside[lin]:
-                assert table[lin] == sys.linear(project(sys, fam, sys.cube_at(lin)))
+                assert table[lin] == project(sys, fam, lin)
             else:
                 assert table[lin] == -1
                 with pytest.raises(ValueError):
-                    project(sys, fam, sys.cube_at(lin))
+                    project(sys, fam, lin)
         assert (table == -1).sum() == sys.num_cubes - inside.sum()
 
 

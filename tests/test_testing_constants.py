@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
-from dyadlab import Cube, Instance, build_system, generators, lambda_array, lattice, worked_instances
+from dyadlab import Instance, build_system, generators, lambda_array, lattice, worked_instances
 from dyadlab.forms import level_test_input, lambda_form_local, test_function as make_test_input
 from dyadlab.measures import conjugate, ell2_slice, lp_norm, mixed_norm, zero_preserving_power
 from dyadlab.testing_constants import dual_testing_constant, forward_testing_constant, testing_report
@@ -33,7 +33,7 @@ def test_forward_argmax_at_left_child():
     inst = _w1_variant({"0": 1.0})
     side = forward_testing_constant(inst)
     assert side.value == pytest.approx(1.0, rel=1e-12)
-    assert side.cube == Cube(1, (0,))
+    assert side.cube == lattice.cube_from_path(inst.sys, "0") == 1
 
 
 def test_dual_constant_on_w1():
@@ -102,8 +102,7 @@ def test_constants_dominate_probe_ratios(seed, p):
     for _ in range(20):
         g = rng.random(inst.sys.num_atoms)
         f = rng.random((inst.sys.num_levels, inst.sys.num_atoms))
-        lin = int(rng.integers(inst.sys.num_cubes))
-        cube = inst.sys.cube_at(lin)
+        cube = int(rng.integers(inst.sys.num_cubes))
         phi = make_test_input(inst, cube)
         den_f = mixed_norm(phi, inst.sigma, p) * lp_norm(g, inst.omega, q)
         if den_f > 0:
@@ -172,6 +171,7 @@ def _assert_same_report(inst):
     dua = ref.dual_testing_constant_loop(inst)
     assert (rep.forward, rep.forward_cube) == (fwd.value, fwd.cube)
     assert (rep.dual, rep.dual_cube) == (dua.value, dua.cube)
+    assert {type(c) for c in (rep.forward_cube, rep.dual_cube)} <= {int, type(None)}
     # NaN wherever the loop's witness has NaN, equal everywhere else
     assert np.array_equal(rep.witness_g, fwd.witness, equal_nan=True)
     assert np.array_equal(rep.witness_f, dua.witness, equal_nan=True)
@@ -213,7 +213,7 @@ def test_level_scan_keeps_first_of_exact_ties(p):
     for dim, depth, level in ties:
         inst = _tied_instance(dim, depth, level, p)
         rep = _assert_same_report(inst)
-        assert rep.forward_cube == inst.sys.cube_at(int(inst.sys.level_offset[level]))
+        assert rep.forward_cube == inst.sys.level_offset[level]
 
 
 def _scaled(dim, depth, p, lam=1.0, sigma=1.0):
@@ -253,7 +253,7 @@ def test_dual_skips_cubes_with_a_non_finite_kernel_column_off_them():
     mu[2, 5] = 1e308
     inst = Instance(s, 3.0, sigma, np.ones(s.num_atoms), mu, np.ones(s.num_cubes))
     rep = _assert_same_report(inst)
-    assert rep.dual > 0 and rep.dual_cube.level == 3
+    assert rep.dual > 0 and s.level_of(rep.dual_cube) == 3
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -276,11 +276,10 @@ def test_level_scan_matches_loop_on_null_data(p):
 def test_test_function_is_level_profile_on_the_cube(dim, depth, p):
     inst = _sparse_instance(dim, depth, p, 11)
     s = inst.sys
-    for lin in range(s.num_cubes):
-        cube = s.cube_at(lin)
+    for cube in range(s.num_cubes):
         phi = make_test_input(inst, cube)
         am = s.atom_mask(cube)
-        assert np.array_equal(phi[:, am], level_test_input(inst, cube.level)[:, am])
+        assert np.array_equal(phi[:, am], level_test_input(inst, s.level_of(cube))[:, am])
         assert not phi[:, ~am].any()
         # the defining formula on the Carleson box of the cube
         boxed = inst.mu * s.box_mask(cube)
