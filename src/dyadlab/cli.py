@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 schema violation (with a field-path diagnostic),
 3 numeric/size guard violation (including an exact sum that overflows
-binary64), 4 property failure from ``verify``.
+binary64 and a non-finite value in a JSON payload), 4 property failure from
+``verify``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,16 @@ def _emit(args, text: str):
             fp.write(text)
     else:
         _sys.stdout.write(text)
+
+
+def _emit_json(args, payload):
+    """``payload`` as indented JSON; a non-finite value is a guard violation,
+    since JSON has no ``Infinity`` or ``NaN``."""
+    try:
+        text = json.dumps(payload, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise GuardError(f"non-finite value in the JSON output: {exc}")
+    _emit(args, text + "\n")
 
 
 def _open_input(args):
@@ -116,7 +127,7 @@ def _cmd_testing(args) -> int:
         "witness_g": rep.witness_g.tolist(),
         "witness_f": rep.witness_f.tolist(),
     }
-    _emit(args, json.dumps(payload, indent=1) + "\n")
+    _emit_json(args, payload)
     return EXIT_OK
 
 
@@ -135,7 +146,7 @@ def _cmd_normest(args) -> int:
         "oracle_value": est.oracle_value,
         "oracle_kind": est.oracle_kind,
     }
-    _emit(args, json.dumps(payload, indent=1) + "\n")
+    _emit_json(args, payload)
     return EXIT_OK
 
 
@@ -148,7 +159,7 @@ def _cmd_stopping(args) -> int:
         "average_family": io.family_to_dict(sys_, build_average_family(inst, sys_.root, g)),
         "ratio_family": io.family_to_dict(sys_, build_ratio_family(inst, sys_.root, f)),
     }
-    _emit(args, json.dumps(payload, indent=1) + "\n")
+    _emit_json(args, payload)
     return EXIT_OK
 
 
@@ -182,7 +193,7 @@ def _cmd_embed_check(args) -> int:
         "prop2_ratio": prop2,
         "lemma1_violations": violations,
     }
-    _emit(args, json.dumps(payload, indent=1) + "\n")
+    _emit_json(args, payload)
     return EXIT_OK
 
 
@@ -214,7 +225,7 @@ def _cmd_report(args) -> int:
     if args.format == "csv":
         _emit(args, io.summary_to_csv(summary))
     else:
-        _emit(args, json.dumps(summary, indent=1) + "\n")
+        _emit_json(args, summary)
     return EXIT_OK
 
 

@@ -115,7 +115,7 @@ def embedding_ratio_search(
                 out=np.zeros_like(avg),
                 where=masses > 0,
             )
-            grad = lattice.chain_total(sys, t)
+            grad = lattice.chain_running(sys, t)[-1]
             h_new = grad ** (1.0 / (p - 1.0))
             top = h_new.max()
             if top == 0.0:

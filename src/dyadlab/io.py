@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lattice
 from .errors import PathError, SchemaError
-from .forms import Instance, lambda_array
+from .forms import Instance
 from .lattice import build_system
 from .stopping import StoppingFamily
 
@@ -117,15 +117,14 @@ def instance_from_dict(data) -> Instance:
     lam_map = data["lambda"]
     if not isinstance(lam_map, dict):
         raise SchemaError("lambda", "expected a path-to-real mapping")
-    parsed = {}
+    lam = np.zeros(sys.num_cubes, dtype=np.float64)
     for path, value in lam_map.items():
         where = f"lambda[{path!r}]"
         try:
-            lattice.cube_from_path(sys, path)
+            cube = lattice.cube_from_path(sys, path)
         except PathError as exc:
             raise SchemaError(where, str(exc))
-        parsed[path] = _parse_real(value, where)
-    lam = lambda_array(sys, parsed)
+        lam[cube] = _parse_real(value, where)
     return Instance(sys, p, sigma, omega, mu, lam)
 
 
@@ -152,29 +151,6 @@ def read_instance(fp) -> Instance:
 
 # -- experiment rows ---------------------------------------------------------
 
-REPORT_COLUMNS = (
-    "instance_id",
-    "seed",
-    "p",
-    "dimension",
-    "depth",
-    "T",
-    "Tstar",
-    "lambda_norm_lb",
-    "oracle_value",
-    "oracle_kind",
-    "ratio_upper",
-    "ratio_lower",
-    "prop2_ratio",
-    "carleson_Cemp_over_Cprime",
-    "g_family_carleson",
-    "f_family_sparse_max",
-    "iterations",
-    "restarts",
-    "wall_time_ms",
-)
-
-
 @dataclass(frozen=True)
 class ReportRow:
     instance_id: str
@@ -196,6 +172,9 @@ class ReportRow:
     iterations: int
     restarts: int
     wall_time_ms: int
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _cell(value) -> str:

@@ -198,19 +198,33 @@ def paths(sys: DyadicSystem, cubes) -> dict[int, str]:
 # -- tree aggregations -----------------------------------------------------
 #
 # These are the numeric workhorses shared by the other modules.  All of them
-# are plain sums arranged along the lattice tree; bincount keeps them O(atoms)
-# per level.
+# are plain sums arranged along the lattice tree, built on two primitives:
+# ``level_sums`` sums up the tree (a bincount keeps it O(atoms) per level),
+# ``level_cumsum`` runs down it along the levels.
+
+
+def level_sums(sys: DyadicSystem, rows) -> np.ndarray:
+    """Per-cube sums of per-level atom rows: out[Q] = sum of ``rows[j]`` over
+    the atoms in Q, with j the level of Q."""
+    out = np.empty(sys.num_cubes, dtype=np.float64)
+    for j in range(sys.num_levels):
+        out[sys.level_offset[j] : sys.level_offset[j + 1]] = np.bincount(
+            sys.ancestor_local[j], weights=rows[j], minlength=int(sys.level_sizes[j])
+        )
+    return out
+
+
+def level_cumsum(x: np.ndarray) -> np.ndarray:
+    """Running sums along the leading (level) axis, in place: x[j] += x[j-1]."""
+    for j in range(1, len(x)):
+        x[j] += x[j - 1]
+    return x
 
 
 def cube_sums(sys: DyadicSystem, atom_values: np.ndarray) -> np.ndarray:
     """Per-cube sums of an atom array: out[Q] = sum of values over atoms in Q."""
     v = np.asarray(atom_values, dtype=np.float64)
-    out = np.empty(sys.num_cubes, dtype=np.float64)
-    for j in range(sys.num_levels):
-        out[sys.level_offset[j] : sys.level_offset[j + 1]] = np.bincount(
-            sys.ancestor_local[j], weights=v, minlength=int(sys.level_sizes[j])
-        )
-    return out
+    return level_sums(sys, [v] * sys.num_levels)
 
 
 def box_sums(sys: DyadicSystem, cell_values: np.ndarray) -> np.ndarray:
@@ -218,14 +232,8 @@ def box_sums(sys: DyadicSystem, cell_values: np.ndarray) -> np.ndarray:
 
     out[Q] = sum of values over the pairs (atom in Q, level >= level of Q).
     """
-    w = np.asarray(cell_values, dtype=np.float64)
-    suffix = np.cumsum(w[::-1], axis=0)[::-1]
-    out = np.empty(sys.num_cubes, dtype=np.float64)
-    for j in range(sys.num_levels):
-        out[sys.level_offset[j] : sys.level_offset[j + 1]] = np.bincount(
-            sys.ancestor_local[j], weights=suffix[j], minlength=int(sys.level_sizes[j])
-        )
-    return out
+    w = np.asarray(cell_values, dtype=np.float64)[::-1].copy()
+    return level_sums(sys, level_cumsum(w)[::-1])
 
 
 def chain_running(
@@ -233,24 +241,12 @@ def chain_running(
 ) -> np.ndarray:
     """Running ancestor sums: out[j, a] = sum of values over the ancestors of
     atom a at levels ``start_level .. j`` (zero for j < start_level)."""
-    v = np.asarray(cube_values, dtype=np.float64)
-    out = np.zeros((sys.num_levels, sys.num_atoms), dtype=np.float64)
-    acc = np.zeros(sys.num_atoms, dtype=np.float64)
-    for j in range(start_level, sys.num_levels):
-        level_vals = v[sys.level_offset[j] : sys.level_offset[j + 1]]
-        acc = acc + level_vals[sys.ancestor_local[j]]
-        out[j] = acc
+    out = np.asarray(cube_values, dtype=np.float64)[sys.cell_cube]
+    out[:start_level] = 0.0
+    # a running sum starts from 0.0, which turns a -0.0 start value into +0.0
+    out[start_level : start_level + 1] += 0.0
+    level_cumsum(out[start_level:])
     return out
-
-
-def chain_total(sys: DyadicSystem, cube_values: np.ndarray) -> np.ndarray:
-    """out[a] = sum of values over every cube containing atom a."""
-    v = np.asarray(cube_values, dtype=np.float64)
-    acc = np.zeros(sys.num_atoms, dtype=np.float64)
-    for j in range(sys.num_levels):
-        level_vals = v[sys.level_offset[j] : sys.level_offset[j + 1]]
-        acc += level_vals[sys.ancestor_local[j]]
-    return acc
 
 
 def subtree_sums(sys: DyadicSystem, cube_values: np.ndarray) -> np.ndarray:

@@ -86,8 +86,7 @@ def ell2_slice(f: np.ndarray) -> np.ndarray:
 
 def mixed_norm(f: np.ndarray, sigma: np.ndarray, p: float) -> float:
     """Mixed norm: Lp in the weight ``sigma`` of the per-atom l2 slice."""
-    s = ell2_slice(f)
-    return ksum(sigma * s**p) ** (1.0 / p)
+    return lp_norm(ell2_slice(f), sigma, p)
 
 
 def lp_norm(g: np.ndarray, w: np.ndarray, p: float) -> float:
@@ -115,7 +114,7 @@ def mixed_norming(k: np.ndarray, sigma: np.ndarray, p: float):
     """
     q = conjugate(p)
     s = ell2_slice(k)
-    value = ksum(sigma * s**q) ** (1.0 / q)
+    value = lp_norm(s, sigma, q)
     if value == 0.0:
         return None, 0.0
     shaped = k if q == 2.0 else zero_preserving_power(s, q - 2.0)[None, :] * k

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import generators
+from . import generators, lattice
 from .errors import GuardError
 from .forms import Instance, apply_adjoint_operator, apply_box_operator, lambda_form, test_function
 from .measures import lp_norming, mixed_norm, mixed_norming
@@ -173,7 +173,7 @@ def form_kernel(inst: Instance) -> np.ndarray:
         raise GuardError("system too large for a dense kernel")
     cells = sys.cell_cube
     shared = cells[:, :, None] == cells[:, None, :]
-    return inst.mu[:, :, None] * np.cumsum(shared * inst.lam[cells][:, None, :], axis=0)
+    return inst.mu[:, :, None] * lattice.level_cumsum(shared * inst.lam[cells][:, None, :])
 
 
 def spectral_oracle_p2(inst: Instance) -> float:

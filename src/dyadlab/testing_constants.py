@@ -18,7 +18,7 @@ that one level computes for all of its cubes at once (forward: one
 ``box_sums`` and one ``chain_running``; dual: one ``chain_running``),
 O(levels**2 * atoms) in all.
 
-Each level's terms are summed twice.  A ``bincount`` scan gives every cube a
+Each level's terms are summed twice.  A ``level_sums`` scan gives every cube a
 ratio close to the exact one; the cubes within ``RESELECT_MARGIN`` of the
 scan's maximum, and the cubes it cannot bound to about 1e-12 (a root or
 ratio outside the normal range), are the candidates.  Each level holding a
@@ -76,9 +76,8 @@ def _select(sys, exponent: float, num_terms, den_terms, skip: np.ndarray):
     terms; cubes flagged in ``skip`` (per linear id) have no ratio.  Returns
     the winning ratio and cube, or ``(0.0, None)``.
     """
-    cells = sys.cell_cube.ravel()
-    num = np.bincount(cells, weights=np.ravel(num_terms), minlength=sys.num_cubes)
-    den = np.bincount(cells, weights=np.ravel(den_terms), minlength=sys.num_cubes)
+    num = lattice.level_sums(sys, num_terms)
+    den = lattice.level_sums(sys, den_terms)
     with np.errstate(all="ignore"):
         num_root, den_root = num ** (1.0 / exponent), den ** (1.0 / exponent)
         ratio = num_root / den_root
@@ -127,17 +126,14 @@ def forward_testing_constant(inst: Instance) -> TestingSide:
 def dual_testing_constant(inst: Instance) -> TestingSide:
     sys = inst.sys
     contrib = inst.lam * lattice.cube_sums(sys, inst.omega)
-    num_terms = []
-    skip = np.zeros(sys.num_cubes, dtype=bool)
+    num_terms, bad = [], np.zeros((sys.num_levels, sys.num_atoms), dtype=bool)
     for level in range(sys.num_levels):
         kernel = inst.mu * lattice.chain_running(sys, contrib, start_level=level)
         num_terms.append(inst.sigma * ell2_slice(kernel) ** inst.q)
-        # A cube's kernel is this one times its atom mask, which turns a
-        # non-finite column off the cube into NaN: such cubes have no ratio.
-        cut = slice(sys.level_offset[level], sys.level_offset[level + 1])
-        bad = ~np.isfinite(kernel).all(axis=0)
-        inside = np.bincount(sys.ancestor_local[level], weights=bad, minlength=cut.stop - cut.start)
-        skip[cut] = inside < bad.sum()
+        bad[level] = ~np.isfinite(kernel).all(axis=0)
+    # A cube's kernel is its level's kernel times its atom mask, which turns a
+    # non-finite column off the cube into NaN: such cubes have no ratio.
+    skip = lattice.level_sums(sys, bad) < bad.sum(axis=1)[sys.cube_level]
     best, cube = _select(sys, inst.q, num_terms, [inst.omega] * sys.num_levels, skip)
     if cube is None:
         return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)))

@@ -16,7 +16,9 @@ children, paths, subcube masks and the dense form kernel that the
 family writer use those, not the tables they check.  They name a cube by the
 ``Cube(level, index)`` tuple the package used before the linear id became a
 cube's only name, converted with copies of the package's old ``linear`` and
-``cube_at``.
+``cube_at``.  The tree aggregations that ``lattice.level_sums`` and
+``lattice.level_cumsum`` replaced are kept verbatim as oracles too, with
+``chain_total``, which the three-pass embedding search still calls.
 """
 
 import math
@@ -304,6 +306,94 @@ def form_kernel(inst) -> np.ndarray:
     cut = np.minimum(np.arange(sys.num_levels)[:, None, None], shared[None, :, :])
     chain = prefix[cut, np.arange(sys.num_atoms)[None, :, None]]
     return inst.mu[:, :, None] * chain
+
+
+# -- the tree aggregations before ``level_sums`` and ``level_cumsum`` --------
+#
+# The package sums up the tree with ``lattice.level_sums`` and runs down it
+# with ``lattice.level_cumsum``.  These are the bodies those two replaced,
+# kept as they were: the four aggregations (``chain_total`` is gone from the
+# package, whose callers read the last row of ``chain_running``), the one
+# ``bincount`` over every cell that the testing constants' ``_select`` scan
+# made, the dual's per-level skip count, and ``normest.form_kernel``.
+
+
+def cube_sums(sys: DyadicSystem, atom_values: np.ndarray) -> np.ndarray:
+    """Per-cube sums of an atom array: out[Q] = sum of values over atoms in Q."""
+    v = np.asarray(atom_values, dtype=np.float64)
+    out = np.empty(sys.num_cubes, dtype=np.float64)
+    for j in range(sys.num_levels):
+        out[sys.level_offset[j] : sys.level_offset[j + 1]] = np.bincount(
+            sys.ancestor_local[j], weights=v, minlength=int(sys.level_sizes[j])
+        )
+    return out
+
+
+def box_sums(sys: DyadicSystem, cell_values: np.ndarray) -> np.ndarray:
+    """Per-cube Carleson-box sums of a (levels, atoms) array.
+
+    out[Q] = sum of values over the pairs (atom in Q, level >= level of Q).
+    """
+    w = np.asarray(cell_values, dtype=np.float64)
+    suffix = np.cumsum(w[::-1], axis=0)[::-1]
+    out = np.empty(sys.num_cubes, dtype=np.float64)
+    for j in range(sys.num_levels):
+        out[sys.level_offset[j] : sys.level_offset[j + 1]] = np.bincount(
+            sys.ancestor_local[j], weights=suffix[j], minlength=int(sys.level_sizes[j])
+        )
+    return out
+
+
+def chain_running(
+    sys: DyadicSystem, cube_values: np.ndarray, start_level: int = 0
+) -> np.ndarray:
+    """Running ancestor sums: out[j, a] = sum of values over the ancestors of
+    atom a at levels ``start_level .. j`` (zero for j < start_level)."""
+    v = np.asarray(cube_values, dtype=np.float64)
+    out = np.zeros((sys.num_levels, sys.num_atoms), dtype=np.float64)
+    acc = np.zeros(sys.num_atoms, dtype=np.float64)
+    for j in range(start_level, sys.num_levels):
+        level_vals = v[sys.level_offset[j] : sys.level_offset[j + 1]]
+        acc = acc + level_vals[sys.ancestor_local[j]]
+        out[j] = acc
+    return out
+
+
+def chain_total(sys: DyadicSystem, cube_values: np.ndarray) -> np.ndarray:
+    """out[a] = sum of values over every cube containing atom a."""
+    v = np.asarray(cube_values, dtype=np.float64)
+    acc = np.zeros(sys.num_atoms, dtype=np.float64)
+    for j in range(sys.num_levels):
+        level_vals = v[sys.level_offset[j] : sys.level_offset[j + 1]]
+        acc += level_vals[sys.ancestor_local[j]]
+    return acc
+
+
+def select_scan_sums(sys, terms) -> np.ndarray:
+    """The per-cube sums of ``_select``'s scan: one ``bincount`` over every cell."""
+    cells = sys.cell_cube.ravel()
+    return np.bincount(cells, weights=np.ravel(terms), minlength=sys.num_cubes)
+
+
+def dual_skip(sys, kernels) -> np.ndarray:
+    """The dual's skip flags from its per-level kernels, one ``bincount`` per
+    level: a cube has no ratio when its level's kernel holds a non-finite
+    column off the cube."""
+    skip = np.zeros(sys.num_cubes, dtype=bool)
+    for level, kernel in enumerate(kernels):
+        cut = slice(sys.level_offset[level], sys.level_offset[level + 1])
+        bad = ~np.isfinite(kernel).all(axis=0)
+        inside = np.bincount(sys.ancestor_local[level], weights=bad, minlength=cut.stop - cut.start)
+        skip[cut] = inside < bad.sum()
+    return skip
+
+
+def form_kernel_cumsum(inst) -> np.ndarray:
+    """``normest.form_kernel`` with its running sum as ``np.cumsum``."""
+    sys = inst.sys
+    cells = sys.cell_cube
+    shared = cells[:, :, None] == cells[:, None, :]
+    return inst.mu[:, :, None] * np.cumsum(shared * inst.lam[cells][:, None, :], axis=0)
 
 
 # -- helpers only tests call ------------------------------------------------
@@ -715,7 +805,7 @@ def embedding_ratio_search_three_pass(sys, data, p, restarts=4, iterations=40, s
                 out=np.zeros_like(avg),
                 where=masses > 0,
             )
-            grad = lattice.chain_total(sys, t)
+            grad = chain_total(sys, t)
             h_new = grad ** (1.0 / (p - 1.0))
             top = h_new.max()
             if top == 0.0:

@@ -75,6 +75,13 @@ def test_schema_accepts_plain_numbers():
     assert inst.p == 2.0 and inst.lam[0] == 1.0
 
 
+def test_schema_cube_named_twice_keeps_the_last_value():
+    # "01" and "1" parse to the same cube; assignment follows mapping order
+    doc = _base_doc()
+    doc["lambda"] = {"1": 2.0, "": 3.0, "01": 5.0}
+    assert io.instance_from_dict(doc).lam.tolist() == [3.0, 0.0, 5.0]
+
+
 @pytest.mark.parametrize(
     "mutate,path",
     [
@@ -234,6 +241,22 @@ def test_cli_fsum_overflow_exits_as_guard_violation(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "guard violation: intermediate overflow in fsum\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["testing", "normest"])
+def test_cli_infinite_payload_exits_as_guard_violation(tmp_path, capsys, command):
+    # lambda * 1e300 overflows T and T* (and normest's oracle value) to inf,
+    # which JSON cannot carry
+    base = generate(GenSpec(seed=2, dimension=1, depth=3, p=2.0))
+    big = Instance(base.sys, base.p, base.sigma, base.omega, base.mu, base.lam * 1e300)
+    path = tmp_path / "big.json"
+    with open(path, "w") as fp:
+        io.write_instance(big, fp)
+    assert main([command, "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guard violation: non-finite value in the JSON output")
 
 
 @pytest.mark.parametrize(

@@ -198,7 +198,7 @@ def test_aggregation_helpers(n, d):
         assert boxes[lin] == pytest.approx(expect, rel=1e-12)
 
     cv = rng.random(s.num_cubes)
-    total = lattice.chain_total(s, cv)
+    total = lattice.chain_running(s, cv)[-1]
     for a in range(s.num_atoms):
         expect = sum(cv[l] for l in range(s.num_cubes) if s.contains(l, a))
         assert total[a] == pytest.approx(expect, rel=1e-13)
@@ -207,6 +207,62 @@ def test_aggregation_helpers(n, d):
     for lin in range(s.num_cubes):
         mask = s.descendant_mask(lin)
         assert sub[lin] == pytest.approx(cv[mask].sum(), rel=1e-13)
+
+
+def _edge_values(rng, shape, kind):
+    """Values at the edges of binary64: exact zeros of both signs,
+    subnormals, values near 1e308 whose sums overflow, and infinities."""
+    if kind == "signed zeros":
+        return rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-310], size=shape)
+    if kind == "overflow":
+        return rng.choice([1.0, -1.0], size=shape) * rng.uniform(1e307, 1.7e308, size=shape)
+    v = rng.standard_normal(shape)
+    edge = rng.random(shape) < 0.1
+    pool = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308, np.inf, -np.inf])
+    v[edge] = rng.choice(pool, size=int(edge.sum()))
+    return v
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+ALL_SHAPES = (
+    [(1, d) for d in range(13)] + [(2, d) for d in range(1, 7)] + [(3, d) for d in range(1, 5)]
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n,d", ALL_SHAPES)
+def test_tree_aggregations_match_the_replaced_bodies(n, d):
+    # level_sums and level_cumsum replaced these loops; the sums are the same
+    # additions in the same order, so the results agree bit for bit
+    s = build_system(n, d)
+    rng = np.random.Generator(np.random.Philox(key=[n, d]))
+    for kind in ("mixed", "signed zeros", "overflow"):
+        atoms = _edge_values(rng, s.num_atoms, kind)
+        _assert_same_bits(lattice.cube_sums(s, atoms), ref.cube_sums(s, atoms))
+        cells = _edge_values(rng, (s.num_levels, s.num_atoms), kind)
+        _assert_same_bits(lattice.box_sums(s, cells), ref.box_sums(s, cells))
+        _assert_same_bits(lattice.level_sums(s, cells), ref.select_scan_sums(s, cells))
+        rows = list(cells)
+        _assert_same_bits(lattice.level_sums(s, rows), ref.select_scan_sums(s, rows))
+        cv = _edge_values(rng, s.num_cubes, kind)
+        for start in range(s.num_levels):
+            _assert_same_bits(
+                lattice.chain_running(s, cv, start_level=start),
+                ref.chain_running(s, cv, start_level=start),
+            )
+        _assert_same_bits(lattice.chain_running(s, cv)[-1], ref.chain_total(s, cv))
+    # the dual's skip count, with ``level`` non-finite columns in each level's kernel
+    kernels = rng.random((s.num_levels, s.num_levels, s.num_atoms))
+    for level, kernel in enumerate(kernels):
+        kernel[rng.integers(s.num_levels), rng.integers(s.num_atoms, size=level)] = np.inf
+    bad = ~np.isfinite(kernels).all(axis=1)
+    skip = lattice.level_sums(s, bad) < bad.sum(axis=1)[s.cube_level]
+    assert np.array_equal(skip, ref.dual_skip(s, kernels))
 
 
 @pytest.mark.parametrize("n,d", [(1, 0), (1, 4), (2, 3), (3, 2)])

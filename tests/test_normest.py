@@ -122,6 +122,7 @@ def test_form_kernel_represents_the_form(n, d, seed):
     g = random_atom_function(inst.sys, seed)
     kernel = form_kernel(inst)
     assert np.array_equal(kernel, ref.form_kernel(inst))
+    assert np.array_equal(kernel, ref.form_kernel_cumsum(inst))
     terms = inst.sigma[None, :, None] * f[:, :, None] * kernel * (inst.omega * g)[None, None, :]
     assert ksum(terms) == pytest.approx(lambda_form(inst, f, g), rel=1e-12)
 

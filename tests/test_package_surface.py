@@ -209,3 +209,21 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
         if not (arg in passed or "**" in passed or by_position):
             unpassed.append(label)
     assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
+
+
+def test_tree_aggregations_live_in_lattice():
+    # ``lattice.level_sums`` is the one sum up the tree and
+    # ``lattice.level_cumsum`` the one running sum down it: no other module
+    # calls bincount or cumsum, and chain_total stays gone
+    calls, defined = [], set()
+    for module, tree in _parse_package():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("bincount", "cumsum") and module != "lattice":
+                    calls.append(f"{module}:{node.lineno} {name}")
+            if isinstance(node, ast.FunctionDef) and module == "lattice":
+                defined.add(node.name)
+    assert calls == []
+    assert "chain_total" not in defined
