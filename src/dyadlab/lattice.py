@@ -205,24 +205,45 @@ def paths(sys: DyadicSystem, cubes) -> dict[int, str]:
 
 def level_sums(sys: DyadicSystem, rows) -> np.ndarray:
     """Per-cube sums of per-level atom rows: out[Q] = sum of ``rows[j]`` over
-    the atoms in Q, with j the level of Q."""
-    out = np.empty(sys.num_cubes, dtype=np.float64)
-    for j in range(sys.num_levels):
-        out[sys.level_offset[j] : sys.level_offset[j + 1]] = np.bincount(
-            sys.ancestor_local[j], weights=rows[j], minlength=int(sys.level_sizes[j])
-        )
+    the atoms in Q, with j the level of Q.
+
+    Rows with a leading batch axis, ``rows[j]`` of shape (k, atoms), give k
+    sums at once, shape (k, num_cubes): for k > 1 one bincount per level over
+    the offset bins ``ancestor_local[j] + i * size_j`` of batch row i.  Each
+    bin adds its terms in atom order, as the unbatched call does, so every
+    batch row is bit-identical to its own call.  A batch of one takes the
+    unbatched path.
+    """
+    batch = rows[0].shape[:-1]
+    if batch in ((), (1,)):
+        out = np.empty(sys.num_cubes, dtype=np.float64)
+        for j in range(sys.num_levels):
+            out[sys.level_offset[j] : sys.level_offset[j + 1]] = np.bincount(
+                sys.ancestor_local[j], weights=rows[j].ravel(), minlength=int(sys.level_sizes[j])
+            )
+        return out.reshape(batch + out.shape)
+    k = batch[0]
+    out = np.empty((k, sys.num_cubes), dtype=np.float64)
+    bins = sys.ancestor_local[:, None, :] + sys.level_sizes[:, None, None] * np.arange(k)[:, None]
+    bounds = sys.level_offset.tolist()
+    for j, size in enumerate(sys.level_sizes.tolist()):
+        out[:, bounds[j] : bounds[j + 1]] = np.bincount(
+            bins[j].ravel(), weights=rows[j].ravel(), minlength=k * size
+        ).reshape(k, size)
     return out
 
 
 def level_cumsum(x: np.ndarray) -> np.ndarray:
-    """Running sums along the leading (level) axis, in place: x[j] += x[j-1]."""
+    """Running sums along the leading (level) axis, in place: x[j] += x[j-1].
+    Trailing axes pass through."""
     for j in range(1, len(x)):
         x[j] += x[j - 1]
     return x
 
 
 def cube_sums(sys: DyadicSystem, atom_values: np.ndarray) -> np.ndarray:
-    """Per-cube sums of an atom array: out[Q] = sum of values over atoms in Q."""
+    """Per-cube sums of an atom array: out[Q] = sum of values over atoms in Q.
+    Values of shape (k, atoms) give the k sums, shape (k, num_cubes)."""
     v = np.asarray(atom_values, dtype=np.float64)
     return level_sums(sys, [v] * sys.num_levels)
 
@@ -240,12 +261,19 @@ def chain_running(
     sys: DyadicSystem, cube_values: np.ndarray, start_level: int = 0
 ) -> np.ndarray:
     """Running ancestor sums: out[j, a] = sum of values over the ancestors of
-    atom a at levels ``start_level .. j`` (zero for j < start_level)."""
-    out = np.asarray(cube_values, dtype=np.float64)[sys.cell_cube]
-    out[:start_level] = 0.0
+    atom a at levels ``start_level .. j`` (zero for j < start_level).
+    Values of shape (k, num_cubes) give the k runs, shape (k, levels, atoms)."""
+    v = np.asarray(cube_values, dtype=np.float64)
+    if v.ndim == 1 or len(v) == 1:
+        levels = v.reshape(-1)[sys.cell_cube]
+        out = levels.reshape(v.shape[:-1] + levels.shape)
+    else:  # the batch axis goes last, so that each level is one block
+        levels = np.take(v.T, sys.cell_cube, axis=0)
+        out = levels.transpose(2, 0, 1)
+    levels[:start_level] = 0.0
     # a running sum starts from 0.0, which turns a -0.0 start value into +0.0
-    out[start_level : start_level + 1] += 0.0
-    level_cumsum(out[start_level:])
+    levels[start_level : start_level + 1] += 0.0
+    level_cumsum(levels[start_level:])
     return out
 
 

@@ -27,6 +27,11 @@ def ksum(values) -> float:
     return math.fsum(arr.ravel().tolist())
 
 
+def row_ksums(rows) -> list[float]:
+    """``ksum`` of each row of a (k, n) array."""
+    return [math.fsum(row) for row in np.asarray(rows, dtype=np.float64).tolist()]
+
+
 def group_ksum(keys: np.ndarray, values: np.ndarray, groups) -> list[float]:
     """``ksum(values[keys == g])`` for each g in ``groups``, 0.0 for an empty one.
 
@@ -92,6 +97,12 @@ def mixed_norm(f: np.ndarray, sigma: np.ndarray, p: float) -> float:
 def lp_norm(g: np.ndarray, w: np.ndarray, p: float) -> float:
     g = np.asarray(g, dtype=np.float64)
     return ksum(w * g**p) ** (1.0 / p)
+
+
+def lp_norms(g: np.ndarray, w: np.ndarray, p: float) -> list[float]:
+    """``lp_norm`` of each row of a (k, atoms) array: the same terms, one
+    power for the batch and one exact sum per row."""
+    return [total ** (1.0 / p) for total in row_ksums(w * g**p)]
 
 
 def lp_norming(h: np.ndarray, w: np.ndarray, p: float):

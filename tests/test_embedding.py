@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab import build_system, lattice, worked_instances
+from dyadlab import build_system, embedding, lattice, worked_instances
 from dyadlab.embedding import (
     CarlesonData,
     carleson_condition_constant,
@@ -156,7 +156,7 @@ def test_stopping_embedding_structure_random(p):
         )
 
 
-# -- one averages pass per evaluation against the three-pass search ---------
+# -- lockstep batches against the three-pass search -------------------------
 
 SEARCH_SHAPES = [(1, D) for D in range(1, 7)] + [(2, D) for D in range(1, 4)] + [
     (3, D) for D in range(1, 3)
@@ -199,24 +199,125 @@ def test_search_matches_three_pass_search(p):
                     _assert_same_search(s, data, p, restarts, seed)
 
 
-def test_search_takes_one_averages_pass_per_evaluation(monkeypatch):
+def _batches(monkeypatch):
+    """Record the batch size of every averages pass, 0 for an unbatched one."""
+    cube_sums, sizes = lattice.cube_sums, []
+
+    def recorded(sys, values):
+        sizes.append(len(values) if np.ndim(values) == 2 else 0)
+        return cube_sums(sys, values)
+
+    monkeypatch.setattr(lattice, "cube_sums", recorded)
+    return sizes
+
+
+def test_search_takes_one_averages_pass_per_chunk_and_step(monkeypatch):
+    # d2 D3 has 85 indicators, more than one chunk holds
     s = build_system(2, 3)
     data = _search_data(s, 1)[0]
-    cube_sums, allclose = lattice.cube_sums, np.allclose
-    calls = {"cube_sums": 0, "allclose": 0}
+    rows = embedding._chunk_rows(s)
+    indicators = s.num_cubes
+    assert 1 < rows < indicators
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.allclose called")
 
-        return wrapper
-
-    monkeypatch.setattr(lattice, "cube_sums", counted("cube_sums", cube_sums))
-    monkeypatch.setattr(np, "allclose", counted("allclose", allclose))
+    monkeypatch.setattr(np, "allclose", forbidden)
+    sizes = _batches(monkeypatch)
     result = embedding_ratio_search(s, data, 3.0, restarts=2, seed=1)
-    assert result.evaluations > s.num_cubes
-    assert calls == {"cube_sums": result.evaluations + 1, "allclose": 0}
+    # the masses, then one pass per chunk of indicators in cube order, then
+    # one pass per lockstep step of the four seeds
+    chunks = -(-indicators // rows)
+    assert sizes[0] == 0
+    assert sizes[1 : 1 + chunks] == [rows] * (chunks - 1) + [indicators - rows * (chunks - 1)]
+    steps = sizes[1 + chunks :]
+    assert steps[0] == 4 and steps == sorted(steps, reverse=True)
+    assert len(steps) == embedding._ASCENT_STEPS + 1
+    assert sum(sizes) == result.evaluations
+
+
+def test_lockstep_rows_leave_at_different_steps(monkeypatch):
+    # a zero row's first step vanishes, the constant and random rows run the
+    # full length; every row ends as its own ascent does
+    s = build_system(1, 4)
+    data = _search_data(s, 2)[0]
+    masses = lattice.cube_sums(s, data.nu)
+    rng = np.random.Generator(np.random.Philox(key=[2, 66]))
+    seeds = np.array([rng.random(s.num_atoms), np.zeros(s.num_atoms), np.ones(s.num_atoms)])
+    alone = [embedding._lockstep_ascent(s, data, masses, seeds[i : i + 1], 3.0) for i in range(3)]
+    sizes = _batches(monkeypatch)
+    best, witness, evals = embedding._lockstep_ascent(s, data, masses, seeds, 3.0)
+    assert sizes[:2] == [3, 2] and len(sizes) == embedding._ASCENT_STEPS + 1
+    assert [one[2] for one in alone] == [embedding._ASCENT_STEPS + 1, 1, embedding._ASCENT_STEPS + 1]
+    assert evals == sum(one[2] for one in alone)
+    assert best == [one[0][0] for one in alone]
+    assert witness[1] is None and alone[1][1] == [None]
+    for i in (0, 2):
+        assert np.array_equal(witness[i], alone[i][1][0])
+
+
+def test_search_with_seeds_settling_early_matches_three_pass_search(monkeypatch):
+    # dense masses on d1 D2: three seeds pass the iterate test at different
+    # steps, the fourth runs the full length
+    s = build_system(1, 2)
+    rng = np.random.Generator(np.random.Philox(key=[48, 64]))
+    data = CarlesonData(rng.random(s.num_cubes), 0.1 + rng.random(s.num_atoms))
+    sizes = _batches(monkeypatch)
+    embedding_ratio_search(s, data, 3.0, restarts=2, seed=48)
+    monkeypatch.undo()
+    steps = sizes[2:]  # after the masses and the one chunk of indicators
+    assert len(steps) == embedding._ASCENT_STEPS + 1
+    assert steps[0] == 4 and steps[-1] == 1 and len(set(steps)) == 4
+    _assert_same_search(s, data, 3.0, 2, 48)
+
+
+def test_tied_indicators_first_in_cube_order_wins():
+    # masses on the two middle cubes of level 1 and a uniform measure: their
+    # indicators tie for the best ratio, and the first seeds the ascent
+    s = build_system(2, 2)
+    a = np.zeros(s.num_cubes)
+    a[[2, 3]] = 1.0
+    data = CarlesonData(a, np.ones(s.num_atoms))
+    for p in (1.5, 2.0, 3.0):
+        ratios = [ref._embedding_ratio(s, data, s.atom_mask(c).astype(float), p) for c in range(s.num_cubes)]
+        assert [c for c in range(s.num_cubes) if ratios[c] == max(ratios)] == [2, 3]
+        for restarts in (0, 2):
+            _assert_same_search(s, data, p, restarts, 0)
+
+
+@pytest.mark.parametrize("cells", [1, 64, 100])
+def test_search_in_small_chunks_matches_three_pass_search(monkeypatch, cells):
+    # with few cells a chunk, the indicators and the seeds both span chunks
+    monkeypatch.setattr(embedding, "_CHUNK_CELLS", cells)
+    for dimension, depth in [(1, 3), (2, 2), (1, 4)]:
+        s = build_system(dimension, depth)
+        assert embedding._chunk_rows(s) < 4
+        for seed in range(2):
+            for data in _search_data(s, seed):
+                for p in (1.5, 3.0):
+                    _assert_same_search(s, data, p, 2, seed)
+
+
+@pytest.mark.parametrize("dimension,depth", [(1, 12), (3, 4)])
+def test_search_passes_stay_within_the_chunk_rule(monkeypatch, dimension, depth):
+    # at the size guard no batched aggregation holds more rows than a chunk
+    s = build_system(dimension, depth)
+    rng = np.random.Generator(np.random.Philox(key=[dimension, depth]))
+    nu = np.zeros(s.num_atoms)
+    nu[rng.integers(s.num_atoms, size=3)] = 1.0  # few cubes with mass
+    data = CarlesonData(rng.random(s.num_cubes), nu)
+    level_sums, batches = lattice.level_sums, []
+
+    def recorded(sys, rows):
+        batches.append(rows[0].shape[:-1])
+        return level_sums(sys, rows)
+
+    monkeypatch.setattr(lattice, "level_sums", recorded)
+    embedding_ratio_search(s, data, 3.0, restarts=2, seed=1)
+    rows = embedding._chunk_rows(s)
+    assert len(batches) > 2 * embedding._ASCENT_STEPS
+    assert {len(batch) for batch in batches} <= {0, 1}
+    assert max(math.prod(batch) for batch in batches) <= rows
 
 
 # -- exclusive sums by one grouping against the per-member masks -------------

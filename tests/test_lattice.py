@@ -265,6 +265,26 @@ def test_tree_aggregations_match_the_replaced_bodies(n, d):
     assert np.array_equal(skip, ref.dual_skip(s, kernels))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n,d", ALL_SHAPES)
+def test_batched_aggregations_match_per_row_calls(n, d):
+    # a leading batch axis gives each row the bits of its own call
+    s = build_system(n, d)
+    rng = np.random.Generator(np.random.Philox(key=[n, 16 + d]))
+    for k, kind in ((1, "mixed"), (2, "signed zeros"), (7, "overflow"), (7, "mixed")):
+        cells = _edge_values(rng, (k, s.num_levels, s.num_atoms), kind)
+        got = lattice.level_sums(s, [cells[:, j] for j in range(s.num_levels)])
+        _assert_same_bits(got, np.array([lattice.level_sums(s, row) for row in cells]))
+        atoms = _edge_values(rng, (k, s.num_atoms), kind)
+        got = lattice.cube_sums(s, atoms)
+        _assert_same_bits(got, np.array([lattice.cube_sums(s, row) for row in atoms]))
+        cv = _edge_values(rng, (k, s.num_cubes), kind)
+        for start in {0, s.depth // 2, s.depth}:
+            got = lattice.chain_running(s, cv, start_level=start)
+            want = [lattice.chain_running(s, row, start_level=start) for row in cv]
+            _assert_same_bits(got, np.array(want))
+
+
 @pytest.mark.parametrize("n,d", [(1, 0), (1, 4), (2, 3), (3, 2)])
 def test_index_tables_match_multi_index_definitions(n, d):
     s = build_system(n, d)

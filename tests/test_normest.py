@@ -139,6 +139,34 @@ def test_spectral_matches_numpy_svd(seed):
     assert spectral_oracle_p2(inst) == pytest.approx(expect, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "n,d,seed",
+    [(1, 6, 4), (3, 3, 3)]  # slow power-iteration instances: sigma2/sigma1 near 1
+    + [(1, d, 0) for d in range(1, 7)] + [(2, d, 0) for d in range(1, 4)] + [(3, 1, 0), (3, 2, 0)],
+)
+def test_spectral_oracle_within_rounding_of_svd(n, d, seed):
+    # the Gram matrix of a nonnegative matrix with r rows carries entrywise
+    # relative error at most about r * u, so sigma_max does too
+    inst = generate(GenSpec(seed=seed, dimension=n, depth=d, p=2.0))
+    s = inst.sys
+    m = (
+        np.sqrt(inst.sigma)[None, :, None] * form_kernel(inst) * np.sqrt(inst.omega)[None, None, :]
+    ).reshape(s.num_levels * s.num_atoms, s.num_atoms)
+    expect = float(np.linalg.svd(m, compute_uv=False)[0])
+    tol = 4 * len(m) * np.finfo(np.float64).eps / 2
+    assert abs(spectral_oracle_p2(inst) - expect) <= tol * expect
+
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_spectral_oracle_is_infinite_when_the_gram_matrix_overflows():
+    # lambda * 2**600 puts the Gram matrix's entries near 2**1200
+    base = generate(GenSpec(seed=2, dimension=1, depth=3, p=2.0))
+    for scale in (2.0**600, 1e300):
+        big = Instance(base.sys, base.p, base.sigma, base.omega, base.mu, base.lam * scale)
+        assert spectral_oracle_p2(big) == math.inf
+
+
 def test_grid_oracle_examples():
     # 2-DOF single cell: exact rank-one value
     w2 = W["w2"]
