@@ -8,16 +8,15 @@ comparable (p-dependently) to the smallest constant in the cube-mass
 condition.  The condition side is exact arithmetic; the embedding side is a
 seeded ratio maximization whose indicator seeds already certify that the
 empirical constant dominates the condition constant.  The search evaluates
-its functions in chunks, one batched cube-averages pass per chunk: the cube
-indicators first, then the ascent seeds in lockstep, each step reusing the
-averages of the last for its gradients.  A chunk holds more functions the
-smaller the lattice, and a single one on the largest.
+the cube indicators in chunks, one batched cube-averages pass per chunk, then
+runs the power method of :func:`normest.power_ascent` on the cube-average
+map, whose seeds step in lockstep on the same chunks.  A chunk holds more
+functions the smaller the lattice, and a single one on the largest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -25,7 +24,8 @@ from . import generators, lattice
 from .errors import GuardError
 from .forms import Instance, all_box_integrals
 from .lattice import DyadicSystem
-from .measures import group_ksum, ksum, lp_norms, mixed_norm, row_ksums
+from .measures import conjugate, group_ksum, ksum, lp_norming, lp_norms, mixed_norm, row_ksums
+from .normest import power_ascent
 from .stopping import StoppingFamily, _largest_subtree_ratio, _subtree_totals, cell_projection
 
 
@@ -70,71 +70,33 @@ class RatioSearchResult:
     evaluations: int
 
 
-_ASCENT_STEPS = 40  # fixed-point steps per seed
-
-# A chunk of functions, evaluated in one batched lattice pass, holds about
-# this many (level, atom) cells, and at least one function.  Measured on the
-# search alone (p = 3, two restarts, 1 BLAS thread): chunks of one row took
-# 1.9x the rule's time at d1 D6 (36 rows a chunk), 1.6x at d1 D8 (7), 1.3x
-# at d3 D3 (8), 1.2x at d1 D9 (3) and the same at d2 D5 (2).  From d1 D10 on
-# (11264 cells a row) a chunk is one function, which takes the unbatched
-# lattice path: batched passes measured slower there.
-_CHUNK_CELLS = 1 << 14
+_MAX_ITER, _TOL = 40, 1e-10  # the ascent's step cap and stop tolerance
 
 
-def _chunk_rows(sys: DyadicSystem) -> int:
-    return max(1, _CHUNK_CELLS // (sys.num_levels * sys.num_atoms))
+def _averages(sys: DyadicSystem, data: CarlesonData, masses: np.ndarray, h: np.ndarray):
+    """The cube-average map A h = (avg_Q h)_Q, zero on the cubes without mass."""
+    integrals = lattice.cube_sums(sys, data.nu * h)
+    return np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
 
 
 def _ratios(sys: DyadicSystem, data: CarlesonData, masses: np.ndarray, h: np.ndarray, p: float):
-    """Embedding ratios of the rows of h, with their Lp(nu) norms and cube
-    averages: one batched averages pass, then one exact sum per row."""
-    integrals = lattice.cube_sums(sys, data.nu * h)
-    avg = np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
+    """Embedding ratios of the rows of h: one averages pass, one exact sum a row."""
     norms = lp_norms(h, data.nu, p)
-    sums = row_ksums(data.a * avg**p)
-    ratios = [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
-    return ratios, norms, avg
+    sums = row_ksums(data.a * _averages(sys, data, masses, h) ** p)
+    return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
 
 
-def _lockstep_ascent(
-    sys: DyadicSystem, data: CarlesonData, masses: np.ndarray, h: np.ndarray, p: float
-):
-    """Fixed-point ascent from every row of h, the rows stepped together.
+def _average_maps(sys: DyadicSystem, data: CarlesonData, masses: np.ndarray, p: float):
+    """The half-steps: A h normed in lp(a), and A* g normed in Lq(nu)."""
 
-    Returns per row the first largest ratio among its iterates (0.0 when none
-    is positive) with that iterate at unit norm, and the evaluation count.  A
-    row leaves the batch when its step vanishes or its iterate settles.
-    """
-    best, witness = [0.0] * len(h), [None] * len(h)
-    live = list(range(len(h)))  # the row of each iterate
-    h_new, evals = h, 0
-    for step in range(_ASCENT_STEPS + 1):
-        ratios, norms, avg = _ratios(sys, data, masses, h_new, p)
-        evals += len(live)
-        for i, r, n, row in zip(live, ratios, norms, h_new):
-            if r > best[i]:
-                best[i], witness[i] = r, row / n
-        if step > 0:
-            # iterates are finite or NaN, and NaN never counts as converged
-            going = ~np.all(np.abs(h_new - h) <= 1e-13 * np.abs(h), axis=1)
-            if not going.all():
-                h_new, avg = h_new[going], avg[going]
-                live = list(compress(live, going.tolist()))
-        h = h_new
-        if step == _ASCENT_STEPS or not live:
-            break
-        t = np.divide(data.a * avg ** (p - 1.0), masses, out=np.zeros_like(avg), where=masses > 0)
-        h_new = lattice.chain_running(sys, t)[:, -1] ** (1.0 / (p - 1.0))
-        top = h_new.max(axis=1, keepdims=True)
-        moving = top[:, 0] != 0.0  # a seed whose step vanishes ends unevaluated
-        if not moving.all():
-            h, h_new, top = h[moving], h_new[moving], top[moving]
-            live = list(compress(live, moving.tolist()))
-            if not live:
-                break
-        h_new /= top
-    return best, witness, evals
+    def forward(h):
+        return lp_norming(_averages(sys, data, masses, h), data.a, p)
+
+    def backward(g):
+        t = np.divide(data.a * g, masses, out=np.zeros_like(g), where=masses > 0)
+        return lp_norming(lattice.chain_running(sys, t)[..., -1, :], data.nu, conjugate(p))
+
+    return forward, backward
 
 
 def embedding_ratio_search(
@@ -144,22 +106,17 @@ def embedding_ratio_search(
     restarts: int = 4,
     seed: int = 0,
 ) -> RatioSearchResult:
-    """Empirical embedding constant by seeded fixed-point ascent.
+    """Empirical embedding constant: the largest ratio ||A h||^p / ||h||^p
+    found for the cube-average map A: Lp(nu) -> lp(a).
 
-    Seeds: the indicator of every cube (these certify that the result
-    dominates the condition constant), the constant function, and ``restarts``
-    random starts.  From each seed the update replaces h by the (1/(p-1))-th
-    power of the collected average-gradient, which is the stationarity shape
-    of the ratio; the best ratio over every iterate is kept, the first one
-    in the order indicators (cube order), then seed by seed, step by step.
-
-    The work runs in chunks of ``_chunk_rows`` functions, each one batched
-    lattice pass: the indicators of the cubes with mass, then the ascent
-    seeds in lockstep, whose every step evaluates the live seeds' iterates
-    together and takes the next gradients from those averages.
+    The indicators of the cubes with mass, which certify that the result
+    dominates the condition constant, take one averages pass per chunk.  The
+    constant function, the first best indicator and ``restarts`` random starts
+    then seed :func:`normest.power_ascent`; the exact ratio of its best
+    iterate wins only when larger, so the witness attains the value.
     """
     masses = lattice.cube_sums(sys, data.nu)
-    rows = _chunk_rows(sys)
+    rows = lattice.chunk_rows(sys)
     best, best_h, evals = 0.0, np.zeros(sys.num_atoms), 0
 
     cubes = np.flatnonzero(masses > 0)
@@ -167,11 +124,10 @@ def embedding_ratio_search(
     for start in range(0, len(cubes), rows):
         chunk = cubes[start : start + rows]
         h = (sys.cell_cube[sys.cube_level[chunk]] == chunk[:, None]).astype(np.float64)
-        ratios, norms, _ = _ratios(sys, data, masses, h, p)
         evals += len(chunk)
-        for r, n, row in zip(ratios, norms, h):
+        for r, row in zip(_ratios(sys, data, masses, h, p), h):
             if r > best:
-                best, best_h = r, row / n
+                best, best_h = r, row
             if indicator is None or r > indicator[0]:
                 indicator = (r, row)
 
@@ -179,14 +135,14 @@ def embedding_ratio_search(
     if indicator is not None:
         seeds.append(indicator[1])
     seeds += [generators.philox(seed, k).random(sys.num_atoms) for k in range(restarts)]
-    for start in range(0, len(seeds), rows):
-        found, witness, count = _lockstep_ascent(
-            sys, data, masses, np.array(seeds[start : start + rows]), p
-        )
-        evals += count
-        for r, h in zip(found, witness):
-            if r > best:
-                best, best_h = r, h
+    forward, backward = _average_maps(sys, data, masses, p)
+    _, pair, _, steps = power_ascent(sys, np.array(seeds), forward, backward, _TOL, _MAX_ITER)
+    evals += steps
+    if pair is not None:
+        r = _ratios(sys, data, masses, pair[0][None, :], p)[0]
+        evals += 1
+        if r > best:
+            best, best_h = r, pair[0]
     return RatioSearchResult(best, best_h, evals)
 
 

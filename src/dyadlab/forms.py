@@ -103,9 +103,9 @@ def lambda_form_local(inst: Instance, top: int, f: np.ndarray, g: np.ndarray) ->
 
 def apply_box_operator(inst: Instance, f: np.ndarray) -> np.ndarray:
     """The operator side of the form: out[a] = sum over cubes containing a of
-    lam[Q] times the box pairing of f over Q."""
+    lam[Q] times the box pairing of f over Q.  Both operators take a batch."""
     contrib = inst.lam * all_box_integrals(inst, f)
-    return lattice.chain_running(inst.sys, contrib)[-1]
+    return lattice.chain_running(inst.sys, contrib)[..., -1, :]
 
 
 def apply_adjoint_operator(inst: Instance, g: np.ndarray) -> np.ndarray:

@@ -84,9 +84,10 @@ def zero_preserving_power(base: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def ell2_slice(f: np.ndarray) -> np.ndarray:
-    """Pointwise (per atom) l2 norm across scale levels."""
+    """Pointwise (per atom) l2 norm across scale levels; a leading batch axis
+    passes through."""
     f = np.asarray(f, dtype=np.float64)
-    return np.sqrt((f * f).sum(axis=0))
+    return np.sqrt((f * f).sum(axis=-2))
 
 
 def mixed_norm(f: np.ndarray, sigma: np.ndarray, p: float) -> float:
@@ -109,27 +110,37 @@ def lp_norming(h: np.ndarray, w: np.ndarray, p: float):
     """The unit-Lq(w) atom function norming h, with q the conjugate of p.
 
     Returns (g, value) with value = ||h||_{Lp(w)} = the w-pairing of g and
-    h; (None, 0.0) when h vanishes.
+    h; (None, 0.0) when h vanishes.  A batch of rows gives the rows of g, a
+    zero row where h vanishes, and the array of values, each bit-identical.
     """
-    value = lp_norm(h, w, p)
-    if value == 0.0:
-        return None, 0.0
-    return (h / value) ** (p - 1.0), value
+    h = np.asarray(h, dtype=np.float64)
+    values = np.array(lp_norms(np.atleast_2d(h), w, p))
+    return _normed(h.ndim == 1, h, values, values, p - 1.0)
 
 
 def mixed_norming(k: np.ndarray, sigma: np.ndarray, p: float):
     """The unit mixed-p-norm scale function norming k in the sigma-pairing.
 
     Returns (f, value) with value = the mixed q-norm of k = the pairing of f
-    and k, q the conjugate of p; (None, 0.0) when k vanishes.
-    """
+    and k, q the conjugate of p; (None, 0.0) when k vanishes.  Batches as
+    :func:`lp_norming` does."""
     q = conjugate(p)
+    k = np.asarray(k, dtype=np.float64)
     s = ell2_slice(k)
-    value = lp_norm(s, sigma, q)
-    if value == 0.0:
-        return None, 0.0
-    shaped = k if q == 2.0 else zero_preserving_power(s, q - 2.0)[None, :] * k
-    return shaped / mixed_norm(shaped, sigma, p), value
+    values = np.array(lp_norms(np.atleast_2d(s), sigma, q))
+    shaped = k if q == 2.0 else zero_preserving_power(s, q - 2.0)[..., None, :] * k
+    norms = np.array(lp_norms(np.atleast_2d(ell2_slice(shaped)), sigma, p))
+    return _normed(k.ndim == 2, shaped, norms, values, 1.0)
+
+
+def _normed(single: bool, x: np.ndarray, by: np.ndarray, values: np.ndarray, power: float):
+    """(x / by) ** power by rows, 0 where the value is 0.0, or one row and value."""
+    out = x / np.where(values != 0.0, by, np.inf).reshape((-1,) + (1,) * (x.ndim - 1))
+    if power != 1.0:  # x ** 1.0 is x
+        out **= power
+    if not single:
+        return out, values
+    return (None, 0.0) if values[0] == 0.0 else (out, float(values[0]))
 
 
 def box_integral(

@@ -5,6 +5,8 @@ argument frozen, the optimal other argument has a closed form (a norming
 function), so every half-step is an exact conditional maximizer and the ratio
 sequence is nondecreasing.  Mandatory seeds come from the testing constants,
 which makes the final value dominate both of them by construction.
+:func:`power_ascent` is that nonlinear power method, seeds in lockstep, for
+the box operator here and for the cube-average map of :mod:`dyadlab.embedding`.
 
 Two oracles certify the estimate on small problems: the exact largest
 singular value at p = 2 (the form is then a weighted matrix pairing and the
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -28,11 +31,9 @@ from .testing_constants import TestingReport, testing_report
 
 
 def best_f_given_g(inst: Instance, g: np.ndarray):
-    """Unit mixed-norm maximizer of the form against a fixed atom function.
-
-    Returns (f, value) with value = form(f, g); (None, 0.0) when the adjoint
-    kernel vanishes (degenerate direction).
-    """
+    """Unit mixed-norm maximizer of the form against a fixed atom function:
+    (f, form(f, g)), or (None, 0.0) when the adjoint kernel vanishes
+    (degenerate direction).  Both maximizers take a batch."""
     return mixed_norming(apply_adjoint_operator(inst, g), inst.sigma, inst.p)
 
 
@@ -40,6 +41,55 @@ def best_g_given_f(inst: Instance, f: np.ndarray):
     """Unit dual-norm maximizer of the form against a fixed unit scale
     function.  Returns (g, value) with value = form(f, g), or (None, 0.0)."""
     return lp_norming(apply_box_operator(inst, f), inst.omega, inst.p)
+
+
+def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: float, max_iter: int):
+    """Nonlinear power method (Boyd, 1974) from every row of ``starts``, in
+    chunks of ``lattice.chunk_rows`` rows stepped together.
+
+    A step takes x to ``y, _ = forward(x)``, then to ``x', v = backward(y)``,
+    each an operator and its norming map on a batch (value 0.0: vanishing).
+    A row stops when ``forward`` vanishes (keeping its pair), ``backward``
+    does (pair (x, y)), a step gains d <= ``tol * v`` (pair (x', y); converged
+    if the Aitken gap d r / (1 - r), r = d / the gain before, is <= ``tol * v``
+    too), or at ``max_iter``.  Returns the first largest positive v, its pair
+    and convergence (0.0, None, False if none), and the step count."""
+    best, best_pair, best_converged, steps = 0.0, None, False, 0
+    rows = lattice.chunk_rows(sys)
+    for lo in range(0, len(starts), rows):
+        x = starts[lo : lo + rows]
+        live = list(range(len(x)))  # the chunk row of each iterate
+        value, last_gain = [0.0] * len(x), [math.inf] * len(x)
+        pairs, converged = [None] * len(x), [False] * len(x)
+        for _ in range(max_iter):
+            steps += len(live)
+            y, vy = forward(x)
+            if not vy.all():
+                x, y, live = x[vy != 0.0], y[vy != 0.0], [i for i, v in zip(live, vy) if v != 0.0]
+                if not live:
+                    break
+            x_next, vx = backward(y)
+            going = []
+            for r, (i, v) in enumerate(zip(live, vx.tolist())):
+                gain = v - value[i]
+                if v == 0.0:  # backward vanished: the pair is (x, y), the value stays
+                    pairs[i] = (x[r], y[r])
+                elif gain <= tol * v:
+                    pairs[i], value[i] = (x_next[r], y[r]), v
+                    rho = gain / last_gain[i]
+                    converged[i] = rho < 1.0 and gain * rho <= tol * v * (1.0 - rho)
+                else:
+                    pairs[i], value[i], last_gain[i] = (x_next[r], y[r]), v, gain
+                    going.append(r)
+            if not going:
+                break
+            if len(going) < len(live):
+                x_next, live = x_next[going], [live[r] for r in going]
+            x = x_next
+        for v, pair, c in zip(value, pairs, converged):
+            if pair is not None and v > best:
+                best, best_pair, best_converged = v, pair, c
+    return best, best_pair, best_converged, steps
 
 
 @dataclass(frozen=True)
@@ -63,17 +113,18 @@ def alternating_maximization(
     seed: int = 0,
     report: TestingReport | None = None,
 ) -> NormEstimate:
-    """Best ratio over seeded alternating ascents.
+    """Best ratio over seeded alternating ascents, by :func:`power_ascent`.
 
     Seeds: the two testing witnesses paired with their test inputs, the
     constant pair and ``restarts`` counter-keyed random pairs.  Each random
     stream is keyed (seed, k) so results do not depend on evaluation order.
+    No pair while a testing constant is positive is a GuardError.
     """
     if restarts < 1:
         raise GuardError(f"restarts must be >= 1, got {restarts}")
     if not tol > 0:
         raise GuardError(f"tol must be positive, got {tol}")
-    sys = inst.sys
+    sys, shape = inst.sys, (inst.sys.num_levels, inst.sys.num_atoms)
     if report is None:
         report = testing_report(inst)
 
@@ -81,59 +132,29 @@ def alternating_maximization(
     if report.forward > 0 and report.forward_cube is not None:
         seeds.append((test_function(inst, report.forward_cube), report.witness_g))
     if report.dual > 0 and report.dual_cube is not None:
-        indicator = sys.atom_mask(report.dual_cube).astype(np.float64)
-        seeds.append((report.witness_f, indicator))
-    seeds.append(
-        (np.ones((sys.num_levels, sys.num_atoms)), np.ones(sys.num_atoms))
-    )
+        seeds.append((report.witness_f, sys.atom_mask(report.dual_cube).astype(np.float64)))
+    seeds.append((np.ones(shape), np.ones(sys.num_atoms)))
     for k in range(restarts):
         rng = generators.philox(seed, k)
-        seeds.append((rng.random((sys.num_levels, sys.num_atoms)), rng.random(sys.num_atoms)))
+        seeds.append((rng.random(shape), rng.random(sys.num_atoms)))
 
-    best_value = 0.0
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
-    total_iters = 0
-    converged_best = False
-    for f0, g0 in seeds:
-        fnorm = mixed_norm(f0, inst.sigma, inst.p)
-        if fnorm > 0:
-            f = f0 / fnorm
-        else:
-            f, _ = best_f_given_g(inst, g0)
-            if f is None:
-                continue
-        prev = 0.0
-        pair = None
-        converged = False
-        for _ in range(max_iter):
-            total_iters += 1
-            g, vg = best_g_given_f(inst, f)
-            if g is None:
-                break
-            f_next, vf = best_f_given_g(inst, g)
-            if f_next is None:
-                vf, pair = vg, (f, g)
-                break
-            pair = (f_next, g)
-            if vf - prev <= tol * vf:
-                prev = vf
-                converged = True
-                break
-            prev = vf
-            f = f_next
-        if pair is not None and prev > best_value:
-            best_value = prev
-            best_pair = pair
-            converged_best = converged
+    # each f at unit norm, or the maximizer against its g where f vanishes
+    norms = [mixed_norm(f, inst.sigma, inst.p) for f, _ in seeds]
+    starts = [f / n if n > 0 else best_f_given_g(inst, g)[0] for (f, g), n in zip(seeds, norms)]
+    starts = np.array([f for f in starts if f is not None]).reshape(-1, *shape)
+    forward, backward = partial(best_g_given_f, inst), partial(best_f_given_g, inst)
+    _, pair, converged, steps = power_ascent(sys, starts, forward, backward, tol, max_iter)
 
-    if best_pair is None:
-        zero_f = np.zeros((sys.num_levels, sys.num_atoms))
-        zero_g = np.zeros(sys.num_atoms)
-        return NormEstimate(0.0, zero_f, zero_g, total_iters, len(seeds), True, True)
+    if pair is None:
+        if report.forward > 0 or report.dual > 0:
+            raise GuardError(
+                f"no ascent seed yields a pair although T = {report.forward:g}, T* = {report.dual:g}"
+            )
+        return NormEstimate(0.0, np.zeros(shape), np.zeros(sys.num_atoms), steps, len(seeds), True, True)
 
-    wf, wg = best_pair
+    wf, wg = pair
     value = lambda_form(inst, wf, wg)  # witnesses are unit norm by construction
-    return NormEstimate(value, wf, wg, total_iters, len(seeds), converged_best, False)
+    return NormEstimate(value, wf, wg, steps, len(seeds), converged, False)
 
 
 def attach_oracle(inst: Instance, estimate: NormEstimate) -> NormEstimate:

@@ -416,9 +416,7 @@ def _check_normest(s: _Suite):
             inst, restarts=s.restarts, tol=s.tol, seed=s.seed, report=rep
         )
         checked += 1
-        if est.degenerate:
-            if rep.forward + rep.dual > 0:
-                fails.append((inst, "degenerate estimate with positive testing constants"))
+        if est.degenerate:  # a null form: the estimate raises when T or T* > 0
             continue
         witnessed = lambda_form(inst, est.witness_f, est.witness_g)
         nf = mixed_norm(est.witness_f, inst.sigma, inst.p)

@@ -5,10 +5,11 @@ defining formulas, deliberately ignoring the package's vectorized paths.
 Only meant for tiny systems.  The per-cube testing-constant loops (with
 ``dual_kernel``, the per-cube dual kernel the package no longer builds, and
 the norming functions it used to have), the per-member stopping-family BFS,
-the per-member exclusive masks (with the lifted measure it used to build) and
-the three-pass embedding search at the end are the exception: they reuse the
-package's helpers, so their results compare bit for bit with the package's
-whole-lattice passes.  The helpers in between are small definitions that
+the per-member exclusive masks (with the lifted measure it used to build),
+the three-pass embedding search and the per-seed alternating maximization at
+the end are the exception: they reuse the package's helpers, so their results
+compare bit for bit with the package's whole-lattice passes (the embedding
+search to 1e-8, since the package's ascent now stops by its gain test).  The helpers in between are small definitions that
 only tests call, among them the parent-walking ``project`` that
 ``stopping.projection`` replaced, and the multi-index derivations of parents,
 children, paths, subcube masks and the dense form kernel that the
@@ -28,9 +29,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from dyadlab import lattice, measures
+from dyadlab import forms, generators, lattice, measures
 from dyadlab.embedding import RatioSearchResult, StoppingEmbeddingReport
+from dyadlab.errors import GuardError
 from dyadlab.forms import (
+    Instance,
     all_box_integrals,
     all_cube_integrals,
     level_test_input,
@@ -44,7 +47,8 @@ from dyadlab.stopping import (
     default_ratio_constants,
 )
 from dyadlab.lattice import DyadicSystem
-from dyadlab.testing_constants import TestingSide
+from dyadlab.normest import NormEstimate, best_f_given_g, best_g_given_f
+from dyadlab.testing_constants import TestingReport, TestingSide, testing_report
 
 
 # -- the multi-index cube identifier ---------------------------------------
@@ -755,11 +759,11 @@ def stopping_embedding_report_masks(inst, f, family):
 
 # -- the embedding search with three averages passes per step ----------------
 #
-# The package's search computes each iterate's cube averages once and feeds
-# the next ascent step from them.  This is the search it replaced: the ratio
-# recomputes the constant masses and the averages of every iterate, and each
-# ascent step recomputes the averages of its start.  Same arithmetic, so the
-# results compare with ``==``.
+# The package's search runs ``normest.power_ascent`` on the cube-average map
+# and stops a seed by its gain test.  This is the fixed-point search of the
+# lab before it: 40 steps a seed, max-normalized iterates and a 1e-13 iterate
+# test, and three averages passes a step.  The package's value stays within
+# 1e-8 of it, dominates its indicators, and takes no more evaluations.
 
 
 def embedding_sum(sys, data, h, p):
@@ -834,3 +838,96 @@ def embedding_ratio_search_three_pass(sys, data, p, restarts=4, iterations=40, s
         consider(h)
         ascend(h)
     return RatioSearchResult(best, best_h, evals)
+
+
+# -- the per-seed alternating maximization ----------------------------------
+#
+# ``normest.alternating_maximization`` steps its seeds together through
+# ``normest.power_ascent``.  This is the loop it replaced, one seed after the
+# other, kept verbatim but for the ``measures.`` and ``forms.`` prefixes that
+# keep it off this module's own ``mixed_norm`` and ``lambda_form`` (its
+# ``vf`` in the vanishing branch is dead): the same
+# half-steps in the same order, so value, witnesses, ``iterations`` and
+# ``restarts`` compare with ``==``.  Its ``converged`` is the old flag, set on
+# any stop by the gain test.
+
+
+def alternating_maximization_per_seed(
+    inst: Instance,
+    restarts: int = 32,
+    tol: float = 1e-10,
+    max_iter: int = 1000,
+    seed: int = 0,
+    report: TestingReport | None = None,
+) -> NormEstimate:
+    """Best ratio over seeded alternating ascents.
+
+    Seeds: the two testing witnesses paired with their test inputs, the
+    constant pair and ``restarts`` counter-keyed random pairs.  Each random
+    stream is keyed (seed, k) so results do not depend on evaluation order.
+    """
+    if restarts < 1:
+        raise GuardError(f"restarts must be >= 1, got {restarts}")
+    if not tol > 0:
+        raise GuardError(f"tol must be positive, got {tol}")
+    sys = inst.sys
+    if report is None:
+        report = testing_report(inst)
+
+    seeds: list[tuple[np.ndarray, np.ndarray]] = []
+    if report.forward > 0 and report.forward_cube is not None:
+        seeds.append((test_function(inst, report.forward_cube), report.witness_g))
+    if report.dual > 0 and report.dual_cube is not None:
+        indicator = sys.atom_mask(report.dual_cube).astype(np.float64)
+        seeds.append((report.witness_f, indicator))
+    seeds.append(
+        (np.ones((sys.num_levels, sys.num_atoms)), np.ones(sys.num_atoms))
+    )
+    for k in range(restarts):
+        rng = generators.philox(seed, k)
+        seeds.append((rng.random((sys.num_levels, sys.num_atoms)), rng.random(sys.num_atoms)))
+
+    best_value = 0.0
+    best_pair: tuple[np.ndarray, np.ndarray] | None = None
+    total_iters = 0
+    converged_best = False
+    for f0, g0 in seeds:
+        fnorm = measures.mixed_norm(f0, inst.sigma, inst.p)
+        if fnorm > 0:
+            f = f0 / fnorm
+        else:
+            f, _ = best_f_given_g(inst, g0)
+            if f is None:
+                continue
+        prev = 0.0
+        pair = None
+        converged = False
+        for _ in range(max_iter):
+            total_iters += 1
+            g, vg = best_g_given_f(inst, f)
+            if g is None:
+                break
+            f_next, vf = best_f_given_g(inst, g)
+            if f_next is None:
+                vf, pair = vg, (f, g)
+                break
+            pair = (f_next, g)
+            if vf - prev <= tol * vf:
+                prev = vf
+                converged = True
+                break
+            prev = vf
+            f = f_next
+        if pair is not None and prev > best_value:
+            best_value = prev
+            best_pair = pair
+            converged_best = converged
+
+    if best_pair is None:
+        zero_f = np.zeros((sys.num_levels, sys.num_atoms))
+        zero_g = np.zeros(sys.num_atoms)
+        return NormEstimate(0.0, zero_f, zero_g, total_iters, len(seeds), True, True)
+
+    wf, wg = best_pair
+    value = forms.lambda_form(inst, wf, wg)  # witnesses are unit norm by construction
+    return NormEstimate(value, wf, wg, total_iters, len(seeds), converged_best, False)

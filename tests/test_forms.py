@@ -10,9 +10,11 @@ from dyadlab.forms import (
     phi_identity_check,
     test_function as make_test_input,
 )
-from dyadlab.measures import ksum
+from dyadlab.generators import GenSpec, generate
+from dyadlab.measures import ksum, lp_norming, mixed_norming
 
 import _reference as ref
+from test_lattice import ALL_SHAPES
 
 
 W = worked_instances()
@@ -177,3 +179,35 @@ def test_instance_validation():
     assert inst.q == 2.0
     with pytest.raises(ValueError):
         inst.lam[0] = 1.0  # frozen arrays
+
+
+@pytest.mark.parametrize("n,d", ALL_SHAPES)
+def test_batched_operators_and_normings_match_per_row_calls(n, d):
+    # a leading batch axis gives each row the bits of its own call; a row
+    # that vanishes comes back as a zero row with value 0.0, where its own
+    # call gives (None, 0.0)
+    rng = np.random.Generator(np.random.Philox(key=[n, 32 + d]))
+    for p in (1.5, 2.0):  # q = 2 takes the short cut of mixed_norming
+        inst = generate(GenSpec(seed=d, dimension=n, depth=d, p=p))
+        s = inst.sys
+        for k in (1, 2, 7):
+            f = rng.random((k, s.num_levels, s.num_atoms))
+            g = rng.random((k, s.num_atoms))
+            f[1:2] = g[1:2] = 0.0
+            for operator, rows, norming, weight in (
+                (apply_box_operator, f, lp_norming, inst.omega),
+                (apply_adjoint_operator, g, mixed_norming, inst.sigma),
+            ):
+                images = operator(inst, rows)
+                assert np.array_equal(images, [operator(inst, row) for row in rows])
+                normed, values = norming(images, weight, p)
+                assert normed.shape == images.shape and values.shape == (k,)
+                for row, value, image in zip(normed, values, images):
+                    one, one_value = norming(image, weight, p)
+                    assert value == one_value
+                    if one is None:
+                        assert value == 0.0 and not row.any()
+                    else:
+                        assert np.array_equal(row, one)
+                if k > 1:
+                    assert values[1] == 0.0

@@ -275,6 +275,8 @@ def test_batched_aggregations_match_per_row_calls(n, d):
         cells = _edge_values(rng, (k, s.num_levels, s.num_atoms), kind)
         got = lattice.level_sums(s, [cells[:, j] for j in range(s.num_levels)])
         _assert_same_bits(got, np.array([lattice.level_sums(s, row) for row in cells]))
+        got = lattice.box_sums(s, cells)
+        _assert_same_bits(got, np.array([lattice.box_sums(s, row) for row in cells]))
         atoms = _edge_values(rng, (k, s.num_atoms), kind)
         got = lattice.cube_sums(s, atoms)
         _assert_same_bits(got, np.array([lattice.cube_sums(s, row) for row in atoms]))

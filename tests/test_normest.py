@@ -1,9 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from dyadlab import Instance, build_system, worked_instances
+from dyadlab import Instance, build_system, lattice, runner, worked_instances
+from dyadlab import io as dio
+from dyadlab.cli import main
 from dyadlab.errors import GuardError
 from dyadlab.forms import lambda_form
 from dyadlab.generators import GenSpec, generate, random_atom_function, random_scale_function
@@ -15,6 +18,7 @@ from dyadlab.normest import (
     best_g_given_f,
     form_kernel,
     grid_oracle,
+    power_ascent,
     spectral_oracle_p2,
     testing_norm_ratios,
 )
@@ -73,6 +77,163 @@ def test_alternating_degenerate():
     dead = Instance(w1.sys, 2.0, w1.sigma, w1.omega, w1.mu, np.zeros(3))
     est = alternating_maximization(dead, restarts=1)
     assert est.value == 0.0 and est.degenerate
+
+
+# -- the lockstep driver against the per-seed loop ----------------------------
+
+
+def _assert_same_estimate(got, want):
+    assert got.value == want.value
+    assert np.array_equal(got.witness_f, want.witness_f)
+    assert np.array_equal(got.witness_g, want.witness_g)
+    assert (got.iterations, got.restarts) == (want.iterations, want.restarts)
+
+
+@pytest.mark.parametrize("cells", [None, 1, 64])
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0])
+def test_alternating_matches_per_seed_loop(monkeypatch, p, cells):
+    # three steps hit the cap; with 1 or 64 cells a chunk the seeds span
+    # chunks of one or two rows
+    if cells is not None:
+        monkeypatch.setattr(lattice, "_CHUNK_CELLS", cells)
+    for n, d in [(1, 1), (1, 3), (2, 2), (3, 1)]:
+        for seed in range(2):
+            inst = generate(GenSpec(seed=seed, dimension=n, depth=d, p=p))
+            rep = testing_report(inst)
+            for restarts in range(5):
+                for max_iter in (3, 400):
+                    kwargs = dict(restarts=restarts, max_iter=max_iter, seed=seed, report=rep)
+                    if restarts == 0:
+                        for estimate in (alternating_maximization, ref.alternating_maximization_per_seed):
+                            with pytest.raises(GuardError):
+                                estimate(inst, **kwargs)
+                        continue
+                    got = alternating_maximization(inst, **kwargs)
+                    _assert_same_estimate(got, ref.alternating_maximization_per_seed(inst, **kwargs))
+
+
+def assert_lockstep(sys, starts, forward, backward, tol, max_iter):
+    """Run ``power_ascent`` on the rows of ``starts`` together and one by one.
+    The batch has the winner and step count of the single runs, and each of
+    its steps is one forward pass over the rows whose own run is still going.
+    Returns the steps of each single run."""
+    alone = [
+        power_ascent(sys, starts[i : i + 1], forward, backward, tol, max_iter)
+        for i in range(len(starts))
+    ]
+    sizes = []
+
+    def recorded(x):
+        sizes.append(len(x))
+        return forward(x)
+
+    value, pair, converged, steps = power_ascent(sys, starts, recorded, backward, tol, max_iter)
+    own = [one[3] for one in alone]
+    assert sizes == [sum(n > step for n in own) for step in range(max(own))]
+    assert steps == sum(own)
+    winner = [one for one in alone if one[1] is not None and one[0] == value][0]
+    assert (value, converged) == (winner[0], winner[2]) and value > 0
+    assert np.array_equal(pair[0], winner[1][0]) and np.array_equal(pair[1], winner[1][1])
+    return own
+
+
+def test_lockstep_rows_leave_at_different_steps_on_the_box_pair():
+    # a zero scale function's forward map vanishes at once; the random and
+    # constant rows stop by the gain test at steps of their own
+    inst = generate(GenSpec(seed=3, dimension=1, depth=4, p=3.0))
+    s, shape = inst.sys, (inst.sys.num_levels, inst.sys.num_atoms)
+    rng = np.random.Generator(np.random.Philox(key=[3, 73]))
+    starts = np.array([rng.random(shape), np.zeros(shape), np.ones(shape)])
+    starts[0] /= mixed_norm(starts[0], inst.sigma, inst.p)
+    starts[2] /= mixed_norm(starts[2], inst.sigma, inst.p)
+    forward, backward = partial(best_g_given_f, inst), partial(best_f_given_g, inst)
+    own = assert_lockstep(s, starts, forward, backward, 1e-10, 400)
+    assert own[1] == 1 and len(set(own)) == 3 and max(own) < 400
+
+
+def test_alternating_takes_two_lattice_passes_per_step(monkeypatch):
+    # each lockstep step is one batched box pass and one batched cube pass
+    # over the live seeds; the winning pair's value takes one more of each
+    inst = generate(GenSpec(seed=7, dimension=1, depth=3, p=3.0))
+    rep = testing_report(inst)
+    level_sums, sizes = lattice.level_sums, []
+
+    def recorded(sys, rows):
+        sizes.append(len(rows[0]) if np.ndim(rows[0]) == 2 else 0)
+        return level_sums(sys, rows)
+
+    monkeypatch.setattr(lattice, "level_sums", recorded)
+    est = alternating_maximization(inst, restarts=3, report=rep)
+    steps, last = sizes[:-2], sizes[-2:]
+    assert last == [0, 0] and steps[0::2] == steps[1::2]
+    assert steps[0] == est.restarts and steps[0::2] == sorted(steps[0::2], reverse=True)
+    assert sum(steps[0::2]) == est.iterations and len(set(steps)) > 2
+
+
+# -- converged means within tol, by the Aitken estimate of the gap left --------
+
+
+def test_converged_estimate_is_within_twice_tol_of_the_oracle():
+    # d1 D6 seed 4: sigma_2 / sigma_1 is near 1, so the ascent gains little a
+    # step; at 1000 steps the last gain passes the tol test 4.8e-9 below the
+    # oracle, which a flag set by that test alone called converged
+    inst = generate(GenSpec(seed=4, dimension=1, depth=6, p=2.0))
+    oracle = spectral_oracle_p2(inst)
+    est = alternating_maximization(inst, restarts=1, max_iter=1000)
+    assert (oracle - est.value) / oracle > 2e-10 and not est.converged
+    assert ref.alternating_maximization_per_seed(inst, restarts=1, max_iter=1000).converged
+    for d in range(1, 5):
+        inst = generate(GenSpec(seed=d, dimension=1, depth=d, p=2.0))
+        oracle = spectral_oracle_p2(inst)
+        est = alternating_maximization(inst, restarts=2)
+        assert est.converged and (oracle - est.value) / oracle <= 2e-10
+
+
+def test_converged_counts_a_stop_on_the_first_gain():
+    # with tol 1 the first gain stops every seed
+    est = alternating_maximization(W["w1"], restarts=2, tol=1.0)
+    assert est.converged and est.iterations == est.restarts
+
+
+# -- no degenerate zero for a form that is not null -------------------------
+
+
+def _scaled(inst, sigma=1.0, lam=1.0):
+    return Instance(inst.sys, inst.p, inst.sigma * sigma, inst.omega, inst.mu, inst.lam * lam)
+
+
+def _pairless_cases():
+    """Forms with a positive testing constant on which no ascent seed yields
+    a pair: NaN iterates at p = 1.01, an underflowing and two overflowing
+    scalings."""
+    spec = partial(GenSpec, seed=2)
+    return [
+        generate(spec(dimension=1, depth=4, p=1.01)),
+        _scaled(generate(spec(dimension=2, depth=3, p=3.0)), sigma=1e-200),
+        _scaled(generate(spec(dimension=1, depth=3, p=2.0)), lam=1e300),
+        _scaled(generate(spec(dimension=1, depth=3, p=3.0)), sigma=1e250),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", range(4))
+def test_no_pair_with_a_positive_testing_constant_is_a_guard_error(tmp_path, capsys, case):
+    inst = _pairless_cases()[case]
+    rep = testing_report(inst)
+    assert rep.forward > 0 or rep.dual > 0
+    with pytest.raises(GuardError, match="no ascent seed yields a pair"):
+        alternating_maximization(inst, restarts=4, report=rep)
+    with pytest.raises(GuardError, match="no ascent seed yields a pair"):
+        runner.evaluate_instance(inst, "pairless", 2)
+    path = tmp_path / "inst.json"
+    with open(path, "w") as fp:
+        dio.write_instance(inst, fp)
+    assert main(["normest", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no ascent seed yields a pair" in captured.err
+    if case == 0:  # eval generates its instances: the p = 1.01 one is reachable
+        assert main(["eval", "--seed", "2", "--p", "1.01", "--dim", "1", "--depth", "4"]) == 3
+        assert capsys.readouterr().out == ""
 
 
 def test_alternating_guards():
