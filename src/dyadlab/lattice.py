@@ -211,7 +211,7 @@ def chunk_rows(sys: DyadicSystem) -> int:
 #
 # These are the numeric workhorses shared by the other modules.  All of them
 # are plain sums arranged along the lattice tree, built on two primitives:
-# ``level_sums`` sums up the tree (a bincount keeps it O(atoms) per level),
+# ``level_sums`` sums up the tree (one bincount over every cell),
 # ``level_cumsum`` runs down it along the levels.
 
 
@@ -220,29 +220,19 @@ def level_sums(sys: DyadicSystem, rows) -> np.ndarray:
     the atoms in Q, with j the level of Q.
 
     Rows with a leading batch axis, ``rows[j]`` of shape (k, atoms), give k
-    sums at once, shape (k, num_cubes): for k > 1 one bincount per level over
-    the offset bins ``ancestor_local[j] + i * size_j`` of batch row i.  Each
-    bin adds its terms in atom order, as the unbatched call does, so every
-    batch row is bit-identical to its own call.  A batch of one takes the
-    unbatched path.
+    sums at once, shape (k, num_cubes).  One bincount over the flat cell
+    table does it all, batch row i in the bins ``cell_cube + i * num_cubes``:
+    a bin belongs to one level and one batch row and adds its terms in atom
+    order, so every batch row is bit-identical to its own call and to a
+    bincount per level.
     """
-    batch = rows[0].shape[:-1]
-    if batch in ((), (1,)):
-        out = np.empty(sys.num_cubes, dtype=np.float64)
-        for j in range(sys.num_levels):
-            out[sys.level_offset[j] : sys.level_offset[j + 1]] = np.bincount(
-                sys.ancestor_local[j], weights=rows[j].ravel(), minlength=int(sys.level_sizes[j])
-            )
-        return out.reshape(batch + out.shape)
-    k = batch[0]
-    out = np.empty((k, sys.num_cubes), dtype=np.float64)
-    bins = sys.ancestor_local[:, None, :] + sys.level_sizes[:, None, None] * np.arange(k)[:, None]
-    bounds = sys.level_offset.tolist()
-    for j, size in enumerate(sys.level_sizes.tolist()):
-        out[:, bounds[j] : bounds[j + 1]] = np.bincount(
-            bins[j].ravel(), weights=rows[j].ravel(), minlength=k * size
-        ).reshape(k, size)
-    return out
+    rows = np.asarray(rows)
+    batch, bins = rows.shape[1:-1], sys.cell_cube
+    k = batch[0] if batch else 1
+    if k > 1:
+        bins = bins[:, None, :] + sys.num_cubes * np.arange(k)[:, None]
+    out = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=k * sys.num_cubes)
+    return out.reshape(batch + (sys.num_cubes,))
 
 
 def level_cumsum(x: np.ndarray) -> np.ndarray:
@@ -266,8 +256,9 @@ def box_sums(sys: DyadicSystem, cell_values: np.ndarray) -> np.ndarray:
     out[Q] = sum of values over the pairs (atom in Q, level >= level of Q).
     Values of shape (k, levels, atoms) give the k sums, shape (k, num_cubes).
     """
-    w = np.moveaxis(np.asarray(cell_values, dtype=np.float64), -2, 0)[::-1].copy()
-    return level_sums(sys, level_cumsum(w)[::-1])
+    w = np.moveaxis(np.asarray(cell_values, dtype=np.float64), -2, 0).copy()
+    level_cumsum(w[::-1])  # suffix sums over the levels, in place
+    return level_sums(sys, w)
 
 
 def chain_running(

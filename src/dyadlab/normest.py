@@ -52,7 +52,8 @@ def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: floa
     A row stops when ``forward`` vanishes (keeping its pair), ``backward``
     does (pair (x, y)), a step gains d <= ``tol * v`` (pair (x', y); converged
     if the Aitken gap d r / (1 - r), r = d / the gain before, is <= ``tol * v``
-    too), or at ``max_iter``.  Returns the first largest positive v, its pair
+    too), ``backward``'s value is NaN (that value and pair, so the row never
+    wins), or at ``max_iter``.  Returns the first largest positive v, its pair
     and convergence (0.0, None, False if none), and the step count."""
     best, best_pair, best_converged, steps = 0.0, None, False, 0
     rows = lattice.chunk_rows(sys)
@@ -74,7 +75,7 @@ def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: floa
                 gain = v - value[i]
                 if v == 0.0:  # backward vanished: the pair is (x, y), the value stays
                     pairs[i] = (x[r], y[r])
-                elif gain <= tol * v:
+                elif not gain > tol * v:  # a NaN value stops too, and cannot win
                     pairs[i], value[i] = (x_next[r], y[r]), v
                     rho = gain / last_gain[i]
                     converged[i] = rho < 1.0 and gain * rho <= tol * v * (1.0 - rho)
@@ -183,6 +184,11 @@ def attach_oracle(inst: Instance, estimate: NormEstimate) -> NormEstimate:
 _KERNEL_CELL_LIMIT = 4_000_000
 
 
+def _check_kernel_size(sys: lattice.DyadicSystem) -> None:
+    if sys.num_levels * sys.num_atoms * sys.num_atoms > _KERNEL_CELL_LIMIT:
+        raise GuardError("system too large for a dense kernel")
+
+
 def form_kernel(inst: Instance) -> np.ndarray:
     """Dense kernel S[j, a, b] with form(f, g) = sum sigma_a f[j,a] S om_b g_b.
 
@@ -191,8 +197,7 @@ def form_kernel(inst: Instance) -> np.ndarray:
     also hold atom a.
     """
     sys = inst.sys
-    if sys.num_levels * sys.num_atoms * sys.num_atoms > _KERNEL_CELL_LIMIT:
-        raise GuardError("system too large for a dense kernel")
+    _check_kernel_size(sys)
     cells = sys.cell_cube
     shared = cells[:, :, None] == cells[:, None, :]
     return inst.mu[:, :, None] * lattice.level_cumsum(shared * inst.lam[cells][:, None, :])
@@ -200,21 +205,54 @@ def form_kernel(inst: Instance) -> np.ndarray:
 
 def spectral_oracle_p2(inst: Instance) -> float:
     """Exact form norm at p = 2: the largest singular value of the weighted
-    kernel, from one symmetric eigensolve of its Gram matrix.  The matrix is
-    nonnegative, so the Gram matrix carries only entrywise rounding and the
-    value is accurate to about n * unit roundoff, relative.  When the Gram
-    matrix overflows binary64 the value is inf, as the power iteration this
-    replaced returned."""
+    kernel M = sqrt(sigma) S sqrt(omega), from one symmetric eigensolve of
+    its Gram matrix G = M^T M, built from the lattice tree in O(L A^2) work
+    and A^2 memory, never from the (L, A, A) kernel.
+
+    Column b of M is the sum over the cubes Q holding atom b of lam[Q] times
+    the box indicator of Q, weighted; two boxes meet only when their cubes
+    are nested, in the box of the smaller one.  With beta the box mass of
+    sigma mu^2, Lam the running sum of lam down each atom's chain, B[l, b]
+    the sum of lam beta over b's chain below level l, and m the level of the
+    smallest cube holding atoms b and b', that gives
+
+        G[b, b'] = sqrt(om_b) sqrt(om_b') (Z[m, b] + Lam[m, b] (B[m, b] + B[m, b']))
+
+    with Z the running sum of lam beta (lam + 2 Lam at the parent) down the
+    chain.  It is evaluated as W[m, b] + W[m, b'], W = Z / 2 + Lam B, since
+    Z and Lam at level m are the same for both atoms.
+
+    Error: every entry is built from products and sums of nonnegative
+    numbers, at most r = L A terms to a sum and no subtraction, so it
+    carries relative error of about r u at most (u the unit roundoff);
+    ``eigvalsh`` is backward stable, so sigma_max is accurate to a small
+    multiple of r u, relative (Golub and Van Loan, Matrix Computations,
+    8.1).  When G overflows binary64 the value is inf, as the power
+    iteration this replaced returned.  The dense kernel's size guard still
+    applies, so the same instances carry a value.
+    """
     if inst.p != 2.0:
         raise GuardError(f"spectral oracle requires p = 2, got {inst.p}")
     sys = inst.sys
-    kernel = form_kernel(inst)
-    m = (
-        np.sqrt(inst.sigma)[None, :, None]
-        * kernel
-        * np.sqrt(inst.omega)[None, None, :]
-    ).reshape(sys.num_levels * sys.num_atoms, sys.num_atoms)
-    gram = m.T @ m
+    _check_kernel_size(sys)
+    cells = sys.cell_cube
+    lam = inst.lam[cells]
+    lam_beta = lam * lattice.box_sums(sys, inst.sigma * inst.mu**2)[cells]
+    run = lattice.level_cumsum(lam.copy())
+    above = np.zeros_like(run)  # Lam at the parent, 0 at the root
+    above[1:] = run[:-1]
+    below = np.zeros_like(run)  # B, a suffix sum: no chain total minus a prefix
+    below[:-1] = lam_beta[1:]
+    lattice.level_cumsum(below[::-1])
+    half = 0.5 * lattice.level_cumsum(lam_beta * (lam + 2.0 * above)) + run * below
+    # gram[b, b'] = half[m, b'], written level by level where b's level-j
+    # cube holds b', so that no (A, A) index array is held
+    gram = np.broadcast_to(half[0], (sys.num_atoms, sys.num_atoms)).copy()
+    for j in range(1, sys.num_levels):
+        np.copyto(gram, half[j], where=cells[j][:, None] == cells[j][None, :])
+    gram += gram.T
+    root = np.sqrt(inst.omega)
+    gram *= np.outer(root, root)
     if not np.isfinite(gram).all():
         return math.inf
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))

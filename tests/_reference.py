@@ -19,7 +19,8 @@ family writer use those, not the tables they check.  They name a cube by the
 cube's only name, converted with copies of the package's old ``linear`` and
 ``cube_at``.  The tree aggregations that ``lattice.level_sums`` and
 ``lattice.level_cumsum`` replaced are kept verbatim as oracles too, with
-``chain_total``, which the three-pass embedding search still calls.
+``chain_total``, which the three-pass embedding search still calls, and so is
+the dense-kernel p = 2 oracle that the tree-built Gram matrix replaced.
 """
 
 import math
@@ -29,7 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from dyadlab import forms, generators, lattice, measures
+from dyadlab import forms, generators, lattice, measures, normest
 from dyadlab.embedding import RatioSearchResult, StoppingEmbeddingReport
 from dyadlab.errors import GuardError
 from dyadlab.forms import (
@@ -398,6 +399,31 @@ def form_kernel_cumsum(inst) -> np.ndarray:
     cells = sys.cell_cube
     shared = cells[:, :, None] == cells[:, None, :]
     return inst.mu[:, :, None] * np.cumsum(shared * inst.lam[cells][:, None, :], axis=0)
+
+
+# -- the p = 2 oracle from the dense kernel ----------------------------------
+#
+# ``normest.spectral_oracle_p2`` builds the Gram matrix from the lattice tree.
+# This is the body it replaced: the dense (L, A, A) kernel, weighted, and its
+# Gram product, L A^3 multiply-adds.
+
+
+def spectral_oracle_p2_dense(inst) -> float:
+    """Exact form norm at p = 2: the largest singular value of the weighted
+    kernel, from one symmetric eigensolve of its Gram matrix ``m.T @ m``."""
+    if inst.p != 2.0:
+        raise GuardError(f"spectral oracle requires p = 2, got {inst.p}")
+    sys = inst.sys
+    kernel = normest.form_kernel(inst)
+    m = (
+        np.sqrt(inst.sigma)[None, :, None]
+        * kernel
+        * np.sqrt(inst.omega)[None, None, :]
+    ).reshape(sys.num_levels * sys.num_atoms, sys.num_atoms)
+    gram = m.T @ m
+    if not np.isfinite(gram).all():
+        return math.inf
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 # -- helpers only tests call ------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -170,6 +171,27 @@ def test_alternating_takes_two_lattice_passes_per_step(monkeypatch):
     assert sum(steps[0::2]) == est.iterations and len(set(steps)) > 2
 
 
+def test_a_nan_value_ends_its_row_at_once():
+    # a NaN never passes the gain test; its row stops with that value and
+    # pair, and a NaN after a finite step does not keep the earlier pair
+    s = build_system(1, 2)
+    starts = np.ones((3, s.num_levels, s.num_atoms))
+    for finite_steps in (0, 2):
+        calls = []
+
+        def backward(y):
+            calls.append(len(y))
+            v = math.nan if len(calls) > finite_steps else 1.0 + len(calls)
+            return np.full((len(y), s.num_levels, s.num_atoms), v), np.full(len(y), v)
+
+        def forward(x):
+            return x.sum(axis=1), np.ones(len(x))
+
+        value, pair, converged, steps = power_ascent(s, starts, forward, backward, 1e-10, 1000)
+        assert (value, pair, converged) == (0.0, None, False)
+        assert steps == 3 * (finite_steps + 1) and calls == [3] * (finite_steps + 1)
+
+
 # -- converged means within tol, by the Aitken estimate of the gap left --------
 
 
@@ -300,23 +322,90 @@ def test_spectral_matches_numpy_svd(seed):
     assert spectral_oracle_p2(inst) == pytest.approx(expect, rel=1e-9)
 
 
-@pytest.mark.parametrize(
-    "n,d,seed",
-    [(1, 6, 4), (3, 3, 3)]  # slow power-iteration instances: sigma2/sigma1 near 1
-    + [(1, d, 0) for d in range(1, 7)] + [(2, d, 0) for d in range(1, 4)] + [(3, 1, 0), (3, 2, 0)],
-)
-def test_spectral_oracle_within_rounding_of_svd(n, d, seed):
-    # the Gram matrix of a nonnegative matrix with r rows carries entrywise
-    # relative error at most about r * u, so sigma_max does too
-    inst = generate(GenSpec(seed=seed, dimension=n, depth=d, p=2.0))
+# every shape within the dense kernel's size guard
+ORACLE_SHAPES = [(1, d) for d in range(10)] + [(2, d) for d in range(1, 5)] + [(3, d) for d in range(1, 4)]
+
+
+def _within_rounding(inst, value):
+    """``value`` is within 4 r u of both the dense-kernel oracle and the
+    ``svd`` of the weighted kernel, r = L A its row count: the Gram matrix of
+    a nonnegative matrix carries entrywise relative error of about r u at
+    most, so sigma_max does too."""
     s = inst.sys
     m = (
         np.sqrt(inst.sigma)[None, :, None] * form_kernel(inst) * np.sqrt(inst.omega)[None, None, :]
     ).reshape(s.num_levels * s.num_atoms, s.num_atoms)
-    expect = float(np.linalg.svd(m, compute_uv=False)[0])
     tol = 4 * len(m) * np.finfo(np.float64).eps / 2
-    assert abs(spectral_oracle_p2(inst) - expect) <= tol * expect
+    for expect in (ref.spectral_oracle_p2_dense(inst), float(np.linalg.svd(m, compute_uv=False)[0])):
+        assert abs(value - expect) <= tol * expect
 
+
+@pytest.mark.parametrize(
+    "n,d,seed",
+    # d1 D6 seed 4 and d3 D3 seed 3: slow power-iteration instances, sigma2/sigma1 near 1
+    [(n, d, seed) for n, d in ORACLE_SHAPES for seed in range(5)],
+)
+def test_spectral_oracle_within_rounding_of_svd(n, d, seed):
+    inst = generate(GenSpec(seed=seed, dimension=n, depth=d, p=2.0))
+    _within_rounding(inst, spectral_oracle_p2(inst))
+
+
+def _with(inst, sigma=None, omega=None, lam=None):
+    return Instance(
+        inst.sys,
+        inst.p,
+        inst.sigma if sigma is None else sigma,
+        inst.omega if omega is None else omega,
+        inst.mu,
+        inst.lam if lam is None else lam,
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 5), (2, 2), (3, 2)])
+def test_spectral_oracle_edge_cases(n, d):
+    base = generate(GenSpec(seed=d, dimension=n, depth=d, p=2.0))
+    s = base.sys
+    edges = []  # lam on the root only, on one atom cube, on every atom cube
+    for cubes in ([s.root], [s.num_cubes - 1], range(int(s.level_offset[d]), s.num_cubes)):
+        lam = np.zeros(s.num_cubes)
+        lam[list(cubes)] = base.lam[list(cubes)] + 0.5
+        edges.append(_with(base, lam=lam))
+    for zero in (slice(None, None, 2), slice(1, None, 3)):
+        sigma, omega = base.sigma.copy(), base.omega.copy()
+        sigma[zero], omega[zero] = 0.0, 0.0
+        edges += [_with(base, sigma=sigma), _with(base, omega=omega)]
+    for inst in edges:
+        _within_rounding(inst, spectral_oracle_p2(inst))
+    # 2**k scales lam exactly: the value scales with it to 4 r u
+    value, tol = spectral_oracle_p2(base), 4 * s.num_levels * s.num_atoms * np.finfo(np.float64).eps / 2
+    for k in (-200, 200):
+        scaled = spectral_oracle_p2(_scaled(base, lam=2.0**k))
+        assert abs(scaled - value * 2.0**k) <= tol * value * 2.0**k
+    assert spectral_oracle_p2(_scaled(base, lam=1e300)) == math.inf
+
+
+def test_spectral_oracle_keeps_the_dense_kernel_guard():
+    # the tree-built Gram matrix never holds the kernel, but the same rows
+    # carry an oracle value as before
+    with pytest.raises(GuardError, match="too large"):
+        spectral_oracle_p2(generate(GenSpec(seed=0, dimension=1, depth=10, p=2.0)))
+    with pytest.raises(GuardError, match="too large"):
+        spectral_oracle_p2(generate(GenSpec(seed=0, dimension=2, depth=5, p=2.0)))
+
+
+@pytest.mark.parametrize("n,d", [(1, 9), (3, 3)])
+def test_spectral_oracle_holds_no_dense_kernel(n, d):
+    # peak allocation below one float64 (L, A, A) array: 20 MiB and 8 MiB
+    inst = generate(GenSpec(seed=0, dimension=n, depth=d, p=2.0))
+    s = inst.sys
+    tracemalloc.start()
+    try:
+        spectral_oracle_p2(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < s.num_levels * s.num_atoms * s.num_atoms * 8
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
