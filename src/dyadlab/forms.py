@@ -13,6 +13,12 @@ function.  ``test_function`` is the Hoelder-optimal input shaped from ``mu``
 on a single box, the restriction of the per-level profile
 ``level_test_input``; its defining identity chain is checked by
 :func:`phi_identity_check`.
+
+The per-cube quantities the form and the paper's conditions read -- box
+pairings, omega-integrals and omega-averages -- each have one primitive that
+returns them for every cube at once, indexed by linear cube id:
+:func:`all_box_integrals`, :func:`all_cube_integrals` and
+:func:`all_cube_averages`.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from .lattice import DyadicSystem
 from .measures import (
     as_scale_function,
     as_weights,
-    box_integral,
     conjugate,
     ell2_slice,
     ksum,
@@ -89,6 +94,13 @@ def all_box_integrals(inst: Instance, f: np.ndarray) -> np.ndarray:
 def all_cube_integrals(inst: Instance, g: np.ndarray) -> np.ndarray:
     """omega-integral of g over every cube at once."""
     return lattice.cube_sums(inst.sys, inst.omega * g)
+
+
+def all_cube_averages(inst: Instance, g: np.ndarray) -> np.ndarray:
+    """omega-average of g over every cube at once; 0 on a cube without mass."""
+    masses = lattice.cube_sums(inst.sys, inst.omega)
+    integrals = all_cube_integrals(inst, g)
+    return np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
 
 
 def lambda_form(inst: Instance, f: np.ndarray, g: np.ndarray) -> float:
@@ -159,7 +171,7 @@ def phi_identity_check(inst: Instance, cube: int) -> PhiIdentityReport:
     s = ell2_slice(boxed)
     am = inst.sys.atom_mask(cube)
 
-    pairing = box_integral(inst.sys, phi, inst.mu, inst.sigma, cube)
+    pairing = all_box_integrals(inst, phi)[cube]
     slice_integral = ksum(inst.sigma[am] * s[am] ** inst.q)
     mu_norm_power = mixed_norm(boxed, inst.sigma, inst.q) ** inst.q
     phi_norm_power = mixed_norm(phi, inst.sigma, inst.p) ** inst.p

@@ -2,7 +2,7 @@
 
 All randomness runs through counter-based Philox streams keyed by
 (seed, stream id), so generation is bitwise reproducible and independent of
-call order.  Log-uniform laws with a sparsity knob produce genuine zeros to
+call order.  Log-uniform laws with a fixed sparsity produce genuine zeros to
 exercise every zero convention downstream.
 """
 
@@ -41,43 +41,29 @@ def _sparse_field(rng, lo: float, hi: float, sparsity: float, shape) -> np.ndarr
     return values * keep
 
 
+# The laws of generated instances: log-uniform values on a range, each set to
+# zero with the sparsity probability.
+WEIGHT_RANGE, WEIGHT_SPARSITY = (0.25, 4.0), 0.1
+MU_RANGE, MU_SPARSITY = (0.25, 4.0), 0.1
+LAMBDA_RANGE, LAMBDA_SPARSITY = (0.25, 4.0), 0.3
+
+
 @dataclass(frozen=True)
 class GenSpec:
     seed: int
     dimension: int = 1
     depth: int = 3
     p: float = 2.0
-    weight_range: tuple[float, float] = (0.25, 4.0)
-    weight_sparsity: float = 0.1
-    mu_range: tuple[float, float] = (0.25, 4.0)
-    mu_sparsity: float = 0.1
-    lambda_range: tuple[float, float] = (0.25, 4.0)
-    lambda_sparsity: float = 0.3
-
-    def __post_init__(self):
-        for name in ("weight_range", "mu_range", "lambda_range"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} must be positive and ordered, got {(lo, hi)}")
-        for name in ("weight_sparsity", "mu_sparsity", "lambda_sparsity"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
 def generate(spec: GenSpec) -> Instance:
     sys = build_system(spec.dimension, spec.depth)
-    lo, hi = spec.weight_range
-    sigma = _sparse_field(philox(spec.seed, _SIGMA), lo, hi, spec.weight_sparsity, sys.num_atoms)
-    omega = _sparse_field(philox(spec.seed, _OMEGA), lo, hi, spec.weight_sparsity, sys.num_atoms)
-    mlo, mhi = spec.mu_range
+    sigma = _sparse_field(philox(spec.seed, _SIGMA), *WEIGHT_RANGE, WEIGHT_SPARSITY, sys.num_atoms)
+    omega = _sparse_field(philox(spec.seed, _OMEGA), *WEIGHT_RANGE, WEIGHT_SPARSITY, sys.num_atoms)
     mu = _sparse_field(
-        philox(spec.seed, _MU), mlo, mhi, spec.mu_sparsity, (sys.num_levels, sys.num_atoms)
+        philox(spec.seed, _MU), *MU_RANGE, MU_SPARSITY, (sys.num_levels, sys.num_atoms)
     )
-    llo, lhi = spec.lambda_range
-    lam = _sparse_field(
-        philox(spec.seed, _LAMBDA), llo, lhi, spec.lambda_sparsity, sys.num_cubes
-    )
+    lam = _sparse_field(philox(spec.seed, _LAMBDA), *LAMBDA_RANGE, LAMBDA_SPARSITY, sys.num_cubes)
     return Instance(sys, spec.p, sigma, omega, mu, lam)
 
 

@@ -105,14 +105,6 @@ class DyadicSystem:
         """Boolean mask over atoms: which atoms lie inside ``cube``."""
         return self.cell_cube[self.level_of(cube)] == cube
 
-    def atoms_of(self, cube: int) -> np.ndarray:
-        return np.flatnonzero(self.atom_mask(cube))
-
-    def contains(self, cube: int, atom: int) -> bool:
-        if not (0 <= atom < self.num_atoms):
-            raise IndexError(f"atom id {atom} outside [0, {self.num_atoms})")
-        return bool(self.atom_mask(cube)[atom])
-
     def box_mask(self, cube: int) -> np.ndarray:
         """Boolean mask of shape (levels, atoms) for the Carleson box."""
         mask = np.zeros((self.num_levels, self.num_atoms), dtype=bool)
@@ -136,12 +128,6 @@ def children(sys: DyadicSystem, cube: int) -> list[int]:
     if sys.level_of(cube) == sys.depth:
         return []
     return sys.child_linear[cube].tolist()
-
-
-def box_members(sys: DyadicSystem, cube: int) -> set[tuple[int, int]]:
-    """The Carleson box of ``cube`` as a set of (atom, level) pairs."""
-    atoms = sys.atoms_of(cube)
-    return {(int(a), j) for j in range(sys.level_of(cube), sys.num_levels) for a in atoms}
 
 
 # -- path grammar ----------------------------------------------------------
@@ -261,12 +247,10 @@ def box_sums(sys: DyadicSystem, cell_values: np.ndarray) -> np.ndarray:
     return level_sums(sys, w)
 
 
-def chain_running(
-    sys: DyadicSystem, cube_values: np.ndarray, start_level: int = 0
-) -> np.ndarray:
+def chain_running(sys: DyadicSystem, cube_values: np.ndarray) -> np.ndarray:
     """Running ancestor sums: out[j, a] = sum of values over the ancestors of
-    atom a at levels ``start_level .. j`` (zero for j < start_level).
-    Values of shape (k, num_cubes) give the k runs, shape (k, levels, atoms)."""
+    atom a at levels 0 .. j.  Values of shape (k, num_cubes) give the k runs,
+    shape (k, levels, atoms)."""
     v = np.asarray(cube_values, dtype=np.float64)
     if v.ndim == 1 or len(v) == 1:
         levels = v.reshape(-1)[sys.cell_cube]
@@ -274,10 +258,9 @@ def chain_running(
     else:  # the batch axis goes last, so that each level is one block
         levels = np.take(v.T, sys.cell_cube, axis=0)
         out = levels.transpose(2, 0, 1)
-    levels[:start_level] = 0.0
     # a running sum starts from 0.0, which turns a -0.0 start value into +0.0
-    levels[start_level : start_level + 1] += 0.0
-    level_cumsum(levels[start_level:])
+    levels[:1] += 0.0
+    level_cumsum(levels)
     return np.ascontiguousarray(out)  # a batch's rows back to back
 
 

@@ -1,5 +1,5 @@
-"""Discrete weights, scale functions, mixed and scalar norms, their Hoelder
-norming maps, box integrals.
+"""Discrete weights, scale functions, mixed and scalar norms and their
+Hoelder norming maps.
 
 Two array shapes carry all function data:
 
@@ -9,7 +9,9 @@ Two array shapes carry all function data:
 All values are nonnegative binary64; validation helpers normalize dtype and
 reject negatives, NaNs and infinities.  Scalar accumulations go through
 :func:`ksum` (exact compensated summation) because downstream identity checks
-run at 1e-10 .. 1e-12 relative tolerance.
+run at 1e-10 .. 1e-12 relative tolerance.  Per-cube quantities are arrays
+over every cube at once: box and cube integrals and averages in
+:mod:`dyadlab.forms`, cube masses as ``lattice.cube_sums`` of a weight.
 """
 
 from __future__ import annotations
@@ -142,31 +144,3 @@ def _normed(single: bool, x: np.ndarray, by: np.ndarray, values: np.ndarray, pow
         return out, values
     return (None, 0.0) if values[0] == 0.0 else (out, float(values[0]))
 
-
-def box_integral(
-    sys: DyadicSystem, f: np.ndarray, mu: np.ndarray, sigma: np.ndarray, cube: int
-) -> float:
-    """Weighted pairing of f and mu over the Carleson box of ``cube``."""
-    level = sys.level_of(cube)
-    am = sys.atom_mask(cube)
-    f = np.asarray(f, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    block = f[level:, :][:, am] * mu[level:, :][:, am]
-    return ksum(block * np.asarray(sigma)[am])
-
-
-def cube_integral(sys: DyadicSystem, g: np.ndarray, w: np.ndarray, cube: int) -> float:
-    am = sys.atom_mask(cube)
-    return ksum((np.asarray(w) * np.asarray(g))[am])
-
-
-def mass(sys: DyadicSystem, w: np.ndarray, cube: int) -> float:
-    return ksum(np.asarray(w)[sys.atom_mask(cube)])
-
-
-def average(sys: DyadicSystem, g: np.ndarray, w: np.ndarray, cube: int) -> float:
-    """Weighted average over a cube; zero when the cube carries no mass."""
-    m = mass(sys, w, cube)
-    if m == 0.0:
-        return 0.0
-    return cube_integral(sys, g, w, cube) / m

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lattice
-from .forms import Instance, all_box_integrals, all_cube_integrals, level_test_input
+from .forms import Instance, all_box_integrals, all_cube_averages, level_test_input
 from .lattice import DyadicSystem
-from .measures import average, conjugate, ksum
+from .measures import conjugate, ksum
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,7 @@ def _level_sweep(
 def build_average_family(inst: Instance, top: int, g: np.ndarray) -> StoppingFamily:
     """Average-stopping family for an atom function, threshold factor 2."""
     sys = inst.sys
-    masses = lattice.cube_sums(sys, inst.omega)
-    integrals = all_cube_integrals(inst, g)
-    avg = np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
-
+    avg = all_cube_averages(inst, g)
     members, children, parents = _level_sweep(
         sys, top, lambda cubes, owners: avg[cubes] > 2.0 * avg[owners]
     )
@@ -271,8 +268,9 @@ def collapse_atom_function(
         raise ValueError("member does not belong to the ratio family")
     sys = inst.sys
     out = g * (cell_projection(sys, ratio_family)[-1] == member)
+    avg = all_cube_averages(inst, g)
     for c in cross_children(sys, ratio_family, avg_family, member):
-        out = out + average(sys, g, inst.omega, c) * sys.atom_mask(c)
+        out = out + avg[c] * sys.atom_mask(c)
     return out
 
 

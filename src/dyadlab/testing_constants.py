@@ -12,11 +12,11 @@ the free function) has a closed form:
 
 Neither ratio depends on Q beyond its level and its atoms.  The test input of
 Q is the level profile ``level_test_input`` restricted to Q, and the dual
-kernel of Q is ``mu * chain_running(lam * cube_sums(omega), start=level)``
-restricted to Q.  So each ratio is a sum over Q's atoms of per-atom terms
-that one level computes for all of its cubes at once (forward: one
-``box_sums`` and one ``chain_running``; dual: one ``chain_running``),
-O(levels**2 * atoms) in all.
+kernel of Q is ``mu`` times the running sum of ``lam * cube_sums(omega)``
+down the levels from Q's own, restricted to Q.  So each ratio is a sum over
+Q's atoms of per-atom terms that one level computes for all of its cubes at
+once (forward: one ``box_sums`` and one ``chain_running``; dual: one
+``chain_running``), O(levels**2 * atoms) in all.
 
 Each level's terms are summed twice.  A ``level_sums`` scan gives every cube a
 ratio close to the exact one; the cubes within ``RESELECT_MARGIN`` of the
@@ -103,13 +103,19 @@ def _select(sys, exponent: float, num_terms, den_terms, skip: np.ndarray):
     return best, best_cube
 
 
+def _running_from(sys, contrib: np.ndarray, level: int) -> np.ndarray:
+    """``chain_running`` of the cubes at ``level`` and finer: the coarser
+    cubes add nothing (``np.where``, so an inf there cannot become NaN)."""
+    return lattice.chain_running(sys, np.where(sys.cube_level >= level, contrib, 0.0))
+
+
 def forward_testing_constant(inst: Instance) -> TestingSide:
     sys = inst.sys
     rows, num_terms, den_terms = [], [], []
     for level in range(sys.num_levels):
         phi = level_test_input(inst, level)
         contrib = inst.lam * all_box_integrals(inst, phi)
-        row = lattice.chain_running(sys, contrib, start_level=level)[sys.depth]
+        row = _running_from(sys, contrib, level)[sys.depth]
         rows.append(row)
         num_terms.append(inst.omega * row**inst.p)
         den_terms.append(inst.sigma * ell2_slice(phi) ** inst.p)
@@ -128,7 +134,7 @@ def dual_testing_constant(inst: Instance) -> TestingSide:
     contrib = inst.lam * lattice.cube_sums(sys, inst.omega)
     num_terms, bad = [], np.zeros((sys.num_levels, sys.num_atoms), dtype=bool)
     for level in range(sys.num_levels):
-        kernel = inst.mu * lattice.chain_running(sys, contrib, start_level=level)
+        kernel = inst.mu * _running_from(sys, contrib, level)
         num_terms.append(inst.sigma * ell2_slice(kernel) ** inst.q)
         bad[level] = ~np.isfinite(kernel).all(axis=0)
     # A cube's kernel is its level's kernel times its atom mask, which turns a
@@ -137,7 +143,7 @@ def dual_testing_constant(inst: Instance) -> TestingSide:
     best, cube = _select(sys, inst.q, num_terms, [inst.omega] * sys.num_levels, skip)
     if cube is None:
         return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)))
-    running = lattice.chain_running(sys, contrib, start_level=sys.level_of(cube))
+    running = _running_from(sys, contrib, sys.level_of(cube))
     kernel = inst.mu * running * sys.atom_mask(cube)[None, :]
     return TestingSide(best, cube, mixed_norming(kernel, inst.sigma, inst.p)[0])
 

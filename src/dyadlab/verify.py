@@ -23,6 +23,9 @@ from .embedding import (
 )
 from .forms import (
     Instance,
+    all_box_integrals,
+    all_cube_averages,
+    all_cube_integrals,
     apply_adjoint_operator,
     apply_box_operator,
     lambda_form,
@@ -30,21 +33,12 @@ from .forms import (
     phi_identity_check,
     test_function,
 )
-from .measures import (
-    conjugate,
-    ksum,
-    lp_norm,
-    mass,
-    mixed_norm,
-    average,
-    box_integral,
-    cube_integral,
-)
+from .measures import conjugate, ksum, lp_norm, mixed_norm
 from .normest import (
     alternating_maximization,
+    attach_oracle,
     best_f_given_g,
     best_g_given_f,
-    spectral_oracle_p2,
     testing_norm_ratios,
 )
 from .stopping import (
@@ -141,13 +135,12 @@ def _check_lattice(s: _Suite):
     fails, checked = [], 0
     sys = s.instances[0].sys if s.instances else generators.worked_instances()["w1"].sys
     for cube in range(sys.num_cubes):
-        box = lattice.box_members(sys, cube)
-        own = {(int(a), sys.level_of(cube)) for a in sys.atoms_of(cube)}
-        rest = set()
-        for child in lattice.children(sys, cube):
-            rest |= lattice.box_members(sys, child)
+        own = np.zeros((sys.num_levels, sys.num_atoms), dtype=bool)
+        own[sys.level_of(cube)] = sys.atom_mask(cube)
+        pieces = [own] + [sys.box_mask(child) for child in lattice.children(sys, cube)]
         checked += 1
-        if box != own | rest or own & rest:
+        # a partition covers each cell of the box once and no other cell
+        if not np.array_equal(np.sum(pieces, axis=0), sys.box_mask(cube)):
             fails.append((None, f"box partition broken at {_at(sys, cube)}"))
     s.record("lattice-box-partition", fails, checked)
 
@@ -155,12 +148,9 @@ def _check_lattice(s: _Suite):
     rng = generators.philox(s.seed, 100)
     for _ in range(50):
         a = int(rng.integers(sys.num_atoms))
-        chain = [cube for cube in range(sys.num_cubes) if sys.contains(cube, a)]
+        chain = [mask for mask in map(sys.atom_mask, range(sys.num_cubes)) if mask[a]]
         checked += 1
-        ordered = all(
-            set(sys.atoms_of(chain[i + 1])) <= set(sys.atoms_of(chain[i]))
-            for i in range(len(chain) - 1)
-        )
+        ordered = all(np.all(inner <= outer) for outer, inner in zip(chain, chain[1:]))
         if len(chain) != sys.num_levels or not ordered:
             fails.append((None, f"containment chain broken at atom {a}"))
     s.record("lattice-chain-property", fails, checked)
@@ -182,14 +172,14 @@ def _check_measures(s: _Suite):
     fails, checked = [], 0
     for inst, f, g in s.draws:
         sys = inst.sys
+        boxes = all_box_integrals(inst, f)
         for cube in range(0, sys.num_cubes, max(1, sys.num_cubes // 8)):
             bm = sys.box_mask(cube)
-            lhs = box_integral(sys, f, inst.mu, inst.sigma, cube)
             rhs = mixed_norm(f * bm, inst.sigma, inst.p) * mixed_norm(
                 inst.mu * bm, inst.sigma, conjugate(inst.p)
             )
             checked += 1
-            if lhs > rhs * (1 + 1e-12):
+            if boxes[cube] > rhs * (1 + 1e-12):
                 fails.append((inst, f"Hoelder violated at {_at(sys, cube)}"))
     s.record("box-integral-hoelder", fails, checked)
 
@@ -197,12 +187,11 @@ def _check_measures(s: _Suite):
     for inst, f, g in s.draws:
         sys = inst.sys
         cube = sys.root
-        avg = average(sys, g, inst.omega, cube)
         checked += 1
-        if avg > g.max() * (1 + 1e-12):
+        if all_cube_averages(inst, g)[cube] > g.max() * (1 + 1e-12):
             fails.append((inst, "average exceeds max"))
-        if mass(sys, inst.omega, cube) > 0:
-            const_avg = average(sys, np.full(sys.num_atoms, 2.5), inst.omega, cube)
+        if lattice.cube_sums(sys, inst.omega)[cube] > 0:
+            const_avg = all_cube_averages(inst, np.full(sys.num_atoms, 2.5))[cube]
             if _rel(const_avg, 2.5) > 1e-12:
                 fails.append((inst, "constant average broken"))
     s.record("average-bounds", fails, checked)
@@ -296,15 +285,15 @@ def _check_stopping(s: _Suite):
         ffam = build_ratio_family(inst, sys.root, f)
         fproj = projection(sys, ffam)
         a_const, _ = default_ratio_constants(inst.p)
+        num = all_box_integrals(inst, f)
+        dens = {}  # member -> the box integrals of its test input
         for cube in range(0, sys.num_cubes, max(1, sys.num_cubes // 6)):
             member = int(fproj[cube])
-            phi = test_function(inst, member)
-            den_q = box_integral(sys, phi, inst.mu, inst.sigma, cube)
-            num_q = box_integral(sys, f, inst.mu, inst.sigma, cube)
-            den_m = box_integral(sys, phi, inst.mu, inst.sigma, member)
-            num_m = box_integral(sys, f, inst.mu, inst.sigma, member)
-            lhs = num_q / den_q if den_q > 0 else 0.0
-            rhs = a_const * (num_m / den_m if den_m > 0 else 0.0)
+            if member not in dens:
+                dens[member] = all_box_integrals(inst, test_function(inst, member))
+            den = dens[member]
+            lhs = num[cube] / den[cube] if den[cube] > 0 else 0.0
+            rhs = a_const * (num[member] / den[member] if den[member] > 0 else 0.0)
             if lhs > rhs * (1 + 1e-12):
                 fails_p.append((inst, f"stopping bound broken at {_at(sys, cube)}"))
         if inst.p >= 2.0:
@@ -329,28 +318,27 @@ def _check_stopping(s: _Suite):
         gfam = build_average_family(inst, sys.root, g)
         ffam = build_ratio_family(inst, sys.root, f)
         fproj, gproj = projection(sys, ffam), projection(sys, gfam)
-        collapsed_f, collapsed_g = {}, {}  # one collapse per member
+        boxes, integrals = all_box_integrals(inst, f), all_cube_integrals(inst, g)
+        collapsed_f, collapsed_g = {}, {}  # the integrals of one collapse per member
         for cube in range(sys.num_cubes):
             fkey, gkey = int(fproj[cube]), int(gproj[cube])
-            fa, ga = set(sys.atoms_of(fkey)), set(sys.atoms_of(gkey))
+            fa, ga = sys.atom_mask(fkey), sys.atom_mask(gkey)
             checked += 1
-            if not (fa <= ga or ga <= fa):
+            if not (np.all(fa <= ga) or np.all(ga <= fa)):
                 fails.append((inst, f"projections not nested at {_at(sys, cube)}"))
                 continue
             f_level, g_level = sys.level_of(fkey), sys.level_of(gkey)
             if f_level >= g_level and fkey != gkey:  # f-member strictly inside g-member
                 if gkey not in collapsed_f:
-                    collapsed_f[gkey] = collapse_scale_function(inst, f, gfam, ffam, gkey)
-                a = box_integral(sys, f, inst.mu, inst.sigma, cube)
-                b = box_integral(sys, collapsed_f[gkey], inst.mu, inst.sigma, cube)
-                if _rel(a, b) > 1e-12:
+                    collapsed = collapse_scale_function(inst, f, gfam, ffam, gkey)
+                    collapsed_f[gkey] = all_box_integrals(inst, collapsed)
+                if _rel(boxes[cube], collapsed_f[gkey][cube]) > 1e-12:
                     fails.append((inst, f"scale collapse changes box mass at {_at(sys, cube)}"))
             if g_level >= f_level:  # g-member inside f-member (or equal)
                 if fkey not in collapsed_g:
-                    collapsed_g[fkey] = collapse_atom_function(inst, g, gfam, ffam, fkey)
-                a = cube_integral(sys, g, inst.omega, cube)
-                b = cube_integral(sys, collapsed_g[fkey], inst.omega, cube)
-                if _rel(a, b) > 1e-12:
+                    collapsed = collapse_atom_function(inst, g, gfam, ffam, fkey)
+                    collapsed_g[fkey] = all_cube_integrals(inst, collapsed)
+                if _rel(integrals[cube], collapsed_g[fkey][cube]) > 1e-12:
                     fails.append((inst, f"atom collapse changes cube mass at {_at(sys, cube)}"))
     s.record("collapse-substitution-identities", fails, checked)
 
@@ -429,10 +417,12 @@ def _check_normest(s: _Suite):
             ratios = testing_norm_ratios(inst, estimate=est, report=rep)
             if ratios.upper < 0.5 - 1e-9 or ratios.lower > 1.0 + 1e-9:
                 fails.append((inst, f"ratios out of range: {ratios}"))
-        small = inst.sys.num_levels * inst.sys.num_atoms**2 <= 4_000_000
-        if inst.p == 2.0 and small:
-            oracle = spectral_oracle_p2(inst)
-            if oracle > 0 and abs(est.value - oracle) / oracle > 1e-6:
+        # attach_oracle leaves the spectral oracle out where its kernel would be
+        # too large; the grid oracle it gives at p != 2 is not compared here
+        with_oracle = attach_oracle(inst, est) if inst.p == 2.0 else est
+        oracle = with_oracle.oracle_value
+        if with_oracle.oracle_kind == "spectral" and oracle > 0:
+            if abs(est.value - oracle) / oracle > 1e-6:
                 fails.append((inst, f"alternating {est.value} vs spectral {oracle}"))
         g1, v1 = best_g_given_f(inst, est.witness_f)
         if g1 is not None and v1 < est.value * (1 - 1e-12):

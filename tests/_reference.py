@@ -36,6 +36,7 @@ from dyadlab.errors import GuardError
 from dyadlab.forms import (
     Instance,
     all_box_integrals,
+    all_cube_averages,
     all_cube_integrals,
     level_test_input,
     test_function,
@@ -318,7 +319,9 @@ def form_kernel(inst) -> np.ndarray:
 # The package sums up the tree with ``lattice.level_sums`` and runs down it
 # with ``lattice.level_cumsum``.  These are the bodies those two replaced,
 # kept as they were: the four aggregations (``chain_total`` is gone from the
-# package, whose callers read the last row of ``chain_running``), the one
+# package, whose callers read the last row of ``chain_running``; this
+# ``chain_running`` keeps the ``start_level`` the package's lost, for the
+# per-cube loops below), the one
 # ``bincount`` over every cell that the testing constants' ``_select`` scan
 # made, the dual's per-level skip count, and ``normest.form_kernel``.
 
@@ -468,7 +471,7 @@ def apply_box_operator_local(inst, top, f):
     """Box operator with the cube sum restricted to subcubes of ``top``."""
     level = inst.sys.level_of(top)
     contrib = inst.lam * all_box_integrals(inst, f)
-    running = lattice.chain_running(inst.sys, contrib, start_level=level)
+    running = chain_running(inst.sys, contrib, start_level=level)
     return running[inst.sys.depth] * inst.sys.atom_mask(top)
 
 
@@ -521,7 +524,7 @@ def forward_testing_constant_loop(inst):
         if phinorm == 0.0:
             continue
         contrib = inst.lam * all_box_integrals(inst, phi)
-        running = lattice.chain_running(sys, contrib, start_level=sys.level_of(cube))
+        running = chain_running(sys, contrib, start_level=sys.level_of(cube))
         h = running[sys.depth] * sys.atom_mask(cube)
         ratio = measures.lp_norm(h, inst.omega, inst.p) / phinorm
         if ratio > best:
@@ -534,7 +537,7 @@ def dual_kernel(inst, cube):
     """Scale-function kernel representing f -> localized form of (f, 1_cube)."""
     sys = inst.sys
     contrib = inst.lam * lattice.cube_sums(sys, inst.omega)
-    running = lattice.chain_running(sys, contrib, start_level=sys.level_of(cube))
+    running = chain_running(sys, contrib, start_level=sys.level_of(cube))
     return inst.mu * running * sys.atom_mask(cube)[None, :]
 
 
@@ -543,7 +546,7 @@ def dual_testing_constant_loop(inst):
     best, best_cube = 0.0, None
     best_witness = np.zeros((sys.num_levels, sys.num_atoms))
     for cube in range(sys.num_cubes):
-        denom = measures.mass(sys, inst.omega, cube) ** (1.0 / inst.q)
+        denom = measures.ksum(inst.omega[sys.atom_mask(cube)]) ** (1.0 / inst.q)
         if denom == 0.0:
             continue
         kernel = dual_kernel(inst, cube)
@@ -732,8 +735,9 @@ def collapse_scale_function_masks(inst, f, avg_family, ratio_family, member):
 def collapse_atom_function_masks(inst, g, avg_family, ratio_family, member):
     sys = inst.sys
     out = g * exclusive_atom_mask(sys, ratio_family, member)
+    avg = all_cube_averages(inst, g)
     for c in cross_children(sys, ratio_family, avg_family, member):
-        out = out + measures.average(sys, g, inst.omega, c) * sys.atom_mask(c)
+        out = out + avg[c] * sys.atom_mask(c)
     return out
 
 

@@ -22,7 +22,7 @@ from dyadlab.embedding import (
     embedding_ratio_search,
     stopping_embedding_report,
 )
-from dyadlab.forms import phi_identity_check
+from dyadlab.forms import all_box_integrals, all_cube_integrals, phi_identity_check
 from dyadlab.generators import (
     GenSpec,
     adversarial_family,
@@ -33,7 +33,6 @@ from dyadlab.generators import (
     random_atom_function,
 )
 from dyadlab.io import ReportRow
-from dyadlab.measures import box_integral, cube_integral
 from dyadlab.normest import (
     alternating_maximization,
     grid_oracle,
@@ -415,25 +414,26 @@ def test_criterion_9_decomposition_identities():
             gfam = build_average_family(inst, sys.root, g)
             ffam = build_ratio_family(inst, sys.root, f)
             assert len(ffam.members) > 1 and len(gfam.members) > 1
-            collapsed_f, collapsed_g = {}, {}
+            boxes, integrals = all_box_integrals(inst, f), all_cube_integrals(inst, g)
+            collapsed_f, collapsed_g = {}, {}  # the integrals of each collapse
             for cube in range(sys.num_cubes):
                 fm = project(sys, ffam, cube)
                 gm = project(sys, gfam, cube)
-                fa, ga = set(sys.atoms_of(fm)), set(sys.atoms_of(gm))
-                assert fa <= ga or ga <= fa  # the unique pair always nests
+                fa, ga = sys.atom_mask(fm), sys.atom_mask(gm)
+                assert np.all(fa <= ga) or np.all(ga <= fa)  # the unique pair always nests
                 if sys.level_of(fm) > sys.level_of(gm):
                     key = gm
                     if key not in collapsed_f:
-                        collapsed_f[key] = collapse_scale_function(inst, f, gfam, ffam, key)
-                    a = box_integral(sys, f, inst.mu, inst.sigma, cube)
-                    b = box_integral(sys, collapsed_f[key], inst.mu, inst.sigma, cube)
+                        collapsed = collapse_scale_function(inst, f, gfam, ffam, key)
+                        collapsed_f[key] = all_box_integrals(inst, collapsed)
+                    a, b = boxes[cube], collapsed_f[key][cube]
                     worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
                 if sys.level_of(gm) >= sys.level_of(fm):
                     key = fm
                     if key not in collapsed_g:
-                        collapsed_g[key] = collapse_atom_function(inst, g, gfam, ffam, key)
-                    a = cube_integral(sys, g, inst.omega, cube)
-                    b = cube_integral(sys, collapsed_g[key], inst.omega, cube)
+                        collapsed = collapse_atom_function(inst, g, gfam, ffam, key)
+                        collapsed_g[key] = all_cube_integrals(inst, collapsed)
+                    a, b = integrals[cube], collapsed_g[key][cube]
                     worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
                 checked += 1
     ok = worst <= 1e-12

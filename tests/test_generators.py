@@ -39,28 +39,6 @@ def test_negative_seeds_draw_their_own_streams():
             assert np.array_equal(philox(seed, stream).random(8), want)
 
 
-def test_sparsity_extremes():
-    allzero = generate(GenSpec(seed=7, depth=2, weight_sparsity=1.0, mu_sparsity=1.0, lambda_sparsity=1.0))
-    assert not allzero.sigma.any()
-    assert not allzero.omega.any()
-    assert not allzero.mu.any()
-    assert not allzero.lam.any()
-    dense = generate(GenSpec(seed=7, depth=2, weight_sparsity=0.0, mu_sparsity=0.0, lambda_sparsity=0.0))
-    assert (dense.sigma > 0).all()
-    assert (dense.omega > 0).all()
-    assert (dense.mu > 0).all()
-    assert (dense.lam > 0).all()
-
-
-def test_genspec_validation():
-    with pytest.raises(ValueError):
-        GenSpec(seed=1, weight_range=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        GenSpec(seed=1, mu_range=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        GenSpec(seed=1, lambda_sparsity=1.5)
-
-
 def test_generated_instances_satisfy_invariants():
     for seed in range(5):
         inst = generate(GenSpec(seed=seed, dimension=1, depth=3, p=2.5))

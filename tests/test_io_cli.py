@@ -346,15 +346,35 @@ def test_cli_verify_passes_and_is_deterministic(tmp_path):
 
 
 def test_verify_failure_details_name_cubes_by_path(monkeypatch):
-    # break the box of the root only: the detail names it by its path ""
-    box_members = lattice.box_members
-    monkeypatch.setattr(lattice, "box_members", lambda s, c: box_members(s, c) if c else set())
+    # hide the children of the root only, so that its box is no longer the
+    # union of its own row and the children's boxes: the detail names it by
+    # its path ""
+    children = lattice.children
+    monkeypatch.setattr(lattice, "children", lambda s, c: children(s, c) if c else [])
     results, ok = verify.run_suite(instances=1, depth=2)
     assert not ok
     failed = [r for r in results if not r.passed]
     assert [(r.name, r.detail) for r in failed] == [
         ("lattice-box-partition", "1/7 failed: box partition broken at cube ''")
     ]
+
+
+VERIFY_STDOUT = json.loads(
+    (pathlib.Path(__file__).resolve().parents[1] / "perfbench/reference/verify.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "key", [k for k in VERIFY_STDOUT if k.endswith("/4")] + ["1/50"]
+)
+def test_verify_stdout_is_the_stored_text(key, capsys):
+    # the stored stdout of ``dyadlab verify`` at d1 D3 p 2, the benchmark's
+    # reference: a change to any checked layer must print these bytes
+    seed, instances = key.split("/")
+    argv = ["verify", "--seed", seed, "--instances", instances,
+            "--p", "2", "--dim", "1", "--depth", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == VERIFY_STDOUT[key]
 
 
 @pytest.mark.filterwarnings("error")

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadlab import build_system, conjugate, lattice, worked_instances
+from dyadlab import Instance, build_system, conjugate, lattice, worked_instances
+from dyadlab.forms import all_box_integrals, all_cube_averages, all_cube_integrals
 from dyadlab.measures import (
-    average,
-    box_integral,
-    cube_integral,
     ell2_slice,
     group_ksum,
     ksum,
     lp_norm,
-    mass,
     mixed_norm,
     zero_preserving_power,
 )
@@ -23,6 +20,19 @@ import _reference as ref
 
 
 W = worked_instances()
+
+
+def _instance(s, sigma=None, omega=None, mu=None):
+    """An instance carrying the given weights and density, ones elsewhere;
+    the per-cube integrals read no coefficient."""
+    ones = np.ones(s.num_atoms)
+    return Instance(
+        s, 2.0,
+        ones if sigma is None else sigma,
+        ones if omega is None else omega,
+        np.ones((s.num_levels, s.num_atoms)) if mu is None else mu,
+        np.zeros(s.num_cubes),
+    )
 
 
 def test_exponent_conjugacy():
@@ -57,20 +67,20 @@ def test_lp_norm_examples():
 def test_box_integral_examples():
     s = build_system(1, 1)
     ones = np.ones((2, 2))
-    sig = np.array([1.0, 1.0])
-    assert box_integral(s, ones, ones, sig, s.root) == 4.0
-    assert box_integral(s, ones, ones, sig, lattice.cube_from_path(s, "0")) == 1.0
-    assert box_integral(s, ones, np.zeros((2, 2)), sig, s.root) == 0.0
+    boxes = all_box_integrals(_instance(s), ones)
+    assert boxes[s.root] == 4.0
+    assert boxes[lattice.cube_from_path(s, "0")] == 1.0
+    assert all_box_integrals(_instance(s, mu=np.zeros((2, 2))), ones)[s.root] == 0.0
 
 
 def test_cube_integral_and_average_examples():
     s = build_system(1, 1)
     g = np.ones(2)
-    w = np.array([1.0, 1.0])
-    assert cube_integral(s, g, w, s.root) == 2.0
-    assert average(s, g, w, s.root) == 1.0
-    assert average(s, g, np.zeros(2), s.root) == 0.0
-    assert cube_integral(s, np.zeros(2), w, s.root) == 0.0
+    inst = _instance(s, omega=np.array([1.0, 1.0]))
+    assert all_cube_integrals(inst, g)[s.root] == 2.0
+    assert all_cube_averages(inst, g)[s.root] == 1.0
+    assert all_cube_averages(_instance(s, omega=np.zeros(2)), g)[s.root] == 0.0
+    assert all_cube_integrals(inst, np.zeros(2))[s.root] == 0.0
 
 
 @pytest.mark.parametrize("n,d,p", [(1, 3, 2.0), (2, 2, 2.5), (1, 2, 4.0)])
@@ -88,13 +98,15 @@ def test_against_reference(n, d, p):
     assert lp_norm(g, sigma, p) == pytest.approx(
         ref.lp_norm(g.tolist(), sigma.tolist(), p), rel=1e-13
     )
+    inst = _instance(s, sigma=sigma, omega=sigma, mu=mu)
+    boxes, integrals = all_box_integrals(inst, f), all_cube_integrals(inst, g)
     for lin in range(0, s.num_cubes, 3):
         cube = ref.cube_at(s, lin)
-        assert box_integral(s, f, mu, sigma, lin) == pytest.approx(
+        assert boxes[lin] == pytest.approx(
             ref.box_integral(n, d, f.tolist(), mu.tolist(), sigma.tolist(), cube.level, cube.index),
             rel=1e-12,
         )
-        assert cube_integral(s, g, sigma, lin) == pytest.approx(
+        assert integrals[lin] == pytest.approx(
             ref.cube_integral(n, d, g.tolist(), sigma.tolist(), cube.level, cube.index),
             rel=1e-12,
         )
@@ -122,9 +134,10 @@ def test_box_integral_hoelder(seed, p):
     f = rng.random((s.num_levels, s.num_atoms))
     mu = rng.random((s.num_levels, s.num_atoms))
     sigma = rng.random(s.num_atoms)
+    boxes = all_box_integrals(_instance(s, sigma=sigma, mu=mu), f)
     for cube in (0, 3, 7):
         bm = s.box_mask(cube)
-        lhs = box_integral(s, f, mu, sigma, cube)
+        lhs = boxes[cube]
         rhs = mixed_norm(f * bm, sigma, p) * mixed_norm(mu * bm, sigma, conjugate(p))
         assert lhs <= rhs * (1 + 1e-12)
 
@@ -134,10 +147,14 @@ def test_average_bounds():
     rng = np.random.Generator(np.random.Philox(key=[3, 3]))
     g = rng.random(s.num_atoms)
     w = rng.random(s.num_atoms)
+    inst = _instance(s, omega=w)
+    averages = all_cube_averages(inst, g)
+    constant = all_cube_averages(inst, np.full(s.num_atoms, 0.7))
+    masses = lattice.cube_sums(s, w)
     for cube in range(s.num_cubes):
-        assert average(s, g, w, cube) <= g.max() * (1 + 1e-12)
-        if mass(s, w, cube) > 0:
-            assert average(s, np.full(s.num_atoms, 0.7), w, cube) == pytest.approx(0.7, rel=1e-13)
+        assert averages[cube] <= g.max() * (1 + 1e-12)
+        if masses[cube] > 0:
+            assert constant[cube] == pytest.approx(0.7, rel=1e-13)
 
 
 def test_mixed_norm_vanishes_only_off_support():

@@ -8,7 +8,7 @@ import pytest
 import _reference as ref
 from _reference import Cube, project
 from dyadlab import Instance, build_system, io, lattice, worked_instances
-from dyadlab.forms import all_box_integrals
+from dyadlab.forms import all_box_integrals, all_cube_integrals
 from dyadlab.forms import test_function as make_test_input
 from dyadlab.generators import (
     GenSpec,
@@ -18,7 +18,6 @@ from dyadlab.generators import (
     random_atom_function,
     random_scale_function,
 )
-from dyadlab.measures import box_integral, cube_integral
 from dyadlab.stopping import (
     StoppingFamily,
     build_average_family,
@@ -200,15 +199,12 @@ def test_stopping_bound_after_construction(p):
         sys = inst.sys
         f = random_scale_function(sys, 17, base=inst.mu)
         fam = build_ratio_family(inst, sys.root, f)
+        num = all_box_integrals(inst, f)
         for cube in range(sys.num_cubes):
             member = project(sys, fam, cube)
-            phi = make_test_input(inst, member)
-            num_q = box_integral(sys, f, inst.mu, inst.sigma, cube)
-            den_q = box_integral(sys, phi, inst.mu, inst.sigma, cube)
-            num_m = box_integral(sys, f, inst.mu, inst.sigma, member)
-            den_m = box_integral(sys, phi, inst.mu, inst.sigma, member)
-            lhs = num_q / den_q if den_q > 0 else 0.0
-            rhs = a_const * (num_m / den_m if den_m > 0 else 0.0)
+            den = all_box_integrals(inst, make_test_input(inst, member))
+            lhs = num[cube] / den[cube] if den[cube] > 0 else 0.0
+            rhs = a_const * (num[member] / den[member] if den[member] > 0 else 0.0)
             assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -236,28 +232,27 @@ def test_collapse_substitution_identities(p):
     gfam = build_average_family(inst, sys.root, g)
     ffam = build_ratio_family(inst, sys.root, f)
 
-    collapsed_f = {}
-    collapsed_g = {}
+    boxes, integrals = all_box_integrals(inst, f), all_cube_integrals(inst, g)
+    collapsed_f = {}  # the box integrals of each collapsed scale function
+    collapsed_g = {}  # the cube integrals of each collapsed atom function
     for cube in range(sys.num_cubes):
         fm = project(sys, ffam, cube)
         gm = project(sys, gfam, cube)
         # the two projections always nest
-        fa, ga = set(sys.atoms_of(fm)), set(sys.atoms_of(gm))
-        assert fa <= ga or ga <= fa
+        fa, ga = sys.atom_mask(fm), sys.atom_mask(gm)
+        assert np.all(fa <= ga) or np.all(ga <= fa)
         if sys.level_of(fm) > sys.level_of(gm):  # ratio member strictly inside average member
             key = gm
             if key not in collapsed_f:
-                collapsed_f[key] = collapse_scale_function(inst, f, gfam, ffam, key)
-            a = box_integral(sys, f, inst.mu, inst.sigma, cube)
-            b = box_integral(sys, collapsed_f[key], inst.mu, inst.sigma, cube)
-            assert b == pytest.approx(a, rel=1e-12, abs=1e-300)
+                collapsed = collapse_scale_function(inst, f, gfam, ffam, key)
+                collapsed_f[key] = all_box_integrals(inst, collapsed)
+            assert collapsed_f[key][cube] == pytest.approx(boxes[cube], rel=1e-12, abs=1e-300)
         if sys.level_of(gm) >= sys.level_of(fm):  # average member inside ratio member
             key = fm
             if key not in collapsed_g:
-                collapsed_g[key] = collapse_atom_function(inst, g, gfam, ffam, key)
-            a = cube_integral(sys, g, inst.omega, cube)
-            b = cube_integral(sys, collapsed_g[key], inst.omega, cube)
-            assert b == pytest.approx(a, rel=1e-12, abs=1e-300)
+                collapsed = collapse_atom_function(inst, g, gfam, ffam, key)
+                collapsed_g[key] = all_cube_integrals(inst, collapsed)
+            assert collapsed_g[key][cube] == pytest.approx(integrals[cube], rel=1e-12, abs=1e-300)
 
 
 def test_collapse_trivial_family_is_identity():
@@ -279,10 +274,8 @@ def test_projection_uniqueness():
     for cube in range(inst.sys.num_cubes):
         member = project(inst.sys, fam, cube)
         # the projection is the unique minimal member containing the cube
-        containing = [
-            m for m in fam.members
-            if set(inst.sys.atoms_of(cube)) <= set(inst.sys.atoms_of(m))
-        ]
+        inside = inst.sys.atom_mask(cube)
+        containing = [m for m in fam.members if np.all(inside <= inst.sys.atom_mask(m))]
         levels = [inst.sys.level_of(m) for m in containing]
         assert levels.count(max(levels)) == 1
         best = containing[levels.index(max(levels))]
