@@ -8,10 +8,8 @@ comparable (p-dependently) to the smallest constant in the cube-mass
 condition.  The condition side is exact arithmetic; the embedding side is a
 seeded ratio maximization whose indicator seeds already certify that the
 empirical constant dominates the condition constant.  The search evaluates
-the cube indicators in chunks, one batched cube-averages pass per chunk, then
-runs the power method of :func:`normest.power_ascent` on the cube-average
-map, whose seeds step in lockstep on the same chunks.  A chunk holds more
-functions the smaller the lattice, and a single one on the largest.
+every cube indicator in closed form, from the cube masses alone, then runs
+the power method of :func:`normest.power_ascent` on the cube-average map.
 """
 
 from __future__ import annotations
@@ -86,6 +84,30 @@ def _ratios(sys: DyadicSystem, data: CarlesonData, masses: np.ndarray, h: np.nda
     return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
 
 
+def _indicator_ratios(sys: DyadicSystem, data: CarlesonData, masses: np.ndarray, cubes, p: float):
+    """:func:`_ratios` of the indicators of ``cubes``, cubes with mass, bit for bit.
+
+    An averages pass of 1_Q adds the atoms of Q as the masses pass does, with
+    only zeros between them: the averages are 1.0 on each R in Q with mass
+    and fl(nu(Q) / nu(R)) on each R above Q.  So one exact sum over the
+    (cube, ancestor) pairs and one over the atoms give every ratio's terms.
+    """
+    atom = np.empty(sys.num_cubes, dtype=np.intp)
+    atom[sys.cell_cube] = np.arange(sys.num_atoms)  # an atom of each cube
+    level = np.repeat(np.arange(sys.num_levels), sys.num_cubes - sys.level_offset[:-1])
+    inner = np.concatenate([np.arange(lo, sys.num_cubes) for lo in sys.level_offset[:-1]])
+    outer = sys.cell_cube[level, atom[inner]]  # the ancestor at ``level`` or the cube
+    # a pair gives each of its cubes the other's term, averaged over the inner cube
+    up = outer != inner
+    keys, terms = np.concatenate([inner, outer[up]]), np.concatenate([outer, inner[up]])
+    inner = np.concatenate([inner, inner[up]])
+    avg = np.divide(masses[inner], masses[terms], out=np.zeros(len(terms)), where=masses[terms] > 0)
+    sums = group_ksum(keys, data.a[terms] * avg**p, cubes)
+    nu = group_ksum(sys.cell_cube.ravel(), np.tile(data.nu, sys.num_levels), cubes)
+    norms = [total ** (1.0 / p) for total in nu]
+    return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
+
+
 def _average_maps(sys: DyadicSystem, data: CarlesonData, masses: np.ndarray, p: float):
     """The half-steps: A h normed in lp(a), and A* g normed in Lq(nu)."""
 
@@ -110,30 +132,22 @@ def embedding_ratio_search(
     found for the cube-average map A: Lp(nu) -> lp(a).
 
     The indicators of the cubes with mass, which certify that the result
-    dominates the condition constant, take one averages pass per chunk.  The
+    dominates the condition constant, take their ratios in closed form
+    (:func:`_indicator_ratios`) and each counts as one evaluation.  The
     constant function, the first best indicator and ``restarts`` random starts
     then seed :func:`normest.power_ascent`; the exact ratio of its best
     iterate wins only when larger, so the witness attains the value.
     """
     masses = lattice.cube_sums(sys, data.nu)
-    rows = lattice.chunk_rows(sys)
-    best, best_h, evals = 0.0, np.zeros(sys.num_atoms), 0
-
     cubes = np.flatnonzero(masses > 0)
-    indicator = None  # the first best indicator ratio and its function
-    for start in range(0, len(cubes), rows):
-        chunk = cubes[start : start + rows]
-        h = (sys.cell_cube[sys.cube_level[chunk]] == chunk[:, None]).astype(np.float64)
-        evals += len(chunk)
-        for r, row in zip(_ratios(sys, data, masses, h, p), h):
-            if r > best:
-                best, best_h = r, row
-            if indicator is None or r > indicator[0]:
-                indicator = (r, row)
-
+    best, best_h, evals = 0.0, np.zeros(sys.num_atoms), len(cubes)
     seeds = [np.ones(sys.num_atoms)]
-    if indicator is not None:
-        seeds.append(indicator[1])
+    if len(cubes):
+        ratios = _indicator_ratios(sys, data, masses, cubes, p)
+        first = int(np.argmax(ratios))  # the first best indicator
+        seeds.append(sys.atom_mask(int(cubes[first])).astype(np.float64))
+        if ratios[first] > best:
+            best, best_h = ratios[first], seeds[1]
     seeds += [generators.philox(seed, k).random(sys.num_atoms) for k in range(restarts)]
     forward, backward = _average_maps(sys, data, masses, p)
     _, pair, _, steps = power_ascent(sys, np.array(seeds), forward, backward, _TOL, _MAX_ITER)

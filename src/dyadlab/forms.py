@@ -11,8 +11,8 @@ Two adjoint operators realize the same pairing: ``apply_box_operator`` maps
 ``f`` to an atom function, ``apply_adjoint_operator`` maps ``g`` to a scale
 function.  ``test_function`` is the Hoelder-optimal input shaped from ``mu``
 on a single box, the restriction of the per-level profile
-``level_test_input``; its defining identity chain is checked by
-:func:`phi_identity_check`.
+``level_test_input``; :func:`phi_identity_check` checks the defining identity
+chain of every cube's test input at once.
 
 The per-cube quantities the form and the paper's conditions read -- box
 pairings, omega-integrals and omega-averages -- each have one primitive that
@@ -34,8 +34,8 @@ from .measures import (
     as_weights,
     conjugate,
     ell2_slice,
+    group_ksum,
     ksum,
-    mixed_norm,
     zero_preserving_power,
 )
 
@@ -156,27 +156,36 @@ def test_function(inst: Instance, cube: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhiIdentityReport:
-    """Four expressions that agree exactly for the optimal test input."""
+    """Four expressions that agree exactly for the optimal test input, each an
+    array over every cube, indexed by linear cube id."""
 
-    box_pairing: float       # box pairing of phi against mu
-    slice_integral: float    # integral over the cube of the mu-slice to the q
-    mu_norm_power: float     # mixed q-norm of boxed mu, to the q
-    phi_norm_power: float    # mixed p-norm of phi, to the p
-    max_rel_spread: float
+    box_pairing: np.ndarray       # box pairing of phi against mu
+    slice_integral: np.ndarray    # integral over the cube of the mu-slice to the q
+    mu_norm_power: np.ndarray     # mixed q-norm of boxed mu, to the q
+    phi_norm_power: np.ndarray    # mixed p-norm of phi, to the p
+    max_rel_spread: np.ndarray
 
 
-def phi_identity_check(inst: Instance, cube: int) -> PhiIdentityReport:
-    phi = test_function(inst, cube)
-    boxed = inst.mu * inst.sys.box_mask(cube)
-    s = ell2_slice(boxed)
-    am = inst.sys.atom_mask(cube)
+def phi_identity_check(inst: Instance) -> PhiIdentityReport:
+    """The identity chain of every cube's test input, one pass per level.
 
-    pairing = all_box_integrals(inst, phi)[cube]
-    slice_integral = ksum(inst.sigma[am] * s[am] ** inst.q)
-    mu_norm_power = mixed_norm(boxed, inst.sigma, inst.q) ** inst.q
-    phi_norm_power = mixed_norm(phi, inst.sigma, inst.p) ** inst.p
-
-    vals = (pairing, slice_integral, mu_norm_power, phi_norm_power)
-    top = max(abs(v) for v in vals)
-    spread = 0.0 if top == 0.0 else (max(vals) - min(vals)) / top
+    A cube's test input is its level's profile on its atoms and an atom's l2
+    slice sees only its column, so the profile's box sums and exact sums by
+    the level's cubes give each cube the bits of its own test input.
+    """
+    sys, p, q = inst.sys, inst.p, inst.q
+    pairing, slices, phis = [], [], []
+    for level in range(sys.num_levels):
+        profile = level_test_input(inst, level)
+        boxed = np.where(np.arange(sys.num_levels)[:, None] >= level, inst.mu, 0.0)
+        local, cubes = sys.ancestor_local[level], range(sys.level_sizes[level])
+        lo, hi = sys.level_offset[level : level + 2]
+        pairing += all_box_integrals(inst, profile)[lo:hi].tolist()
+        slices += group_ksum(local, inst.sigma * ell2_slice(boxed) ** q, cubes)
+        phis += group_ksum(local, inst.sigma * ell2_slice(profile) ** p, cubes)
+    mu_norm_power = [(total ** (1.0 / q)) ** q for total in slices]
+    phi_norm_power = [(total ** (1.0 / p)) ** p for total in phis]
+    vals = np.array([pairing, slices, mu_norm_power, phi_norm_power])
+    top, gap = np.abs(vals).max(axis=0), vals.max(axis=0) - vals.min(axis=0)
+    spread = np.divide(gap, top, out=np.zeros_like(top), where=top != 0.0)
     return PhiIdentityReport(*vals, spread)

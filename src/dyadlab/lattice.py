@@ -182,10 +182,11 @@ def paths(sys: DyadicSystem, cubes) -> dict[int, str]:
 
 
 # A chunk of functions for one batched lattice pass holds about this many
-# (level, atom) cells, and at least one function.  In the embedding search
-# (p = 3, 1 BLAS thread) rows one at a time took 1.9x the rule's time at d1 D6
-# (36 rows a chunk), 1.6x at d1 D8 (7), 1.3x at d3 D3 (8), 1.2x at d1 D9 (3),
-# the same at d2 D5 (2); from d1 D10 on a chunk is one unbatched function.
+# (level, atom) cells, and at least one function; ``normest.power_ascent``
+# steps its seeds in such chunks.  In the alternating maximization (35 seeds,
+# 1 BLAS thread) one batch of all the seeds took 1.35x the rule's time at
+# d1 D12 p 3, 1.21x at d2 D6 p 2 and 1.12x at d3 D4 p 3, where a chunk is one
+# function, and 0.91x at d1 D8 p 3 (7 rows a chunk).
 _CHUNK_CELLS = 1 << 14
 
 

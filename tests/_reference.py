@@ -6,8 +6,8 @@ Only meant for tiny systems.  The per-cube testing-constant loops (with
 ``dual_kernel``, the per-cube dual kernel the package no longer builds, and
 the norming functions it used to have), the per-member stopping-family BFS,
 the per-member exclusive masks (with the lifted measure it used to build),
-the three-pass embedding search and the per-seed alternating maximization at
-the end are the exception: they reuse the package's helpers, so their results
+the per-cube identity chain, the three-pass embedding search and the
+per-seed alternating maximization at the end are the exception: they reuse the package's helpers, so their results
 compare bit for bit with the package's whole-lattice passes (the embedding
 search to 1e-8, since the package's ascent now stops by its gain test).  The helpers in between are small definitions that
 only tests call, among them the parent-walking ``project`` that
@@ -485,6 +485,31 @@ def bracket_average(inst, f, cube):
 
 def member_cubes(sys, family):
     return [cube_at(sys, m) for m in family.members]
+
+
+# -- the identity chain of one cube ------------------------------------------
+#
+# ``forms.phi_identity_check`` reads every cube's identity chain off one pass
+# per level.  This is its per-cube body from before, one whole-lattice pass a
+# cube on the cube's own test input; its fields agree with the package's
+# arrays bit for bit.
+
+
+def phi_identity_check_cube(inst: Instance, cube: int) -> forms.PhiIdentityReport:
+    phi = test_function(inst, cube)
+    boxed = inst.mu * inst.sys.box_mask(cube)
+    s = measures.ell2_slice(boxed)
+    am = inst.sys.atom_mask(cube)
+
+    pairing = all_box_integrals(inst, phi)[cube]
+    slice_integral = measures.ksum(inst.sigma[am] * s[am] ** inst.q)
+    mu_norm_power = measures.mixed_norm(boxed, inst.sigma, inst.q) ** inst.q
+    phi_norm_power = measures.mixed_norm(phi, inst.sigma, inst.p) ** inst.p
+
+    vals = (pairing, slice_integral, mu_norm_power, phi_norm_power)
+    top = max(abs(v) for v in vals)
+    spread = 0.0 if top == 0.0 else (max(vals) - min(vals)) / top
+    return forms.PhiIdentityReport(*vals, spread)
 
 
 # -- per-cube testing-constant loops ---------------------------------------

@@ -228,25 +228,49 @@ def _batches(monkeypatch):
     return sizes
 
 
-def test_search_takes_one_averages_pass_per_chunk_and_step(monkeypatch):
-    # d2 D3 has 85 indicators, more than one chunk holds
-    s = build_system(2, 3)
+@pytest.mark.parametrize("dimension,depth", [(2, 3), (1, 8)])
+def test_search_passes_do_not_grow_with_the_cubes_with_mass(monkeypatch, dimension, depth):
+    # every cube has mass, more cubes than a chunk of functions holds and
+    # than the step cap; yet the search takes only the masses pass, one pass
+    # per lockstep step of the four seeds and one for the best iterate, and
+    # still counts every indicator as an evaluation
+    s = build_system(dimension, depth)
     data = _search_data(s, 1)[0]
-    rows = lattice.chunk_rows(s)
-    indicators = s.num_cubes
-    assert 1 < rows < indicators
+    assert np.all(data.nu > 0) and lattice.chunk_rows(s) < s.num_cubes
 
     sizes = _batches(monkeypatch)
     result = embedding_ratio_search(s, data, 3.0, restarts=2, seed=1)
-    # the masses, then one pass per chunk of indicators in cube order, one
-    # per lockstep step of the four seeds, and one for the best iterate
-    chunks = -(-indicators // rows)
-    assert sizes[0] == 0
-    assert sizes[1 : 1 + chunks] == [rows] * (chunks - 1) + [indicators - rows * (chunks - 1)]
-    steps = sizes[1 + chunks : -1]
+    steps = sizes[1:-1]
+    assert sizes[0] == 0 and sizes[-1] == 1
     assert steps[0] == 4 and steps == sorted(steps, reverse=True)
-    assert 1 < len(steps) <= embedding._MAX_ITER and sizes[-1] == 1
-    assert sum(sizes) == result.evaluations
+    assert 1 < len(steps) <= embedding._MAX_ITER < s.num_cubes
+    assert sum(sizes) + s.num_cubes == result.evaluations
+
+
+def _tied_indicators():
+    # masses on the two middle cubes of level 1 and a uniform measure
+    s = build_system(2, 2)
+    a = np.zeros(s.num_cubes)
+    a[[2, 3]] = 1.0
+    return s, CarlesonData(a, np.ones(s.num_atoms))
+
+
+def _assert_indicator_ratios_are_the_averages_pass(s, data, p):
+    masses = lattice.cube_sums(s, data.nu)
+    cubes = np.flatnonzero(masses > 0)
+    want = [ref._embedding_ratio(s, data, s.atom_mask(c).astype(np.float64), p) for c in cubes]
+    assert embedding._indicator_ratios(s, data, masses, cubes, p) == want
+
+
+@pytest.mark.parametrize("p", [1.25, 2.0, 3.0, 7.5])
+def test_indicator_ratios_in_closed_form_match_the_averages_pass(p):
+    # the closed form has the bits of each indicator's own averages pass
+    for dimension, depth in SEARCH_SHAPES:
+        s = build_system(dimension, depth)
+        for seed in range(3):
+            for data in _search_data(s, seed):
+                _assert_indicator_ratios_are_the_averages_pass(s, data, p)
+    _assert_indicator_ratios_are_the_averages_pass(*_tied_indicators(), p)
 
 
 def test_lockstep_rows_leave_at_different_steps():
@@ -272,20 +296,16 @@ def test_search_with_seeds_settling_early_matches_three_pass_search(monkeypatch)
     sizes = _batches(monkeypatch)
     embedding_ratio_search(s, data, 3.0, restarts=2, seed=48)
     monkeypatch.undo()
-    steps = sizes[2:-1]  # after the masses and the one chunk of indicators
+    steps = sizes[1:-1]  # after the masses
     assert steps[0] == 4 and steps[-1] == 1 and len(set(steps)) == 4
     assert len(steps) < embedding._MAX_ITER // 2
     _assert_near_three_pass_search(s, data, 3.0, 2, 48)
 
 
 def test_tied_indicators_first_in_cube_order_wins():
-    # masses on the two middle cubes of level 1 and a uniform measure: their
-    # indicators tie for the best ratio, which no ascent beats, and the first
-    # is the witness
-    s = build_system(2, 2)
-    a = np.zeros(s.num_cubes)
-    a[[2, 3]] = 1.0
-    data = CarlesonData(a, np.ones(s.num_atoms))
+    # the indicators of the two cubes with masses tie for the best ratio,
+    # which no ascent beats, and the first is the witness
+    s, data = _tied_indicators()
     for p in (1.5, 2.0, 3.0):
         ratios = [ref._embedding_ratio(s, data, s.atom_mask(c).astype(float), p) for c in range(s.num_cubes)]
         assert [c for c in range(s.num_cubes) if ratios[c] == max(ratios)] == [2, 3]
@@ -296,8 +316,8 @@ def test_tied_indicators_first_in_cube_order_wins():
 
 @pytest.mark.parametrize("cells", [1, 64, 100])
 def test_search_in_small_chunks_matches_three_pass_search(monkeypatch, cells):
-    # with few cells a chunk, the indicators and the seeds both span chunks,
-    # and every result is the one of the default chunks
+    # with few cells a chunk, the seeds span chunks, and every result is the
+    # one of the default chunks
     cases = [
         (s, data, p, seed)
         for s in (build_system(1, 3), build_system(2, 2), build_system(1, 4))
@@ -325,7 +345,6 @@ def test_search_passes_stay_within_the_chunk_rule(monkeypatch, dimension, depth)
     data = CarlesonData(rng.random(s.num_cubes), nu)
     inst = generate(GenSpec(seed=1, dimension=dimension, depth=depth, p=3.0))
     report = testing_report(inst)
-    with_mass = np.count_nonzero(lattice.cube_sums(s, nu))
     level_sums, batches = lattice.level_sums, []
 
     def recorded(sys, rows):
@@ -337,8 +356,8 @@ def test_search_passes_stay_within_the_chunk_rule(monkeypatch, dimension, depth)
     embedding_ratio_search(s, data, 3.0, restarts=2, seed=1)
     searched = len(batches)
     est = alternating_maximization(inst, restarts=1, max_iter=3, report=report)
-    # the masses, one pass per indicator and at least one step of each seed
-    assert searched >= 1 + with_mass + 4
+    # the masses and at least one step of each seed
+    assert searched >= 1 + 4
     # two passes a step, and two for the value of the winning pair
     assert len(batches) - searched == 2 * est.iterations + 2
     assert {len(batch) for batch in batches} <= {0, 1}

@@ -10,7 +10,7 @@ from dyadlab.forms import (
     phi_identity_check,
     test_function as make_test_input,
 )
-from dyadlab.generators import GenSpec, generate
+from dyadlab.generators import ADVERSARIAL_KINDS, GenSpec, adversarial_family, generate
 from dyadlab.measures import ksum, lp_norming, mixed_norming
 
 import _reference as ref
@@ -69,18 +69,21 @@ def test_test_function_examples():
     assert np.array_equal(make_test_input(nomu, w1.sys.root), np.zeros((2, 2)))
 
 
-def _chain(rep):
-    return (rep.box_pairing, rep.slice_integral, rep.mu_norm_power, rep.phi_norm_power)
+CHAIN_FIELDS = ("box_pairing", "slice_integral", "mu_norm_power", "phi_norm_power")
+
+
+def _chain(rep, cube):
+    return tuple(getattr(rep, name)[cube] for name in CHAIN_FIELDS)
 
 
 def test_phi_identity_examples():
     w1, w2 = W["w1"], W["w2"]
-    rep = phi_identity_check(w1, w1.sys.root)
-    assert _chain(rep) == pytest.approx((4.0,) * 4, rel=1e-12)
-    rep = phi_identity_check(w2, w2.sys.root)
-    assert _chain(rep) == pytest.approx((16.0,) * 4, rel=1e-12)
+    rep = phi_identity_check(w1)
+    assert _chain(rep, w1.sys.root) == pytest.approx((4.0,) * 4, rel=1e-12)
+    rep = phi_identity_check(w2)
+    assert _chain(rep, w2.sys.root) == pytest.approx((16.0,) * 4, rel=1e-12)
     nomu = Instance(w1.sys, 2.0, w1.sigma, w1.omega, np.zeros((2, 2)), w1.lam)
-    assert _chain(phi_identity_check(nomu, w1.sys.root)) == (0.0,) * 4
+    assert _chain(phi_identity_check(nomu), w1.sys.root) == (0.0,) * 4
 
 
 def _random_instance(seed, n=1, d=3, p=2.5):
@@ -135,9 +138,38 @@ def test_adjointness_triple_identity(seed):
 @pytest.mark.parametrize("seed,p", [(0, 2.0), (1, 2.5), (2, 3.0), (3, 4.0)])
 def test_phi_identity_chain_random(seed, p):
     inst, _ = _random_instance(seed, p=p)
-    for lin in range(inst.sys.num_cubes):
-        rep = phi_identity_check(inst, lin)
-        assert rep.max_rel_spread <= 1e-10
+    spreads = phi_identity_check(inst).max_rel_spread
+    assert spreads.shape == (inst.sys.num_cubes,) and np.all(spreads <= 1e-10)
+
+
+CHAIN_SHAPES = [(1, D) for D in range(7)] + [(2, D) for D in range(1, 4)] + [(3, 1), (3, 2)]
+
+
+def _assert_chain_is_per_cube_body(inst):
+    rep = phi_identity_check(inst)
+    for cube in range(inst.sys.num_cubes):
+        want = ref.phi_identity_check_cube(inst, cube)
+        for name in CHAIN_FIELDS + ("max_rel_spread",):
+            assert getattr(rep, name)[cube] == getattr(want, name), (cube, name)
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 4.0])
+def test_phi_identity_levels_match_per_cube_body(p):
+    # one pass per level gives every cube the bits of its own test input
+    for dimension, depth in CHAIN_SHAPES:
+        for seed in range(4):
+            inst = generate(GenSpec(seed=seed, dimension=dimension, depth=depth, p=p))
+            _assert_chain_is_per_cube_body(inst)
+
+
+def test_phi_identity_levels_match_per_cube_body_on_fixtures():
+    cases = list(W.values()) + [
+        inst
+        for kind in ADVERSARIAL_KINDS
+        for inst in adversarial_family(kind, dimension=2, depth=2, p=3.0)
+    ]
+    for inst in cases:
+        _assert_chain_is_per_cube_body(inst)
 
 
 def test_lambda_monotonicity():

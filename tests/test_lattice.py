@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dyadlab import SizeLimitError, build_system, worked_instances
 from dyadlab import lattice
 from dyadlab.errors import PathError
-from dyadlab.forms import lambda_form_local, phi_identity_check
+from dyadlab.forms import lambda_form_local
 from dyadlab.forms import test_function as make_test_input
 from dyadlab.stopping import build_average_family, build_ratio_family
 
@@ -119,7 +119,6 @@ def test_invalid_cube_rejected():
         lambda c: lattice.paths(s, [0, c]),
         lambda c: make_test_input(inst, c),
         lambda c: lambda_form_local(inst, c, f, g),
-        lambda c: phi_identity_check(inst, c),
         lambda c: build_average_family(inst, c, g),
         lambda c: build_ratio_family(inst, c, f),
     ]
