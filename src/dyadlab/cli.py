@@ -24,7 +24,6 @@ from .embedding import (
     stopping_embedding_report,
 )
 from .errors import GuardError, SchemaError
-from .forms import lambda_form
 from .lattice import paths
 from .normest import alternating_maximization, attach_oracle
 from .stopping import build_average_family, build_ratio_family
@@ -100,14 +99,13 @@ def _cmd_gen(args) -> int:
 def _cmd_eval(args) -> int:
     if args.infile:
         inst = _load_or_generate(args)
-        f = np.ones((inst.sys.num_levels, inst.sys.num_atoms))
-        g = np.ones(inst.sys.num_atoms)
-        _emit(args, f"{lambda_form(inst, f, g):.17g}\n")
-        return EXIT_OK
-    rows = runner.sweep_rows(
-        args.seed, args.instances, args.p, args.dim, args.depth,
-        restarts=args.restarts, tol=args.tol,
-    )
+        instance_id = runner.row_id(args.seed, inst.p, inst.sys.depth, 0)
+        rows = [runner.evaluate_instance(inst, instance_id, args.seed, args.restarts, args.tol)]
+    else:
+        rows = runner.sweep_rows(
+            args.seed, args.instances, args.p, args.dim, args.depth,
+            restarts=args.restarts, tol=args.tol,
+        )
     buf = _io.StringIO()
     io.write_rows(rows, buf, args.format)
     _emit(args, buf.getvalue())
@@ -181,10 +179,7 @@ def _cmd_embed_check(args) -> int:
     for k in range(max(args.instances, 1) * 10):
         h = generators.random_scale_function(sys_, args.seed + k, stream=generators.STREAM_H)
         labels = generators.philox(args.seed + k, 77).integers(0, 3, size=h.shape)
-        parts = [
-            {(int(a_), int(j)) for j, a_ in np.argwhere(labels == i)} for i in range(2)
-        ]
-        if not disjointness_inequality(h, inst.sigma, inst.p, parts).holds:
+        if not disjointness_inequality(h, inst.sigma, inst.p, [labels == i for i in range(2)]).holds:
             violations += 1
     payload = {
         "Cprime": cprime,

@@ -170,19 +170,14 @@ class DisjointnessReport:
 def disjointness_inequality(
     f: np.ndarray, sigma: np.ndarray, p: float, parts
 ) -> DisjointnessReport:
-    """Compare the summed p-th power mixed norms over disjoint cell sets with
-    the global one.  Guaranteed to hold for p >= 2; fails in general below."""
+    """Compare the summed p-th power mixed norms over disjoint cell sets, each
+    a boolean mask of ``f``'s shape, with the global one.  Guaranteed to hold
+    for p >= 2; fails in general below."""
     f = np.asarray(f, dtype=np.float64)
-    levels, atoms = f.shape
-    cover = np.zeros(f.shape, dtype=np.int64)
-    masks = []
-    for part in parts:
-        mask = np.zeros(f.shape, dtype=bool)
-        for atom, level in part:
-            mask[level, atom] = True
-        cover += mask
-        masks.append(mask)
-    if np.any(cover > 1):
+    masks = [np.asarray(part, dtype=bool) for part in parts]
+    if any(mask.shape != f.shape for mask in masks):
+        raise ValueError(f"cell sets must be masks of shape {f.shape}")
+    if np.any(np.sum(masks, axis=0) > 1):
         raise ValueError("cell sets overlap")
     lhs = ksum([mixed_norm(f * m, sigma, p) ** p for m in masks])
     rhs = mixed_norm(f, sigma, p) ** p

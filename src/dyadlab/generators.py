@@ -125,12 +125,12 @@ def worked_instances() -> dict[str, Instance]:
 
 
 def lemma_violation_fixture():
-    """(instance, f, parts): a two-cell split of one weighted atom whose
-    summed part-norms exceed the whole below exponent 2."""
+    """(instance, f, parts): a two-cell split of one weighted atom, as cell
+    masks, whose summed part-norms exceed the whole below exponent 2."""
     inst = worked_instances()["w3"]
     f = np.ones((2, 2))
-    parts = [{(0, 0)}, {(0, 1)}]  # (atom, level) cells of the first atom
-    return inst, f, parts
+    labels = np.array([[0, 2], [1, 2]])  # the first atom's cell on each level
+    return inst, f, [labels == 0, labels == 1]
 
 
 ADVERSARIAL_KINDS = ("point-mass-sigma", "single-scale-mu", "lacunary-lambda", "deep-chain")
@@ -143,7 +143,6 @@ def adversarial_family(
     depth: int = 3,
     p: float = 2.0,
     count: int = 4,
-    **params,
 ) -> list[Instance]:
     """Structured stress families exercising degenerate support patterns."""
     if kind not in ADVERSARIAL_KINDS:
@@ -164,22 +163,20 @@ def adversarial_family(
             mu[level] = _log_uniform(philox(seed + k, _MU), 0.25, 4.0, sys.num_atoms)
             out.append(Instance(sys, p, base.sigma, base.omega, mu, base.lam))
     elif kind == "lacunary-lambda":
-        theta = params.get("theta", 1.0)
         for k in range(count):
             base = generate(GenSpec(seed=seed + k, dimension=dimension, depth=depth, p=p))
             lam = np.zeros(sys.num_cubes)
             cube = sys.root
             while True:
-                lam[cube] = 2.0 ** (-sys.level_of(cube) * (theta + 0.5 * k))
+                lam[cube] = 2.0 ** (-sys.level_of(cube) * (1.0 + 0.5 * k))
                 ch = lattice.children(sys, cube)
                 if not ch:
                     break
                 cube = ch[0]
             out.append(Instance(sys, p, base.sigma, base.omega, base.mu, lam))
     else:  # deep-chain
-        decay = params.get("decay", 1.0 / 16.0)
         levels = np.arange(sys.num_levels, dtype=np.float64)
-        mu = np.repeat((decay**levels)[:, None], sys.num_atoms, axis=1)
+        mu = np.repeat(((1.0 / 16.0) ** levels)[:, None], sys.num_atoms, axis=1)
         lam = lambda_array(sys, {"": 1.0})
         out.append(
             Instance(sys, p, np.ones(sys.num_atoms), np.ones(sys.num_atoms), mu, lam)

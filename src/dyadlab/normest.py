@@ -184,25 +184,6 @@ def attach_oracle(inst: Instance, estimate: NormEstimate) -> NormEstimate:
 _KERNEL_CELL_LIMIT = 4_000_000
 
 
-def _check_kernel_size(sys: lattice.DyadicSystem) -> None:
-    if sys.num_levels * sys.num_atoms * sys.num_atoms > _KERNEL_CELL_LIMIT:
-        raise GuardError("system too large for a dense kernel")
-
-
-def form_kernel(inst: Instance) -> np.ndarray:
-    """Dense kernel S[j, a, b] with form(f, g) = sum sigma_a f[j,a] S om_b g_b.
-
-    S collects mu times the lam-mass of the cubes containing atom b whose box
-    contains the cell (a, j): the cubes ``cell_cube[l, b]`` with l <= j that
-    also hold atom a.
-    """
-    sys = inst.sys
-    _check_kernel_size(sys)
-    cells = sys.cell_cube
-    shared = cells[:, :, None] == cells[:, None, :]
-    return inst.mu[:, :, None] * lattice.level_cumsum(shared * inst.lam[cells][:, None, :])
-
-
 def spectral_oracle_p2(inst: Instance) -> float:
     """Exact form norm at p = 2: the largest singular value of the weighted
     kernel M = sqrt(sigma) S sqrt(omega), from one symmetric eigensolve of
@@ -234,7 +215,8 @@ def spectral_oracle_p2(inst: Instance) -> float:
     if inst.p != 2.0:
         raise GuardError(f"spectral oracle requires p = 2, got {inst.p}")
     sys = inst.sys
-    _check_kernel_size(sys)
+    if sys.num_levels * sys.num_atoms * sys.num_atoms > _KERNEL_CELL_LIMIT:
+        raise GuardError("system too large for a dense kernel")
     cells = sys.cell_cube
     lam = inst.lam[cells]
     lam_beta = lam * lattice.box_sums(sys, inst.sigma * inst.mu**2)[cells]
@@ -269,14 +251,14 @@ def grid_oracle(inst: Instance, resolution: int) -> float:
 
     Directions on one sphere are enumerated on an axis grid; the other side
     is closed out exactly by its norming function, so the only error is the
-    angular resolution on the gridded side.  Both sides are gridded in turn.
+    angular resolution on the gridded side.  Both sides are gridded in turn,
+    each through the operator's images of the unit inputs.
     """
     sys = inst.sys
     cells = sys.num_levels * sys.num_atoms
     dof = cells + sys.num_atoms
     if dof > 6:
         raise GuardError(f"grid oracle limited to 6 degrees of freedom, got {dof}")
-    kernel = form_kernel(inst).reshape(cells, sys.num_atoms)
 
     best = 0.0
     # f side on the grid, g side exact
@@ -285,7 +267,8 @@ def grid_oracle(inst: Instance, resolution: int) -> float:
         (fgrid.reshape(-1, sys.num_levels, sys.num_atoms) ** 2).sum(axis=1)
     )
     den = (slices**inst.p @ inst.sigma) ** (1.0 / inst.p)
-    h = (fgrid * np.tile(inst.sigma, sys.num_levels)[None, :]) @ kernel
+    unit_cells = np.eye(cells).reshape(cells, sys.num_levels, sys.num_atoms)
+    h = fgrid @ apply_box_operator(inst, unit_cells)
     num = (h**inst.p @ inst.omega) ** (1.0 / inst.p)
     ok = den > 0
     if np.any(ok):
@@ -293,7 +276,7 @@ def grid_oracle(inst: Instance, resolution: int) -> float:
 
     # g side on the grid, f side exact
     ggrid = _axis_grid(sys.num_atoms, resolution)
-    kg = (ggrid * inst.omega[None, :]) @ kernel.T
+    kg = ggrid @ apply_adjoint_operator(inst, np.eye(sys.num_atoms)).reshape(sys.num_atoms, cells)
     kg = kg.reshape(-1, sys.num_levels, sys.num_atoms)
     s = np.sqrt((kg**2).sum(axis=1))
     num2 = (s**inst.q @ inst.sigma) ** (1.0 / inst.q)

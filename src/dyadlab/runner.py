@@ -93,6 +93,11 @@ def evaluate_instance(
     )
 
 
+def row_id(base_seed: int, p: float, depth: int, k: int) -> str:
+    """The id of the ``k``-th row of a sweep from ``base_seed``."""
+    return f"s{base_seed}-p{p:g}-d{depth}-i{k:05d}"
+
+
 def sweep_rows(
     base_seed: int,
     count: int,
@@ -111,7 +116,7 @@ def sweep_rows(
         rows.append(
             evaluate_instance(
                 inst,
-                instance_id=f"s{base_seed}-p{p:g}-d{depth}-i{k:05d}",
+                instance_id=row_id(base_seed, p, depth, k),
                 seed=seed,
                 restarts=restarts,
                 tol=tol,

@@ -8,6 +8,7 @@ set: no timings, no environment data.
 
 from __future__ import annotations
 
+import functools
 import io as _io
 from dataclasses import dataclass
 
@@ -79,7 +80,8 @@ class _Suite:
             for k in range(instances)
         ]
         # every instance paired with a reproducible (f, g) draw, shared by
-        # the checks and therefore read-only
+        # the checks and therefore read-only, as are the testing report of
+        # each instance and fixture and the ratio family of each draw
         self.draws = []
         for k, inst in enumerate(self.instances):
             f = generators.random_scale_function(inst.sys, seed + k)
@@ -88,6 +90,11 @@ class _Suite:
             self.draws.append((inst, f, g))
         worked = generators.worked_instances()
         self.fixtures = [worked["w1"], worked["w2"]]
+        self.reports = [testing_report(inst) for inst in self.instances]
+        self.fixture_reports = [testing_report(inst) for inst in self.fixtures]
+        for rep in self.reports + self.fixture_reports:
+            rep.witness_f.flags.writeable = rep.witness_g.flags.writeable = False
+        self.families = [build_ratio_family(inst, inst.sys.root, f) for inst, f, _ in self.draws]
         self.results: list[CheckResult] = []
 
     def record(self, name: str, failures: list[tuple[Instance | None, str]], checked: int):
@@ -138,9 +145,13 @@ def _check_lattice(s: _Suite):
         own = np.zeros((sys.num_levels, sys.num_atoms), dtype=bool)
         own[sys.level_of(cube)] = sys.atom_mask(cube)
         pieces = [own] + [sys.box_mask(child) for child in lattice.children(sys, cube)]
+        box = sys.box_mask(cube)
         checked += 1
-        # a partition covers each cell of the box once and no other cell
-        if not np.array_equal(np.sum(pieces, axis=0), sys.box_mask(cube)):
+        # a partition covers each cell of the box once and no other cell: the
+        # pieces' union is the box, and their sizes add up to its size
+        covered = functools.reduce(np.logical_or, pieces)
+        sizes = sum(map(np.count_nonzero, pieces))
+        if not np.array_equal(covered, box) or sizes != np.count_nonzero(box):
             fails.append((None, f"box partition broken at {_at(sys, cube)}"))
     s.record("lattice-box-partition", fails, checked)
 
@@ -230,8 +241,7 @@ def _check_forms(s: _Suite):
 
 def _check_testing(s: _Suite):
     fails, checked = [], 0
-    for inst, f, g in s.draws:
-        rep = testing_report(inst)
+    for (inst, f, g), rep in zip(s.draws, s.reports):
         checked += 1
         if rep.forward > 0:
             cube = rep.forward_cube
@@ -265,8 +275,8 @@ def _check_testing(s: _Suite):
     s.record("testing-witness-attainment", fails, checked)
 
     fails, checked = [], 0
-    for inst in s.instances[: max(1, len(s.instances) // 5)]:
-        rep = testing_report(inst)
+    sample = max(1, len(s.instances) // 5)
+    for inst, rep in zip(s.instances[:sample], s.reports):
         scaled = Instance(inst.sys, inst.p, inst.sigma, inst.omega, inst.mu, 4.0 * inst.lam)
         rep2 = testing_report(scaled)
         checked += 1
@@ -277,12 +287,11 @@ def _check_testing(s: _Suite):
 
 def _check_stopping(s: _Suite):
     fails_c, fails_p, fails_s, fails_g, checked = [], [], [], [], 0
-    for inst, f, g in s.draws:
+    for (inst, f, g), ffam in zip(s.draws, s.families):
         sys = inst.sys
         gfam = build_average_family(inst, sys.root, g)
         if carleson_constant(sys, gfam, inst.omega) > 2.0:
             fails_c.append((inst, "average family exceeds the 2-Carleson bound"))
-        ffam = build_ratio_family(inst, sys.root, f)
         fproj = projection(sys, ffam)
         a_const, _ = default_ratio_constants(inst.p)
         num = all_box_integrals(inst, f)
@@ -360,8 +369,7 @@ def _check_embedding(s: _Suite):
 
     fails, checked = [], 0
     if s.p >= 2:
-        for inst, f, g in s.draws:
-            fam = build_ratio_family(inst, inst.sys.root, f)
+        for (inst, f, g), fam in zip(s.draws, s.families):
             rep = stopping_embedding_report(inst, f, fam)
             checked += 1
             if rep.alpha_identity_rel_err > 1e-12:
@@ -379,11 +387,7 @@ def _check_embedding(s: _Suite):
             continue
         sys = inst.sys
         labels = rng.integers(0, 4, size=(sys.num_levels, sys.num_atoms))
-        parts = []
-        for part_id in range(3):
-            cells = np.argwhere(labels == part_id)
-            parts.append({(int(a), int(j)) for j, a in cells})
-        rep = disjointness_inequality(f, inst.sigma, inst.p, parts)
+        rep = disjointness_inequality(f, inst.sigma, inst.p, [labels == i for i in range(3)])
         checked += 1
         if not rep.holds:
             fails.append((inst, f"disjoint power sums {rep.lhs} exceed {rep.rhs}"))
@@ -397,9 +401,8 @@ def _check_embedding(s: _Suite):
 
 def _check_normest(s: _Suite):
     fails, checked = [], 0
-    sample = s.instances[: max(1, len(s.instances) // 5)] + s.fixtures
-    for inst in sample:
-        rep = testing_report(inst)
+    sample = max(1, len(s.instances) // 5)
+    for inst, rep in zip(s.instances[:sample] + s.fixtures, s.reports[:sample] + s.fixture_reports):
         est = alternating_maximization(
             inst, restarts=s.restarts, tol=s.tol, seed=s.seed, report=rep
         )

@@ -19,8 +19,10 @@ family writer use those, not the tables they check.  They name a cube by the
 cube's only name, converted with copies of the package's old ``linear`` and
 ``cube_at``.  The tree aggregations that ``lattice.level_sums`` and
 ``lattice.level_cumsum`` replaced are kept verbatim as oracles too, with
-``chain_total``, which the three-pass embedding search still calls, and so is
-the dense-kernel p = 2 oracle that the tree-built Gram matrix replaced.
+``chain_total``, which the three-pass embedding search still calls, and so
+are the dense form kernel the package no longer builds and the two oracles
+that read it: the p = 2 oracle that the tree-built Gram matrix replaced and
+the grid oracle that now reads the box operator and its adjoint.
 """
 
 import math
@@ -303,7 +305,7 @@ def shared_chain_levels(sys) -> np.ndarray:
     return out
 
 
-def form_kernel(inst) -> np.ndarray:
+def form_kernel_shared_levels(inst) -> np.ndarray:
     """Dense kernel S[j, a, b] with form(f, g) = sum sigma_a f[j,a] S om_b g_b,
     read off the running lam-sums at the deepest level shared by a and b."""
     sys = inst.sys
@@ -323,7 +325,8 @@ def form_kernel(inst) -> np.ndarray:
 # ``chain_running`` keeps the ``start_level`` the package's lost, for the
 # per-cube loops below), the one
 # ``bincount`` over every cell that the testing constants' ``_select`` scan
-# made, the dual's per-level skip count, and ``normest.form_kernel``.
+# made, the dual's per-level skip count, and the dense form kernel's running
+# sum (``form_kernel`` below).
 
 
 def cube_sums(sys: DyadicSystem, atom_values: np.ndarray) -> np.ndarray:
@@ -397,18 +400,34 @@ def dual_skip(sys, kernels) -> np.ndarray:
 
 
 def form_kernel_cumsum(inst) -> np.ndarray:
-    """``normest.form_kernel`` with its running sum as ``np.cumsum``."""
+    """:func:`form_kernel` with its running sum as ``np.cumsum``."""
     sys = inst.sys
     cells = sys.cell_cube
     shared = cells[:, :, None] == cells[:, None, :]
     return inst.mu[:, :, None] * np.cumsum(shared * inst.lam[cells][:, None, :], axis=0)
 
 
-# -- the p = 2 oracle from the dense kernel ----------------------------------
+# -- the oracles from the dense kernel ---------------------------------------
 #
-# ``normest.spectral_oracle_p2`` builds the Gram matrix from the lattice tree.
-# This is the body it replaced: the dense (L, A, A) kernel, weighted, and its
-# Gram product, L A^3 multiply-adds.
+# ``normest.spectral_oracle_p2`` builds the Gram matrix from the lattice tree,
+# and ``normest.grid_oracle`` takes its two small kernels from the box
+# operator and its adjoint.  These are the bodies they replaced, with the
+# dense (L, A, A) kernel they read (``normest.form_kernel``, less its size
+# guard): the p = 2 oracle's Gram product, L A^3 multiply-adds, and the grid
+# oracle's weighted kernel products.
+
+
+def form_kernel(inst) -> np.ndarray:
+    """Dense kernel S[j, a, b] with form(f, g) = sum sigma_a f[j,a] S om_b g_b.
+
+    S collects mu times the lam-mass of the cubes containing atom b whose box
+    contains the cell (a, j): the cubes ``cell_cube[l, b]`` with l <= j that
+    also hold atom a.
+    """
+    sys = inst.sys
+    cells = sys.cell_cube
+    shared = cells[:, :, None] == cells[:, None, :]
+    return inst.mu[:, :, None] * lattice.level_cumsum(shared * inst.lam[cells][:, None, :])
 
 
 def spectral_oracle_p2_dense(inst) -> float:
@@ -417,7 +436,7 @@ def spectral_oracle_p2_dense(inst) -> float:
     if inst.p != 2.0:
         raise GuardError(f"spectral oracle requires p = 2, got {inst.p}")
     sys = inst.sys
-    kernel = normest.form_kernel(inst)
+    kernel = form_kernel(inst)
     m = (
         np.sqrt(inst.sigma)[None, :, None]
         * kernel
@@ -427,6 +446,41 @@ def spectral_oracle_p2_dense(inst) -> float:
     if not np.isfinite(gram).all():
         return math.inf
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
+def grid_oracle_dense(inst, resolution: int) -> float:
+    """``normest.grid_oracle`` on the weighted dense kernel."""
+    sys = inst.sys
+    cells = sys.num_levels * sys.num_atoms
+    dof = cells + sys.num_atoms
+    if dof > 6:
+        raise GuardError(f"grid oracle limited to 6 degrees of freedom, got {dof}")
+    kernel = form_kernel(inst).reshape(cells, sys.num_atoms)
+
+    best = 0.0
+    # f side on the grid, g side exact
+    fgrid = normest._axis_grid(cells, resolution)
+    slices = np.sqrt(
+        (fgrid.reshape(-1, sys.num_levels, sys.num_atoms) ** 2).sum(axis=1)
+    )
+    den = (slices**inst.p @ inst.sigma) ** (1.0 / inst.p)
+    h = (fgrid * np.tile(inst.sigma, sys.num_levels)[None, :]) @ kernel
+    num = (h**inst.p @ inst.omega) ** (1.0 / inst.p)
+    ok = den > 0
+    if np.any(ok):
+        best = max(best, float(np.max(num[ok] / den[ok])))
+
+    # g side on the grid, f side exact
+    ggrid = normest._axis_grid(sys.num_atoms, resolution)
+    kg = (ggrid * inst.omega[None, :]) @ kernel.T
+    kg = kg.reshape(-1, sys.num_levels, sys.num_atoms)
+    s = np.sqrt((kg**2).sum(axis=1))
+    num2 = (s**inst.q @ inst.sigma) ** (1.0 / inst.q)
+    den2 = (ggrid**inst.q @ inst.omega) ** (1.0 / inst.q)
+    ok2 = den2 > 0
+    if np.any(ok2):
+        best = max(best, float(np.max(num2[ok2] / den2[ok2])))
+    return best
 
 
 # -- helpers only tests call ------------------------------------------------

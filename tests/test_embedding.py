@@ -86,8 +86,8 @@ def test_disjointness_trivial_and_witness():
     s = build_system(1, 1)
     f = np.ones((2, 2))
     sigma = np.array([1.0, 1.0])
-    parts = [{(0, 0), (0, 1)}, {(1, 0), (1, 1)}]
-    rep = disjointness_inequality(f, sigma, 2.0, parts)
+    labels = np.array([[0, 1], [0, 1]])  # one part per atom
+    rep = disjointness_inequality(f, sigma, 2.0, [labels == 0, labels == 1])
     assert rep.holds and rep.lhs == pytest.approx(rep.rhs, rel=1e-14)
 
     inst, f, parts = lemma_violation_fixture()
@@ -102,8 +102,10 @@ def test_disjointness_trivial_and_witness():
     rep = disjointness_inequality(np.zeros((2, 2)), inst.sigma, 1.5, parts)
     assert rep.lhs == rep.rhs == 0.0
 
-    with pytest.raises(ValueError):
-        disjointness_inequality(f, inst.sigma, 2.0, [{(0, 0)}, {(0, 0)}])
+    with pytest.raises(ValueError, match="overlap"):
+        disjointness_inequality(f, inst.sigma, 2.0, [parts[0], parts[0]])
+    with pytest.raises(ValueError, match="shape"):  # an atom mask is no cell set
+        disjointness_inequality(f, inst.sigma, 2.0, [np.array([True, False])])
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -114,10 +116,7 @@ def test_disjointness_holds_at_and_above_two(p):
         f = rng.random((s.num_levels, s.num_atoms))
         sigma = rng.random(s.num_atoms)
         labels = rng.integers(0, 4, size=f.shape)
-        parts = [
-            {(int(a), int(j)) for j, a in np.argwhere(labels == i)} for i in range(3)
-        ]
-        assert disjointness_inequality(f, sigma, p, parts).holds
+        assert disjointness_inequality(f, sigma, p, [labels == i for i in range(3)]).holds
 
 
 def test_stopping_embedding_w1():

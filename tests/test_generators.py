@@ -55,7 +55,8 @@ def test_worked_instances_values():
     assert w["w3"].p == 1.5 and w["w3"].sigma[1] == 0.0
     inst, f, parts = lemma_violation_fixture()
     assert np.array_equal(f, np.ones((2, 2)))
-    assert parts == [{(0, 0)}, {(0, 1)}]
+    # the first atom's cell on each level
+    assert np.array_equal(parts, [[[True, False], [False, False]], [[False, False], [True, False]]])
 
 
 def test_random_functions_are_stream_stable():

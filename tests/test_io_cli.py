@@ -2,12 +2,14 @@ import io as _io
 import json
 import math
 import pathlib
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dyadlab import GenSpec, Instance, SchemaError, generate, worked_instances
-from dyadlab import io, lattice, verify
+from dyadlab import io, lattice, normest, runner, verify
 from dyadlab.cli import build_parser, main
 from dyadlab.generators import (
     adversarial_family,
@@ -149,23 +151,36 @@ def test_rows_round_trip_and_column_order():
     assert summary[0]["prop2_ratio_median"] == 0.5
 
 
+def _w1_row(seed=1, restarts=4):
+    """The row ``eval --in`` gives w1: the generated rows' battery and id, k = 0."""
+    return runner.evaluate_instance(W["w1"], f"s{seed}-p2-d1-i00000", seed, restarts=restarts)
+
+
+def _same_row(row, expect):
+    # every field ==, T, T* and lambda_norm_lb among them; only the time differs
+    assert replace(row, wall_time_ms=0) == replace(expect, wall_time_ms=0)
+
+
 def test_cli_eval_prints_w1_form(tmp_path, capsys):
     path = tmp_path / "w1.json"
     with open(path, "w") as fp:
         io.write_instance(W["w1"], fp)
-    assert main(["eval", "--in", str(path)]) == 0
-    assert capsys.readouterr().out.strip() == "8"
+    assert main(["eval", "--in", str(path), "--seed", "5", "--restarts", "2"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    _same_row(ReportRow(**row), _w1_row(seed=5, restarts=2))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_cli_eval_in_writes_the_value_to_out(tmp_path, capsys, fmt):
-    # --format shapes rows only: the one value is the same text in both
+    # the --in row goes to --out in --format, as generated rows do
     path, out = tmp_path / "w1.json", tmp_path / "o.txt"
     with open(path, "w") as fp:
         io.write_instance(W["w1"], fp)
     assert main(["eval", "--in", str(path), "--out", str(out), "--format", fmt]) == 0
     assert capsys.readouterr().out == ""
-    assert out.read_text() == "8\n"
+    with open(out) as fp:
+        (row,) = [ReportRow(**r) for r in json.load(fp)] if fmt == "json" else io.read_rows(fp)
+    _same_row(row, _w1_row())
 
 
 @pytest.mark.parametrize("command", ["testing", "report"])
@@ -357,6 +372,63 @@ def test_verify_failure_details_name_cubes_by_path(monkeypatch):
     assert [(r.name, r.detail) for r in failed] == [
         ("lattice-box-partition", "1/7 failed: box partition broken at cube ''")
     ]
+
+
+@pytest.mark.parametrize("mutant", ["overlap", "moved-cell"])
+def test_box_partition_needs_both_the_union_and_the_count(monkeypatch, mutant):
+    # "overlap" adds cell (0, 0) to every box: the root's pieces still cover
+    # its box, but two hold that cell, which only the count sees.  "moved-cell"
+    # shifts every box one level down, its last level wrapping to level 0:
+    # the sizes still add up at the root, but level 1 goes uncovered, which
+    # only the union sees.  Either fails the check at the root first.
+    s = verify._Suite(1, 1, 2.0, 1, 2, 4, 1e-10)
+    sys, box_mask = s.instances[0].sys, lattice.DyadicSystem.box_mask
+
+    def mutated(self, cube):
+        mask = box_mask(self, cube)
+        if mutant == "overlap":
+            mask[0, 0] = True
+            return mask
+        return np.roll(mask, 1, axis=0)
+
+    monkeypatch.setattr(lattice.DyadicSystem, "box_mask", mutated)
+    own = np.zeros((sys.num_levels, sys.num_atoms), dtype=bool)
+    own[0] = True
+    pieces = [own] + [sys.box_mask(child) for child in lattice.children(sys, sys.root)]
+    union = np.array_equal(np.logical_or.reduce(pieces), sys.box_mask(sys.root))
+    count = sum(map(np.count_nonzero, pieces)) == np.count_nonzero(sys.box_mask(sys.root))
+    assert (union, count) == ((True, False) if mutant == "overlap" else (False, True))
+    verify._check_lattice(s)
+    result = s.results[0]
+    assert result.name == "lattice-box-partition" and not result.passed
+    assert result.detail.endswith("/7 failed: box partition broken at cube ''")
+
+
+def test_verify_builds_each_report_and_ratio_family_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name, build):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+        return counted
+
+    for module in (verify, normest):
+        monkeypatch.setattr(module, "testing_report", counting("report", module.testing_report))
+    monkeypatch.setattr(verify, "build_ratio_family", counting("family", verify.build_ratio_family))
+    results, ok = verify.run_suite(instances=10)
+    assert ok
+    # a report for each instance, fixture and lambda-scaled instance (2 of
+    # the 10 are scaled); a family for each draw and the deep chain
+    assert calls == {"report": 10 + 2 + 2, "family": 10 + 1}
+
+
+def test_verify_stdout_at_4096_atoms_is_the_stored_text(capsys):
+    # d3 D4, the stored stdout of a 4096-atom run: every check of verify at
+    # a shape far beyond the benchmark's d1 D3
+    assert main(["verify", "--dim", "3", "--depth", "4", "--instances", "1"]) == 0
+    stored = pathlib.Path(__file__).with_name("verify_d3_D4_stdout.txt").read_text()
+    assert capsys.readouterr().out == stored
 
 
 VERIFY_STDOUT = json.loads(

@@ -17,7 +17,6 @@ from dyadlab.normest import (
     attach_oracle,
     best_f_given_g,
     best_g_given_f,
-    form_kernel,
     grid_oracle,
     power_ascent,
     spectral_oracle_p2,
@@ -303,8 +302,8 @@ def test_form_kernel_represents_the_form(n, d, seed):
     inst = generate(GenSpec(seed=seed, dimension=n, depth=d, p=2.5))
     f = random_scale_function(inst.sys, seed, base=inst.mu)
     g = random_atom_function(inst.sys, seed)
-    kernel = form_kernel(inst)
-    assert np.array_equal(kernel, ref.form_kernel(inst))
+    kernel = ref.form_kernel(inst)
+    assert np.array_equal(kernel, ref.form_kernel_shared_levels(inst))
     assert np.array_equal(kernel, ref.form_kernel_cumsum(inst))
     terms = inst.sigma[None, :, None] * f[:, :, None] * kernel * (inst.omega * g)[None, None, :]
     assert ksum(terms) == pytest.approx(lambda_form(inst, f, g), rel=1e-12)
@@ -314,7 +313,7 @@ def test_form_kernel_represents_the_form(n, d, seed):
 def test_spectral_matches_numpy_svd(seed):
     inst = generate(GenSpec(seed=seed + 40, depth=3, p=2.0))
     s = inst.sys
-    kernel = form_kernel(inst)
+    kernel = ref.form_kernel(inst)
     m = (
         np.sqrt(inst.sigma)[None, :, None] * kernel * np.sqrt(inst.omega)[None, None, :]
     ).reshape(s.num_levels * s.num_atoms, s.num_atoms)
@@ -333,7 +332,7 @@ def _within_rounding(inst, value):
     most, so sigma_max does too."""
     s = inst.sys
     m = (
-        np.sqrt(inst.sigma)[None, :, None] * form_kernel(inst) * np.sqrt(inst.omega)[None, None, :]
+        np.sqrt(inst.sigma)[None, :, None] * ref.form_kernel(inst) * np.sqrt(inst.omega)[None, None, :]
     ).reshape(s.num_levels * s.num_atoms, s.num_atoms)
     tol = 4 * len(m) * np.finfo(np.float64).eps / 2
     for expect in (ref.spectral_oracle_p2_dense(inst), float(np.linalg.svd(m, compute_uv=False)[0])):
@@ -430,6 +429,17 @@ def test_grid_oracle_examples():
     assert grid_oracle(dead, resolution=4) == 0.0
     with pytest.raises(GuardError):
         grid_oracle(generate(GenSpec(seed=1, depth=3)), resolution=4)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_grid_oracle_within_rounding_of_the_dense_kernel(p):
+    # the operators' images of the unit inputs are the weighted kernel up to
+    # the order of one product per entry, so the values agree to a few u
+    for seed in range(20):
+        for depth in (0, 1):
+            inst = generate(GenSpec(seed=seed, dimension=1, depth=depth, p=p))
+            value, expect = grid_oracle(inst, resolution=12), ref.grid_oracle_dense(inst, 12)
+            assert abs(value - expect) <= 4 * np.finfo(np.float64).eps / 2 * expect
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
