@@ -24,7 +24,7 @@ from .forms import Instance, all_box_integrals
 from .lattice import DyadicSystem
 from .measures import conjugate, group_ksum, ksum, lp_norming, lp_norms, mixed_norm, row_ksums
 from .normest import power_ascent
-from .stopping import StoppingFamily, _largest_subtree_ratio, _subtree_totals, cell_projection
+from .stopping import StoppingFamily, largest_subtree_ratio, subtree_totals
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,6 @@ def stopping_embedding_report(
         raise GuardError(f"stopping embedding requires p >= 2, got {inst.p}")
     if family.kind != "ratio":
         raise ValueError("stopping embedding requires a ratio family")
-    sys = inst.sys
 
     num = all_box_integrals(inst, f)
     brackets = {
@@ -216,13 +215,13 @@ def stopping_embedding_report(
     rhs = mixed_norm(f, inst.sigma, inst.p) ** inst.p
     ratio = lhs / rhs if rhs > 0 else 0.0
 
-    factor = _largest_subtree_ratio(family, _subtree_totals(family, family.phi_mass))[0]
+    factor = largest_subtree_ratio(family, subtree_totals(family, family.phi_mass))[0]
 
-    # One grouping of the cells by owner gives every exclusive-box sum.
+    # One grouping of the cells by projection gives every exclusive-box sum.
     weights = (inst.sigma[None, :] * f * inst.mu).ravel()
-    owner = cell_projection(sys, family).ravel()
+    owner = family.projection[inst.sys.cell_cube].ravel()
     exclusive = dict(zip(family.members, group_ksum(owner, weights, family.members)))
-    acc = _subtree_totals(family, exclusive)
+    acc = subtree_totals(family, exclusive)
     err = 0.0
     for member in reversed(family.members):
         target = num[member]

@@ -141,9 +141,20 @@ def write_instance(inst: Instance, fp) -> None:
     fp.write("\n")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys are all distinct: each field and cube is
+    named once."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise SchemaError("$", f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def read_instance(fp) -> Instance:
     try:
-        data = json.load(fp)
+        data = json.load(fp, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}")
     return instance_from_dict(data)
@@ -201,21 +212,21 @@ def write_rows(rows, fp, fmt: str = "csv") -> None:
 
 
 def read_rows(fp) -> list[ReportRow]:
+    """Rows of a CSV as :func:`write_rows` writes it.  An empty cell is None
+    in an optional column; a cell that does not parse, or an empty one in a
+    required numeric column, is a schema error naming its line and column."""
     reader = csv.DictReader(fp)
     out = []
     for record in reader:
         kwargs = {}
         for f in fields(ReportRow):
-            raw = record.get(f.name, "")
-            if raw == "" and f.name != "instance_id":
-                kwargs[f.name] = None
-                continue
-            if f.type in ("float", "Optional[float]"):
-                kwargs[f.name] = float(raw)
-            elif f.type == "int":
-                kwargs[f.name] = int(raw)
-            else:
-                kwargs[f.name] = raw
+            raw = record.get(f.name) or ""  # a short row gives None
+            parse = int if f.type == "int" else float if "float" in f.type else str
+            try:
+                kwargs[f.name] = None if raw == "" and "Optional" in f.type else parse(raw)
+            except ValueError:
+                where = f"line {reader.line_num} column {f.name}"
+                raise SchemaError(where, f"expected {parse.__name__}, got {raw!r}") from None
         out.append(ReportRow(**kwargs))
     return out
 
@@ -259,8 +270,8 @@ def family_to_dict(sys, family: StoppingFamily) -> dict:
     members = []
     for m in family.members:
         entry = {"path": paths[m], "stat": family.stats[m]}
-        if m in family.parent:
-            entry["parent"] = paths[family.parent[m]]
+        if m != family.top:
+            entry["parent"] = paths[int(family.projection[sys.parent_linear[m]])]
         if family.phi_mass:
             entry["test_input_mass"] = family.phi_mass[m]
         members.append(entry)

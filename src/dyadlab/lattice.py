@@ -145,15 +145,16 @@ def cube_from_path(sys: DyadicSystem, path: str) -> int:
     parts = path.split("/")
     if len(parts) > sys.depth:
         raise PathError(f"path {path!r} deeper than lattice depth {sys.depth}")
+    # only the spelling ``paths`` writes (ASCII digits, no sign, space or
+    # leading zero) names a child, so that each cube has one name
+    codes = {str(code): code for code in range(1 << sys.dimension)}
     for part in parts:
-        try:
-            code = int(part, 10)
-        except ValueError as exc:
-            raise PathError(f"path component {part!r} is not an integer") from exc
-        if not (0 <= code < (1 << sys.dimension)):
+        if part not in codes:
             raise PathError(
-                f"child code {code} outside [0, {1 << sys.dimension}) in path {path!r}"
+                f"path component {part!r} is not a canonical child code in"
+                f" [0, {1 << sys.dimension}) in path {path!r}"
             )
+        code = codes[part]
         for i in range(sys.dimension):
             index[i] = (index[i] << 1) | ((code >> i) & 1)
     # the lexicographic local index, as in ``DyadicSystem.ancestor_local``

@@ -208,9 +208,8 @@ def spectral_oracle_p2(inst: Instance) -> float:
     carries relative error of about r u at most (u the unit roundoff);
     ``eigvalsh`` is backward stable, so sigma_max is accurate to a small
     multiple of r u, relative (Golub and Van Loan, Matrix Computations,
-    8.1).  When G overflows binary64 the value is inf, as the power
-    iteration this replaced returned.  The dense kernel's size guard still
-    applies, so the same instances carry a value.
+    8.1).  When G overflows binary64 the value is inf.  A lattice with
+    L A^2 above ``_KERNEL_CELL_LIMIT`` is refused with a ``GuardError``.
     """
     if inst.p != 2.0:
         raise GuardError(f"spectral oracle requires p = 2, got {inst.p}")
@@ -294,20 +293,14 @@ class TestingNormRatios:
 
 
 def testing_norm_ratios(
-    inst: Instance,
-    estimate: NormEstimate | None = None,
-    report: TestingReport | None = None,
+    inst: Instance, estimate: NormEstimate, report: TestingReport
 ) -> TestingNormRatios:
     """Comparison ratios between the testing constants and the norm estimate."""
     if inst.p < 2.0:
         raise GuardError(f"testing comparison requires p >= 2, got {inst.p}")
-    if report is None:
-        report = testing_report(inst)
     total = report.forward + report.dual
     if total == 0.0:
         raise ValueError("degenerate instance: both testing constants vanish")
-    if estimate is None:
-        estimate = alternating_maximization(inst, report=report)
     return TestingNormRatios(
         lower=max(report.forward, report.dual) / estimate.value,
         upper=estimate.value / total,

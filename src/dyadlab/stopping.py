@@ -14,13 +14,13 @@ threshold of its nearest strict-ancestor member.  Members form a tree (the
 stopping tree) that is in general much sparser than the lattice tree; a
 member's stopping children are listed by level, then in Morton order (the
 order of ``lattice.children``: coordinate 0 in the high bit of each child
-code), and ``members`` is the breadth-first order of the stopping tree.  On
-top of the families live the projection to the smallest member (one table
-per family, which also defines the exclusive sets: member minus its stopping
-children), the cross children (stopping children whose projection under the
-*other* family stays inside the member), and the two collapse operations that
-replace a function below cross children by calibrated profiles without
-changing the integrals the form sees.
+code), and ``members`` is the breadth-first order of the stopping tree.  The
+sweep also builds the family's projection table (each cube's smallest
+containing member), which defines the exclusive sets (member minus its
+stopping children), the cross children (stopping children whose projection
+under the *other* family stays inside the member), and the two collapse
+operations that replace a function below cross children by calibrated
+profiles without changing the integrals the form sees.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class StoppingFamily:
     top: int                          # linear cube id
     members: tuple[int, ...]          # enumeration order
     children: dict[int, tuple[int, ...]]
-    parent: dict[int, int]            # stopping parent (absent for top)
+    # per cube id: the smallest member holding it, -1 outside the top; read-only
+    projection: np.ndarray = field(compare=False)
     stats: dict[int, float]           # per-member average (avg) or bracket (ratio)
     phi_mass: dict[int, float] = field(default_factory=dict)  # ratio kind only
     params: dict[str, float] = field(default_factory=dict)
@@ -57,48 +58,48 @@ def default_ratio_constants(p: float) -> tuple[float, float]:
 
 def _level_sweep(
     sys: DyadicSystem, top: int, triggered
-) -> tuple[list[int], dict[int, tuple[int, ...]], dict[int, int]]:
-    """Members (BFS order), stopping children and parents below ``top``.
+) -> tuple[list[int], dict[int, tuple[int, ...]], np.ndarray]:
+    """Members (BFS order), stopping children and projection below ``top``.
 
     One pass per level walks the top's subtree along the lattice's
     ``child_linear`` rows, in ``lattice.children`` order, the order a
-    per-member BFS visits cubes.  Each strict subcube is tested
-    once, against its owner (its nearest strict-ancestor member):
-    ``triggered(cubes, owners)`` marks the cubes that become members.
+    per-member BFS visits cubes.  Each strict subcube takes its parent's
+    projection, its owner, and is tested once against it:
+    ``triggered(cubes, owners)`` marks the cubes that become members, each
+    its own projection.  Cubes outside the top keep -1.
     """
-    steps = sys.depth - sys.level_of(top)
-    is_member = np.zeros(sys.num_cubes, dtype=bool)
-    owner = np.zeros(sys.num_cubes, dtype=np.intp)
-    is_member[top] = True
+    steps = sys.depth - sys.level_of(top)  # before ``top`` indexes anything
+    proj = np.full(sys.num_cubes, -1, dtype=np.intp)
+    proj[top] = top
     cubes = np.array([top])
     found: list[int] = []
     for _ in range(steps):
-        up = np.repeat(cubes, 1 << sys.dimension)
+        owners = np.repeat(proj[cubes], 1 << sys.dimension)
         cubes = sys.child_linear[cubes].ravel()
-        owner[cubes] = np.where(is_member[up], up, owner[up])
-        hits = cubes[triggered(cubes, owner[cubes])]
-        is_member[hits] = True
+        proj[cubes] = owners
+        hits = cubes[triggered(cubes, owners)]
+        proj[hits] = hits
         found.extend(hits.tolist())
+    proj.flags.writeable = False
 
     below: dict[int, list[int]] = {m: [] for m in [top, *found]}
-    for c, o in zip(found, owner[found].tolist()):
+    for c, o in zip(found, proj[sys.parent_linear[found]].tolist()):
         below[o].append(c)
     members = [top]
     for member in members:  # grows while it is walked: a BFS queue
         members.extend(below[member])
-    children = {m: tuple(below[m]) for m in members}
-    return members, children, {c: m for m in members for c in children[m]}
+    return members, {m: tuple(below[m]) for m in members}, proj
 
 
 def build_average_family(inst: Instance, top: int, g: np.ndarray) -> StoppingFamily:
     """Average-stopping family for an atom function, threshold factor 2."""
     sys = inst.sys
     avg = all_cube_averages(inst, g)
-    members, children, parents = _level_sweep(
+    members, children, proj = _level_sweep(
         sys, top, lambda cubes, owners: avg[cubes] > 2.0 * avg[owners]
     )
     stats = {m: float(avg[m]) for m in members}
-    return StoppingFamily("average", top, tuple(members), children, parents, stats)
+    return StoppingFamily("average", top, tuple(members), children, proj, stats)
 
 
 def build_ratio_family(
@@ -140,7 +141,7 @@ def build_ratio_family(
         calibrated = np.divide(num[cubes], den, out=np.zeros_like(den), where=den > 0)
         return (den > 0) & (calibrated > A * ratio[owners])
 
-    members, children, parents = _level_sweep(sys, top, triggered)
+    members, children, proj = _level_sweep(sys, top, triggered)
     levels = sys.cube_level[members].tolist()
     phi_mass = {m: float(den_at(level)[m]) for m, level in zip(members, levels)}
     stats = {m: float(ratio[m]) for m in members}  # den_at filled every member level
@@ -149,34 +150,14 @@ def build_ratio_family(
         top,
         tuple(members),
         children,
-        parents,
+        proj,
         stats,
         phi_mass,
         {"A": float(A), "B": float(b)},
     )
 
 
-def projection(sys: DyadicSystem, family: StoppingFamily) -> np.ndarray:
-    """Per linear cube id: the smallest family member containing the cube,
-    -1 for cubes outside the top.  One top-down pass per level below the top:
-    a cube that is no member inherits its parent's projection."""
-    proj = np.full(sys.num_cubes, -1, dtype=np.intp)
-    proj[list(family.members)] = family.members
-    for j in range(int(sys.cube_level[family.top]) + 1, sys.num_levels):
-        lo, hi = sys.level_offset[j], sys.level_offset[j + 1]
-        proj[lo:hi] = np.where(proj[lo:hi] >= 0, proj[lo:hi], proj[sys.parent_linear[lo:hi]])
-    return proj
-
-
-def cell_projection(sys: DyadicSystem, family: StoppingFamily) -> np.ndarray:
-    """Per cell ``(j, a)``: the projection of the level-j cube containing atom
-    a.  A member's exclusive box (its box minus the boxes of its stopping
-    children) is where this equals the member; its exclusive atoms (its atoms
-    minus those of its stopping children) are where the last row does."""
-    return projection(sys, family)[sys.cell_cube]
-
-
-def _subtree_totals(family: StoppingFamily, own) -> dict[int, float]:
+def subtree_totals(family: StoppingFamily, own) -> dict[int, float]:
     """Per member: ``own[member]`` plus the totals of its stopping children,
     summed children before parents, in member order."""
     total: dict[int, float] = {}
@@ -185,11 +166,11 @@ def _subtree_totals(family: StoppingFamily, own) -> dict[int, float]:
     return total
 
 
-def _largest_subtree_ratio(family: StoppingFamily, own) -> tuple[float, bool]:
+def largest_subtree_ratio(family: StoppingFamily, own) -> tuple[float, bool]:
     """Largest ratio of a member's subtree total to its own value, over members
     with a positive own value, and whether a member with no own value carries
     a positive total."""
-    total = _subtree_totals(family, own)
+    total = subtree_totals(family, own)
     best, flagged = 0.0, False
     for member in reversed(family.members):
         if own[member] > 0:
@@ -203,7 +184,7 @@ def carleson_constant(sys: DyadicSystem, family: StoppingFamily, w: np.ndarray) 
     """Largest subfamily-to-member mass ratio; inf if a massless member
     carries positive subfamily mass."""
     masses = lattice.cube_sums(sys, np.asarray(w, dtype=np.float64))
-    best, flagged = _largest_subtree_ratio(family, masses)
+    best, flagged = largest_subtree_ratio(family, masses)
     return float("inf") if flagged else best
 
 
@@ -212,7 +193,7 @@ def cross_children(
 ) -> list[int]:
     """Stopping children of ``member`` whose projection under the other
     family stays inside ``member``."""
-    proj = projection(sys, other)
+    proj = other.projection
     level = sys.cube_level[member]
     out = []
     for c in family.children[member]:
@@ -238,14 +219,13 @@ def collapse_scale_function(
     if member not in avg_family.children:
         raise ValueError("member does not belong to the average family")
     sys = inst.sys
-    out = f * (cell_projection(sys, avg_family) == member)
+    out = f * (avg_family.projection[sys.cell_cube] == member)
     num = all_box_integrals(inst, f)
-    proj = projection(sys, ratio_family)
     profiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for c in cross_children(sys, avg_family, ratio_family, member):
         # c lies inside its ratio projection, whose test input is therefore
         # the projection level's profile on the box of c.
-        level = int(sys.cube_level[proj[c]])
+        level = int(sys.cube_level[ratio_family.projection[c]])
         if level not in profiles:
             phi = level_test_input(inst, level)
             profiles[level] = (phi, all_box_integrals(inst, phi))
@@ -267,7 +247,7 @@ def collapse_atom_function(
     if member not in ratio_family.children:
         raise ValueError("member does not belong to the ratio family")
     sys = inst.sys
-    out = g * (cell_projection(sys, ratio_family)[-1] == member)
+    out = g * (ratio_family.projection[sys.cell_cube[-1]] == member)
     avg = all_cube_averages(inst, g)
     for c in cross_children(sys, ratio_family, avg_family, member):
         out = out + avg[c] * sys.atom_mask(c)
@@ -293,4 +273,4 @@ def subfamily_mass_bound(family: StoppingFamily) -> float:
     (member mass)."""
     if family.kind != "ratio":
         raise ValueError("test-input masses exist only for ratio families")
-    return _largest_subtree_ratio(family, family.phi_mass)[0]
+    return largest_subtree_ratio(family, family.phi_mass)[0]

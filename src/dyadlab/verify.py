@@ -31,6 +31,7 @@ from .forms import (
     apply_box_operator,
     lambda_form,
     lambda_form_local,
+    level_test_input,
     phi_identity_check,
     test_function,
 )
@@ -49,8 +50,6 @@ from .stopping import (
     child_mass_bound,
     collapse_atom_function,
     collapse_scale_function,
-    default_ratio_constants,
-    projection,
     subfamily_mass_bound,
 )
 from .testing_constants import testing_report
@@ -292,18 +291,16 @@ def _check_stopping(s: _Suite):
         gfam = build_average_family(inst, sys.root, g)
         if carleson_constant(sys, gfam, inst.omega) > 2.0:
             fails_c.append((inst, "average family exceeds the 2-Carleson bound"))
-        fproj = projection(sys, ffam)
-        a_const, _ = default_ratio_constants(inst.p)
         num = all_box_integrals(inst, f)
-        dens = {}  # member -> the box integrals of its test input
+        dens = {}  # per member level: its profile's box integrals, a member's own inside it
         for cube in range(0, sys.num_cubes, max(1, sys.num_cubes // 6)):
-            member = int(fproj[cube])
-            if member not in dens:
-                dens[member] = all_box_integrals(inst, test_function(inst, member))
-            den = dens[member]
-            lhs = num[cube] / den[cube] if den[cube] > 0 else 0.0
-            rhs = a_const * (num[member] / den[member] if den[member] > 0 else 0.0)
-            if lhs > rhs * (1 + 1e-12):
+            member = int(ffam.projection[cube])
+            level = sys.level_of(member)
+            if level not in dens:
+                dens[level] = all_box_integrals(inst, level_test_input(inst, level))
+            den = dens[level][cube]
+            lhs = num[cube] / den if den > 0 else 0.0
+            if lhs > ffam.params["A"] * ffam.stats[member] * (1 + 1e-12):
                 fails_p.append((inst, f"stopping bound broken at {_at(sys, cube)}"))
         if inst.p >= 2.0:
             # the geometric mass decay is a consequence of the default
@@ -326,11 +323,10 @@ def _check_stopping(s: _Suite):
         f, g = generators.deep_chain_profiles(sys)
         gfam = build_average_family(inst, sys.root, g)
         ffam = build_ratio_family(inst, sys.root, f)
-        fproj, gproj = projection(sys, ffam), projection(sys, gfam)
         boxes, integrals = all_box_integrals(inst, f), all_cube_integrals(inst, g)
         collapsed_f, collapsed_g = {}, {}  # the integrals of one collapse per member
         for cube in range(sys.num_cubes):
-            fkey, gkey = int(fproj[cube]), int(gproj[cube])
+            fkey, gkey = int(ffam.projection[cube]), int(gfam.projection[cube])
             fa, ga = sys.atom_mask(fkey), sys.atom_mask(gkey)
             checked += 1
             if not (np.all(fa <= ga) or np.all(ga <= fa)):

@@ -10,9 +10,11 @@ the per-cube identity chain, the three-pass embedding search and the
 per-seed alternating maximization at the end are the exception: they reuse the package's helpers, so their results
 compare bit for bit with the package's whole-lattice passes (the embedding
 search to 1e-8, since the package's ascent now stops by its gain test).  The helpers in between are small definitions that
-only tests call, among them the parent-walking ``project`` that
-``stopping.projection`` replaced, and the multi-index derivations of parents,
-children, paths, subcube masks and the dense form kernel that the
+only tests call, among them the parent-walking ``project`` that the
+projection table stored on each family replaced (``stopping_family`` builds
+hand-made families and the BFS builders' tables with it), and the
+multi-index derivations of parents, children, paths, subcube masks and the
+dense form kernel that the
 ``lattice.DyadicSystem`` tables replaced; the BFS builders and the path-based
 family writer use those, not the tables they check.  They name a cube by the
 ``Cube(level, index)`` tuple the package used before the linear id became a
@@ -45,10 +47,10 @@ from dyadlab.forms import (
 )
 from dyadlab.stopping import (
     StoppingFamily,
-    _largest_subtree_ratio,
-    _subtree_totals,
     cross_children,
     default_ratio_constants,
+    largest_subtree_ratio,
+    subtree_totals,
 )
 from dyadlab.lattice import DyadicSystem
 from dyadlab.normest import NormEstimate, best_f_given_g, best_g_given_f
@@ -493,17 +495,35 @@ def parent(sys: DyadicSystem, cube: Cube) -> Optional[Cube]:
     return None if up < 0 else cube_at(sys, up)
 
 
+def _walk_up(sys: DyadicSystem, top: int, members, cube: int) -> int:
+    """Smallest of ``members`` containing ``cube``, by walking up the
+    parents; -1 when the walk reaches the level of ``top`` first."""
+    lin = cube
+    top_level = int(sys.cube_level[top])
+    while lin not in members:
+        if int(sys.cube_level[lin]) <= top_level:
+            return -1
+        lin = int(sys.parent_linear[lin])
+    return lin
+
+
 def project(sys: DyadicSystem, family: StoppingFamily, cube: int) -> int:
     """Smallest family member containing ``cube``, by walking up the parents
-    (the package reads it off ``stopping.projection``)."""
-    lin = cube
-    top_level = int(sys.cube_level[family.top])
-    while True:
-        if lin in family.children:  # keyed by every member
-            return lin
-        if int(sys.cube_level[lin]) <= top_level:
-            raise ValueError(f"cube {cube_at(sys, cube)} lies outside the family top")
-        lin = int(sys.parent_linear[lin])
+    (the package reads it off the family's ``projection`` table)."""
+    member = _walk_up(sys, family.top, family.children, cube)  # keyed by every member
+    if member < 0:
+        raise ValueError(f"cube {cube_at(sys, cube)} lies outside the family top")
+    return member
+
+
+def stopping_family(sys, kind, top, members, children, stats, phi_mass=None, params=None):
+    """A ``StoppingFamily`` with its projection table from the per-cube walk:
+    for the BFS builders and hand-made families."""
+    table = np.array([_walk_up(sys, top, children, c) for c in range(sys.num_cubes)], dtype=np.intp)
+    table.flags.writeable = False
+    return StoppingFamily(
+        kind, top, tuple(members), children, table, stats, phi_mass or {}, params or {}
+    )
 
 
 def subcubes(sys, cube):
@@ -669,19 +689,16 @@ def build_average_family_bfs(inst, top, g):
 
     members = [top]
     children = {}
-    parents = {}
     queue = deque([top])
     while queue:
         member = queue.popleft()
         threshold = 2.0 * avg[member]
         ch = _scan_maximal(sys, member, lambda lin: avg[lin] > threshold)
         children[member] = tuple(ch)
-        for c in ch:
-            parents[c] = member
-            members.append(c)
+        members.extend(ch)
         queue.extend(ch)
     stats = {m: float(avg[m]) for m in members}
-    return StoppingFamily("average", top, tuple(members), children, parents, stats)
+    return stopping_family(sys, "average", top, members, children, stats)
 
 
 def build_ratio_family_bfs(inst, top, f, A=None):
@@ -694,7 +711,6 @@ def build_ratio_family_bfs(inst, top, f, A=None):
 
     members = [top]
     children = {}
-    parents = {}
     stats = {}
     phi_mass = {}
     queue = deque([top])
@@ -714,13 +730,10 @@ def build_ratio_family_bfs(inst, top, f, A=None):
 
         ch = _scan_maximal(sys, member, trigger)
         children[member] = tuple(ch)
-        for c in ch:
-            parents[c] = member
-            members.append(c)
+        members.extend(ch)
         queue.extend(ch)
-    return StoppingFamily(
-        "ratio", top, tuple(members), children, parents, stats, phi_mass,
-        {"A": float(A), "B": float(b)},
+    return stopping_family(
+        sys, "ratio", top, members, children, stats, phi_mass, {"A": float(A), "B": float(b)}
     )
 
 
@@ -736,6 +749,7 @@ def instance_lambda_map_path_of(inst):
 
 
 def family_to_dict_path_of(sys, family):
+    parent = {c: m for m in family.members for c in family.children[m]}
     members = []
     for m in family.members:
         cube = cube_at(sys, m)
@@ -743,8 +757,8 @@ def family_to_dict_path_of(sys, family):
             "path": path_of(sys, cube),
             "stat": family.stats[m],
         }
-        if m in family.parent:
-            entry["parent"] = path_of(sys, cube_at(sys, family.parent[m]))
+        if m in parent:
+            entry["parent"] = path_of(sys, cube_at(sys, parent[m]))
         if family.phi_mass:
             entry["test_input_mass"] = family.phi_mass[m]
         members.append(entry)
@@ -836,7 +850,7 @@ class LiftedMeasure:
 def lifted_measure(family: StoppingFamily) -> LiftedMeasure:
     if family.kind != "ratio":
         raise ValueError("lifted measure requires a ratio family")
-    return LiftedMeasure(dict(family.phi_mass), _subtree_totals(family, family.phi_mass))
+    return LiftedMeasure(dict(family.phi_mass), subtree_totals(family, family.phi_mass))
 
 
 def stopping_embedding_report_masks(inst, f, family):
@@ -850,13 +864,13 @@ def stopping_embedding_report_masks(inst, f, family):
     rhs = measures.mixed_norm(f, inst.sigma, inst.p) ** inst.p
     ratio = lhs / rhs if rhs > 0 else 0.0
 
-    factor = _largest_subtree_ratio(family, lifted_measure(family).box_mass)[0]
+    factor = largest_subtree_ratio(family, lifted_measure(family).box_mass)[0]
 
     weights = inst.sigma[None, :] * f * inst.mu
     exclusive = {
         m: measures.ksum(weights[exclusive_box_mask(sys, family, m)]) for m in family.members
     }
-    acc = _subtree_totals(family, exclusive)
+    acc = subtree_totals(family, exclusive)
     err = 0.0
     for member in reversed(family.members):
         target = num[member]

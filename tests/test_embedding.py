@@ -21,7 +21,7 @@ from dyadlab.generators import (
     random_scale_function,
 )
 from dyadlab.normest import alternating_maximization
-from dyadlab.stopping import _subtree_totals, build_ratio_family
+from dyadlab.stopping import build_ratio_family, subtree_totals
 from dyadlab.testing_constants import testing_report
 
 import _reference as ref
@@ -153,7 +153,7 @@ def test_stopping_embedding_structure_random(p):
         assert math.isfinite(rep.ratio)
         assert rep.nu_carleson_factor <= 4.0
         assert rep.alpha_identity_rel_err <= 1e-12
-        assert _subtree_totals(fam, fam.phi_mass)[fam.top] == pytest.approx(
+        assert subtree_totals(fam, fam.phi_mass)[fam.top] == pytest.approx(
             sum(fam.phi_mass.values()), rel=1e-12, abs=1e-300
         )
 

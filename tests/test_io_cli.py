@@ -77,11 +77,31 @@ def test_schema_accepts_plain_numbers():
     assert inst.p == 2.0 and inst.lam[0] == 1.0
 
 
-def test_schema_cube_named_twice_keeps_the_last_value():
-    # "01" and "1" parse to the same cube; assignment follows mapping order
+def test_schema_cube_named_twice_is_rejected():
+    # "01" once read as cube "1" and overwrote its coefficient; a cube has
+    # one name, the one ``lattice.paths`` writes
     doc = _base_doc()
     doc["lambda"] = {"1": 2.0, "": 3.0, "01": 5.0}
-    assert io.instance_from_dict(doc).lam.tolist() == [3.0, 0.0, 5.0]
+    with pytest.raises(SchemaError, match="canonical child code") as err:
+        io.instance_from_dict(doc)
+    assert err.value.path == "lambda['01']"
+
+
+@pytest.mark.parametrize("old,new", [
+    ('"lambda": {"": 1.0}', '"lambda": {"": 1.0, "": 5.0}'),
+    ('"p": 2.0', '"p": 2.0, "p": 3.0'),
+])
+def test_read_instance_rejects_duplicate_keys(old, new, tmp_path, capsys):
+    # json.load keeps the last of two equal keys; the instance reader refuses them
+    text = json.dumps(_base_doc())
+    assert io.read_instance(_io.StringIO(text)).lam[0] == 1.0
+    path = tmp_path / "dup.json"
+    path.write_text(text.replace(old, new))
+    with open(path) as fp, pytest.raises(SchemaError) as err:
+        io.read_instance(fp)
+    assert err.value.path == "$" and "duplicate key" in str(err.value)
+    assert main(["testing", "--in", str(path)]) == 2
+    assert "duplicate key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -149,6 +169,38 @@ def test_rows_round_trip_and_column_order():
     assert summary == io.summarize_rows(back)  # pure function of its rows
     assert summary[0]["ratio_upper_max"] == 0.6875
     assert summary[0]["prop2_ratio_median"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "column,cell",
+    [("p", "abc"), ("p", ""), ("seed", "1.5"), ("depth", ""), ("T", "x"), ("ratio_upper", "?")],
+)
+def test_report_on_a_malformed_row_is_a_schema_error(column, cell, tmp_path, capsys):
+    buf, row = _io.StringIO(), _w1_row()
+    io.write_rows([row, replace(row, instance_id="second")], buf, "csv")
+    lines = buf.getvalue().splitlines()
+    at = io.REPORT_COLUMNS.index(column)
+    cells = lines[2].split(",")
+    cells[at] = cell
+    lines[2] = ",".join(cells)
+    path = tmp_path / "rows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with open(path) as fp, pytest.raises(SchemaError) as err:
+        io.read_rows(fp)
+    assert err.value.path == f"line 3 column {column}"
+    assert repr(cell) in str(err.value)
+    assert main(["report", "--in", str(path)]) == 2
+    assert f"line 3 column {column}" in capsys.readouterr().err
+
+
+def test_report_on_a_short_row_is_a_schema_error():
+    # csv fills a short row's missing cells with None, which once reached int()
+    buf = _io.StringIO()
+    io.write_rows([_w1_row()], buf, "csv")
+    header, row = buf.getvalue().splitlines()
+    cut = row.split(",")[: io.REPORT_COLUMNS.index("iterations")]
+    with pytest.raises(SchemaError, match="line 2 column iterations"):
+        io.read_rows(_io.StringIO(header + "\n" + ",".join(cut) + "\n"))
 
 
 def _w1_row(seed=1, restarts=4):

@@ -104,6 +104,31 @@ def test_malformed_paths():
     assert lattice.cube_from_path(s2, "2") == ref.linear(s2, Cube(1, (0, 1)))
 
 
+RESPELLINGS = {
+    "leading-zero": lambda code: "0" + code,
+    "plus-sign": lambda code: "+" + code,
+    "leading-space": lambda code: " " + code,
+    "trailing-space": lambda code: code + " ",
+    "trailing-newline": lambda code: code + "\n",
+    "arabic-indic": lambda code: "".join(chr(0x0660 + int(d)) for d in code),
+    "fullwidth": lambda code: "".join(chr(0xFF10 + int(d)) for d in code),
+    "5000-digits": lambda code: code * 5000,  # beyond int()'s digit limit
+}
+
+
+@pytest.mark.parametrize("respell", RESPELLINGS.values(), ids=RESPELLINGS.keys())
+def test_paths_accept_only_the_spelling_paths_writes(respell):
+    # int() reads most of these spellings; each cube keeps one name
+    s = build_system(2, 2)
+    for lin, path in lattice.paths(s, range(1, s.num_cubes)).items():
+        assert lattice.cube_from_path(s, path) == lin
+        codes = path.split("/")
+        for k in range(len(codes)):
+            bad = "/".join(codes[:k] + [respell(codes[k])] + codes[k + 1 :])
+            with pytest.raises(PathError, match="canonical child code"):
+                lattice.cube_from_path(s, bad)
+
+
 def test_invalid_cube_rejected():
     # numpy would read -1 as the last cube: every function taking a cube id
     # rejects the ids just outside [0, num_cubes) with the one range check

@@ -484,8 +484,13 @@ def test_scale_invariance():
     assert v == pytest.approx(est.value, rel=1e-12)
 
 
+def _ratios(inst):
+    rep = testing_report(inst)
+    return testing_norm_ratios(inst, alternating_maximization(inst, report=rep), rep)
+
+
 def test_testing_norm_ratios_w1():
-    ratios = testing_norm_ratios(W["w1"])
+    ratios = _ratios(W["w1"])
     assert ratios.upper == pytest.approx(0.5, abs=1e-9)
     assert ratios.lower == pytest.approx(1.0, abs=1e-9)
 
@@ -494,9 +499,9 @@ def test_testing_norm_ratios_guards():
     w1 = W["w1"]
     dead = Instance(w1.sys, 2.0, w1.sigma, w1.omega, w1.mu, np.zeros(3))
     with pytest.raises(ValueError):
-        testing_norm_ratios(dead)
+        _ratios(dead)
     with pytest.raises(GuardError):
-        testing_norm_ratios(W["w3"])
+        _ratios(W["w3"])
 
 
 def test_attach_oracle_kinds():

@@ -227,3 +227,25 @@ def test_tree_aggregations_live_in_lattice():
                 defined.add(node.name)
     assert calls == []
     assert "chain_total" not in defined
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    # an underscore name belongs to its module: a name another module needs
+    # is public, imported by name or read off the module (``lattice.paths``)
+    reached = []
+    for module, tree in _parse_package():
+        aliases = set()  # package modules bound by ``from . import m``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    aliases |= {a.asname or a.name for a in node.names}
+                reached += [f"{module}: {a.name}" for a in node.names if a.name.startswith("_")]
+        reached += [
+            f"{module}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr.startswith("_")
+        ]
+    assert reached == []

@@ -19,17 +19,14 @@ from dyadlab.generators import (
     random_scale_function,
 )
 from dyadlab.stopping import (
-    StoppingFamily,
     build_average_family,
     build_ratio_family,
     carleson_constant,
-    cell_projection,
     child_mass_bound,
     collapse_atom_function,
     collapse_scale_function,
     cross_children,
     default_ratio_constants,
-    projection,
     subfamily_mass_bound,
 )
 
@@ -133,14 +130,7 @@ def test_carleson_constant_examples():
     assert carleson_constant(w1.sys, fam, w1.omega) == 1.0
 
     # hand-built two-member family on unit weights
-    handmade = StoppingFamily(
-        kind="average",
-        top=0,
-        members=(0, 1),
-        children={0: (1,), 1: ()},
-        parent={1: 0},
-        stats={0: 0.0, 1: 0.0},
-    )
+    handmade = ref.stopping_family(w1.sys, "average", 0, (0, 1), {0: (1,), 1: ()}, {0: 0.0, 1: 0.0})
     assert carleson_constant(w1.sys, handmade, np.array([1.0, 1.0])) == pytest.approx(1.5)
     # atom-additive weights cannot put mass below a massless member, so the
     # infinite flag stays off and massless members are skipped
@@ -154,14 +144,8 @@ def test_exclusive_sets_examples():
     assert ref.exclusive_box(w1.sys, fam, 0) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert ref.exclusive_atoms(w1.sys, fam, 0) == {0, 1}
 
-    two = StoppingFamily(
-        kind="ratio",
-        top=0,
-        members=(0, 1),
-        children={0: (1,), 1: ()},
-        parent={1: 0},
-        stats={0: 0.0, 1: 0.0},
-        phi_mass={0: 1.0, 1: 1.0},
+    two = ref.stopping_family(
+        w1.sys, "ratio", 0, (0, 1), {0: (1,), 1: ()}, {0: 0.0, 1: 0.0}, {0: 1.0, 1: 1.0}
     )
     assert ref.exclusive_box(w1.sys, two, 0) == {(0, 0), (1, 0), (1, 1)}
     assert ref.exclusive_atoms(w1.sys, two, 0) == {1}
@@ -215,9 +199,9 @@ def test_deep_chain_forces_generations():
     gfam = build_average_family(inst, inst.sys.root, g)
 
     def generations(fam):
-        depth_of = {}
+        depth_of = {fam.top: 0}
         for m in fam.members:
-            depth_of[m] = 0 if m not in fam.parent else depth_of[fam.parent[m]] + 1
+            depth_of.update((c, depth_of[m] + 1) for c in fam.children[m])
         return max(depth_of.values())
 
     assert generations(ffam) >= 2
@@ -313,8 +297,10 @@ def test_ratio_family_passes_scale_with_levels(monkeypatch):
 
 
 def _assert_same_family(sys, got, want):
-    for name in ("kind", "top", "members", "children", "parent", "stats", "phi_mass", "params"):
+    for name in ("kind", "top", "members", "children", "stats", "phi_mass", "params"):
         assert getattr(got, name) == getattr(want, name), name
+    assert np.array_equal(got.projection, want.projection)
+    assert not got.projection.flags.writeable
     # line lists, so that a failure reports the first differing line
     lines = json.dumps(io.family_to_dict(sys, got), indent=1).splitlines()
     assert lines == json.dumps(ref.family_to_dict_path_of(sys, want), indent=1).splitlines()
@@ -412,14 +398,7 @@ def test_builders_never_walk_cubes_one_at_a_time(monkeypatch):
 
 def test_project_on_handmade_family():
     s = build_system(1, 2)
-    handmade = StoppingFamily(
-        kind="average",
-        top=0,
-        members=(0, 4),
-        children={0: (4,), 4: ()},
-        parent={4: 0},
-        stats={0: 0.0, 4: 0.0},
-    )
+    handmade = ref.stopping_family(s, "average", 0, (0, 4), {0: (4,), 4: ()}, {0: 0.0, 4: 0.0})
     assert ref.linear(s, Cube(2, (1,))) == 4
     assert project(s, handmade, ref.linear(s, Cube(2, (1,)))) == 4
     assert project(s, handmade, ref.linear(s, Cube(2, (2,)))) == 0
@@ -444,14 +423,15 @@ def _projection_families():
     yield deep.sys, build_average_family(deep, deep.sys.root, g)
     yield deep.sys, build_ratio_family(deep, deep.sys.root, f)
     w1 = W["w1"].sys
-    yield w1, StoppingFamily("ratio", 0, (0, 1), {0: (1,), 1: ()}, {1: 0}, {0: 0.0, 1: 0.0})
+    yield w1, ref.stopping_family(w1, "ratio", 0, (0, 1), {0: (1,), 1: ()}, {0: 0.0, 1: 0.0})
     s = build_system(1, 2)
-    yield s, StoppingFamily("average", 0, (0, 4), {0: (4,), 4: ()}, {4: 0}, {0: 0.0, 4: 0.0})
+    yield s, ref.stopping_family(s, "average", 0, (0, 4), {0: (4,), 4: ()}, {0: 0.0, 4: 0.0})
 
 
 def test_projection_table_matches_project():
     for sys, fam in _projection_families():
-        table = projection(sys, fam)
+        table = fam.projection
+        assert not table.flags.writeable
         inside = sys.descendant_mask(fam.top)
         for lin in range(sys.num_cubes):
             if inside[lin]:
@@ -465,7 +445,7 @@ def test_projection_table_matches_project():
 
 def test_projection_table_gives_exclusive_sets():
     for sys, fam in _projection_families():
-        owner = cell_projection(sys, fam)
+        owner = fam.projection[sys.cell_cube]
         box = {m: set() for m in fam.members}
         for (j, a), m in np.ndenumerate(owner):
             if m >= 0:
