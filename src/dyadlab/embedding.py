@@ -23,7 +23,7 @@ from .errors import GuardError
 from .forms import Instance, all_box_integrals
 from .lattice import DyadicSystem
 from .measures import conjugate, group_ksum, ksum, lp_norming, lp_norms, mixed_norm, row_ksums
-from .normest import power_ascent
+from .normest import best_start, power_ascent
 from .stopping import StoppingFamily, largest_subtree_ratio, subtree_totals
 
 
@@ -71,16 +71,16 @@ class RatioSearchResult:
 _MAX_ITER, _TOL = 40, 1e-10  # the ascent's step cap and stop tolerance
 
 
-def _averages(sys: DyadicSystem, data: CarlesonData, masses: np.ndarray, h: np.ndarray):
-    """The cube-average map A h = (avg_Q h)_Q, zero on the cubes without mass."""
-    integrals = lattice.cube_sums(sys, data.nu * h)
+def _averages(sys: DyadicSystem, nu: np.ndarray, masses: np.ndarray, h: np.ndarray):
+    """The cube-average map A h = (avg_Q h)_Q by rows, zero on the cubes without mass."""
+    integrals = lattice.cube_sums(sys, nu * h)
     return np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
 
 
-def _ratios(sys: DyadicSystem, data: CarlesonData, masses: np.ndarray, h: np.ndarray, p: float):
+def _ratios(sys: DyadicSystem, nu, a, masses, h: np.ndarray, p: float):
     """Embedding ratios of the rows of h: one averages pass, one exact sum a row."""
-    norms = lp_norms(h, data.nu, p)
-    sums = row_ksums(data.a * _averages(sys, data, masses, h) ** p)
+    norms = lp_norms(h, nu, p)
+    sums = row_ksums(a * _averages(sys, nu, masses, h) ** p)
     return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
 
 
@@ -108,56 +108,75 @@ def _indicator_ratios(sys: DyadicSystem, data: CarlesonData, masses: np.ndarray,
     return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
 
 
-def _average_maps(sys: DyadicSystem, data: CarlesonData, masses: np.ndarray, p: float):
-    """The half-steps: A h normed in lp(a), and A* g normed in Lq(nu)."""
+def _average_maps(sys: DyadicSystem, nu, a, masses, owner: np.ndarray, p: float):
+    """The half-steps: A h normed in lp(a), and A* g normed in Lq(nu), each
+    row with the weight rows of its start's instance ``owner[start]``."""
+    q, held = conjugate(p), [None, None]
 
-    def forward(h):
-        return lp_norming(_averages(sys, data, masses, h), data.a, p)
+    def weights(live):  # gathered only when the live starts change
+        if held[0] is not live:
+            held[:] = live, (nu[owner[live]], a[owner[live]], masses[owner[live]])
+        return held[1]
 
-    def backward(g):
-        t = np.divide(data.a * g, masses, out=np.zeros_like(g), where=masses > 0)
-        return lp_norming(lattice.chain_running(sys, t)[..., -1, :], data.nu, conjugate(p))
+    def forward(h, live):
+        nu_k, a_k, masses_k = weights(live)
+        return lp_norming(_averages(sys, nu_k, masses_k, h), a_k, p)
+
+    def backward(g, live):
+        nu_k, a_k, masses_k = weights(live)
+        t = np.divide(a_k * g, masses_k, out=np.zeros_like(g), where=masses_k > 0)
+        return lp_norming(lattice.chain_running(sys, t)[..., -1, :], nu_k, q)
 
     return forward, backward
 
 
-def embedding_ratio_search(
-    sys: DyadicSystem,
-    data: CarlesonData,
-    p: float,
-    restarts: int = 4,
-    seed: int = 0,
-) -> RatioSearchResult:
-    """Empirical embedding constant: the largest ratio ||A h||^p / ||h||^p
-    found for the cube-average map A: Lp(nu) -> lp(a).
+def embedding_ratio_searches(sys: DyadicSystem, datas, p: float, restarts: int, seeds):
+    """Empirical embedding constant of each of ``datas`` on ``sys``, with its
+    seed: the largest ratio ||A h||^p / ||h||^p found for the cube-average
+    map A: Lp(nu) -> lp(a).  Each cube indicator with mass, which certifies
+    that a result dominates the condition constant, is one evaluation, in
+    closed form (:func:`_indicator_ratios`).  The constant function, the
+    first best indicator and ``restarts`` random starts of every instance
+    then step together in one :func:`normest.power_ascent`, each row as in a
+    search of its own; the exact ratio of an instance's first best iterate
+    wins only when larger, so the witness attains the value."""
+    if not datas:
+        return []
+    nu = np.array([data.nu for data in datas]).reshape(-1, sys.num_atoms)
+    a = np.array([data.a for data in datas]).reshape(-1, sys.num_cubes)
+    masses = lattice.cube_sums(sys, nu)
+    starts, found = [], []
+    for i, (data, seed) in enumerate(zip(datas, seeds, strict=True)):
+        cubes = np.flatnonzero(masses[i] > 0)
+        best, best_h, rows = 0.0, np.zeros(sys.num_atoms), [np.ones(sys.num_atoms)]
+        if len(cubes):
+            ratios = _indicator_ratios(sys, data, masses[i], cubes, p)
+            first = int(np.argmax(ratios))  # the first best indicator
+            rows.append(sys.atom_mask(int(cubes[first])).astype(np.float64))
+            if ratios[first] > best:
+                best, best_h = ratios[first], rows[1]
+        rows += [generators.philox(seed, k).random(sys.num_atoms) for k in range(restarts)]
+        found.append([best, best_h, len(cubes), len(starts), len(starts) + len(rows)])
+        starts += rows
+    owner = np.repeat(np.arange(len(datas)), [hi - lo for *_, lo, hi in found])
+    forward, backward = _average_maps(sys, nu, a, masses, owner, p)
+    starts = np.array(starts).reshape(-1, sys.num_atoms)
+    values, pairs, _, steps = power_ascent(sys, starts, forward, backward, _TOL, _MAX_ITER)
+    wins = [best_start(values, pairs, lo, hi) for *_, lo, hi in found]
+    won = [i for i, win in enumerate(wins) if win is not None]  # one ratios pass for all
+    h = np.array([pairs[wins[i]][0] for i in won]).reshape(-1, sys.num_atoms)
+    for i, r in zip(won, _ratios(sys, nu[won], a[won], masses[won], h, p) if won else []):
+        found[i][2] += 1
+        if r > found[i][0]:
+            found[i][:2] = r, pairs[wins[i]][0]
+    return [RatioSearchResult(best, witness, evals + sum(steps[lo:hi])) for best, witness, evals, lo, hi in found]
 
-    The indicators of the cubes with mass, which certify that the result
-    dominates the condition constant, take their ratios in closed form
-    (:func:`_indicator_ratios`) and each counts as one evaluation.  The
-    constant function, the first best indicator and ``restarts`` random starts
-    then seed :func:`normest.power_ascent`; the exact ratio of its best
-    iterate wins only when larger, so the witness attains the value.
-    """
-    masses = lattice.cube_sums(sys, data.nu)
-    cubes = np.flatnonzero(masses > 0)
-    best, best_h, evals = 0.0, np.zeros(sys.num_atoms), len(cubes)
-    seeds = [np.ones(sys.num_atoms)]
-    if len(cubes):
-        ratios = _indicator_ratios(sys, data, masses, cubes, p)
-        first = int(np.argmax(ratios))  # the first best indicator
-        seeds.append(sys.atom_mask(int(cubes[first])).astype(np.float64))
-        if ratios[first] > best:
-            best, best_h = ratios[first], seeds[1]
-    seeds += [generators.philox(seed, k).random(sys.num_atoms) for k in range(restarts)]
-    forward, backward = _average_maps(sys, data, masses, p)
-    _, pair, _, steps = power_ascent(sys, np.array(seeds), forward, backward, _TOL, _MAX_ITER)
-    evals += steps
-    if pair is not None:
-        r = _ratios(sys, data, masses, pair[0][None, :], p)[0]
-        evals += 1
-        if r > best:
-            best, best_h = r, pair[0]
-    return RatioSearchResult(best, best_h, evals)
+
+def embedding_ratio_search(
+    sys: DyadicSystem, data: CarlesonData, p: float, restarts: int = 4, seed: int = 0
+) -> RatioSearchResult:
+    """:func:`embedding_ratio_searches` of one instance."""
+    return embedding_ratio_searches(sys, [data], p, restarts, [seed])[0]
 
 
 @dataclass(frozen=True)

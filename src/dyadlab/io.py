@@ -28,10 +28,6 @@ SCHEMA_VERSION = "dyadlab-instance/1"
 _FIELDS = ("version", "p", "dimension", "depth", "sigma", "omega", "mu", "lambda")
 
 
-def _fmt(x: float) -> str:
-    return float(x).hex()
-
-
 def _parse_real(value, path: str, positive: bool = False) -> float:
     if isinstance(value, bool):
         raise SchemaError(path, "expected a real number")
@@ -61,17 +57,18 @@ def _parse_int(value, path: str) -> int:
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    sys = inst.sys
+    sys, lam = inst.sys, inst.lam.tolist()
     named = lattice.paths(sys, np.flatnonzero(inst.lam).tolist())
+    # each value as the hex of the Python float ``tolist`` gives, the same double
     return {
         "version": SCHEMA_VERSION,
-        "p": _fmt(inst.p),
+        "p": float(inst.p).hex(),
         "dimension": sys.dimension,
         "depth": sys.depth,
-        "sigma": [_fmt(v) for v in inst.sigma],
-        "omega": [_fmt(v) for v in inst.omega],
-        "mu": [[_fmt(v) for v in row] for row in inst.mu],
-        "lambda": {path: _fmt(inst.lam[c]) for c, path in named.items()},
+        "sigma": list(map(float.hex, inst.sigma.tolist())),
+        "omega": list(map(float.hex, inst.omega.tolist())),
+        "mu": [list(map(float.hex, row)) for row in inst.mu.tolist()],
+        "lambda": {path: lam[c].hex() for c, path in named.items()},
     }
 
 
@@ -213,8 +210,9 @@ def write_rows(rows, fp, fmt: str = "csv") -> None:
 
 def read_rows(fp) -> list[ReportRow]:
     """Rows of a CSV as :func:`write_rows` writes it.  An empty cell is None
-    in an optional column; a cell that does not parse, or an empty one in a
-    required numeric column, is a schema error naming its line and column."""
+    in an optional column; a cell that does not parse, an empty one in a
+    required numeric column, a NaN float or a p outside (1, inf) is a schema
+    error naming its line and column."""
     reader = csv.DictReader(fp)
     out = []
     for record in reader:
@@ -223,10 +221,14 @@ def read_rows(fp) -> list[ReportRow]:
             raw = record.get(f.name) or ""  # a short row gives None
             parse = int if f.type == "int" else float if "float" in f.type else str
             try:
-                kwargs[f.name] = None if raw == "" and "Optional" in f.type else parse(raw)
+                value = kwargs[f.name] = None if raw == "" and "Optional" in f.type else parse(raw)
+                # inf stays: an overflowed oracle or Carleson constant writes it
+                if value != value or f.name == "p" and not 1.0 < value < math.inf:
+                    raise ValueError
             except ValueError:
                 where = f"line {reader.line_num} column {f.name}"
-                raise SchemaError(where, f"expected {parse.__name__}, got {raw!r}") from None
+                want = "float in (1, inf)" if f.name == "p" else "float, not NaN" if parse is float else parse.__name__
+                raise SchemaError(where, f"expected {want}, got {raw!r}") from None
         out.append(ReportRow(**kwargs))
     return out
 

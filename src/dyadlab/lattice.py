@@ -183,11 +183,12 @@ def paths(sys: DyadicSystem, cubes) -> dict[int, str]:
 
 
 # A chunk of functions for one batched lattice pass holds about this many
-# (level, atom) cells, and at least one function; ``normest.power_ascent``
-# steps its seeds in such chunks.  In the alternating maximization (35 seeds,
-# 1 BLAS thread) one batch of all the seeds took 1.35x the rule's time at
-# d1 D12 p 3, 1.21x at d2 D6 p 2 and 1.12x at d3 D4 p 3, where a chunk is one
-# function, and 0.91x at d1 D8 p 3 (7 rows a chunk).
+# (level, atom) cells, and at least one function: ``normest.power_ascent``
+# steps its seeds in such chunks, which may end inside one instance's seeds
+# or hold those of several instances of one lattice.  In the alternating
+# maximization (35 seeds, 1 BLAS thread) one batch of all the seeds took 1.35x
+# the rule's time at d1 D12 p 3, 1.21x at d2 D6 p 2 and 1.12x at d3 D4 p 3,
+# where a chunk is one function, and 0.91x at d1 D8 p 3 (7 rows a chunk).
 _CHUNK_CELLS = 1 << 14
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -45,52 +44,57 @@ def best_g_given_f(inst: Instance, f: np.ndarray):
 
 def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: float, max_iter: int):
     """Nonlinear power method (Boyd, 1974) from every row of ``starts``, in
-    chunks of ``lattice.chunk_rows`` rows stepped together.
+    chunks of ``lattice.chunk_rows`` rows stepped together; the rows may come
+    from several instances of one lattice.
 
-    A step takes x to ``y, _ = forward(x)``, then to ``x', v = backward(y)``,
-    each an operator and its norming map on a batch (value 0.0: vanishing).
-    A row stops when ``forward`` vanishes (keeping its pair), ``backward``
-    does (pair (x, y)), a step gains d <= ``tol * v`` (pair (x', y); converged
-    if the Aitken gap d r / (1 - r), r = d / the gain before, is <= ``tol * v``
-    too), ``backward``'s value is NaN (that value and pair, so the row never
-    wins), or at ``max_iter``.  Returns the first largest positive v, its pair
-    and convergence (0.0, None, False if none), and the step count."""
-    best, best_pair, best_converged, steps = 0.0, None, False, 0
+    A step takes x to ``y, _ = forward(x, live)``, then to ``x', v =
+    backward(y, live)``, each an operator and its norming map on a batch
+    (value 0.0: vanishing), with ``live`` the start index of each row, a new
+    array only when a row leaves.  A row stops when ``forward`` vanishes
+    (keeping its pair), ``backward`` does (pair (x, y)), a step gains d <=
+    ``tol * v`` (pair (x', y); converged if the Aitken gap d r / (1 - r),
+    r = d / the gain before, is <= ``tol * v`` too), ``backward``'s value is
+    NaN (that value and pair, so the row never wins), or at ``max_iter``.
+    Returns the lists of each start's value, pair (None if it never paired;
+    rows copied off the batch), convergence and step count."""
+    n = len(starts)
+    values, pairs, converged, steps = [0.0] * n, [None] * n, [False] * n, [max_iter] * n
     rows = lattice.chunk_rows(sys)
-    for lo in range(0, len(starts), rows):
-        x = starts[lo : lo + rows]
-        live = list(range(len(x)))  # the chunk row of each iterate
-        value, last_gain = [0.0] * len(x), [math.inf] * len(x)
-        pairs, converged = [None] * len(x), [False] * len(x)
-        for _ in range(max_iter):
-            steps += len(live)
-            y, vy = forward(x)
-            if not vy.all():
-                x, y, live = x[vy != 0.0], y[vy != 0.0], [i for i, v in zip(live, vy) if v != 0.0]
-                if not live:
+    for lo in range(0, n, rows):
+        x, live = starts[lo : lo + rows], np.arange(lo, min(n, lo + rows))
+        value, gain, y = np.zeros(len(x)), np.full(len(x), math.inf), None
+        for step in range(1, max_iter + 1):
+            y_before, (y, vy) = y, forward(x, live)
+            if not vy.all():  # forward vanished: the row keeps its pair
+                for r, i in zip(np.flatnonzero(vy == 0.0).tolist(), live[vy == 0.0].tolist()):
+                    steps[i], values[i] = step, float(value[r])
+                    pairs[i] = None if y_before is None else (x[r].copy(), y_before[r].copy())
+                on = vy != 0.0
+                x, y, live, value, gain = x[on], y[on], live[on], value[on], gain[on]
+                if not len(live):
                     break
-            x_next, vx = backward(y)
-            going = []
-            for r, (i, v) in enumerate(zip(live, vx.tolist())):
-                gain = v - value[i]
-                if v == 0.0:  # backward vanished: the pair is (x, y), the value stays
-                    pairs[i] = (x[r], y[r])
-                elif not gain > tol * v:  # a NaN value stops too, and cannot win
-                    pairs[i], value[i] = (x_next[r], y[r]), v
-                    rho = gain / last_gain[i]
-                    converged[i] = rho < 1.0 and gain * rho <= tol * v * (1.0 - rho)
-                else:
-                    pairs[i], value[i], last_gain[i] = (x_next[r], y[r]), v, gain
-                    going.append(r)
-            if not going:
-                break
-            if len(going) < len(live):
-                x_next, live = x_next[going], [live[r] for r in going]
-            x = x_next
-        for v, pair, c in zip(value, pairs, converged):
-            if pair is not None and v > best:
-                best, best_pair, best_converged = v, pair, c
-    return best, best_pair, best_converged, steps
+            x_next, vx = backward(y, live)
+            d = vx - value
+            on = d > tol * vx
+            if not on.all():  # backward vanished, the gain test failed or the value is NaN
+                for r in np.flatnonzero(~on).tolist():  # where v = 0.0, (x, y) and the value stay
+                    i, v, dr, before = int(live[r]), float(vx[r]), float(d[r]), float(gain[r])
+                    pairs[i] = ((x_next if v else x)[r].copy(), y[r].copy())  # frees the step's batch
+                    steps[i], values[i], rho = step, v or float(value[r]), dr / before
+                    converged[i] = v != 0.0 and rho < 1.0 and dr * rho <= tol * v * (1.0 - rho)
+                x_next, y, live, vx, d = x_next[on], y[on], live[on], vx[on], d[on]
+                if not len(live):
+                    break
+            x, value, gain = x_next, vx, d
+        for r, i in enumerate(live.tolist() if y is not None else []):  # gaining at max_iter
+            pairs[i], values[i] = (x[r].copy(), y[r].copy()), float(value[r])
+    return values, pairs, converged, steps
+
+
+def best_start(values, pairs, lo: int, hi: int):
+    """The first start in [lo, hi) of largest positive value with a pair, or None."""
+    won = [i for i in range(lo, hi) if pairs[i] is not None and values[i] > 0.0]
+    return max(won, key=values.__getitem__, default=None)
 
 
 @dataclass(frozen=True)
@@ -143,19 +147,20 @@ def alternating_maximization(
     norms = [mixed_norm(f, inst.sigma, inst.p) for f, _ in seeds]
     starts = [f / n if n > 0 else best_f_given_g(inst, g)[0] for (f, g), n in zip(seeds, norms)]
     starts = np.array([f for f in starts if f is not None]).reshape(-1, *shape)
-    forward, backward = partial(best_g_given_f, inst), partial(best_f_given_g, inst)
-    _, pair, converged, steps = power_ascent(sys, starts, forward, backward, tol, max_iter)
+    forward, backward = (lambda x, _: best_g_given_f(inst, x)), (lambda y, _: best_f_given_g(inst, y))
+    values, pairs, converged, steps = power_ascent(sys, starts, forward, backward, tol, max_iter)
+    win, steps = best_start(values, pairs, 0, len(values)), sum(steps)
 
-    if pair is None:
+    if win is None:
         if report.forward > 0 or report.dual > 0:
             raise GuardError(
                 f"no ascent seed yields a pair although T = {report.forward:g}, T* = {report.dual:g}"
             )
         return NormEstimate(0.0, np.zeros(shape), np.zeros(sys.num_atoms), steps, len(seeds), True, True)
 
-    wf, wg = pair
+    wf, wg = pairs[win]
     value = lambda_form(inst, wf, wg)  # witnesses are unit norm by construction
-    return NormEstimate(value, wf, wg, steps, len(seeds), converged, False)
+    return NormEstimate(value, wf, wg, steps, len(seeds), converged[win], False)
 
 
 def attach_oracle(inst: Instance, estimate: NormEstimate) -> NormEstimate:

@@ -19,7 +19,7 @@ from .embedding import (
     CarlesonData,
     carleson_condition_constant,
     disjointness_inequality,
-    embedding_ratio_search,
+    embedding_ratio_searches,
     stopping_embedding_report,
 )
 from .forms import (
@@ -349,15 +349,17 @@ def _check_stopping(s: _Suite):
 
 
 def _check_embedding(s: _Suite):
-    fails, checked = [], 0
+    fails, checked, datas = [], 0, []
     rng = generators.philox(s.seed, 200)
     for inst, f, g in s.draws:
         sys = inst.sys
         nu = np.exp(rng.random(sys.num_atoms) * 2.0 - 1.0)
         a = np.exp(rng.random(sys.num_cubes)) * (rng.random(sys.num_cubes) >= 0.4)
-        data = CarlesonData(a, nu)
-        cprime = carleson_condition_constant(sys, data)
-        found = embedding_ratio_search(sys, data, inst.p, restarts=2, seed=s.seed).value
+        datas.append(CarlesonData(a, nu))
+    # the draws share one lattice and p, so their searches step together
+    searches = embedding_ratio_searches(sys, datas, s.p, 2, [s.seed] * len(datas)) if datas else []
+    for (inst, f, g), data, search in zip(s.draws, datas, searches):
+        cprime, found = carleson_condition_constant(inst.sys, data), search.value
         checked += 1
         if found < cprime * (1 - 1e-12):
             fails.append((inst, f"search {found} below condition constant {cprime}"))

@@ -6,10 +6,12 @@ Only meant for tiny systems.  The per-cube testing-constant loops (with
 ``dual_kernel``, the per-cube dual kernel the package no longer builds, and
 the norming functions it used to have), the per-member stopping-family BFS,
 the per-member exclusive masks (with the lifted measure it used to build),
-the per-cube identity chain, the three-pass embedding search and the
-per-seed alternating maximization at the end are the exception: they reuse the package's helpers, so their results
-compare bit for bit with the package's whole-lattice passes (the embedding
-search to 1e-8, since the package's ascent now stops by its gain test).  The helpers in between are small definitions that
+the per-cube identity chain, the three-pass and the per-instance embedding
+searches (with the lockstep driver that returned only its first best start)
+and the per-seed alternating maximization at the end are the exception: they
+reuse the package's helpers, so their results compare bit for bit with the
+package's whole-lattice passes (the three-pass embedding search to 1e-8,
+since the package's ascent now stops by its gain test).  The helpers in between are small definitions that
 only tests call, among them the parent-walking ``project`` that the
 projection table stored on each family replaced (``stopping_family`` builds
 hand-made families and the BFS builders' tables with it), and the
@@ -34,7 +36,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from dyadlab import forms, generators, lattice, measures, normest
+from dyadlab import embedding, forms, generators, lattice, measures, normest
 from dyadlab.embedding import RatioSearchResult, StoppingEmbeddingReport
 from dyadlab.errors import GuardError
 from dyadlab.forms import (
@@ -960,6 +962,98 @@ def embedding_ratio_search_three_pass(sys, data, p, restarts=4, iterations=40, s
     for h in seeds:
         consider(h)
         ascend(h)
+    return RatioSearchResult(best, best_h, evals)
+
+
+# -- the per-instance embedding search --------------------------------------
+#
+# ``embedding.embedding_ratio_searches`` steps the seeds of many instances of
+# one lattice in one ``normest.power_ascent``, which returns every start's
+# value, pair, flag and step count.  This is the search of one instance it
+# replaced, with the driver that returned only the first best start, kept
+# verbatim but for the names and the weights read off ``data``: the same
+# half-steps in the same order, so value, witness and ``evaluations``
+# compare with ``==``.
+
+
+def power_ascent_first_best(sys, starts, forward, backward, tol, max_iter):
+    best, best_pair, best_converged, steps = 0.0, None, False, 0
+    rows = lattice.chunk_rows(sys)
+    for lo in range(0, len(starts), rows):
+        x = starts[lo : lo + rows]
+        live = list(range(len(x)))  # the chunk row of each iterate
+        value, last_gain = [0.0] * len(x), [math.inf] * len(x)
+        pairs, converged = [None] * len(x), [False] * len(x)
+        for _ in range(max_iter):
+            steps += len(live)
+            y, vy = forward(x)
+            if not vy.all():
+                x, y, live = x[vy != 0.0], y[vy != 0.0], [i for i, v in zip(live, vy) if v != 0.0]
+                if not live:
+                    break
+            x_next, vx = backward(y)
+            going = []
+            for r, (i, v) in enumerate(zip(live, vx.tolist())):
+                gain = v - value[i]
+                if v == 0.0:  # backward vanished: the pair is (x, y), the value stays
+                    pairs[i] = (x[r], y[r])
+                elif not gain > tol * v:  # a NaN value stops too, and cannot win
+                    pairs[i], value[i] = (x_next[r], y[r]), v
+                    rho = gain / last_gain[i]
+                    converged[i] = rho < 1.0 and gain * rho <= tol * v * (1.0 - rho)
+                else:
+                    pairs[i], value[i], last_gain[i] = (x_next[r], y[r]), v, gain
+                    going.append(r)
+            if not going:
+                break
+            if len(going) < len(live):
+                x_next, live = x_next[going], [live[r] for r in going]
+            x = x_next
+        for v, pair, c in zip(value, pairs, converged):
+            if pair is not None and v > best:
+                best, best_pair, best_converged = v, pair, c
+    return best, best_pair, best_converged, steps
+
+
+def _averages_one(sys, data, masses, h):
+    integrals = lattice.cube_sums(sys, data.nu * h)
+    return np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
+
+
+def embedding_ratio_search_one(sys, data, p, restarts=4, seed=0):
+    masses = lattice.cube_sums(sys, data.nu)
+    cubes = np.flatnonzero(masses > 0)
+    best, best_h, evals = 0.0, np.zeros(sys.num_atoms), len(cubes)
+    seeds = [np.ones(sys.num_atoms)]
+    if len(cubes):
+        ratios = embedding._indicator_ratios(sys, data, masses, cubes, p)
+        first = int(np.argmax(ratios))  # the first best indicator
+        seeds.append(sys.atom_mask(int(cubes[first])).astype(np.float64))
+        if ratios[first] > best:
+            best, best_h = ratios[first], seeds[1]
+    seeds += [generators.philox(seed, k).random(sys.num_atoms) for k in range(restarts)]
+
+    def forward(h):
+        return measures.lp_norming(_averages_one(sys, data, masses, h), data.a, p)
+
+    def backward(g):
+        t = np.divide(data.a * g, masses, out=np.zeros_like(g), where=masses > 0)
+        return measures.lp_norming(
+            lattice.chain_running(sys, t)[..., -1, :], data.nu, measures.conjugate(p)
+        )
+
+    _, pair, _, steps = power_ascent_first_best(
+        sys, np.array(seeds), forward, backward, embedding._TOL, embedding._MAX_ITER
+    )
+    evals += steps
+    if pair is not None:
+        h = pair[0][None, :]
+        norms = measures.lp_norms(h, data.nu, p)
+        sums = measures.row_ksums(data.a * _averages_one(sys, data, masses, h) ** p)
+        r = [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)][0]
+        evals += 1
+        if r > best:
+            best, best_h = r, pair[0]
     return RatioSearchResult(best, best_h, evals)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab import build_system, embedding, lattice, worked_instances
+from dyadlab import build_system, embedding, lattice, verify, worked_instances
 from dyadlab.embedding import (
     CarlesonData,
     carleson_condition_constant,
@@ -240,10 +240,10 @@ def test_search_passes_do_not_grow_with_the_cubes_with_mass(monkeypatch, dimensi
     sizes = _batches(monkeypatch)
     result = embedding_ratio_search(s, data, 3.0, restarts=2, seed=1)
     steps = sizes[1:-1]
-    assert sizes[0] == 0 and sizes[-1] == 1
+    assert sizes[0] == 1 and sizes[-1] == 1  # the one instance's masses and best iterate
     assert steps[0] == 4 and steps == sorted(steps, reverse=True)
     assert 1 < len(steps) <= embedding._MAX_ITER < s.num_cubes
-    assert sum(sizes) + s.num_cubes == result.evaluations
+    assert sum(sizes[1:]) + s.num_cubes == result.evaluations
 
 
 def _tied_indicators():
@@ -279,7 +279,8 @@ def test_lockstep_rows_leave_at_different_steps():
     s = build_system(1, 4)
     data = _search_data(s, 1)[0]
     masses = lattice.cube_sums(s, data.nu)
-    forward, backward = embedding._average_maps(s, data, masses, 3.0)
+    owner = np.zeros(3, dtype=np.intp)  # all three rows on the one instance
+    forward, backward = embedding._average_maps(s, data.nu[None], data.a[None], masses[None], owner, 3.0)
     rng = np.random.Generator(np.random.Philox(key=[2, 66]))
     seeds = np.array([rng.random(s.num_atoms), np.zeros(s.num_atoms), np.ones(s.num_atoms)])
     own = assert_lockstep(s, seeds, forward, backward, embedding._TOL, embedding._MAX_ITER)
@@ -361,6 +362,87 @@ def test_search_passes_stay_within_the_chunk_rule(monkeypatch, dimension, depth)
     assert len(batches) - searched == 2 * est.iterations + 2
     assert {len(batch) for batch in batches} <= {0, 1}
     assert max(math.prod(batch) for batch in batches) <= rows
+
+
+# -- same-lattice searches in one lockstep ascent ------------------------------
+
+
+def _batch_data(s):
+    """Every ``_search_data`` case of seeds 0-2 (cubes without mass, no cube
+    mass, mass on one cube) and, third, an instance whose measure is zero,
+    so that its forward map vanishes at the first step; a seed for each."""
+    datas = [data for seed in range(3) for data in _search_data(s, seed)]
+    datas.insert(2, CarlesonData(datas[0].a, np.zeros(s.num_atoms)))
+    return datas, [7 * k + 1 for k in range(len(datas))]
+
+
+def _assert_same_search(got, want):
+    assert (got.value, got.evaluations) == (want.value, want.evaluations)
+    assert got.witness.tobytes() == want.witness.tobytes()
+
+
+def _forward_calls(monkeypatch):
+    """Record the arguments after the iterates, the live starts, of every
+    forward step of the searches' cube-average map."""
+    maps, calls = embedding._average_maps, []
+
+    def recorded(*args):
+        forward, backward = maps(*args)
+
+        def counted(*step):
+            calls.append(step[1:])
+            return forward(*step)
+
+        return counted, backward
+
+    monkeypatch.setattr(embedding, "_average_maps", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("p", [1.25, 2.0, 3.0, 7.5])
+def test_batched_searches_match_per_instance_searches(p):
+    # each instance's result is its own search's, and the replaced search's
+    for dimension, depth in SEARCH_SHAPES:
+        s = build_system(dimension, depth)
+        datas, seeds = _batch_data(s)
+        got = embedding.embedding_ratio_searches(s, datas, p, 2, seeds)
+        assert len(got) == len(datas)
+        assert (got[2].value, got[2].evaluations) == (0.0, 3)  # one step of each seed
+        for data, seed, result in zip(datas, seeds, got):
+            _assert_same_search(result, embedding_ratio_search(s, data, p, restarts=2, seed=seed))
+            _assert_same_search(result, ref.embedding_ratio_search_one(s, data, p, restarts=2, seed=seed))
+
+
+@pytest.mark.parametrize("cells", [1, 100, 160])
+def test_batched_searches_with_chunks_ending_inside_an_instance(monkeypatch, cells):
+    # every cube has mass, so each instance has four starts; chunks of 3 or
+    # 5 rows end inside an instance's rows and hold rows of two instances
+    cases = []
+    for s in (build_system(1, 3), build_system(2, 2)):
+        datas = [_search_data(s, seed)[0] for seed in range(5)]
+        for p in (1.5, 3.0):
+            wants = [ref.embedding_ratio_search_one(s, data, p, 2, seed) for seed, data in enumerate(datas)]
+            cases.append((s, datas, p, wants))
+    monkeypatch.setattr(lattice, "_CHUNK_CELLS", cells)
+    calls = _forward_calls(monkeypatch)
+    for s, datas, p, wants in cases:
+        calls.clear()
+        got = embedding.embedding_ratio_searches(s, datas, p, 2, list(range(5)))
+        rows = lattice.chunk_rows(s)
+        spans = any(len({i // 4 for i in live.tolist()}) > 1 for (live,) in calls)
+        assert rows < 4 * len(datas) and spans == (4 % rows != 0)
+        for result, want in zip(got, wants):
+            _assert_same_search(result, want)
+
+
+def test_verify_steps_its_embedding_searches_together(monkeypatch):
+    # the 300 seeds of 50 instances at d1 D3 fit one chunk, so the check takes
+    # at most the step cap of forward steps, where a search per instance took
+    # about 1500
+    calls = _forward_calls(monkeypatch)
+    results, ok = verify.run_suite(seed=1, instances=50, p=2.0, dimension=1, depth=3)
+    assert ok and "embedding-indicator-necessity" in [r.name for r in results]
+    assert 0 < len(calls) <= embedding._MAX_ITER
 
 
 # -- exclusive sums by one grouping against the per-member masks -------------

@@ -1,3 +1,4 @@
+import csv
 import io as _io
 import json
 import math
@@ -176,7 +177,18 @@ def test_rows_round_trip_and_column_order():
     [("p", "abc"), ("p", ""), ("seed", "1.5"), ("depth", ""), ("T", "x"), ("ratio_upper", "?")],
 )
 def test_report_on_a_malformed_row_is_a_schema_error(column, cell, tmp_path, capsys):
-    buf, row = _io.StringIO(), _w1_row()
+    path = _rows_with_cell(tmp_path, column, cell)
+    with open(path) as fp, pytest.raises(SchemaError) as err:
+        io.read_rows(fp)
+    assert err.value.path == f"line 3 column {column}"
+    assert repr(cell) in str(err.value)
+    assert main(["report", "--in", str(path)]) == 2
+    assert f"line 3 column {column}" in capsys.readouterr().err
+
+
+def _rows_with_cell(tmp_path, column, cell, row=None):
+    """A CSV of two w1 rows (or of ``row`` twice) with ``cell`` in ``column`` of the second."""
+    buf, row = _io.StringIO(), row or _w1_row()
     io.write_rows([row, replace(row, instance_id="second")], buf, "csv")
     lines = buf.getvalue().splitlines()
     at = io.REPORT_COLUMNS.index(column)
@@ -185,12 +197,40 @@ def test_report_on_a_malformed_row_is_a_schema_error(column, cell, tmp_path, cap
     lines[2] = ",".join(cells)
     path = tmp_path / "rows.csv"
     path.write_text("\n".join(lines) + "\n")
-    with open(path) as fp, pytest.raises(SchemaError) as err:
-        io.read_rows(fp)
-    assert err.value.path == f"line 3 column {column}"
-    assert repr(cell) in str(err.value)
-    assert main(["report", "--in", str(path)]) == 2
-    assert f"line 3 column {column}" in capsys.readouterr().err
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "column,cell",
+    [("p", "nan"), ("p", "inf"), ("p", "1.0"), ("p", "-2.5"), ("T", "nan"), ("ratio_upper", "NaN"),
+     ("oracle_value", "nan"), ("g_family_carleson", "-nan")],
+)
+def test_report_on_nan_or_an_exponent_outside_one_to_inf_is_a_schema_error(
+    column, cell, fmt, tmp_path, capsys
+):
+    # a NaN p once ended in exit 3 with --format json and in a (p, depth)
+    # group of its own with --format csv
+    path = _rows_with_cell(tmp_path, column, cell)
+    assert main(["report", "--in", str(path), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"line 3 column {column}" in captured.err
+    assert repr(cell) in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_reads_inf_where_rows_can_hold_it(fmt, tmp_path, capsys):
+    # an overflowed oracle and a massless member's Carleson constant are inf
+    # in the rows ``eval`` writes, so inf stays readable outside p
+    row = replace(_w1_row(), oracle_value=math.inf, g_family_carleson=math.inf)
+    path = _rows_with_cell(tmp_path, "oracle_value", "inf", row)
+    with open(path) as fp:
+        back = io.read_rows(fp)
+    assert [(r.oracle_value, r.g_family_carleson) for r in back] == [(math.inf, math.inf)] * 2
+    assert main(["report", "--in", str(path), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    groups = json.loads(out) if fmt == "json" else list(csv.DictReader(_io.StringIO(out)))
+    assert [(float(g["p"]), int(g["depth"]), int(g["rows"])) for g in groups] == [(2.0, 1, 2)]
 
 
 def test_report_on_a_short_row_is_a_schema_error():

@@ -17,6 +17,7 @@ from dyadlab.normest import (
     attach_oracle,
     best_f_given_g,
     best_g_given_f,
+    best_start,
     grid_oracle,
     power_ascent,
     spectral_oracle_p2,
@@ -114,26 +115,34 @@ def test_alternating_matches_per_seed_loop(monkeypatch, p, cells):
 
 def assert_lockstep(sys, starts, forward, backward, tol, max_iter):
     """Run ``power_ascent`` on the rows of ``starts`` together and one by one.
-    The batch has the winner and step count of the single runs, and each of
-    its steps is one forward pass over the rows whose own run is still going.
+    The batch gives each start the value, pair, flag and step count of its
+    single run, so the same winner; each of its steps is one forward pass
+    over the rows whose own run is still going, told their start indices.
     Returns the steps of each single run."""
     alone = [
         power_ascent(sys, starts[i : i + 1], forward, backward, tol, max_iter)
         for i in range(len(starts))
     ]
+    own = [one[3][0] for one in alone]
     sizes = []
 
-    def recorded(x):
+    def recorded(x, live):
         sizes.append(len(x))
-        return forward(x)
+        assert live.tolist() == [i for i, n in enumerate(own) if n > len(sizes) - 1]
+        return forward(x, live)
 
-    value, pair, converged, steps = power_ascent(sys, starts, recorded, backward, tol, max_iter)
-    own = [one[3] for one in alone]
+    values, pairs, converged, steps = power_ascent(sys, starts, recorded, backward, tol, max_iter)
     assert sizes == [sum(n > step for n in own) for step in range(max(own))]
-    assert steps == sum(own)
-    winner = [one for one in alone if one[1] is not None and one[0] == value][0]
-    assert (value, converged) == (winner[0], winner[2]) and value > 0
-    assert np.array_equal(pair[0], winner[1][0]) and np.array_equal(pair[1], winner[1][1])
+    assert steps == own
+    assert values == [one[0][0] for one in alone]
+    assert converged == [one[2][0] for one in alone]
+    for pair, one in zip(pairs, alone):
+        assert (pair is None) == (one[1][0] is None)
+        if pair is not None:
+            assert np.array_equal(pair[0], one[1][0][0]) and np.array_equal(pair[1], one[1][0][1])
+    win = best_start(values, pairs, 0, len(values))
+    assert win == [i for i, one in enumerate(alone) if one[0][0] == max(values)][0]
+    assert values[win] > 0
     return own
 
 
@@ -146,7 +155,8 @@ def test_lockstep_rows_leave_at_different_steps_on_the_box_pair():
     starts = np.array([rng.random(shape), np.zeros(shape), np.ones(shape)])
     starts[0] /= mixed_norm(starts[0], inst.sigma, inst.p)
     starts[2] /= mixed_norm(starts[2], inst.sigma, inst.p)
-    forward, backward = partial(best_g_given_f, inst), partial(best_f_given_g, inst)
+    forward = lambda x, live: best_g_given_f(inst, x)
+    backward = lambda y, live: best_f_given_g(inst, y)
     own = assert_lockstep(s, starts, forward, backward, 1e-10, 400)
     assert own[1] == 1 and len(set(own)) == 3 and max(own) < 400
 
@@ -178,17 +188,18 @@ def test_a_nan_value_ends_its_row_at_once():
     for finite_steps in (0, 2):
         calls = []
 
-        def backward(y):
+        def backward(y, live):
             calls.append(len(y))
             v = math.nan if len(calls) > finite_steps else 1.0 + len(calls)
             return np.full((len(y), s.num_levels, s.num_atoms), v), np.full(len(y), v)
 
-        def forward(x):
+        def forward(x, live):
             return x.sum(axis=1), np.ones(len(x))
 
-        value, pair, converged, steps = power_ascent(s, starts, forward, backward, 1e-10, 1000)
-        assert (value, pair, converged) == (0.0, None, False)
-        assert steps == 3 * (finite_steps + 1) and calls == [3] * (finite_steps + 1)
+        values, pairs, converged, steps = power_ascent(s, starts, forward, backward, 1e-10, 1000)
+        assert all(math.isnan(v) for v in values) and None not in pairs
+        assert best_start(values, pairs, 0, 3) is None and converged == [False] * 3
+        assert steps == [finite_steps + 1] * 3 and calls == [3] * (finite_steps + 1)
 
 
 # -- converged means within tol, by the Aitken estimate of the gap left --------
