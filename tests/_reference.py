@@ -7,7 +7,7 @@ Only meant for tiny systems.  The per-cube testing-constant loops (with
 the norming functions it used to have), the per-member stopping-family BFS,
 the per-member exclusive masks (with the lifted measure it used to build),
 the per-cube identity chain, the three-pass and the per-instance embedding
-searches (with the lockstep driver that returned only its first best start)
+searches (with the lockstep ascent that returned only its first best start)
 and the per-seed alternating maximization at the end are the exception: they
 reuse the package's helpers, so their results compare bit for bit with the
 package's whole-lattice passes (the three-pass embedding search to 1e-8,
@@ -970,7 +970,7 @@ def embedding_ratio_search_three_pass(sys, data, p, restarts=4, iterations=40, s
 # ``embedding.embedding_ratio_searches`` steps the seeds of many instances of
 # one lattice in one ``normest.power_ascent``, which returns every start's
 # value, pair, flag and step count.  This is the search of one instance it
-# replaced, with the driver that returned only the first best start, kept
+# replaced, with the ascent that returned only the first best start, kept
 # verbatim but for the names and the weights read off ``data``: the same
 # half-steps in the same order, so value, witness and ``evaluations``
 # compare with ``==``.
