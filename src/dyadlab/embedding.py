@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import generators, lattice
+from . import lattice
 from .errors import GuardError
 from .forms import Instance, all_box_integrals
+from .generators import philox
 from .lattice import DyadicSystem
 from .measures import conjugate, group_ksum, ksum, lp_norming, lp_norms, mixed_norm, row_ksums
 from .normest import best_start, power_ascent
@@ -84,8 +85,9 @@ def _ratios(sys: DyadicSystem, nu, a, masses, h: np.ndarray, p: float):
     return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
 
 
-def _indicator_ratios(sys: DyadicSystem, data: CarlesonData, masses: np.ndarray, cubes, p: float):
-    """:func:`_ratios` of the indicators of ``cubes``, cubes with mass, bit for bit.
+def _indicator_ratios(sys: DyadicSystem):
+    """The map (data, masses, cubes, p) -> :func:`_ratios` of the indicators
+    of ``cubes``, cubes with mass, bit for bit, over pair tables of ``sys``.
 
     An averages pass of 1_Q adds the atoms of Q as the masses pass does, with
     only zeros between them: the averages are 1.0 on each R in Q with mass
@@ -101,31 +103,28 @@ def _indicator_ratios(sys: DyadicSystem, data: CarlesonData, masses: np.ndarray,
     up = outer != inner
     keys, terms = np.concatenate([inner, outer[up]]), np.concatenate([outer, inner[up]])
     inner = np.concatenate([inner, inner[up]])
-    avg = np.divide(masses[inner], masses[terms], out=np.zeros(len(terms)), where=masses[terms] > 0)
-    sums = group_ksum(keys, data.a[terms] * avg**p, cubes)
-    nu = group_ksum(sys.cell_cube.ravel(), np.tile(data.nu, sys.num_levels), cubes)
-    norms = [total ** (1.0 / p) for total in nu]
-    return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
+
+    def ratios(data: CarlesonData, masses: np.ndarray, cubes, p: float):
+        avg = np.divide(masses[inner], masses[terms], out=np.zeros(len(terms)), where=masses[terms] > 0)
+        sums = group_ksum(keys, data.a[terms] * avg**p, cubes)
+        nu = group_ksum(sys.cell_cube.ravel(), np.tile(data.nu, sys.num_levels), cubes)
+        norms = [total ** (1.0 / p) for total in nu]
+        return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
+
+    return ratios
 
 
-def _average_maps(sys: DyadicSystem, nu, a, masses, owner: np.ndarray, p: float):
-    """The half-steps: A h normed in lp(a), and A* g normed in Lq(nu), each
-    row with the weight rows of its start's instance ``owner[start]``."""
-    q, held = conjugate(p), [None, None]
+def _average_maps(sys: DyadicSystem, p: float):
+    """The half-steps, each row with its instance's ``nu``, ``a`` and
+    ``masses`` rows: A h normed in lp(a), and A* g normed in Lq(nu)."""
+    q = conjugate(p)
 
-    def weights(live):  # gathered only when the live starts change
-        if held[0] is not live:
-            held[:] = live, (nu[owner[live]], a[owner[live]], masses[owner[live]])
-        return held[1]
+    def forward(h, nu, a, masses):
+        return lp_norming(_averages(sys, nu, masses, h), a, p)
 
-    def forward(h, live):
-        nu_k, a_k, masses_k = weights(live)
-        return lp_norming(_averages(sys, nu_k, masses_k, h), a_k, p)
-
-    def backward(g, live):
-        nu_k, a_k, masses_k = weights(live)
-        t = np.divide(a_k * g, masses_k, out=np.zeros_like(g), where=masses_k > 0)
-        return lp_norming(lattice.chain_running(sys, t)[..., -1, :], nu_k, q)
+    def backward(g, nu, a, masses):
+        t = np.divide(a * g, masses, out=np.zeros_like(g), where=masses > 0)
+        return lp_norming(lattice.chain_running(sys, t)[..., -1, :], nu, q)
 
     return forward, backward
 
@@ -135,33 +134,34 @@ def embedding_ratio_searches(sys: DyadicSystem, datas, p: float, restarts: int, 
     seed: the largest ratio ||A h||^p / ||h||^p found for the cube-average
     map A: Lp(nu) -> lp(a).  Each cube indicator with mass, which certifies
     that a result dominates the condition constant, is one evaluation, in
-    closed form (:func:`_indicator_ratios`).  The constant function, the
-    first best indicator and ``restarts`` random starts of every instance
-    then step together in one :func:`normest.power_ascent`, each row as in a
-    search of its own; the exact ratio of an instance's first best iterate
-    wins only when larger, so the witness attains the value."""
+    closed form (:func:`_indicator_ratios`, tables built once).  The constant
+    function, the first best indicator and ``restarts`` random starts of each
+    instance (drawn once a seed) then step together in one ascent, each row
+    with its instance's weight rows; the exact ratio of an instance's first
+    best iterate wins only when larger, so the witness attains the value."""
     if not datas:
         return []
     nu = np.array([data.nu for data in datas]).reshape(-1, sys.num_atoms)
     a = np.array([data.a for data in datas]).reshape(-1, sys.num_cubes)
     masses = lattice.cube_sums(sys, nu)
-    starts, found = [], []
+    indicator_ratios, starts, found = _indicator_ratios(sys), [], []
+    draws = {seed: [philox(seed, k).random(sys.num_atoms) for k in range(restarts)] for seed in set(seeds)}
     for i, (data, seed) in enumerate(zip(datas, seeds, strict=True)):
         cubes = np.flatnonzero(masses[i] > 0)
         best, best_h, rows = 0.0, np.zeros(sys.num_atoms), [np.ones(sys.num_atoms)]
         if len(cubes):
-            ratios = _indicator_ratios(sys, data, masses[i], cubes, p)
+            ratios = indicator_ratios(data, masses[i], cubes, p)
             first = int(np.argmax(ratios))  # the first best indicator
             rows.append(sys.atom_mask(int(cubes[first])).astype(np.float64))
             if ratios[first] > best:
                 best, best_h = ratios[first], rows[1]
-        rows += [generators.philox(seed, k).random(sys.num_atoms) for k in range(restarts)]
+        rows += draws[seed]
         found.append([best, best_h, len(cubes), len(starts), len(starts) + len(rows)])
         starts += rows
     owner = np.repeat(np.arange(len(datas)), [hi - lo for *_, lo, hi in found])
-    forward, backward = _average_maps(sys, nu, a, masses, owner, p)
     starts = np.array(starts).reshape(-1, sys.num_atoms)
-    values, pairs, _, steps = power_ascent(sys, starts, forward, backward, _TOL, _MAX_ITER)
+    weights = nu[owner], a[owner], masses[owner]
+    values, pairs, _, steps = power_ascent(sys, starts, *_average_maps(sys, p), _TOL, _MAX_ITER, *weights)
     wins = [best_start(values, pairs, lo, hi) for *_, lo, hi in found]
     won = [i for i, win in enumerate(wins) if win is not None]  # one ratios pass for all
     h = np.array([pairs[wins[i]][0] for i in won]).reshape(-1, sys.num_atoms)

@@ -78,8 +78,6 @@ def as_scale_function(sys: DyadicSystem, values) -> np.ndarray:
 def zero_preserving_power(base: np.ndarray, exponent: float) -> np.ndarray:
     """``base ** exponent`` with the convention 0**e = 0, needed for e <= 0."""
     base = np.asarray(base, dtype=np.float64)
-    if exponent == 0.0:
-        return (base > 0.0).astype(np.float64)
     out = np.zeros_like(base)
     np.power(base, exponent, out=out, where=base > 0.0)
     return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -42,15 +43,15 @@ def best_g_given_f(inst: Instance, f: np.ndarray):
     return lp_norming(apply_box_operator(inst, f), inst.omega, inst.p)
 
 
-def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: float, max_iter: int):
+def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: float, max_iter: int, *weights):
     """Nonlinear power method (Boyd, 1974) from every row of ``starts``, in
     chunks of ``lattice.chunk_rows`` rows stepped together; the rows may come
     from several instances of one lattice.
 
-    A step takes x to ``y, _ = forward(x, live)``, then to ``x', v =
-    backward(y, live)``, each an operator and its norming map on a batch
-    (value 0.0: vanishing), with ``live`` the start index of each row, a new
-    array only when a row leaves.  A row stops when ``forward`` vanishes
+    A step takes x to ``y, _ = forward(x, *w)``, then to ``x', v =
+    backward(y, *w)``, each an operator and its norming map on a batch
+    (value 0.0: vanishing), ``w`` the stepping rows' rows of ``weights``
+    (arrays of a row per start).  A row stops when ``forward`` vanishes
     (keeping its pair), ``backward`` does (pair (x, y)), a step gains d <=
     ``tol * v`` (pair (x', y); converged if the Aitken gap d r / (1 - r),
     r = d / the gain before, is <= ``tol * v`` too), ``backward``'s value is
@@ -61,19 +62,19 @@ def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: floa
     values, pairs, converged, steps = [0.0] * n, [None] * n, [False] * n, [max_iter] * n
     rows = lattice.chunk_rows(sys)
     for lo in range(0, n, rows):
-        x, live = starts[lo : lo + rows], np.arange(lo, min(n, lo + rows))
+        x, live, *w = (a[lo : lo + rows] for a in (starts, np.arange(n), *weights))
         value, gain, y = np.zeros(len(x)), np.full(len(x), math.inf), None
         for step in range(1, max_iter + 1):
-            y_before, (y, vy) = y, forward(x, live)
+            y_before, (y, vy) = y, forward(x, *w)
             if not vy.all():  # forward vanished: the row keeps its pair
                 for r, i in zip(np.flatnonzero(vy == 0.0).tolist(), live[vy == 0.0].tolist()):
                     steps[i], values[i] = step, float(value[r])
                     pairs[i] = None if y_before is None else (x[r].copy(), y_before[r].copy())
                 on = vy != 0.0
-                x, y, live, value, gain = x[on], y[on], live[on], value[on], gain[on]
+                x, y, live, value, gain, *w = (a[on] for a in (x, y, live, value, gain, *w))
                 if not len(live):
                     break
-            x_next, vx = backward(y, live)
+            x_next, vx = backward(y, *w)
             d = vx - value
             on = d > tol * vx
             if not on.all():  # backward vanished, the gain test failed or the value is NaN
@@ -82,7 +83,7 @@ def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: floa
                     pairs[i] = ((x_next if v else x)[r].copy(), y[r].copy())  # frees the step's batch
                     steps[i], values[i], rho = step, v or float(value[r]), dr / before
                     converged[i] = v != 0.0 and rho < 1.0 and dr * rho <= tol * v * (1.0 - rho)
-                x_next, y, live, vx, d = x_next[on], y[on], live[on], vx[on], d[on]
+                x_next, y, live, vx, d, *w = (a[on] for a in (x_next, y, live, vx, d, *w))
                 if not len(live):
                     break
             x, value, gain = x_next, vx, d
@@ -147,7 +148,7 @@ def alternating_maximization(
     norms = [mixed_norm(f, inst.sigma, inst.p) for f, _ in seeds]
     starts = [f / n if n > 0 else best_f_given_g(inst, g)[0] for (f, g), n in zip(seeds, norms)]
     starts = np.array([f for f in starts if f is not None]).reshape(-1, *shape)
-    forward, backward = (lambda x, _: best_g_given_f(inst, x)), (lambda y, _: best_f_given_g(inst, y))
+    forward, backward = partial(best_g_given_f, inst), partial(best_f_given_g, inst)
     values, pairs, converged, steps = power_ascent(sys, starts, forward, backward, tol, max_iter)
     win, steps = best_start(values, pairs, 0, len(values)), sum(steps)
 

@@ -1026,7 +1026,7 @@ def embedding_ratio_search_one(sys, data, p, restarts=4, seed=0):
     best, best_h, evals = 0.0, np.zeros(sys.num_atoms), len(cubes)
     seeds = [np.ones(sys.num_atoms)]
     if len(cubes):
-        ratios = embedding._indicator_ratios(sys, data, masses, cubes, p)
+        ratios = embedding._indicator_ratios(sys)(data, masses, cubes, p)
         first = int(np.argmax(ratios))  # the first best indicator
         seeds.append(sys.atom_mask(int(cubes[first])).astype(np.float64))
         if ratios[first] > best:

@@ -258,7 +258,7 @@ def _assert_indicator_ratios_are_the_averages_pass(s, data, p):
     masses = lattice.cube_sums(s, data.nu)
     cubes = np.flatnonzero(masses > 0)
     want = [ref._embedding_ratio(s, data, s.atom_mask(c).astype(np.float64), p) for c in cubes]
-    assert embedding._indicator_ratios(s, data, masses, cubes, p) == want
+    assert embedding._indicator_ratios(s)(data, masses, cubes, p) == want
 
 
 @pytest.mark.parametrize("p", [1.25, 2.0, 3.0, 7.5])
@@ -279,11 +279,11 @@ def test_lockstep_rows_leave_at_different_steps():
     s = build_system(1, 4)
     data = _search_data(s, 1)[0]
     masses = lattice.cube_sums(s, data.nu)
-    owner = np.zeros(3, dtype=np.intp)  # all three rows on the one instance
-    forward, backward = embedding._average_maps(s, data.nu[None], data.a[None], masses[None], owner, 3.0)
+    weights = [np.tile(w, (3, 1)) for w in (data.nu, data.a, masses)]  # three rows of the one instance
+    forward, backward = embedding._average_maps(s, 3.0)
     rng = np.random.Generator(np.random.Philox(key=[2, 66]))
     seeds = np.array([rng.random(s.num_atoms), np.zeros(s.num_atoms), np.ones(s.num_atoms)])
-    own = assert_lockstep(s, seeds, forward, backward, embedding._TOL, embedding._MAX_ITER)
+    own = assert_lockstep(s, seeds, forward, backward, embedding._TOL, embedding._MAX_ITER, *weights)
     assert own[1] == 1 and len(set(own)) == 3 and max(own) < embedding._MAX_ITER
 
 
@@ -382,8 +382,8 @@ def _assert_same_search(got, want):
 
 
 def _forward_calls(monkeypatch):
-    """Record the arguments after the iterates, the live starts, of every
-    forward step of the searches' cube-average map."""
+    """Record the arguments after the iterates, the weight rows ``nu``, ``a``
+    and ``masses``, of every forward step of the searches' cube-average map."""
     maps, calls = embedding._average_maps, []
 
     def recorded(*args):
@@ -401,25 +401,29 @@ def _forward_calls(monkeypatch):
 
 @pytest.mark.parametrize("p", [1.25, 2.0, 3.0, 7.5])
 def test_batched_searches_match_per_instance_searches(p):
-    # each instance's result is its own search's, and the replaced search's
+    # each instance's result is its own search's, and the replaced search's,
+    # whether each instance has a seed of its own or all share one
     for dimension, depth in SEARCH_SHAPES:
         s = build_system(dimension, depth)
-        datas, seeds = _batch_data(s)
-        got = embedding.embedding_ratio_searches(s, datas, p, 2, seeds)
-        assert len(got) == len(datas)
-        assert (got[2].value, got[2].evaluations) == (0.0, 3)  # one step of each seed
-        for data, seed, result in zip(datas, seeds, got):
-            _assert_same_search(result, embedding_ratio_search(s, data, p, restarts=2, seed=seed))
-            _assert_same_search(result, ref.embedding_ratio_search_one(s, data, p, restarts=2, seed=seed))
+        datas, distinct = _batch_data(s)
+        for seeds in (distinct, [5] * len(datas)):
+            got = embedding.embedding_ratio_searches(s, datas, p, 2, seeds)
+            assert len(got) == len(datas)
+            assert (got[2].value, got[2].evaluations) == (0.0, 3)  # one step of each seed
+            for data, seed, result in zip(datas, seeds, got):
+                _assert_same_search(result, embedding_ratio_search(s, data, p, restarts=2, seed=seed))
+                _assert_same_search(result, ref.embedding_ratio_search_one(s, data, p, restarts=2, seed=seed))
 
 
 @pytest.mark.parametrize("cells", [1, 100, 160])
 def test_batched_searches_with_chunks_ending_inside_an_instance(monkeypatch, cells):
     # every cube has mass, so each instance has four starts; chunks of 3 or
-    # 5 rows end inside an instance's rows and hold rows of two instances
+    # 5 rows end inside an instance's rows and hold rows of two instances,
+    # told apart by their measures
     cases = []
     for s in (build_system(1, 3), build_system(2, 2)):
         datas = [_search_data(s, seed)[0] for seed in range(5)]
+        assert len(np.unique([data.nu for data in datas], axis=0)) == len(datas)
         for p in (1.5, 3.0):
             wants = [ref.embedding_ratio_search_one(s, data, p, 2, seed) for seed, data in enumerate(datas)]
             cases.append((s, datas, p, wants))
@@ -429,7 +433,7 @@ def test_batched_searches_with_chunks_ending_inside_an_instance(monkeypatch, cel
         calls.clear()
         got = embedding.embedding_ratio_searches(s, datas, p, 2, list(range(5)))
         rows = lattice.chunk_rows(s)
-        spans = any(len({i // 4 for i in live.tolist()}) > 1 for (live,) in calls)
+        spans = any(len(np.unique(nu, axis=0)) > 1 for nu, _, _ in calls)
         assert rows < 4 * len(datas) and spans == (4 % rows != 0)
         for result, want in zip(got, wants):
             _assert_same_search(result, want)

@@ -113,25 +113,31 @@ def test_alternating_matches_per_seed_loop(monkeypatch, p, cells):
                     _assert_same_estimate(got, ref.alternating_maximization_per_seed(inst, **kwargs))
 
 
-def assert_lockstep(sys, starts, forward, backward, tol, max_iter):
-    """Run ``power_ascent`` on the rows of ``starts`` together and one by one.
-    The batch gives each start the value, pair, flag and step count of its
-    single run, so the same winner; each of its steps is one forward pass
-    over the rows whose own run is still going, told their start indices.
-    Returns the steps of each single run."""
+def assert_lockstep(sys, starts, forward, backward, tol, max_iter, *weights):
+    """Run ``power_ascent`` on the rows of ``starts`` together and one by one,
+    each with its rows of ``weights``.  The batch gives each start the value,
+    pair, flag and step count of its single run, so the same winner; each of
+    its steps is one forward pass over the rows whose own run is still going,
+    with their rows of ``weights``: an extra weight, each start's index, says
+    which rows they are.  Returns the steps of each single run."""
     alone = [
-        power_ascent(sys, starts[i : i + 1], forward, backward, tol, max_iter)
+        power_ascent(sys, starts[i : i + 1], forward, backward, tol, max_iter, *(w[i : i + 1] for w in weights))
         for i in range(len(starts))
     ]
     own = [one[3][0] for one in alone]
     sizes = []
 
-    def recorded(x, live):
+    def recorded(x, index, *w):
         sizes.append(len(x))
-        assert live.tolist() == [i for i, n in enumerate(own) if n > len(sizes) - 1]
-        return forward(x, live)
+        assert index.tolist() == [i for i, n in enumerate(own) if n > len(sizes) - 1]
+        for got, weight in zip(w, weights, strict=True):
+            assert np.array_equal(got, weight[index.astype(np.intp)])
+        return forward(x, *w)
 
-    values, pairs, converged, steps = power_ascent(sys, starts, recorded, backward, tol, max_iter)
+    index = np.arange(len(starts), dtype=float)
+    values, pairs, converged, steps = power_ascent(
+        sys, starts, recorded, lambda y, _, *w: backward(y, *w), tol, max_iter, index, *weights
+    )
     assert sizes == [sum(n > step for n in own) for step in range(max(own))]
     assert steps == own
     assert values == [one[0][0] for one in alone]
@@ -155,8 +161,7 @@ def test_lockstep_rows_leave_at_different_steps_on_the_box_pair():
     starts = np.array([rng.random(shape), np.zeros(shape), np.ones(shape)])
     starts[0] /= mixed_norm(starts[0], inst.sigma, inst.p)
     starts[2] /= mixed_norm(starts[2], inst.sigma, inst.p)
-    forward = lambda x, live: best_g_given_f(inst, x)
-    backward = lambda y, live: best_f_given_g(inst, y)
+    forward, backward = partial(best_g_given_f, inst), partial(best_f_given_g, inst)
     own = assert_lockstep(s, starts, forward, backward, 1e-10, 400)
     assert own[1] == 1 and len(set(own)) == 3 and max(own) < 400
 
@@ -188,18 +193,56 @@ def test_a_nan_value_ends_its_row_at_once():
     for finite_steps in (0, 2):
         calls = []
 
-        def backward(y, live):
+        def backward(y):
             calls.append(len(y))
             v = math.nan if len(calls) > finite_steps else 1.0 + len(calls)
             return np.full((len(y), s.num_levels, s.num_atoms), v), np.full(len(y), v)
 
-        def forward(x, live):
+        def forward(x):
             return x.sum(axis=1), np.ones(len(x))
 
         values, pairs, converged, steps = power_ascent(s, starts, forward, backward, 1e-10, 1000)
         assert all(math.isnan(v) for v in values) and None not in pairs
         assert best_start(values, pairs, 0, 3) is None and converged == [False] * 3
         assert steps == [finite_steps + 1] * 3 and calls == [3] * (finite_steps + 1)
+
+
+def test_each_row_keeps_its_weights_through_chunks_and_exits(monkeypatch):
+    # a toy pair, x -> M x and y -> b M* y normed, M = B + c C (elementwise,
+    # so a row's bits do not depend on the batch): the weights c and b give
+    # each start a map of its own.  A zero start vanishes forward, b = 0
+    # backward and b = NaN gives a NaN value, all at step 1 inside a chunk;
+    # row 9 starts near the second singular vector and meets the cap; chunks
+    # of three rows end inside the batch
+    rng = np.random.Generator(np.random.Philox(key=[5, 20]))
+    base, coupling = rng.random((3, 3)), rng.random((3, 3))
+    starts, c, b = rng.random((11, 3)), 4.0 * rng.random(11), np.ones(11)
+    starts[4], b[[1, 6]] = 0.0, [0.0, math.nan]
+    starts[9] = np.linalg.svd(base + c[9] * coupling)[2][1] + 1e-3 * starts[9]
+
+    def normed(z):
+        v = np.linalg.norm(z, axis=1)
+        return np.divide(z, v[:, None], out=np.zeros_like(z), where=v[:, None] > 0), v
+
+    def forward(x, c, b):
+        return normed(((base + c[:, None, None] * coupling) * x[:, None, :]).sum(axis=2))
+
+    def backward(y, c, b):
+        return normed(b[:, None] * ((base + c[:, None, None] * coupling) * y[:, :, None]).sum(axis=1))
+
+    s = build_system(1, 1)
+    monkeypatch.setattr(lattice, "_CHUNK_CELLS", 3 * s.num_levels * s.num_atoms)
+    values, pairs, converged, steps = power_ascent(s, starts, forward, backward, 1e-12, 8, c, b)
+    for i in range(len(starts)):
+        one = power_ascent(s, starts[i : i + 1], forward, backward, 1e-12, 8, c[i : i + 1], b[i : i + 1])
+        assert np.array_equal(values[i], one[0][0], equal_nan=True)
+        assert (converged[i], steps[i]) == (one[2][0], one[3][0])
+        assert (pairs[i] is None) == (one[1][0] is None)
+        if pairs[i] is not None:
+            assert np.array_equal(pairs[i][0], one[1][0][0]) and np.array_equal(pairs[i][1], one[1][0][1])
+    assert [steps[i] for i in (1, 4, 6, 9)] == [1, 1, 1, 8] and not converged[9]
+    assert pairs[4] is None and (pairs[1] is not None, values[1]) == (True, 0.0) and math.isnan(values[6])
+    assert len(set(steps)) == 4 and sum(converged) == 7
 
 
 # -- converged means within tol, by the Aitken estimate of the gap left --------
