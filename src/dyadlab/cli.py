@@ -35,9 +35,15 @@ EXIT_GUARD = 3
 EXIT_PROPERTY = 4
 
 
+def _exponent(text: str) -> float:  # --p lies in (1, inf), as in the instance schema
+    if not 1.0 < float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"exponent must lie in (1, inf), got {text}")
+    return float(text)
+
+
 _OPTIONS = {
     "--seed": dict(type=int, default=1),
-    "--p": dict(type=float, default=2.0),
+    "--p": dict(type=_exponent, default=2.0),
     "--dim": dict(type=int, default=1),
     "--depth": dict(type=int, default=3),
     "--instances": dict(type=int, default=1),

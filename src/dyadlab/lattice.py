@@ -198,28 +198,28 @@ def chunk_rows(sys: DyadicSystem) -> int:
 
 # -- tree aggregations -----------------------------------------------------
 #
-# These are the numeric workhorses shared by the other modules.  All of them
-# are plain sums arranged along the lattice tree, built on two primitives:
-# ``level_sums`` sums up the tree (one bincount over every cell),
-# ``level_cumsum`` runs down it along the levels.
+# The numeric workhorses shared by the other modules: plain sums along the
+# lattice tree.  All but ``subtree_sums`` (its own bincount per level) are
+# built on two primitives: ``level_sums`` sums up the tree (one bincount over
+# every cell), ``level_cumsum`` runs down it along the levels.
 
 
 def level_sums(sys: DyadicSystem, rows) -> np.ndarray:
     """Per-cube sums of per-level atom rows: out[Q] = sum of ``rows[j]`` over
     the atoms in Q, with j the level of Q.
 
-    Rows with a leading batch axis, ``rows[j]`` of shape (k, atoms), give k
-    sums at once, shape (k, num_cubes).  One bincount over the flat cell
-    table does it all, batch row i in the bins ``cell_cube + i * num_cubes``:
-    a bin belongs to one level and one batch row and adds its terms in atom
-    order, so every batch row is bit-identical to its own call and to a
-    bincount per level.
+    Rows of shape (levels, atoms) give shape (num_cubes,); a leading batch
+    axis, rows of shape (k, levels, atoms), gives k sums at once, shape (k,
+    num_cubes).  One bincount over the flat cell table does it all, batch row
+    i in the bins ``cell_cube + i * num_cubes``: a bin belongs to one level
+    and one batch row and adds its terms in atom order, so every batch row is
+    bit-identical to its own call and to a bincount per level.
     """
     rows = np.asarray(rows)
-    batch, bins = rows.shape[1:-1], sys.cell_cube
+    batch, bins = rows.shape[:-2], sys.cell_cube
     k = batch[0] if batch else 1
     if k > 1:
-        bins = bins[:, None, :] + sys.num_cubes * np.arange(k)[:, None]
+        bins = bins + sys.num_cubes * np.arange(k)[:, None, None]
     out = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=k * sys.num_cubes)
     return out.reshape(batch + (sys.num_cubes,))
 
@@ -233,20 +233,20 @@ def level_cumsum(x: np.ndarray) -> np.ndarray:
 
 
 def cube_sums(sys: DyadicSystem, atom_values: np.ndarray) -> np.ndarray:
-    """Per-cube sums of an atom array: out[Q] = sum of values over atoms in Q.
-    Values of shape (k, atoms) give the k sums, shape (k, num_cubes)."""
+    """out[Q] = sum of values over the atoms in Q: ``level_sums`` of the atom
+    row repeated on every level.  Values (k, atoms) give (k, num_cubes)."""
     v = np.asarray(atom_values, dtype=np.float64)
-    return level_sums(sys, [v] * sys.num_levels)
+    return level_sums(sys, np.repeat(v[..., None, :], sys.num_levels, axis=-2))
 
 
 def box_sums(sys: DyadicSystem, cell_values: np.ndarray) -> np.ndarray:
-    """Per-cube Carleson-box sums of a (levels, atoms) array.
-
-    out[Q] = sum of values over the pairs (atom in Q, level >= level of Q).
-    Values of shape (k, levels, atoms) give the k sums, shape (k, num_cubes).
+    """Per-cube Carleson-box sums, out[Q] = sum of values over the pairs (atom
+    in Q, level >= level of Q): ``level_sums`` of the suffix sums over the
+    levels, taken in place on one copy.  Values of shape (levels, atoms) give
+    (num_cubes,), and values of shape (k, levels, atoms) give (k, num_cubes).
     """
-    w = np.moveaxis(np.asarray(cell_values, dtype=np.float64), -2, 0).copy()
-    level_cumsum(w[::-1])  # suffix sums over the levels, in place
+    w = np.array(cell_values, dtype=np.float64)
+    level_cumsum(w.swapaxes(0, -2)[::-1])  # the level axis leads in the view
     return level_sums(sys, w)
 
 

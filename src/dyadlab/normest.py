@@ -26,7 +26,7 @@ import numpy as np
 from . import generators, lattice
 from .errors import GuardError
 from .forms import Instance, apply_adjoint_operator, apply_box_operator, lambda_form, test_function
-from .measures import lp_norming, mixed_norm, mixed_norming
+from .measures import lp_norm, lp_norming, mixed_norm, mixed_norming
 from .testing_constants import TestingReport, testing_report
 
 
@@ -160,7 +160,9 @@ def alternating_maximization(
         return NormEstimate(0.0, np.zeros(shape), np.zeros(sys.num_atoms), steps, len(seeds), True, True)
 
     wf, wg = pairs[win]
-    value = lambda_form(inst, wf, wg)  # witnesses are unit norm by construction
+    if mixed_norm(wf, inst.sigma, inst.p) == 0.0 or lp_norm(wg, inst.omega, inst.q) == 0.0:
+        raise GuardError(f"a winning witness vanished although its ascent reached {values[win]:g}")
+    value = lambda_form(inst, wf, wg)  # witnesses that did not vanish are unit norm by construction
     return NormEstimate(value, wf, wg, steps, len(seeds), converged[win], False)
 
 

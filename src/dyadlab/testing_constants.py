@@ -73,11 +73,11 @@ def _select(sys, exponent: float, num_terms, den_terms, skip: np.ndarray):
     ``sum(num)**(1/exponent) / sum(den)**(1/exponent)`` over the cube's atoms.
 
     ``num_terms[level]`` and ``den_terms[level]`` are the level's per-atom
-    terms; cubes flagged in ``skip`` (per linear id) have no ratio.  Returns
-    the winning ratio and cube, or ``(0.0, None)``.
+    terms, scanned as the two rows of one ``level_sums`` batch; cubes flagged
+    in ``skip`` (per linear id) have no ratio.  Returns the winning ratio and
+    cube, or ``(0.0, None)``.
     """
-    num = lattice.level_sums(sys, num_terms)
-    den = lattice.level_sums(sys, den_terms)
+    num, den = lattice.level_sums(sys, [num_terms, den_terms])
     with np.errstate(all="ignore"):
         num_root, den_root = num ** (1.0 / exponent), den ** (1.0 / exponent)
         ratio = num_root / den_root

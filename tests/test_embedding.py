@@ -348,7 +348,7 @@ def test_search_passes_stay_within_the_chunk_rule(monkeypatch, dimension, depth)
     level_sums, batches = lattice.level_sums, []
 
     def recorded(sys, rows):
-        batches.append(rows[0].shape[:-1])
+        batches.append(np.shape(rows)[:-2])
         return level_sums(sys, rows)
 
     monkeypatch.setattr(lattice, "level_sums", recorded)

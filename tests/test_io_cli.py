@@ -383,6 +383,17 @@ def test_cli_rejects_options_the_command_does_not_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1", "0.5", "-2", "nan", "inf"])
+@pytest.mark.parametrize("command", ["gen", "eval", "testing", "normest", "stopping", "embed-check", "verify"])
+def test_cli_exponent_outside_one_to_inf_is_a_usage_error(capsys, command, value):
+    # the bound of the instance schema, checked where the option is parsed
+    with pytest.raises(SystemExit) as err:
+        main([command, "--p", value])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "argument --p" in captured.err and "Traceback" not in captured.err
+
+
 def test_cli_readme_examples_parse():
     text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     lines = text.replace("\\\n", " ").splitlines()

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dyadlab import Instance, build_system, lattice, runner, worked_instances
+from dyadlab import Instance, build_system, lattice, runner, verify, worked_instances
 from dyadlab import io as dio
 from dyadlab.cli import main
 from dyadlab.errors import GuardError
@@ -174,7 +174,7 @@ def test_alternating_takes_two_lattice_passes_per_step(monkeypatch):
     level_sums, sizes = lattice.level_sums, []
 
     def recorded(sys, rows):
-        sizes.append(len(rows[0]) if np.ndim(rows[0]) == 2 else 0)
+        sizes.append(len(rows) if np.ndim(rows) == 3 else 0)
         return level_sums(sys, rows)
 
     monkeypatch.setattr(lattice, "level_sums", recorded)
@@ -309,6 +309,36 @@ def test_no_pair_with_a_positive_testing_constant_is_a_guard_error(tmp_path, cap
     if case == 0:  # eval generates its instances: the p = 1.01 one is reachable
         assert main(["eval", "--seed", "2", "--p", "1.01", "--dim", "1", "--depth", "4"]) == 3
         assert capsys.readouterr().out == ""
+
+
+def _vanishing_cases(tmp_path):
+    """Three runs whose winning f comes back all zeros, each as a library call
+    and as the CLI run that reaches it: at p = 1.01 ``mixed_norming`` raises
+    the l2 slice to q - 2 = 99, and scaling by powers of two leaves the
+    range; the power underflows."""
+    base = generate(GenSpec(seed=155, dimension=2, depth=1, p=2.0))
+    scaled = Instance(
+        base.sys, base.p, base.sigma * 2.0**-554, base.omega * 2.0**23, base.mu, base.lam * 2.0**557
+    )
+    path = tmp_path / "scaled.json"
+    with open(path, "w") as fp:
+        dio.write_instance(scaled, fp)
+    return [
+        (partial(runner.sweep_rows, 1, 1, 1.01, 1, 3), ["eval", "--seed", "1", "--p", "1.01", "--depth", "3"]),
+        (partial(verify.run_suite, seed=1, instances=50, p=1.01), ["verify", "--p", "1.01", "--instances", "50"]),
+        (partial(runner.evaluate_instance, scaled, "scaled", 155), ["eval", "--in", str(path), "--seed", "155"]),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", range(3))
+def test_a_winning_witness_that_vanished_is_a_guard_error(tmp_path, capsys, case):
+    run, argv = _vanishing_cases(tmp_path)[case]
+    with pytest.raises(GuardError, match="winning witness vanished"):
+        run()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "winning witness vanished" in captured.err
 
 
 def test_alternating_guards():
