@@ -41,13 +41,19 @@ def _exponent(text: str) -> float:  # --p lies in (1, inf), as in the instance s
     return float(text)
 
 
+def _count(text: str) -> int:  # --instances and --restarts count from 0
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return int(text)
+
+
 _OPTIONS = {
     "--seed": dict(type=int, default=1),
     "--p": dict(type=_exponent, default=2.0),
     "--dim": dict(type=int, default=1),
     "--depth": dict(type=int, default=3),
-    "--instances": dict(type=int, default=1),
-    "--restarts": dict(type=int, default=4),
+    "--instances": dict(type=_count, default=1),
+    "--restarts": dict(type=_count, default=4),
     "--tol": dict(type=float, default=1e-10),
     "--in": dict(dest="infile", type=str, default=None),
     "--out": dict(type=str, default=None),
@@ -58,11 +64,15 @@ _INSTANCE = ("--in", "--seed", "--p", "--dim", "--depth")
 
 
 def _emit(args, text: str):
-    if args.out:
+    """``text`` to ``--out`` or stdout; an unwritable ``--out`` is a schema error."""
+    if not args.out:
+        _sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fp:
             fp.write(text)
-    else:
-        _sys.stdout.write(text)
+    except OSError as exc:
+        raise SchemaError("$", f"cannot write {args.out}: {exc.strerror or exc}")
 
 
 def _emit_json(args, payload):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lattice
 from .errors import GuardError
-from .forms import Instance, all_box_integrals
+from .forms import Instance, all_box_integrals, cube_averages
 from .generators import philox
 from .lattice import DyadicSystem
 from .measures import conjugate, group_ksum, ksum, lp_norming, lp_norms, mixed_norm, row_ksums
@@ -72,16 +72,10 @@ class RatioSearchResult:
 _MAX_ITER, _TOL = 40, 1e-10  # the ascent's step cap and stop tolerance
 
 
-def _averages(sys: DyadicSystem, nu: np.ndarray, masses: np.ndarray, h: np.ndarray):
-    """The cube-average map A h = (avg_Q h)_Q by rows, zero on the cubes without mass."""
-    integrals = lattice.cube_sums(sys, nu * h)
-    return np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
-
-
 def _ratios(sys: DyadicSystem, nu, a, masses, h: np.ndarray, p: float):
     """Embedding ratios of the rows of h: one averages pass, one exact sum a row."""
     norms = lp_norms(h, nu, p)
-    sums = row_ksums(a * _averages(sys, nu, masses, h) ** p)
+    sums = row_ksums(a * cube_averages(sys, nu, masses, h) ** p)
     return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
 
 
@@ -120,7 +114,7 @@ def _average_maps(sys: DyadicSystem, p: float):
     q = conjugate(p)
 
     def forward(h, nu, a, masses):
-        return lp_norming(_averages(sys, nu, masses, h), a, p)
+        return lp_norming(cube_averages(sys, nu, masses, h), a, p)
 
     def backward(g, nu, a, masses):
         t = np.divide(a * g, masses, out=np.zeros_like(g), where=masses > 0)

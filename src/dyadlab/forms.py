@@ -18,7 +18,8 @@ The per-cube quantities the form and the paper's conditions read -- box
 pairings, omega-integrals and omega-averages -- each have one primitive that
 returns them for every cube at once, indexed by linear cube id:
 :func:`all_box_integrals`, :func:`all_cube_integrals` and
-:func:`all_cube_averages`.
+:func:`all_cube_averages`, which reads the one cube-average body,
+:func:`cube_averages`.
 """
 
 from __future__ import annotations
@@ -96,11 +97,16 @@ def all_cube_integrals(inst: Instance, g: np.ndarray) -> np.ndarray:
     return lattice.cube_sums(inst.sys, inst.omega * g)
 
 
+def cube_averages(sys: DyadicSystem, w: np.ndarray, masses: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The cube-average map: the w-average of h over every cube, given the
+    cube masses of w, 0 on a cube without mass.  Takes a batch by rows."""
+    integrals = lattice.cube_sums(sys, w * h)
+    return np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
+
+
 def all_cube_averages(inst: Instance, g: np.ndarray) -> np.ndarray:
     """omega-average of g over every cube at once; 0 on a cube without mass."""
-    masses = lattice.cube_sums(inst.sys, inst.omega)
-    integrals = all_cube_integrals(inst, g)
-    return np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
+    return cube_averages(inst.sys, inst.omega, lattice.cube_sums(inst.sys, inst.omega), g)
 
 
 def lambda_form(inst: Instance, f: np.ndarray, g: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Seeded instance generators, worked fixtures and adversarial families.
+"""Seeded instance generators, worked fixtures and the deep-chain stress instance.
 
 All randomness runs through counter-based Philox streams keyed by
 (seed, stream id), so generation is bitwise reproducible and independent of
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lattice
 from .forms import Instance, lambda_array, test_function
 from .lattice import DyadicSystem, build_system
 
@@ -96,10 +95,7 @@ def embedding_probe_function(inst, seed: int) -> np.ndarray:
     sys = inst.sys
     if seed % 2 == 0:
         base = test_function(inst, sys.root)
-        rng = philox(seed, STREAM_F)
-        return base * np.exp(
-            rng.random(base.shape) * (math.log(2.0) - math.log(0.5)) + math.log(0.5)
-        )
+        return base * _log_uniform(philox(seed, STREAM_F), 0.5, 2.0, base.shape)
     return random_scale_function(sys, seed, base=inst.mu)
 
 
@@ -133,55 +129,16 @@ def lemma_violation_fixture():
     return inst, f, [labels == 0, labels == 1]
 
 
-ADVERSARIAL_KINDS = ("point-mass-sigma", "single-scale-mu", "lacunary-lambda", "deep-chain")
-
-
-def adversarial_family(
-    kind: str,
-    seed: int = 0,
-    dimension: int = 1,
-    depth: int = 3,
-    p: float = 2.0,
-    count: int = 4,
-) -> list[Instance]:
-    """Structured stress families exercising degenerate support patterns."""
-    if kind not in ADVERSARIAL_KINDS:
+def adversarial_family(kind: str, dimension: int = 1, depth: int = 3, p: float = 2.0) -> list[Instance]:
+    """The deep-chain stress instance, alone in a list: unit weights, the root
+    coefficient one, and a scale density falling by 16 a level."""
+    if kind != "deep-chain":
         raise ValueError(f"unknown adversarial kind {kind!r}")
     sys = build_system(dimension, depth)
-    out = []
-    if kind == "point-mass-sigma":
-        for k in range(count):
-            base = generate(GenSpec(seed=seed + k, dimension=dimension, depth=depth, p=p))
-            sigma = np.zeros(sys.num_atoms)
-            sigma[k % sys.num_atoms] = 1.0
-            out.append(Instance(sys, p, sigma, base.omega, base.mu, base.lam))
-    elif kind == "single-scale-mu":
-        for k in range(count):
-            base = generate(GenSpec(seed=seed + k, dimension=dimension, depth=depth, p=p))
-            level = k % sys.num_levels
-            mu = np.zeros((sys.num_levels, sys.num_atoms))
-            mu[level] = _log_uniform(philox(seed + k, _MU), 0.25, 4.0, sys.num_atoms)
-            out.append(Instance(sys, p, base.sigma, base.omega, mu, base.lam))
-    elif kind == "lacunary-lambda":
-        for k in range(count):
-            base = generate(GenSpec(seed=seed + k, dimension=dimension, depth=depth, p=p))
-            lam = np.zeros(sys.num_cubes)
-            cube = sys.root
-            while True:
-                lam[cube] = 2.0 ** (-sys.level_of(cube) * (1.0 + 0.5 * k))
-                ch = lattice.children(sys, cube)
-                if not ch:
-                    break
-                cube = ch[0]
-            out.append(Instance(sys, p, base.sigma, base.omega, base.mu, lam))
-    else:  # deep-chain
-        levels = np.arange(sys.num_levels, dtype=np.float64)
-        mu = np.repeat(((1.0 / 16.0) ** levels)[:, None], sys.num_atoms, axis=1)
-        lam = lambda_array(sys, {"": 1.0})
-        out.append(
-            Instance(sys, p, np.ones(sys.num_atoms), np.ones(sys.num_atoms), mu, lam)
-        )
-    return out
+    levels = np.arange(sys.num_levels, dtype=np.float64)
+    mu = np.repeat(((1.0 / 16.0) ** levels)[:, None], sys.num_atoms, axis=1)
+    lam = lambda_array(sys, {"": 1.0})
+    return [Instance(sys, p, np.ones(sys.num_atoms), np.ones(sys.num_atoms), mu, lam)]
 
 
 def deep_chain_profiles(sys: DyadicSystem) -> tuple[np.ndarray, np.ndarray]:

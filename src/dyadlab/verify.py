@@ -72,6 +72,7 @@ class _Suite:
         self.depth = depth
         self.restarts = restarts
         self.tol = tol
+        self.sys = lattice.build_system(dimension, depth)  # rejects a bad shape up front
         self.instances = [
             generators.generate(
                 generators.GenSpec(seed=seed + k, dimension=dimension, depth=depth, p=p)
@@ -351,15 +352,14 @@ def _check_stopping(s: _Suite):
 def _check_embedding(s: _Suite):
     fails, checked, datas = [], 0, []
     rng = generators.philox(s.seed, 200)
-    for inst, f, g in s.draws:
-        sys = inst.sys
-        nu = np.exp(rng.random(sys.num_atoms) * 2.0 - 1.0)
-        a = np.exp(rng.random(sys.num_cubes)) * (rng.random(sys.num_cubes) >= 0.4)
+    for _ in s.draws:
+        nu = np.exp(rng.random(s.sys.num_atoms) * 2.0 - 1.0)
+        a = np.exp(rng.random(s.sys.num_cubes)) * (rng.random(s.sys.num_cubes) >= 0.4)
         datas.append(CarlesonData(a, nu))
-    # the draws share one lattice and p, so their searches step together
-    searches = embedding_ratio_searches(sys, datas, s.p, 2, [s.seed] * len(datas)) if datas else []
+    # the draws share the suite's lattice and p, so their searches step together
+    searches = embedding_ratio_searches(s.sys, datas, s.p, 2, [s.seed] * len(datas))
     for (inst, f, g), data, search in zip(s.draws, datas, searches):
-        cprime, found = carleson_condition_constant(inst.sys, data), search.value
+        cprime, found = carleson_condition_constant(s.sys, data), search.value
         checked += 1
         if found < cprime * (1 - 1e-12):
             fails.append((inst, f"search {found} below condition constant {cprime}"))

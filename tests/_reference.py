@@ -26,7 +26,8 @@ cube's only name, converted with copies of the package's old ``linear`` and
 ``chain_total``, which the three-pass embedding search still calls, and so
 are the dense form kernel the package no longer builds and the two oracles
 that read it: the p = 2 oracle that the tree-built Gram matrix replaced and
-the grid oracle that now reads the box operator and its adjoint.
+the grid oracle that now reads the box operator and its adjoint.  So are the
+adversarial families the package no longer builds, but for the deep chain.
 """
 
 import math
@@ -44,6 +45,7 @@ from dyadlab.forms import (
     all_box_integrals,
     all_cube_averages,
     all_cube_integrals,
+    lambda_array,
     level_test_input,
     test_function,
 )
@@ -54,7 +56,8 @@ from dyadlab.stopping import (
     largest_subtree_ratio,
     subtree_totals,
 )
-from dyadlab.lattice import DyadicSystem
+from dyadlab.generators import _MU, GenSpec, _log_uniform, generate, philox
+from dyadlab.lattice import DyadicSystem, build_system
 from dyadlab.normest import NormEstimate, best_f_given_g, best_g_given_f
 from dyadlab.testing_constants import TestingReport, TestingSide, testing_report
 
@@ -561,6 +564,65 @@ def bracket_average(inst, f, cube):
 
 def member_cubes(sys, family):
     return [cube_at(sys, m) for m in family.members]
+
+
+# -- the adversarial families ------------------------------------------------
+#
+# The package builds only the deep-chain instance, which ``verify`` and the
+# benchmark use.  This is ``generators.adversarial_family`` as it was with all
+# four kinds, kept as it was: the three that only tests build, and the deep
+# chain, against which the package's is checked.
+
+
+ADVERSARIAL_KINDS = ("point-mass-sigma", "single-scale-mu", "lacunary-lambda", "deep-chain")
+
+
+def adversarial_family(
+    kind: str,
+    seed: int = 0,
+    dimension: int = 1,
+    depth: int = 3,
+    p: float = 2.0,
+    count: int = 4,
+) -> list[Instance]:
+    """Structured stress families exercising degenerate support patterns."""
+    if kind not in ADVERSARIAL_KINDS:
+        raise ValueError(f"unknown adversarial kind {kind!r}")
+    sys = build_system(dimension, depth)
+    out = []
+    if kind == "point-mass-sigma":
+        for k in range(count):
+            base = generate(GenSpec(seed=seed + k, dimension=dimension, depth=depth, p=p))
+            sigma = np.zeros(sys.num_atoms)
+            sigma[k % sys.num_atoms] = 1.0
+            out.append(Instance(sys, p, sigma, base.omega, base.mu, base.lam))
+    elif kind == "single-scale-mu":
+        for k in range(count):
+            base = generate(GenSpec(seed=seed + k, dimension=dimension, depth=depth, p=p))
+            level = k % sys.num_levels
+            mu = np.zeros((sys.num_levels, sys.num_atoms))
+            mu[level] = _log_uniform(philox(seed + k, _MU), 0.25, 4.0, sys.num_atoms)
+            out.append(Instance(sys, p, base.sigma, base.omega, mu, base.lam))
+    elif kind == "lacunary-lambda":
+        for k in range(count):
+            base = generate(GenSpec(seed=seed + k, dimension=dimension, depth=depth, p=p))
+            lam = np.zeros(sys.num_cubes)
+            cube = sys.root
+            while True:
+                lam[cube] = 2.0 ** (-sys.level_of(cube) * (1.0 + 0.5 * k))
+                ch = lattice.children(sys, cube)
+                if not ch:
+                    break
+                cube = ch[0]
+            out.append(Instance(sys, p, base.sigma, base.omega, base.mu, lam))
+    else:  # deep-chain
+        levels = np.arange(sys.num_levels, dtype=np.float64)
+        mu = np.repeat(((1.0 / 16.0) ** levels)[:, None], sys.num_atoms, axis=1)
+        lam = lambda_array(sys, {"": 1.0})
+        out.append(
+            Instance(sys, p, np.ones(sys.num_atoms), np.ones(sys.num_atoms), mu, lam)
+        )
+    return out
 
 
 # -- the identity chain of one cube ------------------------------------------

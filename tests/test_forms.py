@@ -10,7 +10,7 @@ from dyadlab.forms import (
     phi_identity_check,
     test_function as make_test_input,
 )
-from dyadlab.generators import ADVERSARIAL_KINDS, GenSpec, adversarial_family, generate
+from dyadlab.generators import GenSpec, generate
 from dyadlab.measures import ksum, lp_norming, mixed_norming
 
 import _reference as ref
@@ -165,8 +165,8 @@ def test_phi_identity_levels_match_per_cube_body(p):
 def test_phi_identity_levels_match_per_cube_body_on_fixtures():
     cases = list(W.values()) + [
         inst
-        for kind in ADVERSARIAL_KINDS
-        for inst in adversarial_family(kind, dimension=2, depth=2, p=3.0)
+        for kind in ref.ADVERSARIAL_KINDS
+        for inst in ref.adversarial_family(kind, dimension=2, depth=2, p=3.0)
     ]
     for inst in cases:
         _assert_chain_is_per_cube_body(inst)

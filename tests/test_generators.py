@@ -11,6 +11,8 @@ from dyadlab.generators import (
     random_scale_function,
 )
 
+import _reference as ref
+
 
 def test_generation_is_deterministic():
     spec = GenSpec(seed=42, dimension=1, depth=2)
@@ -72,15 +74,15 @@ def test_random_functions_are_stream_stable():
 
 
 def test_adversarial_kinds():
-    fam = adversarial_family("point-mass-sigma", depth=2, count=3)
+    fam = ref.adversarial_family("point-mass-sigma", depth=2, count=3)
     for inst in fam:
         assert (inst.sigma > 0).sum() == 1
 
-    fam = adversarial_family("single-scale-mu", depth=2, count=3)
+    fam = ref.adversarial_family("single-scale-mu", depth=2, count=3)
     for inst in fam:
         assert (inst.mu.sum(axis=1) > 0).sum() == 1
 
-    fam = adversarial_family("lacunary-lambda", depth=3, count=2)
+    fam = ref.adversarial_family("lacunary-lambda", depth=3, count=2)
     for inst in fam:
         support = np.flatnonzero(inst.lam)
         # one coefficient per level along a single chain
@@ -98,17 +100,31 @@ def test_adversarial_kinds():
         adversarial_family("unknown-kind")
 
 
+@pytest.mark.parametrize("dimension, depth", [(1, 0), (1, 5), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_deep_chain_is_the_reference_deep_chain(dimension, depth, p):
+    (inst,) = adversarial_family("deep-chain", dimension=dimension, depth=depth, p=p)
+    (want,) = ref.adversarial_family("deep-chain", dimension=dimension, depth=depth, p=p)
+    assert io.canonical_bytes(inst) == io.canonical_bytes(want)
+
+
+@pytest.mark.parametrize("kind", [k for k in ref.ADVERSARIAL_KINDS if k != "deep-chain"])
+def test_only_the_deep_chain_is_built_by_the_package(kind):
+    with pytest.raises(ValueError, match="unknown adversarial kind"):
+        adversarial_family(kind)
+
+
 def test_single_scale_identity_chain_still_exact():
     from dyadlab.forms import phi_identity_check
 
-    for inst in adversarial_family("single-scale-mu", depth=2, count=2, p=3.0):
+    for inst in ref.adversarial_family("single-scale-mu", depth=2, count=2, p=3.0):
         assert np.all(phi_identity_check(inst).max_rel_spread <= 1e-10)
 
 
 def test_point_mass_sigma_reduces_mixed_norm():
     from dyadlab.measures import ell2_slice, mixed_norm
 
-    for inst in adversarial_family("point-mass-sigma", depth=2, count=2, p=3.0):
+    for inst in ref.adversarial_family("point-mass-sigma", depth=2, count=2, p=3.0):
         atom = int(np.flatnonzero(inst.sigma)[0])
         f = random_scale_function(inst.sys, 9)
         expect = inst.sigma[atom] ** (1 / inst.p) * ell2_slice(f)[atom]

@@ -11,7 +11,7 @@ import pytest
 
 from dyadlab import GenSpec, Instance, SchemaError, generate, worked_instances
 from dyadlab import io, lattice, normest, runner, verify
-from dyadlab.cli import build_parser, main
+from dyadlab.cli import _COMMANDS, build_parser, main
 from dyadlab.generators import (
     adversarial_family,
     deep_chain_profiles,
@@ -285,6 +285,21 @@ def test_cli_unreadable_input_is_a_schema_error(tmp_path, capsys, command):
         assert captured.err == f"schema error: $: cannot read {path}: {reason}\n"
 
 
+@pytest.mark.parametrize("command", [name for name, (_, options) in _COMMANDS.items() if "--out" in options])
+def test_cli_unwritable_output_is_a_schema_error(tmp_path, capsys, command):
+    argv = [command]
+    if command == "report":
+        rows = tmp_path / "rows.csv"
+        assert main(["eval", "--depth", "1", "--format", "csv", "--out", str(rows)]) == 0
+        argv += ["--in", str(rows)]
+    cases = ((tmp_path, "Is a directory"), (tmp_path / "missing" / "x.out", "No such file or directory"))
+    for path, reason in cases:
+        assert main(argv + ["--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"schema error: $: cannot write {path}: {reason}\n"
+
+
 def test_cli_testing_names_the_root_by_the_empty_path(tmp_path, capsys):
     # the root is cube id 0: its path is "", and no argmax at all is null
     w1 = W["w1"]
@@ -392,6 +407,28 @@ def test_cli_exponent_outside_one_to_inf_is_a_usage_error(capsys, command, value
     captured = capsys.readouterr()
     assert err.value.code == 2 and captured.out == ""
     assert "argument --p" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["-1", "-7"])
+@pytest.mark.parametrize(
+    "command, option",
+    [(name, option) for name, (_, options) in _COMMANDS.items()
+     for option in ("--instances", "--restarts") if option in options],
+)
+def test_cli_negative_count_is_a_usage_error(capsys, command, option, value):
+    with pytest.raises(SystemExit) as err:
+        main([command, option, value])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert f"argument {option}" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("dim", ["4", "0"])
+def test_verify_without_instances_rejects_a_bad_dimension(capsys, dim):
+    assert main(["verify", "--instances", "0", "--dim", dim]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"guard violation: dimension must be 1, 2 or 3, got {dim}\n"
 
 
 def test_cli_readme_examples_parse():

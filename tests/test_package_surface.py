@@ -145,8 +145,6 @@ def test_every_package_name_is_used_by_the_package():
 # Defaulted parameters that no call inside the package passes, and why they stay.
 UNPASSED_DEFAULTS = {
     "cli.main(argv)": "console entry point; tests and scripts pass an argument list",
-    "generators.adversarial_family(seed)": "stress families for tests and benchmarks",
-    "generators.adversarial_family(count)": "stress families for tests and benchmarks",
     "stopping.build_ratio_family(A)": "tests build families at non-default constants",
 }
 
