@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io as _io
-import json
+import math
 import sys as _sys
 
 import numpy as np
@@ -35,16 +35,26 @@ EXIT_GUARD = 3
 EXIT_PROPERTY = 4
 
 
+# A value that does not parse fails the range test: argparse would name the
+# type function in its own message.
 def _exponent(text: str) -> float:  # --p lies in (1, inf), as in the instance schema
-    if not 1.0 < float(text) < float("inf"):
+    try:
+        p = float(text)
+    except ValueError:
+        p = math.nan
+    if not 1.0 < p < math.inf:
         raise argparse.ArgumentTypeError(f"exponent must lie in (1, inf), got {text}")
-    return float(text)
+    return p
 
 
 def _count(text: str) -> int:  # --instances and --restarts count from 0
-    if int(text) < 0:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
-    return int(text)
+    return n
 
 
 _OPTIONS = {
@@ -73,16 +83,6 @@ def _emit(args, text: str):
             fp.write(text)
     except OSError as exc:
         raise SchemaError("$", f"cannot write {args.out}: {exc.strerror or exc}")
-
-
-def _emit_json(args, payload):
-    """``payload`` as indented JSON; a non-finite value is a guard violation,
-    since JSON has no ``Infinity`` or ``NaN``."""
-    try:
-        text = json.dumps(payload, indent=1, allow_nan=False)
-    except ValueError as exc:
-        raise GuardError(f"non-finite value in the JSON output: {exc}")
-    _emit(args, text + "\n")
 
 
 def _open_input(args):
@@ -141,7 +141,7 @@ def _cmd_testing(args) -> int:
         "witness_g": rep.witness_g.tolist(),
         "witness_f": rep.witness_f.tolist(),
     }
-    _emit_json(args, payload)
+    _emit(args, io.json_text(payload))
     return EXIT_OK
 
 
@@ -160,7 +160,7 @@ def _cmd_normest(args) -> int:
         "oracle_value": est.oracle_value,
         "oracle_kind": est.oracle_kind,
     }
-    _emit_json(args, payload)
+    _emit(args, io.json_text(payload))
     return EXIT_OK
 
 
@@ -173,7 +173,7 @@ def _cmd_stopping(args) -> int:
         "average_family": io.family_to_dict(sys_, build_average_family(inst, sys_.root, g)),
         "ratio_family": io.family_to_dict(sys_, build_ratio_family(inst, sys_.root, f)),
     }
-    _emit_json(args, payload)
+    _emit(args, io.json_text(payload))
     return EXIT_OK
 
 
@@ -204,7 +204,7 @@ def _cmd_embed_check(args) -> int:
         "prop2_ratio": prop2,
         "lemma1_violations": violations,
     }
-    _emit_json(args, payload)
+    _emit(args, io.json_text(payload))
     return EXIT_OK
 
 
@@ -236,7 +236,7 @@ def _cmd_report(args) -> int:
     if args.format == "csv":
         _emit(args, io.summary_to_csv(summary))
     else:
-        _emit_json(args, summary)
+        _emit(args, io.json_text(summary))
     return EXIT_OK
 
 

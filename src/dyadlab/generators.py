@@ -78,13 +78,9 @@ def random_scale_function(
     return field if base is None else np.asarray(base) * field
 
 
-def random_atom_function(
-    sys: DyadicSystem,
-    seed: int,
-    stream: int = STREAM_G,
-) -> np.ndarray:
-    rng = philox(seed, stream)
-    return _sparse_field(rng, 0.25, 4.0, 0.1, sys.num_atoms)
+def random_atom_function(sys: DyadicSystem, seed: int) -> np.ndarray:
+    """Random nonnegative atom function, from the ``STREAM_G`` stream of ``seed``."""
+    return _sparse_field(philox(seed, STREAM_G), 0.25, 4.0, 0.1, sys.num_atoms)
 
 
 def embedding_probe_function(inst, seed: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import lattice
-from .errors import PathError, SchemaError
+from .errors import GuardError, PathError, SchemaError
 from .forms import Instance
 from .lattice import build_system
 from .stopping import StoppingFamily
@@ -133,9 +133,17 @@ def digest(inst: Instance) -> str:
     return hashlib.sha256(canonical_bytes(inst)).hexdigest()
 
 
+def json_text(payload) -> str:
+    """``payload`` as indented JSON and a newline; a non-finite value is a
+    guard violation, since JSON has no ``Infinity`` or ``NaN``."""
+    try:
+        return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise GuardError(f"non-finite value in the JSON output: {exc}")
+
+
 def write_instance(inst: Instance, fp) -> None:
-    json.dump(instance_to_dict(inst), fp, indent=1)
-    fp.write("\n")
+    fp.write(json_text(instance_to_dict(inst)))
 
 
 def _unique_keys(pairs) -> dict:
@@ -196,11 +204,7 @@ def _cell(value) -> str:
 def write_rows(rows, fp, fmt: str = "csv") -> None:
     rows = sorted(rows, key=lambda r: r.instance_id)
     if fmt == "json":
-        payload = [
-            {name: getattr(r, name) for name in REPORT_COLUMNS} for r in rows
-        ]
-        json.dump(payload, fp, indent=1)
-        fp.write("\n")
+        fp.write(json_text([{name: getattr(r, name) for name in REPORT_COLUMNS} for r in rows]))
         return
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)

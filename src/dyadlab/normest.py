@@ -26,7 +26,7 @@ import numpy as np
 from . import generators, lattice
 from .errors import GuardError
 from .forms import Instance, apply_adjoint_operator, apply_box_operator, lambda_form, test_function
-from .measures import lp_norm, lp_norming, mixed_norm, mixed_norming
+from .measures import ell2_slice, lp_norm, lp_norming, mixed_norm, mixed_norming
 from .testing_constants import TestingReport, testing_report
 
 
@@ -50,12 +50,15 @@ def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: floa
 
     A step takes x to ``y, _ = forward(x, *w)``, then to ``x', v =
     backward(y, *w)``, each an operator and its norming map on a batch
-    (value 0.0: vanishing), ``w`` the stepping rows' rows of ``weights``
-    (arrays of a row per start).  A row stops when ``forward`` vanishes
-    (keeping its pair), ``backward`` does (pair (x, y)), a step gains d <=
-    ``tol * v`` (pair (x', y); converged if the Aitken gap d r / (1 - r),
-    r = d / the gain before, is <= ``tol * v`` too), ``backward``'s value is
-    NaN (that value and pair, so the row never wins), or at ``max_iter``.
+    (value 0.0: vanishing, with a zero row), ``w`` the stepping rows' rows
+    of ``weights`` (arrays of a row per start).  A row stops when a step
+    gains d <= ``tol * v`` (pair (x', y); converged if the Aitken gap
+    d r / (1 - r), r = d / the gain before, is <= ``tol * v`` too), when
+    ``backward``'s value is NaN (that value and pair, so the row never
+    wins), or at ``max_iter``.  A vanished ``backward`` fails the gain test
+    and keeps the value before, with the pair (x, y); a vanished ``forward``
+    hands ``backward`` a zero row, so it stops the same way but keeps the
+    pair before (None at step 1).
     Returns the lists of each start's value, pair (None if it never paired;
     rows copied off the batch), convergence and step count."""
     n = len(starts)
@@ -66,21 +69,14 @@ def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: floa
         value, gain, y = np.zeros(len(x)), np.full(len(x), math.inf), None
         for step in range(1, max_iter + 1):
             y_before, (y, vy) = y, forward(x, *w)
-            if not vy.all():  # forward vanished: the row keeps its pair
-                for r, i in zip(np.flatnonzero(vy == 0.0).tolist(), live[vy == 0.0].tolist()):
-                    steps[i], values[i] = step, float(value[r])
-                    pairs[i] = None if y_before is None else (x[r].copy(), y_before[r].copy())
-                on = vy != 0.0
-                x, y, live, value, gain, *w = (a[on] for a in (x, y, live, value, gain, *w))
-                if not len(live):
-                    break
             x_next, vx = backward(y, *w)
             d = vx - value
             on = d > tol * vx
-            if not on.all():  # backward vanished, the gain test failed or the value is NaN
-                for r in np.flatnonzero(~on).tolist():  # where v = 0.0, (x, y) and the value stay
+            if not on.all():  # a map vanished, the gain test failed or the value is NaN
+                for r in np.flatnonzero(~on).tolist():  # where v = 0.0, x and the value stay
                     i, v, dr, before = int(live[r]), float(vx[r]), float(d[r]), float(gain[r])
-                    pairs[i] = ((x_next if v else x)[r].copy(), y[r].copy())  # frees the step's batch
+                    yr = y if vy[r] else y_before  # a vanished forward keeps the pair before
+                    pairs[i] = None if yr is None else ((x_next if v else x)[r].copy(), yr[r].copy())
                     steps[i], values[i], rho = step, v or float(value[r]), dr / before
                     converged[i] = v != 0.0 and rho < 1.0 and dr * rho <= tol * v * (1.0 - rho)
                 x_next, y, live, vx, d, *w = (a[on] for a in (x_next, y, live, vx, d, *w))
@@ -167,24 +163,19 @@ def alternating_maximization(
 
 
 def attach_oracle(inst: Instance, estimate: NormEstimate) -> NormEstimate:
-    """Attach the applicable oracle value, if any, to an estimate.
+    """Attach the applicable oracle value, if any, to an estimate: the
+    spectral oracle at p = 2, the grid oracle otherwise.
 
-    Silently returns the estimate unchanged when no oracle applies (p != 2
-    with more than six degrees of freedom, or a kernel too large to hold).
+    Silently returns the estimate unchanged when the oracle's own guard
+    refuses the instance (a kernel too large to hold, or more than six
+    degrees of freedom).
     """
     try:
         if inst.p == 2.0:
-            return replace(
-                estimate, oracle_value=spectral_oracle_p2(inst), oracle_kind="spectral"
-            )
-        dof = inst.sys.num_levels * inst.sys.num_atoms + inst.sys.num_atoms
-        if dof <= 6:
-            return replace(
-                estimate, oracle_value=grid_oracle(inst, 24), oracle_kind="grid"
-            )
+            return replace(estimate, oracle_value=spectral_oracle_p2(inst), oracle_kind="spectral")
+        return replace(estimate, oracle_value=grid_oracle(inst, 24), oracle_kind="grid")
     except GuardError:
-        pass
-    return estimate
+        return estimate
 
 
 # -- oracles ----------------------------------------------------------------
@@ -267,31 +258,23 @@ def grid_oracle(inst: Instance, resolution: int) -> float:
     if dof > 6:
         raise GuardError(f"grid oracle limited to 6 degrees of freedom, got {dof}")
 
-    best = 0.0
+    def norm(x, w, p):  # the Lp(w) norm of each row
+        return (x**p @ w) ** (1.0 / p)
+
+    def largest(num, den):  # the largest ratio where den > 0, or 0.0
+        ok = den > 0
+        return float(np.max(num[ok] / den[ok])) if np.any(ok) else 0.0
+
+    shape = (-1, sys.num_levels, sys.num_atoms)
     # f side on the grid, g side exact
     fgrid = _axis_grid(cells, resolution)
-    slices = np.sqrt(
-        (fgrid.reshape(-1, sys.num_levels, sys.num_atoms) ** 2).sum(axis=1)
-    )
-    den = (slices**inst.p @ inst.sigma) ** (1.0 / inst.p)
-    unit_cells = np.eye(cells).reshape(cells, sys.num_levels, sys.num_atoms)
-    h = fgrid @ apply_box_operator(inst, unit_cells)
-    num = (h**inst.p @ inst.omega) ** (1.0 / inst.p)
-    ok = den > 0
-    if np.any(ok):
-        best = max(best, float(np.max(num[ok] / den[ok])))
-
+    h = fgrid @ apply_box_operator(inst, np.eye(cells).reshape(shape))
+    f_side = largest(norm(h, inst.omega, inst.p), norm(ell2_slice(fgrid.reshape(shape)), inst.sigma, inst.p))
     # g side on the grid, f side exact
     ggrid = _axis_grid(sys.num_atoms, resolution)
     kg = ggrid @ apply_adjoint_operator(inst, np.eye(sys.num_atoms)).reshape(sys.num_atoms, cells)
-    kg = kg.reshape(-1, sys.num_levels, sys.num_atoms)
-    s = np.sqrt((kg**2).sum(axis=1))
-    num2 = (s**inst.q @ inst.sigma) ** (1.0 / inst.q)
-    den2 = (ggrid**inst.q @ inst.omega) ** (1.0 / inst.q)
-    ok2 = den2 > 0
-    if np.any(ok2):
-        best = max(best, float(np.max(num2[ok2] / den2[ok2])))
-    return best
+    g_side = largest(norm(ell2_slice(kg.reshape(shape)), inst.sigma, inst.q), norm(ggrid, inst.omega, inst.q))
+    return max(0.0, f_side, g_side)  # a NaN side drops out
 
 
 @dataclass(frozen=True)

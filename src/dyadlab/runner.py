@@ -49,7 +49,7 @@ def evaluate_instance(
         ratio_upper = ratio_lower = None
 
     f = generators.embedding_probe_function(inst, seed)
-    g = generators.random_atom_function(sys, seed, stream=generators.STREAM_G)
+    g = generators.random_atom_function(sys, seed)
 
     ratio_family = build_ratio_family(inst, sys.root, f)
     prop2 = (

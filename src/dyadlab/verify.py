@@ -140,7 +140,7 @@ def run_suite(
 
 def _check_lattice(s: _Suite):
     fails, checked = [], 0
-    sys = s.instances[0].sys if s.instances else generators.worked_instances()["w1"].sys
+    sys = s.sys
     for cube in range(sys.num_cubes):
         own = np.zeros((sys.num_levels, sys.num_atoms), dtype=bool)
         own[sys.level_of(cube)] = sys.atom_mask(cube)

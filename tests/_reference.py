@@ -27,7 +27,9 @@ cube's only name, converted with copies of the package's old ``linear`` and
 are the dense form kernel the package no longer builds and the two oracles
 that read it: the p = 2 oracle that the tree-built Gram matrix replaced and
 the grid oracle that now reads the box operator and its adjoint.  So are the
-adversarial families the package no longer builds, but for the deep chain.
+adversarial families the package no longer builds, but for the deep chain,
+and the ascent and the grid oracle from before ``normest`` kept one body for
+each of their jobs.
 """
 
 import math
@@ -1210,3 +1212,104 @@ def alternating_maximization_per_seed(
     wf, wg = best_pair
     value = forms.lambda_form(inst, wf, wg)  # witnesses are unit norm by construction
     return NormEstimate(value, wf, wg, total_iters, len(seeds), converged_best, False)
+
+
+# -- the ascent and the grid oracle before one body each ---------------------
+#
+# ``normest.power_ascent`` records every stop in one block: a vanished forward
+# map hands the backward map a zero row, whose value 0.0 fails the gain test.
+# ``normest.grid_oracle`` runs its two gridded sides through one norm and one
+# largest ratio.  These are the bodies before, the ascent with its own block
+# and compaction for a vanished forward and the oracle with a copy of its
+# body for each side, kept verbatim but for the names and the module prefixes
+# of the helpers they call, so every result compares with ``==``.
+
+
+def power_ascent_two_blocks(sys: lattice.DyadicSystem, starts, forward, backward, tol: float, max_iter: int, *weights):
+    """Nonlinear power method (Boyd, 1974) from every row of ``starts``, in
+    chunks of ``lattice.chunk_rows`` rows stepped together; the rows may come
+    from several instances of one lattice.
+
+    A step takes x to ``y, _ = forward(x, *w)``, then to ``x', v =
+    backward(y, *w)``, each an operator and its norming map on a batch
+    (value 0.0: vanishing), ``w`` the stepping rows' rows of ``weights``
+    (arrays of a row per start).  A row stops when ``forward`` vanishes
+    (keeping its pair), ``backward`` does (pair (x, y)), a step gains d <=
+    ``tol * v`` (pair (x', y); converged if the Aitken gap d r / (1 - r),
+    r = d / the gain before, is <= ``tol * v`` too), ``backward``'s value is
+    NaN (that value and pair, so the row never wins), or at ``max_iter``.
+    Returns the lists of each start's value, pair (None if it never paired;
+    rows copied off the batch), convergence and step count."""
+    n = len(starts)
+    values, pairs, converged, steps = [0.0] * n, [None] * n, [False] * n, [max_iter] * n
+    rows = lattice.chunk_rows(sys)
+    for lo in range(0, n, rows):
+        x, live, *w = (a[lo : lo + rows] for a in (starts, np.arange(n), *weights))
+        value, gain, y = np.zeros(len(x)), np.full(len(x), math.inf), None
+        for step in range(1, max_iter + 1):
+            y_before, (y, vy) = y, forward(x, *w)
+            if not vy.all():  # forward vanished: the row keeps its pair
+                for r, i in zip(np.flatnonzero(vy == 0.0).tolist(), live[vy == 0.0].tolist()):
+                    steps[i], values[i] = step, float(value[r])
+                    pairs[i] = None if y_before is None else (x[r].copy(), y_before[r].copy())
+                on = vy != 0.0
+                x, y, live, value, gain, *w = (a[on] for a in (x, y, live, value, gain, *w))
+                if not len(live):
+                    break
+            x_next, vx = backward(y, *w)
+            d = vx - value
+            on = d > tol * vx
+            if not on.all():  # backward vanished, the gain test failed or the value is NaN
+                for r in np.flatnonzero(~on).tolist():  # where v = 0.0, (x, y) and the value stay
+                    i, v, dr, before = int(live[r]), float(vx[r]), float(d[r]), float(gain[r])
+                    pairs[i] = ((x_next if v else x)[r].copy(), y[r].copy())  # frees the step's batch
+                    steps[i], values[i], rho = step, v or float(value[r]), dr / before
+                    converged[i] = v != 0.0 and rho < 1.0 and dr * rho <= tol * v * (1.0 - rho)
+                x_next, y, live, vx, d, *w = (a[on] for a in (x_next, y, live, vx, d, *w))
+                if not len(live):
+                    break
+            x, value, gain = x_next, vx, d
+        for r, i in enumerate(live.tolist() if y is not None else []):  # gaining at max_iter
+            pairs[i], values[i] = (x[r].copy(), y[r].copy()), float(value[r])
+    return values, pairs, converged, steps
+
+
+def grid_oracle_two_sides(inst: Instance, resolution: int) -> float:
+    """Dense nonnegative direction search for tiny systems (<= 6 DOF).
+
+    Directions on one sphere are enumerated on an axis grid; the other side
+    is closed out exactly by its norming function, so the only error is the
+    angular resolution on the gridded side.  Both sides are gridded in turn,
+    each through the operator's images of the unit inputs.
+    """
+    sys = inst.sys
+    cells = sys.num_levels * sys.num_atoms
+    dof = cells + sys.num_atoms
+    if dof > 6:
+        raise GuardError(f"grid oracle limited to 6 degrees of freedom, got {dof}")
+
+    best = 0.0
+    # f side on the grid, g side exact
+    fgrid = normest._axis_grid(cells, resolution)
+    slices = np.sqrt(
+        (fgrid.reshape(-1, sys.num_levels, sys.num_atoms) ** 2).sum(axis=1)
+    )
+    den = (slices**inst.p @ inst.sigma) ** (1.0 / inst.p)
+    unit_cells = np.eye(cells).reshape(cells, sys.num_levels, sys.num_atoms)
+    h = fgrid @ forms.apply_box_operator(inst, unit_cells)
+    num = (h**inst.p @ inst.omega) ** (1.0 / inst.p)
+    ok = den > 0
+    if np.any(ok):
+        best = max(best, float(np.max(num[ok] / den[ok])))
+
+    # g side on the grid, f side exact
+    ggrid = normest._axis_grid(sys.num_atoms, resolution)
+    kg = ggrid @ forms.apply_adjoint_operator(inst, np.eye(sys.num_atoms)).reshape(sys.num_atoms, cells)
+    kg = kg.reshape(-1, sys.num_levels, sys.num_atoms)
+    s = np.sqrt((kg**2).sum(axis=1))
+    num2 = (s**inst.q @ inst.sigma) ** (1.0 / inst.q)
+    den2 = (ggrid**inst.q @ inst.omega) ** (1.0 / inst.q)
+    ok2 = den2 > 0
+    if np.any(ok2):
+        best = max(best, float(np.max(num2[ok2] / den2[ok2])))
+    return best

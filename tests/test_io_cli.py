@@ -383,6 +383,24 @@ def test_cli_infinite_payload_exits_as_guard_violation(tmp_path, capsys, command
     assert captured.err.startswith(f"guard violation: {reason[command]}")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_json_with_an_infinite_row_exits_as_guard_violation(tmp_path, capsys):
+    # sigma * 2**520 overflows T to inf: JSON cannot carry it, CSV writes
+    # inf and reads it back
+    base = generate(GenSpec(seed=2, dimension=1, depth=3, p=2.0))
+    big = Instance(base.sys, base.p, base.sigma * 2.0**520, base.omega, base.mu, base.lam)
+    path, table = tmp_path / "big.json", tmp_path / "rows.csv"
+    with open(path, "w") as fp:
+        io.write_instance(big, fp)
+    assert main(["eval", "--in", str(path), "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("guard violation: non-finite value in the JSON output")
+    assert main(["eval", "--in", str(path), "--format", "csv", "--out", str(table)]) == 0
+    with open(table) as fp:
+        assert io.read_rows(fp)[0].T == math.inf
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -398,18 +416,24 @@ def test_cli_rejects_options_the_command_does_not_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["1", "0.5", "-2", "nan", "inf"])
+def _assert_usage_error(capsys, err, option):
+    # the message names the option, not the private function that parsed it
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert f"argument {option}" in captured.err and "Traceback" not in captured.err
+    assert "_count" not in captured.err and "_exponent" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["1", "0.5", "-2", "nan", "inf", "x"])
 @pytest.mark.parametrize("command", ["gen", "eval", "testing", "normest", "stopping", "embed-check", "verify"])
 def test_cli_exponent_outside_one_to_inf_is_a_usage_error(capsys, command, value):
     # the bound of the instance schema, checked where the option is parsed
     with pytest.raises(SystemExit) as err:
         main([command, "--p", value])
-    captured = capsys.readouterr()
-    assert err.value.code == 2 and captured.out == ""
-    assert "argument --p" in captured.err and "Traceback" not in captured.err
+    _assert_usage_error(capsys, err, "--p")
 
 
-@pytest.mark.parametrize("value", ["-1", "-7"])
+@pytest.mark.parametrize("value", ["-1", "-7", "x", "1.5"])
 @pytest.mark.parametrize(
     "command, option",
     [(name, option) for name, (_, options) in _COMMANDS.items()
@@ -418,9 +442,7 @@ def test_cli_exponent_outside_one_to_inf_is_a_usage_error(capsys, command, value
 def test_cli_negative_count_is_a_usage_error(capsys, command, option, value):
     with pytest.raises(SystemExit) as err:
         main([command, option, value])
-    captured = capsys.readouterr()
-    assert err.value.code == 2 and captured.out == ""
-    assert f"argument {option}" in captured.err and "Traceback" not in captured.err
+    _assert_usage_error(capsys, err, option)
 
 
 @pytest.mark.parametrize("dim", ["4", "0"])
@@ -429,6 +451,15 @@ def test_verify_without_instances_rejects_a_bad_dimension(capsys, dim):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"guard violation: dimension must be 1, 2 or 3, got {dim}\n"
+
+
+def test_verify_without_instances_checks_its_own_lattice(capsys):
+    # the lattice checks run on the d2 D2 lattice of the header: 21 cubes
+    assert main(["verify", "--instances", "0", "--dim", "2", "--depth", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("dyadlab verify seed=1 instances=0 p=2 dim=2 depth=2 ")
+    assert lines[1] == "PASS lattice-box-partition: checked=21"
+    assert lines[2] == "PASS lattice-chain-property: checked=50"
 
 
 def test_cli_readme_examples_parse():

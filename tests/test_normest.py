@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from dyadlab import Instance, build_system, lattice, runner, verify, worked_instances
+from dyadlab import Instance, build_system, embedding, lattice, runner, verify, worked_instances
 from dyadlab import io as dio
 from dyadlab.cli import main
 from dyadlab.errors import GuardError
@@ -243,6 +243,97 @@ def test_each_row_keeps_its_weights_through_chunks_and_exits(monkeypatch):
     assert [steps[i] for i in (1, 4, 6, 9)] == [1, 1, 1, 8] and not converged[9]
     assert pairs[4] is None and (pairs[1] is not None, values[1]) == (True, 0.0) and math.isnan(values[6])
     assert len(set(steps)) == 4 and sum(converged) == 7
+
+
+def _assert_same_ascent(got, want):
+    # values, converged flags and step counts with ==, pairs by their bytes
+    assert got[0] == want[0] and got[2] == want[2] and got[3] == want[3]
+    for pair, other in zip(got[1], want[1], strict=True):
+        assert (pair is None) == (other is None)
+        if pair is not None:
+            assert [a.tobytes() for a in pair] == [b.tobytes() for b in other]
+
+
+def _ascent_inputs(dim, depth, p, seed):
+    """A generated instance with lambda zeroed on the coarser half of the
+    cubes and mu on every other atom column, and starts of its box and
+    embedding maps: zero rows, rows on the top level alone, the constant
+    and random rows."""
+    base = generate(GenSpec(seed=seed, dimension=dim, depth=depth, p=p))
+    s, shape = base.sys, (base.sys.num_levels, base.sys.num_atoms)
+    lam, mu = base.lam.copy(), base.mu.copy()
+    lam[: s.num_cubes // 2] = 0.0
+    mu[:, ::2] = 0.0
+    rng = np.random.Generator(np.random.Philox(key=[seed, 74]))
+    for inst in (base, Instance(s, p, base.sigma, base.omega, mu, lam)):
+        top = np.zeros(shape)
+        top[0] = 1.0
+        starts = np.array([np.zeros(shape), top, np.ones(shape), *rng.random((3, *shape))])
+        yield s, starts, partial(best_g_given_f, inst), partial(best_f_given_g, inst), ()
+    nu, a = base.sigma.copy(), rng.random(s.num_cubes)
+    nu[::2] = 0.0
+    a[: s.num_cubes // 2] = 0.0
+    for nu_i, a_i in ((base.sigma, rng.random(s.num_cubes)), (nu, a)):
+        h = np.array([np.zeros(s.num_atoms), np.ones(s.num_atoms), *rng.random((3, s.num_atoms))])
+        weights = (np.tile(nu_i, (len(h), 1)), np.tile(a_i, (len(h), 1)))
+        weights += (lattice.cube_sums(s, weights[0]),)
+        yield s, h, *embedding._average_maps(s, p), weights
+
+
+def _late_vanishing_maps():
+    """A toy pair x -> M x, y -> M* y, normed, whose forward map vanishes on
+    row r at its step ``stop[r]`` (never where it is 0), as the box and
+    embedding maps do past step 1 only by underflow.  Returns the step log
+    to clear before each ascent and the two maps."""
+    m = np.random.Generator(np.random.Philox(key=[6, 20])).random((3, 3))
+    calls = []
+
+    def normed(z):
+        v = np.linalg.norm(z, axis=1)
+        return np.divide(z, v[:, None], out=np.zeros_like(z), where=v[:, None] > 0), v
+
+    def forward(x, stop):
+        calls.append(len(x))
+        y, v = normed(x @ m.T)
+        off = stop == len(calls)
+        return y * ~off[:, None], np.where(off, 0.0, v)
+
+    return calls, forward, lambda y, stop: normed(y @ m)
+
+
+@pytest.mark.parametrize("tol, max_iter", [(1e-10, 400), (1e-15, 7), (0.5, 3)])
+def test_power_ascent_is_the_two_block_ascent(tol, max_iter):
+    # a vanished forward map now stops its row through the gain test; every
+    # start keeps the value, pair, flag and step count of the ascent that
+    # gave that case its own block
+    for dim, depth in [(1, 3), (2, 2), (3, 1), (1, 5)]:
+        for p in (1.5, 3.0):
+            for s, starts, forward, backward, weights in _ascent_inputs(dim, depth, p, seed=dim + depth):
+                got = power_ascent(s, starts, forward, backward, tol, max_iter, *weights)
+                want = ref.power_ascent_two_blocks(s, starts, forward, backward, tol, max_iter, *weights)
+                _assert_same_ascent(got, want)
+    calls, forward, backward = _late_vanishing_maps()
+    starts = np.random.Generator(np.random.Philox(key=[6, 21])).random((8, 3))
+    stop = np.array([1.0, 2.0, 3.0, 0.0, 2.0, 0.0, 5.0, 0.0])
+    runs = []
+    for ascent in (power_ascent, ref.power_ascent_two_blocks):
+        calls.clear()
+        runs.append(ascent(build_system(1, 1), starts, forward, backward, tol, max_iter, stop))
+    _assert_same_ascent(*runs)
+    # row 1 vanishes at step 2 and keeps its step-1 pair
+    assert runs[0][1][0] is None and runs[0][1][1] is not None and runs[0][3][:2] == [1, 2]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+def test_grid_oracle_is_the_two_sided_grid_oracle(p):
+    # every shape with at most six degrees of freedom, with zero weights too
+    for dim, depth in [(1, 0), (1, 1), (2, 0), (3, 0)]:
+        for seed in range(3):
+            inst = generate(GenSpec(seed=seed, dimension=dim, depth=depth, p=p))
+            zero_sigma = Instance(inst.sys, p, np.zeros_like(inst.sigma), inst.omega, inst.mu, inst.lam)
+            for case in (inst, zero_sigma):
+                for resolution in (4, 9, 14, 19, 24):
+                    assert grid_oracle(case, resolution) == ref.grid_oracle_two_sides(case, resolution)
 
 
 # -- converged means within tol, by the Aitken estimate of the gap left --------
