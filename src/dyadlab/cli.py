@@ -9,7 +9,7 @@ binary64 and a non-finite value in a JSON payload), 4 property failure from
 from __future__ import annotations
 
 import argparse
-import io as _io
+import contextlib
 import math
 import sys as _sys
 
@@ -73,62 +73,48 @@ _OPTIONS = {
 _INSTANCE = ("--in", "--seed", "--p", "--dim", "--depth")
 
 
-def _emit(args, text: str):
-    """``text`` to ``--out`` or stdout; an unwritable ``--out`` is a schema error."""
-    if not args.out:
-        _sys.stdout.write(text)
-        return
+def _open(path: str, mode: str):
+    """``path`` opened for reading ("r") or writing ("w"); an ``OSError`` is a
+    schema error.  The one place the package opens a file."""
     try:
-        with open(args.out, "w") as fp:
-            fp.write(text)
+        return open(path, mode)
     except OSError as exc:
-        raise SchemaError("$", f"cannot write {args.out}: {exc.strerror or exc}")
-
-
-def _open_input(args):
-    """The ``--in`` file opened for reading; an unreadable one is a schema error."""
-    try:
-        return open(args.infile)
-    except OSError as exc:
-        raise SchemaError("$", f"cannot read {args.infile}: {exc.strerror or exc}")
+        verb = "read" if mode == "r" else "write"
+        raise SchemaError("$", f"cannot {verb} {path}: {exc.strerror or exc}")
 
 
 def _load_or_generate(args):
     if args.infile:
-        with _open_input(args) as fp:
+        with _open(args.infile, "r") as fp:
             return io.read_instance(fp)
     return generators.generate(
         generators.GenSpec(seed=args.seed, dimension=args.dim, depth=args.depth, p=args.p)
     )
 
 
-def _cmd_gen(args) -> int:
-    inst = generators.generate(
-        generators.GenSpec(seed=args.seed, dimension=args.dim, depth=args.depth, p=args.p)
-    )
-    buf = _io.StringIO()
-    io.write_instance(inst, buf)
-    _emit(args, buf.getvalue())
+def _cmd_gen(args, out) -> int:
+    io.write_instance(_load_or_generate(args), out)
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, out) -> int:
+    # --in is instance 0 of its sweep: row k has seed ``--seed`` + k
     if args.infile:
-        inst = _load_or_generate(args)
-        instance_id = runner.row_id(args.seed, inst.p, inst.sys.depth, 0)
-        rows = [runner.evaluate_instance(inst, instance_id, args.seed, args.restarts, args.tol)]
+        instances = [_load_or_generate(args)]
     else:
-        rows = runner.sweep_rows(
-            args.seed, args.instances, args.p, args.dim, args.depth,
-            restarts=args.restarts, tol=args.tol,
+        instances = generators.sweep(args.seed, args.instances, args.dim, args.depth, args.p)
+    rows = [
+        runner.evaluate_instance(
+            inst, runner.row_id(args.seed, inst.p, inst.sys.depth, k), args.seed + k,
+            args.restarts, args.tol,
         )
-    buf = _io.StringIO()
-    io.write_rows(rows, buf, args.format)
-    _emit(args, buf.getvalue())
+        for k, inst in enumerate(instances)
+    ]
+    io.write_rows(rows, out, args.format)
     return EXIT_OK
 
 
-def _cmd_testing(args) -> int:
+def _cmd_testing(args, out) -> int:
     inst = _load_or_generate(args)
     rep = testing_report(inst)
     argmax = [c for c in (rep.forward_cube, rep.dual_cube) if c is not None]
@@ -141,11 +127,11 @@ def _cmd_testing(args) -> int:
         "witness_g": rep.witness_g.tolist(),
         "witness_f": rep.witness_f.tolist(),
     }
-    _emit(args, io.json_text(payload))
+    out.write(io.json_text(payload))
     return EXIT_OK
 
 
-def _cmd_normest(args) -> int:
+def _cmd_normest(args, out) -> int:
     inst = _load_or_generate(args)
     est = alternating_maximization(
         inst, restarts=args.restarts, tol=args.tol, seed=args.seed
@@ -160,11 +146,11 @@ def _cmd_normest(args) -> int:
         "oracle_value": est.oracle_value,
         "oracle_kind": est.oracle_kind,
     }
-    _emit(args, io.json_text(payload))
+    out.write(io.json_text(payload))
     return EXIT_OK
 
 
-def _cmd_stopping(args) -> int:
+def _cmd_stopping(args, out) -> int:
     inst = _load_or_generate(args)
     sys_ = inst.sys
     f = generators.random_scale_function(sys_, args.seed, base=inst.mu)
@@ -173,11 +159,11 @@ def _cmd_stopping(args) -> int:
         "average_family": io.family_to_dict(sys_, build_average_family(inst, sys_.root, g)),
         "ratio_family": io.family_to_dict(sys_, build_ratio_family(inst, sys_.root, f)),
     }
-    _emit(args, io.json_text(payload))
+    out.write(io.json_text(payload))
     return EXIT_OK
 
 
-def _cmd_embed_check(args) -> int:
+def _cmd_embed_check(args, out) -> int:
     inst = _load_or_generate(args)
     sys_ = inst.sys
     rng = generators.philox(args.seed, generators.STREAM_A)
@@ -204,11 +190,11 @@ def _cmd_embed_check(args) -> int:
         "prop2_ratio": prop2,
         "lemma1_violations": violations,
     }
-    _emit(args, io.json_text(payload))
+    out.write(io.json_text(payload))
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out) -> int:
     results, ok = verify.run_suite(
         seed=args.seed,
         instances=args.instances,
@@ -223,20 +209,14 @@ def _cmd_verify(args) -> int:
         f"p={args.p:g} dim={args.dim} depth={args.depth} "
         f"restarts={args.restarts} tol={args.tol:g}"
     )
-    _emit(args, verify.format_report(results, header))
+    out.write(verify.format_report(results, header))
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
-def _cmd_report(args) -> int:
-    if not args.infile:
-        raise GuardError("report requires --in with a CSV of rows")
-    with _open_input(args) as fp:
-        rows = io.read_rows(fp)
-    summary = io.summarize_rows(rows)
-    if args.format == "csv":
-        _emit(args, io.summary_to_csv(summary))
-    else:
-        _emit(args, io.json_text(summary))
+def _cmd_report(args, out) -> int:
+    with _open(args.infile, "r") as fp:
+        summary = io.summarize_rows(io.read_rows(fp))
+    out.write(io.summary_to_csv(summary) if args.format == "csv" else io.json_text(summary))
     return EXIT_OK
 
 
@@ -258,19 +238,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dyadlab",
         description="two-weight testing laboratory for a positive dyadic box operator",
     )
+    parser.set_defaults(infile=None)  # ``gen`` has no --in: it always generates
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, options) in _COMMANDS.items():
         # no prefix matching: ``verify --in 3`` must not read as ``--instances 3``
         sub = subs.add_parser(name, allow_abbrev=False)
         for option in options:
-            sub.add_argument(option, **_OPTIONS[option])
+            # report summarizes rows, which only --in supplies
+            required = (name, option) == ("report", "--in")
+            sub.add_argument(option, **_OPTIONS[option], required=required)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        # --out is opened before the command runs, so a failed run leaves it
+        # empty; stdout is read now, since a caller may have redirected it
+        with _open(args.out, "w") if args.out else contextlib.nullcontext(_sys.stdout) as out:
+            return _COMMANDS[args.command][0](args, out)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=_sys.stderr)
         return EXIT_SCHEMA

@@ -66,6 +66,13 @@ def generate(spec: GenSpec) -> Instance:
     return Instance(sys, spec.p, sigma, omega, mu, lam)
 
 
+def sweep(seed: int, count: int, dimension: int, depth: int, p: float):
+    """The ``count`` instances of a sweep, generated one at a time: instance k
+    is generated from seed ``seed + k``."""
+    for k in range(count):
+        yield generate(GenSpec(seed=seed + k, dimension=dimension, depth=depth, p=p))
+
+
 def random_scale_function(
     sys: DyadicSystem,
     seed: int,

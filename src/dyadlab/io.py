@@ -50,6 +50,13 @@ def _parse_real(value, path: str, positive: bool = False) -> float:
     return x
 
 
+def _parse_reals(value, n: int, path: str) -> list[float]:
+    """A list of exactly ``n`` reals; element i is named ``path[i]``."""
+    if not isinstance(value, list) or len(value) != n:
+        raise SchemaError(path, f"expected an array of {n} reals")
+    return [_parse_real(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _parse_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, "expected an integer")
@@ -91,25 +98,12 @@ def instance_from_dict(data) -> Instance:
     if not p > 1.0:
         raise SchemaError("p", f"exponent must exceed 1, got {p}")
 
-    def _array(name, expect_len):
-        arr = data[name]
-        if not isinstance(arr, list) or len(arr) != expect_len:
-            raise SchemaError(name, f"expected an array of {expect_len} reals")
-        return np.array(
-            [_parse_real(v, f"{name}[{i}]") for i, v in enumerate(arr)]
-        )
-
-    sigma = _array("sigma", sys.num_atoms)
-    omega = _array("omega", sys.num_atoms)
-
+    sigma = np.array(_parse_reals(data["sigma"], sys.num_atoms, "sigma"))
+    omega = np.array(_parse_reals(data["omega"], sys.num_atoms, "omega"))
     mu_rows = data["mu"]
     if not isinstance(mu_rows, list) or len(mu_rows) != sys.num_levels:
         raise SchemaError("mu", f"expected {sys.num_levels} level rows")
-    mu = np.zeros((sys.num_levels, sys.num_atoms))
-    for j, row in enumerate(mu_rows):
-        if not isinstance(row, list) or len(row) != sys.num_atoms:
-            raise SchemaError(f"mu[{j}]", f"expected an array of {sys.num_atoms} reals")
-        mu[j] = [_parse_real(v, f"mu[{j}][{i}]") for i, v in enumerate(row)]
+    mu = np.array([_parse_reals(row, sys.num_atoms, f"mu[{j}]") for j, row in enumerate(mu_rows)])
 
     lam_map = data["lambda"]
     if not isinstance(lam_map, dict):

@@ -84,8 +84,12 @@ class DyadicSystem:
         self.child_code[self.child_linear] = sum(
             ((k >> (self.dimension - 1 - i)) & 1) << i for i in range(self.dimension)
         )
+        # child_by_code[c, code]: the child of a non-atom cube c with that code.
+        self.child_by_code = np.empty_like(self.child_linear)
+        np.put_along_axis(self.child_by_code, self.child_code[self.child_linear], self.child_linear, 1)
         for table in (
-            self.ancestor_local, self.cell_cube, self.parent_linear, self.child_linear, self.child_code
+            self.ancestor_local, self.cell_cube, self.parent_linear, self.child_linear,
+            self.child_code, self.child_by_code,
         ):
             table.flags.writeable = False
 
@@ -141,27 +145,21 @@ def children(sys: DyadicSystem, cube: int) -> list[int]:
 def cube_from_path(sys: DyadicSystem, path: str) -> int:
     if path == "":
         return sys.root
-    index = [0] * sys.dimension
     parts = path.split("/")
     if len(parts) > sys.depth:
         raise PathError(f"path {path!r} deeper than lattice depth {sys.depth}")
     # only the spelling ``paths`` writes (ASCII digits, no sign, space or
     # leading zero) names a child, so that each cube has one name
     codes = {str(code): code for code in range(1 << sys.dimension)}
+    cube = sys.root
     for part in parts:
         if part not in codes:
             raise PathError(
                 f"path component {part!r} is not a canonical child code in"
                 f" [0, {1 << sys.dimension}) in path {path!r}"
             )
-        code = codes[part]
-        for i in range(sys.dimension):
-            index[i] = (index[i] << 1) | ((code >> i) & 1)
-    # the lexicographic local index, as in ``DyadicSystem.ancestor_local``
-    level = len(parts)
-    return int(sys.level_offset[level]) + sum(
-        m << (level * (sys.dimension - 1 - i)) for i, m in enumerate(index)
-    )
+        cube = sys.child_by_code[cube, codes[part]]
+    return int(cube)
 
 
 def paths(sys: DyadicSystem, cubes) -> dict[int, str]:

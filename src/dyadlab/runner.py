@@ -97,29 +97,3 @@ def row_id(base_seed: int, p: float, depth: int, k: int) -> str:
     """The id of the ``k``-th row of a sweep from ``base_seed``."""
     return f"s{base_seed}-p{p:g}-d{depth}-i{k:05d}"
 
-
-def sweep_rows(
-    base_seed: int,
-    count: int,
-    p: float,
-    dimension: int,
-    depth: int,
-    restarts: int = 4,
-    tol: float = 1e-10,
-) -> list[ReportRow]:
-    rows = []
-    for k in range(count):
-        seed = base_seed + k
-        inst = generators.generate(
-            generators.GenSpec(seed=seed, dimension=dimension, depth=depth, p=p)
-        )
-        rows.append(
-            evaluate_instance(
-                inst,
-                instance_id=row_id(base_seed, p, depth, k),
-                seed=seed,
-                restarts=restarts,
-                tol=tol,
-            )
-        )
-    return rows

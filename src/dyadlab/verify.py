@@ -73,12 +73,7 @@ class _Suite:
         self.restarts = restarts
         self.tol = tol
         self.sys = lattice.build_system(dimension, depth)  # rejects a bad shape up front
-        self.instances = [
-            generators.generate(
-                generators.GenSpec(seed=seed + k, dimension=dimension, depth=depth, p=p)
-            )
-            for k in range(instances)
-        ]
+        self.instances = list(generators.sweep(seed, instances, dimension, depth, p))
         # every instance paired with a reproducible (f, g) draw, shared by
         # the checks and therefore read-only, as are the testing report of
         # each instance and fixture and the ratio family of each draw

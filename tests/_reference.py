@@ -29,7 +29,9 @@ that read it: the p = 2 oracle that the tree-built Gram matrix replaced and
 the grid oracle that now reads the box operator and its adjoint.  So are the
 adversarial families the package no longer builds, but for the deep chain,
 and the ascent and the grid oracle from before ``normest`` kept one body for
-each of their jobs.
+each of their jobs.  ``sweep_rows``, the generated sweep's row loop from
+before ``eval`` ran one loop over its instance list, is kept verbatim as the
+oracle of that loop.
 """
 
 import math
@@ -39,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from dyadlab import embedding, forms, generators, lattice, measures, normest
+from dyadlab import embedding, forms, generators, lattice, measures, normest, runner
 from dyadlab.embedding import RatioSearchResult, StoppingEmbeddingReport
 from dyadlab.errors import GuardError
 from dyadlab.forms import (
@@ -59,6 +61,7 @@ from dyadlab.stopping import (
     subtree_totals,
 )
 from dyadlab.generators import _MU, GenSpec, _log_uniform, generate, philox
+from dyadlab.io import ReportRow
 from dyadlab.lattice import DyadicSystem, build_system
 from dyadlab.normest import NormEstimate, best_f_given_g, best_g_given_f
 from dyadlab.testing_constants import TestingReport, TestingSide, testing_report
@@ -1313,3 +1316,30 @@ def grid_oracle_two_sides(inst: Instance, resolution: int) -> float:
     if np.any(ok2):
         best = max(best, float(np.max(num2[ok2] / den2[ok2])))
     return best
+
+
+def sweep_rows(
+    base_seed: int,
+    count: int,
+    p: float,
+    dimension: int,
+    depth: int,
+    restarts: int = 4,
+    tol: float = 1e-10,
+) -> list[ReportRow]:
+    rows = []
+    for k in range(count):
+        seed = base_seed + k
+        inst = generators.generate(
+            generators.GenSpec(seed=seed, dimension=dimension, depth=depth, p=p)
+        )
+        rows.append(
+            runner.evaluate_instance(
+                inst,
+                instance_id=runner.row_id(base_seed, p, depth, k),
+                seed=seed,
+                restarts=restarts,
+                tol=tol,
+            )
+        )
+    return rows

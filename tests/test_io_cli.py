@@ -300,6 +300,56 @@ def test_cli_unwritable_output_is_a_schema_error(tmp_path, capsys, command):
         assert captured.err == f"schema error: $: cannot write {path}: {reason}\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_cli_unwritable_output_stops_before_the_command_runs(tmp_path, capsys, monkeypatch, command):
+    def ran(*args, **kwargs):
+        raise AssertionError("the command ran although --out cannot be written")
+
+    monkeypatch.setattr(verify, "run_suite", ran)
+    monkeypatch.setattr(runner, "evaluate_instance", ran)
+    assert main([command, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"schema error: $: cannot write {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_a_run_that_fails_leaves_out_empty(tmp_path, capsys):
+    # --out is opened before the command runs: a failed run creates it, or
+    # truncates what an earlier run wrote there, and writes nothing
+    stale, fresh = tmp_path / "stale.json", tmp_path / "fresh.json"
+    stale.write_text("an earlier run\n")
+    argv = ["testing", "--seed", "1", "--dim", "2", "--depth", "5", "--p", "1.01", "--out"]
+    for out in (stale, fresh):
+        assert main(argv + [str(out)]) == 3
+        assert capsys.readouterr().err == "guard violation: intermediate overflow in fsum\n"
+        assert out.read_text() == ""
+
+
+def test_cli_report_without_in_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["report"])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "the following arguments are required: --in" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("dim, depth, p", [(1, 3, 2.0), (1, 3, 3.0), (2, 2, 3.0), (1, 0, 1.5)])
+def test_cli_eval_rows_are_the_reference_sweeps(capsys, fmt, dim, depth, p):
+    # eval's one loop gives the rows of the old generated-sweep loop; d1 D0
+    # at p 1.5 reaches the grid oracle
+    argv = [
+        "eval", "--seed", "3", "--instances", "3", "--p", f"{p:g}", "--dim", str(dim),
+        "--depth", str(depth), "--restarts", "2", "--format", fmt,
+    ]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    rows = [ReportRow(**r) for r in json.loads(text)] if fmt == "json" else io.read_rows(_io.StringIO(text))
+    want = ref.sweep_rows(3, 3, p, dim, depth, restarts=2)
+    assert [replace(r, wall_time_ms=0) for r in rows] == [replace(r, wall_time_ms=0) for r in want]
+
+
 def test_cli_testing_names_the_root_by_the_empty_path(tmp_path, capsys):
     # the root is cube id 0: its path is "", and no argmax at all is null
     w1 = W["w1"]
@@ -406,7 +456,7 @@ def test_eval_json_with_an_infinite_row_exits_as_guard_violation(tmp_path, capsy
     [
         ["testing", "--format", "csv"],
         ["verify", "--in", "/nonexistent"],
-        ["report", "--seed", "5", "--depth", "12"],
+        ["report", "--in", "/nonexistent", "--seed", "5", "--depth", "12"],
     ],
 )
 def test_cli_rejects_options_the_command_does_not_read(capsys, argv):

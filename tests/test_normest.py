@@ -10,7 +10,7 @@ from dyadlab import io as dio
 from dyadlab.cli import main
 from dyadlab.errors import GuardError
 from dyadlab.forms import lambda_form
-from dyadlab.generators import GenSpec, generate, random_atom_function, random_scale_function
+from dyadlab.generators import GenSpec, generate, random_atom_function, random_scale_function, sweep
 from dyadlab.measures import conjugate, ksum, lp_norm, mixed_norm
 from dyadlab.normest import (
     alternating_maximization,
@@ -415,7 +415,10 @@ def _vanishing_cases(tmp_path):
     with open(path, "w") as fp:
         dio.write_instance(scaled, fp)
     return [
-        (partial(runner.sweep_rows, 1, 1, 1.01, 1, 3), ["eval", "--seed", "1", "--p", "1.01", "--depth", "3"]),
+        (
+            partial(runner.evaluate_instance, next(sweep(1, 1, 1, 3, 1.01)), "sweep", 1),
+            ["eval", "--seed", "1", "--p", "1.01", "--depth", "3"],
+        ),
         (partial(verify.run_suite, seed=1, instances=50, p=1.01), ["verify", "--p", "1.01", "--instances", "50"]),
         (partial(runner.evaluate_instance, scaled, "scaled", 155), ["eval", "--in", str(path), "--seed", "155"]),
     ]

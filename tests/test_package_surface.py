@@ -247,3 +247,14 @@ def test_no_module_reaches_into_another_modules_private_names():
             and node.attr.startswith("_")
         ]
     assert reached == []
+
+
+def test_only_cli_opens_files():
+    # ``cli._open`` is the one opener, for --in and --out alike
+    opened = [
+        module
+        for module, tree in _parse_package()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"
+    ]
+    assert opened == ["cli"]
