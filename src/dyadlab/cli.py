@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys as _sys
 
 import numpy as np
@@ -81,6 +82,16 @@ def _open(path: str, mode: str):
     except OSError as exc:
         verb = "read" if mode == "r" else "write"
         raise SchemaError("$", f"cannot {verb} {path}: {exc.strerror or exc}")
+
+
+def _out_is_in(args) -> bool:
+    """Whether ``--out`` names the ``--in`` file, which opening ``--out`` would
+    empty before the command reads it; a file not made yet is named by its path."""
+    if not (args.infile and args.out):
+        return False
+    if not os.path.exists(args.out):
+        return os.path.abspath(args.out) == os.path.abspath(args.infile)
+    return os.path.isfile(args.infile) and os.path.samefile(args.infile, args.out)
 
 
 def _load_or_generate(args):
@@ -216,7 +227,7 @@ def _cmd_verify(args, out) -> int:
 def _cmd_report(args, out) -> int:
     with _open(args.infile, "r") as fp:
         summary = io.summarize_rows(io.read_rows(fp))
-    out.write(io.summary_to_csv(summary) if args.format == "csv" else io.json_text(summary))
+    io.write_summary(summary, out, args.format)
     return EXIT_OK
 
 
@@ -253,6 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if _out_is_in(args):
+            raise SchemaError("$", f"cannot write {args.out}: it is the --in file")
         # --out is opened before the command runs, so a failed run leaves it
         # empty; stdout is read now, since a caller may have redirected it
         with _open(args.out, "w") if args.out else contextlib.nullcontext(_sys.stdout) as out:
@@ -263,6 +276,11 @@ def main(argv=None) -> int:
     except (GuardError, OverflowError) as exc:
         print(f"guard violation: {exc}", file=_sys.stderr)
         return EXIT_GUARD
+    except OSError as exc:  # a write or the closing flush of --out failed
+        if not args.out:  # ``_open`` names any other file it cannot open
+            raise
+        print(f"schema error: $: cannot write {args.out}: {exc.strerror or exc}", file=_sys.stderr)
+        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

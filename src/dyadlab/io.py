@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io as _io
 import json
 import math
 from dataclasses import dataclass, fields
@@ -195,15 +194,21 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_rows(rows, fp, fmt: str = "csv") -> None:
-    rows = sorted(rows, key=lambda r: r.instance_id)
+def _write_table(records: list[dict], columns, fp, fmt: str) -> None:
+    """``records`` as a JSON list, or as CSV with one column per name."""
     if fmt == "json":
-        fp.write(json_text([{name: getattr(r, name) for name in REPORT_COLUMNS} for r in rows]))
+        fp.write(json_text(records))
         return
     writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for r in rows:
-        writer.writerow([_cell(getattr(r, name)) for name in REPORT_COLUMNS])
+    writer.writerow(columns)
+    for record in records:
+        writer.writerow([_cell(record.get(name)) for name in columns])
+
+
+def write_rows(rows, fp, fmt: str = "csv") -> None:
+    rows = sorted(rows, key=lambda r: r.instance_id)
+    records = [{name: getattr(r, name) for name in REPORT_COLUMNS} for r in rows]
+    _write_table(records, REPORT_COLUMNS, fp, fmt)
 
 
 def read_rows(fp) -> list[ReportRow]:
@@ -251,18 +256,10 @@ def summarize_rows(rows) -> list[dict]:
     return out
 
 
-def summary_to_csv(summary: list[dict]) -> str:
-    cols: list[str] = []
-    for entry in summary:
-        for key in entry:
-            if key not in cols:
-                cols.append(key)
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    for entry in summary:
-        writer.writerow([_cell(entry.get(c)) for c in cols])
-    return buf.getvalue()
+def write_summary(summary: list[dict], fp, fmt: str) -> None:
+    """The summary of :func:`summarize_rows`; in CSV, its keys in the order
+    they first appear, a group without one of them leaving the cell empty."""
+    _write_table(summary, list(dict.fromkeys(key for entry in summary for key in entry)), fp, fmt)
 
 
 def family_to_dict(sys, family: StoppingFamily) -> dict:

@@ -84,12 +84,8 @@ class DyadicSystem:
         self.child_code[self.child_linear] = sum(
             ((k >> (self.dimension - 1 - i)) & 1) << i for i in range(self.dimension)
         )
-        # child_by_code[c, code]: the child of a non-atom cube c with that code.
-        self.child_by_code = np.empty_like(self.child_linear)
-        np.put_along_axis(self.child_by_code, self.child_code[self.child_linear], self.child_linear, 1)
         for table in (
-            self.ancestor_local, self.cell_cube, self.parent_linear, self.child_linear,
-            self.child_code, self.child_by_code,
+            self.ancestor_local, self.cell_cube, self.parent_linear, self.child_linear, self.child_code
         ):
             table.flags.writeable = False
 
@@ -158,7 +154,8 @@ def cube_from_path(sys: DyadicSystem, path: str) -> int:
                 f"path component {part!r} is not a canonical child code in"
                 f" [0, {1 << sys.dimension}) in path {path!r}"
             )
-        cube = sys.child_by_code[cube, codes[part]]
+        kids = sys.child_linear[cube]
+        cube = kids[sys.child_code[kids] == codes[part]][0]
     return int(cube)
 
 

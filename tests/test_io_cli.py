@@ -292,12 +292,36 @@ def test_cli_unwritable_output_is_a_schema_error(tmp_path, capsys, command):
         rows = tmp_path / "rows.csv"
         assert main(["eval", "--depth", "1", "--format", "csv", "--out", str(rows)]) == 0
         argv += ["--in", str(rows)]
-    cases = ((tmp_path, "Is a directory"), (tmp_path / "missing" / "x.out", "No such file or directory"))
+    cases = [(tmp_path, "Is a directory"), (tmp_path / "missing" / "x.out", "No such file or directory")]
+    if pathlib.Path("/dev/full").exists():
+        # opens, and fails on the write or on the closing flush
+        cases.append((pathlib.Path("/dev/full"), "No space left on device"))
     for path, reason in cases:
         assert main(argv + ["--out", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"schema error: $: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "command", [name for name, (_, options) in _COMMANDS.items() if {"--in", "--out"} <= set(options)]
+)
+def test_cli_out_naming_the_in_file_is_a_schema_error(tmp_path, capsys, command):
+    # opening --out would empty the input before the command reads it
+    src = tmp_path / "in"
+    if command == "report":
+        assert main(["eval", "--depth", "1", "--format", "csv", "--out", str(src)]) == 0
+    else:
+        assert main(["gen", "--depth", "2", "--out", str(src)]) == 0
+    before = src.read_bytes()
+    (tmp_path / "link").symlink_to(src)
+    cases = [(src, src), (src, f"{tmp_path}/./in"), (src, tmp_path / "link"), (tmp_path / "new", tmp_path / "new")]
+    for infile, out in cases:
+        assert main([command, "--in", str(infile), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"schema error: $: cannot write {out}: it is the --in file\n"
+    assert src.read_bytes() == before and not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "verify"])
