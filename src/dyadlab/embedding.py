@@ -14,6 +14,7 @@ the power method of :func:`normest.power_ascent` on the cube-average map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import GuardError
 from .forms import Instance, all_box_integrals, cube_averages
 from .generators import philox
 from .lattice import DyadicSystem
-from .measures import conjugate, group_ksum, ksum, lp_norming, lp_norms, mixed_norm, row_ksums
+from .measures import conjugate, group_ksum, ksum, lp_norm, lp_norming, mixed_norm
 from .normest import best_start, power_ascent
 from .stopping import StoppingFamily, largest_subtree_ratio, subtree_totals
 
@@ -73,9 +74,9 @@ _MAX_ITER, _TOL = 40, 1e-10  # the ascent's step cap and stop tolerance
 
 
 def _ratios(sys: DyadicSystem, nu, a, masses, h: np.ndarray, p: float):
-    """Embedding ratios of the rows of h: one averages pass, one exact sum a row."""
-    norms = lp_norms(h, nu, p)
-    sums = row_ksums(a * cube_averages(sys, nu, masses, h) ** p)
+    """Embedding ratios of the rows of h: one averages pass, exact sums a row."""
+    norms = [lp_norm(row, w, p) for row, w in zip(h, nu)]
+    sums = [ksum(row) for row in a * cube_averages(sys, nu, masses, h) ** p]
     return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
 
 
@@ -97,12 +98,17 @@ def _indicator_ratios(sys: DyadicSystem):
     up = outer != inner
     keys, terms = np.concatenate([inner, outer[up]]), np.concatenate([outer, inner[up]])
     inner = np.concatenate([inner, inner[up]])
+    # ``group_ksum``'s stable sorts, once a lattice: a run of each cube's pairs and one of its cells
+    ids, cell_keys = np.arange(sys.num_cubes + 1), sys.cell_cube.ravel()
+    order, cells = np.argsort(keys, kind="stable"), np.argsort(cell_keys, kind="stable")
+    terms, inner, cell_atom = terms[order], inner[order], cells % sys.num_atoms
+    pair_at, cell_at = np.searchsorted(keys[order], ids).tolist(), np.searchsorted(cell_keys[cells], ids).tolist()
 
     def ratios(data: CarlesonData, masses: np.ndarray, cubes, p: float):
         avg = np.divide(masses[inner], masses[terms], out=np.zeros(len(terms)), where=masses[terms] > 0)
-        sums = group_ksum(keys, data.a[terms] * avg**p, cubes)
-        nu = group_ksum(sys.cell_cube.ravel(), np.tile(data.nu, sys.num_levels), cubes)
-        norms = [total ** (1.0 / p) for total in nu]
+        pairs, nu, cubes = (data.a[terms] * avg**p).tolist(), data.nu[cell_atom].tolist(), cubes.tolist()
+        sums = [math.fsum(pairs[pair_at[c] : pair_at[c + 1]]) for c in cubes]
+        norms = [math.fsum(nu[cell_at[c] : cell_at[c + 1]]) ** (1.0 / p) for c in cubes]
         return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
 
     return ratios

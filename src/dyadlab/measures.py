@@ -7,11 +7,13 @@ Two array shapes carry all function data:
 * scale functions: shape ``(levels, atoms)`` -- one row per scale level.
 
 All values are nonnegative binary64; validation helpers normalize dtype and
-reject negatives, NaNs and infinities.  Scalar accumulations go through
-:func:`ksum` (exact compensated summation) because downstream identity checks
-run at 1e-10 .. 1e-12 relative tolerance.  Per-cube quantities are arrays
-over every cube at once: box and cube integrals and averages in
-:mod:`dyadlab.forms`, cube masses as ``lattice.cube_sums`` of a weight.
+reject negatives, NaNs and infinities.  Reported numbers sum exactly
+(:func:`ksum`, :func:`group_ksum`), as identity checks run at 1e-10 relative;
+the norming maps, which the solvers call every half-step, sum with numpy
+(:func:`lp_norms`), within about log2(n) u (Higham, *Accuracy and Stability
+of Numerical Algorithms*, ch. 4).  Per-cube quantities are arrays over every
+cube at once: box and cube integrals and averages in :mod:`dyadlab.forms`,
+cube masses as ``lattice.cube_sums`` of a weight.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from .lattice import DyadicSystem
 
 def ksum(values) -> float:
     """Compensated (exactly rounded) sum of an array-like."""
-    arr = np.asarray(values, dtype=np.float64)
-    return math.fsum(arr.ravel().tolist())
-
-
-def row_ksums(rows) -> list[float]:
-    """``ksum`` of each row of a (k, n) array."""
-    return [math.fsum(row) for row in np.asarray(rows, dtype=np.float64).tolist()]
+    return math.fsum(np.asarray(values, dtype=np.float64).ravel().tolist())
 
 
 def group_ksum(keys: np.ndarray, values: np.ndarray, groups) -> list[float]:
@@ -41,10 +37,8 @@ def group_ksum(keys: np.ndarray, values: np.ndarray, groups) -> list[float]:
     order, so every group is one ``math.fsum`` over a contiguous slice.
     """
     order = np.argsort(keys, kind="stable")
-    ordered = np.asarray(values, dtype=np.float64)[order].tolist()
-    keys = np.asarray(keys)[order]
-    starts = np.searchsorted(keys, groups).tolist()
-    ends = np.searchsorted(keys, groups, side="right").tolist()
+    ordered, keys = np.asarray(values, dtype=np.float64)[order].tolist(), np.asarray(keys)[order]
+    starts, ends = np.searchsorted(keys, groups).tolist(), np.searchsorted(keys, groups, side="right").tolist()
     return [math.fsum(ordered[a:b]) for a, b in zip(starts, ends)]
 
 
@@ -96,14 +90,12 @@ def mixed_norm(f: np.ndarray, sigma: np.ndarray, p: float) -> float:
 
 
 def lp_norm(g: np.ndarray, w: np.ndarray, p: float) -> float:
-    g = np.asarray(g, dtype=np.float64)
-    return ksum(w * g**p) ** (1.0 / p)
+    return ksum(w * np.asarray(g, dtype=np.float64) ** p) ** (1.0 / p)
 
 
-def lp_norms(g: np.ndarray, w: np.ndarray, p: float) -> list[float]:
-    """``lp_norm`` of each row of a (k, atoms) array: the same terms, one
-    power for the batch and one exact sum per row."""
-    return [total ** (1.0 / p) for total in row_ksums(w * g**p)]
+def lp_norms(g: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """The solvers' ``lp_norm`` of each row of a (k, atoms) array, by numpy sums."""
+    return (w * g**p).sum(axis=-1) ** (1.0 / p)
 
 
 def lp_norming(h: np.ndarray, w: np.ndarray, p: float):
@@ -111,10 +103,10 @@ def lp_norming(h: np.ndarray, w: np.ndarray, p: float):
 
     Returns (g, value) with value = ||h||_{Lp(w)} = the w-pairing of g and
     h; (None, 0.0) when h vanishes.  A batch of rows gives the rows of g, a
-    zero row where h vanishes, and the array of values, each bit-identical.
+    zero row where h vanishes, and the array of values, each as its own call.
     """
     h = np.asarray(h, dtype=np.float64)
-    values = np.array(lp_norms(np.atleast_2d(h), w, p))
+    values = lp_norms(np.atleast_2d(h), w, p)
     return _normed(h.ndim == 1, h, values, values, p - 1.0)
 
 
@@ -127,9 +119,9 @@ def mixed_norming(k: np.ndarray, sigma: np.ndarray, p: float):
     q = conjugate(p)
     k = np.asarray(k, dtype=np.float64)
     s = ell2_slice(k)
-    values = np.array(lp_norms(np.atleast_2d(s), sigma, q))
+    values = lp_norms(np.atleast_2d(s), sigma, q)
     shaped = k if q == 2.0 else zero_preserving_power(s, q - 2.0)[..., None, :] * k
-    norms = np.array(lp_norms(np.atleast_2d(ell2_slice(shaped)), sigma, p))
+    norms = lp_norms(np.atleast_2d(ell2_slice(shaped)), sigma, p)
     return _normed(k.ndim == 2, shaped, norms, values, 1.0)
 
 

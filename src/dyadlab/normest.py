@@ -120,7 +120,8 @@ def alternating_maximization(
     Seeds: the two testing witnesses paired with their test inputs, the
     constant pair and ``restarts`` counter-keyed random pairs.  Each random
     stream is keyed (seed, k) so results do not depend on evaluation order.
-    No pair while a testing constant is positive is a GuardError.
+    The value is the winning pair's exact witnessed ratio.  No pair while a
+    testing constant is positive, or a zero denominator, is a GuardError.
     """
     if restarts < 1:
         raise GuardError(f"restarts must be >= 1, got {restarts}")
@@ -156,10 +157,10 @@ def alternating_maximization(
         return NormEstimate(0.0, np.zeros(shape), np.zeros(sys.num_atoms), steps, len(seeds), True, True)
 
     wf, wg = pairs[win]
-    if mixed_norm(wf, inst.sigma, inst.p) == 0.0 or lp_norm(wg, inst.omega, inst.q) == 0.0:
+    norms = mixed_norm(wf, inst.sigma, inst.p) * lp_norm(wg, inst.omega, inst.q)
+    if norms == 0.0:
         raise GuardError(f"a winning witness vanished although its ascent reached {values[win]:g}")
-    value = lambda_form(inst, wf, wg)  # witnesses that did not vanish are unit norm by construction
-    return NormEstimate(value, wf, wg, steps, len(seeds), converged[win], False)
+    return NormEstimate(lambda_form(inst, wf, wg) / norms, wf, wg, steps, len(seeds), converged[win], False)
 
 
 def attach_oracle(inst: Instance, estimate: NormEstimate) -> NormEstimate:

@@ -661,26 +661,20 @@ def phi_identity_check_cube(inst: Instance, cube: int) -> forms.PhiIdentityRepor
 # evaluate the defining per-cube ratio on every cube, in enumeration order,
 # keeping the first strict maximum.  They use the package's own helpers so
 # that results can be compared bit for bit, and take their witnesses from
-# the norming functions the package used before ``measures.lp_norming`` and
-# ``measures.mixed_norming`` replaced them.
+# the package's norming maps, ``measures.lp_norming`` and
+# ``measures.mixed_norming``, of the loop's own h or kernel.
 
 
 def norming_atom_function(h: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     """Unit-Lq(w) maximizer of the pairing against h; zero if h vanishes."""
-    n = measures.lp_norm(h, w, p)
-    if n == 0.0:
-        return np.zeros_like(h)
-    return (h / n) ** (p - 1.0)
+    g, _ = measures.lp_norming(h, w, p)
+    return np.zeros_like(h) if g is None else g
 
 
-def norming_scale_function(k: np.ndarray, sigma: np.ndarray, p: float, q: float) -> np.ndarray:
+def norming_scale_function(k: np.ndarray, sigma: np.ndarray, p: float) -> np.ndarray:
     """Unit mixed-p-norm maximizer of the sigma-pairing against k."""
-    s = measures.ell2_slice(k)
-    shaped = measures.zero_preserving_power(s, q - 2.0)[None, :] * k if q != 2.0 else k
-    n = measures.mixed_norm(shaped, sigma, p)
-    if n == 0.0:
-        return np.zeros_like(k)
-    return shaped / n
+    f, _ = measures.mixed_norming(k, sigma, p)
+    return np.zeros_like(k) if f is None else f
 
 
 def forward_testing_constant_loop(inst):
@@ -721,7 +715,7 @@ def dual_testing_constant_loop(inst):
         ratio = measures.mixed_norm(kernel, inst.sigma, inst.q) / denom
         if ratio > best:
             best, best_cube = ratio, cube
-            best_witness = norming_scale_function(kernel, inst.sigma, inst.p, inst.q)
+            best_witness = norming_scale_function(kernel, inst.sigma, inst.p)
     return TestingSide(best, best_cube, best_witness)
 
 
@@ -1038,8 +1032,9 @@ def embedding_ratio_search_three_pass(sys, data, p, restarts=4, iterations=40, s
 # one lattice in one ``normest.power_ascent``, which returns every start's
 # value, pair, flag and step count.  This is the search of one instance it
 # replaced, with the ascent that returned only the first best start, kept
-# verbatim but for the names and the weights read off ``data``: the same
-# half-steps in the same order, so value, witness and ``evaluations``
+# verbatim but for the names, the weights read off ``data`` and the exact
+# sums of its winning iterate's ratio (``measures.lp_norm`` and ``ksum``):
+# the same half-steps in the same order, so value, witness and ``evaluations``
 # compare with ``==``.
 
 
@@ -1114,10 +1109,10 @@ def embedding_ratio_search_one(sys, data, p, restarts=4, seed=0):
     )
     evals += steps
     if pair is not None:
-        h = pair[0][None, :]
-        norms = measures.lp_norms(h, data.nu, p)
-        sums = measures.row_ksums(data.a * _averages_one(sys, data, masses, h) ** p)
-        r = [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)][0]
+        h = pair[0]
+        n = measures.lp_norm(h, data.nu, p)
+        total = measures.ksum(data.a * _averages_one(sys, data, masses, h) ** p)
+        r = 0.0 if n**p == 0.0 else total / n**p
         evals += 1
         if r > best:
             best, best_h = r, pair[0]
@@ -1130,7 +1125,8 @@ def embedding_ratio_search_one(sys, data, p, restarts=4, seed=0):
 # ``normest.power_ascent``.  This is the loop it replaced, one seed after the
 # other, kept verbatim but for the ``measures.`` and ``forms.`` prefixes that
 # keep it off this module's own ``mixed_norm`` and ``lambda_form`` (its
-# ``vf`` in the vanishing branch is dead): the same
+# ``vf`` in the vanishing branch is dead), and for the value, which is the
+# winning pair's exact witnessed ratio as the package reports it: the same
 # half-steps in the same order, so value, witnesses, ``iterations`` and
 # ``restarts`` compare with ``==``.  Its ``converged`` is the old flag, set on
 # any stop by the gain test.
@@ -1213,7 +1209,8 @@ def alternating_maximization_per_seed(
         return NormEstimate(0.0, zero_f, zero_g, total_iters, len(seeds), True, True)
 
     wf, wg = best_pair
-    value = forms.lambda_form(inst, wf, wg)  # witnesses are unit norm by construction
+    norms = measures.mixed_norm(wf, inst.sigma, inst.p) * measures.lp_norm(wg, inst.omega, inst.q)
+    value = forms.lambda_form(inst, wf, wg) / norms  # the exact witnessed ratio
     return NormEstimate(value, wf, wg, total_iters, len(seeds), converged_best, False)
 
 

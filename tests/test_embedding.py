@@ -303,15 +303,21 @@ def test_search_with_seeds_settling_early_matches_three_pass_search(monkeypatch)
 
 
 def test_tied_indicators_first_in_cube_order_wins():
-    # the indicators of the two cubes with masses tie for the best ratio,
-    # which no ascent beats, and the first is the witness
+    # the indicators of the two cubes with masses tie for the best ratio, and
+    # of the two the first in cube order wins; an ascent iterate constant on
+    # cube 2, or on cubes 2 and 3 (a tie too), may beat the tie by rounding:
+    # the witness is constant on its support, which holds cube 2 and no atom
+    # outside cubes 2 and 3, and its value is within 2 ulps of the tie
     s, data = _tied_indicators()
     for p in (1.5, 2.0, 3.0):
         ratios = [ref._embedding_ratio(s, data, s.atom_mask(c).astype(float), p) for c in range(s.num_cubes)]
         assert [c for c in range(s.num_cubes) if ratios[c] == max(ratios)] == [2, 3]
         for restarts in (0, 2):
             got = _assert_near_three_pass_search(s, data, p, restarts, 0)
-            assert got.value == ratios[2] and np.array_equal(got.witness, s.atom_mask(2))
+            support = got.witness > 0.0
+            assert np.array_equal(support & ~s.atom_mask(3), s.atom_mask(2))
+            assert len(set(got.witness[support].tolist())) == 1
+            assert abs(got.value - ratios[2]) <= 2 * math.ulp(ratios[2])
 
 
 @pytest.mark.parametrize("cells", [1, 64, 100])

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from dyadlab import Instance, build_system, conjugate, lattice, worked_instances
 from dyadlab.forms import all_box_integrals, all_cube_averages, all_cube_integrals
+from dyadlab.generators import GenSpec, generate, random_atom_function
 from dyadlab.measures import (
     ell2_slice,
     group_ksum,
     ksum,
     lp_norm,
+    lp_norms,
     mixed_norm,
     zero_preserving_power,
 )
@@ -254,3 +256,18 @@ def test_group_ksum_overflows_when_ksum_does():
     assert group_ksum(keys, values, [2, 0, 3]) == [1.0, 1e308, 0.0]
     # exactly rounded, unlike a plain running sum
     assert group_ksum(np.zeros(3, dtype=np.int64), np.array([1.0, 1e100, -1e100]), [0]) == [1.0]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0])
+def test_solver_norms_are_within_the_pairwise_bound_of_the_exact_norm(p):
+    # the norming maps' numpy sums err by about log2(n) u (Higham, ch. 4);
+    # every row stays within ceil(log2 n) 2u relative of the exact lp_norm
+    u = 2.0**-53
+    for dim, depth in [(1, 1), (1, 3), (2, 2), (1, 8), (2, 5), (1, 12), (2, 6), (3, 4)]:
+        inst = generate(GenSpec(seed=depth, dimension=dim, depth=depth, p=p))
+        n = inst.sys.num_atoms
+        rows = np.array([inst.omega, inst.sigma, ell2_slice(inst.mu), random_atom_function(inst.sys, depth)])
+        for w in (inst.omega, inst.sigma):
+            for row, value in zip(rows, lp_norms(rows, w, p)):
+                exact = lp_norm(row, w, p)
+                assert abs(value - exact) <= math.ceil(math.log2(n)) * 2 * u * exact

@@ -73,6 +73,22 @@ def test_alternating_on_w1():
     assert ratio == pytest.approx(est.value, rel=1e-12)
 
 
+def _assert_exact_witnessed_ratio(inst):
+    est = alternating_maximization(inst, restarts=4)
+    norms = mixed_norm(est.witness_f, inst.sigma, inst.p) * lp_norm(est.witness_g, inst.omega, inst.q)
+    assert est.value == lambda_form(inst, est.witness_f, est.witness_g) / norms
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_estimate_is_the_exact_witnessed_ratio(p):
+    # the value is the winning pair's form over its norms, each an exact
+    # sum, bit for bit: it does not rest on the ascent's own numpy sums
+    for inst in sweep(1, 20, 1, 3, p):
+        _assert_exact_witnessed_ratio(inst)
+    for name in ("w1", "w2"):
+        _assert_exact_witnessed_ratio(W[name])
+
+
 def test_alternating_degenerate():
     w1 = W["w1"]
     dead = Instance(w1.sys, 2.0, w1.sigma, w1.omega, w1.mu, np.zeros(3))

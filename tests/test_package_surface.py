@@ -227,6 +227,32 @@ def test_tree_aggregations_live_in_lattice():
     assert "chain_total" not in defined
 
 
+SOLVER_NORMS = {"lp_norms", "lp_norming", "mixed_norming", "_normed"}
+
+
+def test_exact_sums_stay_out_of_the_solvers_norms():
+    # exact sums sit where a number is reported: the norming maps, which the
+    # ascents call every half-step, sum with numpy and call no exact sum,
+    # and row_ksums stays gone
+    calls, defined, checked = [], set(), set()
+    for module, tree in _parse_package():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            defined.add(node.name)
+            if module == "measures" and node.name in SOLVER_NORMS:
+                checked.add(node.name)
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call):
+                        func = call.func
+                        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                        if name in ("ksum", "group_ksum", "fsum"):
+                            calls.append(f"{node.name}:{call.lineno} {name}")
+    assert checked == SOLVER_NORMS
+    assert calls == []
+    assert "row_ksums" not in defined
+
+
 def test_no_module_reaches_into_another_modules_private_names():
     # an underscore name belongs to its module: a name another module needs
     # is public, imported by name or read off the module (``lattice.paths``)
