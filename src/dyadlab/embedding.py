@@ -225,26 +225,23 @@ def stopping_embedding_report(
     if family.kind != "ratio":
         raise ValueError("stopping embedding requires a ratio family")
 
+    sys, members = inst.sys, list(family.members)
     num = all_box_integrals(inst, f)
-    brackets = {
-        m: (num[m] / family.phi_mass[m] if family.phi_mass[m] > 0 else 0.0)
-        for m in family.members
-    }
-    lhs = ksum([brackets[m] ** inst.p * family.phi_mass[m] for m in family.members])
+    # brackets in Python floats: numpy's array power may round otherwise than ``**``
+    masses = family.phi_mass[members].tolist()
+    lhs = ksum([(n / m) ** inst.p * m for n, m in zip(num[members].tolist(), masses) if m > 0])
     rhs = mixed_norm(f, inst.sigma, inst.p) ** inst.p
     ratio = lhs / rhs if rhs > 0 else 0.0
 
-    factor = largest_subtree_ratio(family, subtree_totals(family, family.phi_mass))[0]
+    factor = largest_subtree_ratio(sys, family, subtree_totals(sys, family, family.phi_mass))[0]
 
     # One grouping of the cells by projection gives every exclusive-box sum.
     weights = (inst.sigma[None, :] * f * inst.mu).ravel()
-    owner = family.projection[inst.sys.cell_cube].ravel()
-    exclusive = dict(zip(family.members, group_ksum(owner, weights, family.members)))
-    acc = subtree_totals(family, exclusive)
-    err = 0.0
-    for member in reversed(family.members):
-        target = num[member]
-        scale = max(abs(target), abs(acc[member]), 1e-300)
-        err = max(err, abs(acc[member] - target) / scale)
+    owner = family.projection[sys.cell_cube].ravel()
+    exclusive = np.zeros(sys.num_cubes)
+    exclusive[members] = group_ksum(owner, weights, members)
+    acc, target = subtree_totals(sys, family, exclusive)[members], num[members]
+    scale = np.maximum(np.maximum(np.abs(target), np.abs(acc)), 1e-300)
+    err = float((np.abs(acc - target) / scale).max())
 
     return StoppingEmbeddingReport(lhs, rhs, ratio, factor, err)

@@ -27,7 +27,7 @@ SCHEMA_VERSION = "dyadlab-instance/1"
 _FIELDS = ("version", "p", "dimension", "depth", "sigma", "omega", "mu", "lambda")
 
 
-def _parse_real(value, path: str, positive: bool = False) -> float:
+def _parse_real(value, path: str) -> float:
     if isinstance(value, bool):
         raise SchemaError(path, "expected a real number")
     if isinstance(value, (int, float)):
@@ -41,10 +41,7 @@ def _parse_real(value, path: str, positive: bool = False) -> float:
         raise SchemaError(path, f"expected a real number, got {type(value).__name__}")
     if math.isnan(x) or math.isinf(x):
         raise SchemaError(path, "value must be finite")
-    if positive:
-        if not x > 0:
-            raise SchemaError(path, "value must be positive")
-    elif x < 0:
+    if x < 0:
         raise SchemaError(path, "value must be nonnegative")
     return x
 
@@ -93,7 +90,7 @@ def instance_from_dict(data) -> Instance:
     depth = _parse_int(data["depth"], "depth")
     sys = build_system(dimension, depth)
 
-    p = _parse_real(data["p"], "p", positive=True)
+    p = _parse_real(data["p"], "p")
     if not p > 1.0:
         raise SchemaError("p", f"exponent must exceed 1, got {p}")
 
@@ -263,14 +260,16 @@ def write_summary(summary: list[dict], fp, fmt: str) -> None:
 
 
 def family_to_dict(sys, family: StoppingFamily) -> dict:
-    paths = lattice.paths(sys, family.members)
+    ids = list(family.members)
+    paths, parents = lattice.paths(sys, ids), family.projection[sys.parent_linear[ids]].tolist()
+    masses = [None] * len(ids) if family.phi_mass is None else family.phi_mass[ids].tolist()
     members = []
-    for m in family.members:
-        entry = {"path": paths[m], "stat": family.stats[m]}
+    for m, stat, parent, mass in zip(ids, family.stats[ids].tolist(), parents, masses):
+        entry = {"path": paths[m], "stat": stat}
         if m != family.top:
-            entry["parent"] = paths[int(family.projection[sys.parent_linear[m]])]
-        if family.phi_mass:
-            entry["test_input_mass"] = family.phi_mass[m]
+            entry["parent"] = paths[parent]
+        if mass is not None:
+            entry["test_input_mass"] = mass
         members.append(entry)
     edges = [[paths[m], paths[c]] for m in family.members for c in family.children[m]]
     return {

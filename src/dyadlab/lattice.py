@@ -194,9 +194,9 @@ def chunk_rows(sys: DyadicSystem) -> int:
 # -- tree aggregations -----------------------------------------------------
 #
 # The numeric workhorses shared by the other modules: plain sums along the
-# lattice tree.  All but ``subtree_sums`` (its own bincount per level) are
-# built on two primitives: ``level_sums`` sums up the tree (one bincount over
-# every cell), ``level_cumsum`` runs down it along the levels.
+# lattice tree.  All but ``subtree_sums`` (a bincount per level, the one sum
+# over lattice and stopping subtrees) are built on two primitives:
+# ``level_sums`` sums up the tree, ``level_cumsum`` runs down it.
 
 
 def level_sums(sys: DyadicSystem, rows) -> np.ndarray:
@@ -222,6 +222,9 @@ def level_sums(sys: DyadicSystem, rows) -> np.ndarray:
 def level_cumsum(x: np.ndarray) -> np.ndarray:
     """Running sums along the leading (level) axis, in place: x[j] += x[j-1].
     Trailing axes pass through."""
+    # One add per level, not np.cumsum(x, axis=0, out=x): that took 300
+    # chain_running calls of one run at d1 D10 from 7.6 ms to 20.6 ms, and of
+    # 7-row batches from 0.19 s to 0.37 s (2-core Xeon VM, one BLAS thread).
     for j in range(1, len(x)):
         x[j] += x[j - 1]
     return x
@@ -250,6 +253,10 @@ def chain_running(sys: DyadicSystem, cube_values: np.ndarray) -> np.ndarray:
     atom a at levels 0 .. j.  Values of shape (k, num_cubes) give the k runs,
     shape (k, levels, atoms)."""
     v = np.asarray(cube_values, dtype=np.float64)
+    # Two bodies on purpose: the batch body's ``np.take`` is slower on one run
+    # (also on the eval-deep rows), and the gather ``v[..., cell_cube]`` on a
+    # batch leaves a layout that is not C-ordered, whose later numpy row sums
+    # round otherwise than the rows' single calls.
     if v.ndim == 1 or len(v) == 1:
         levels = v.reshape(-1)[sys.cell_cube]
         out = levels.reshape(v.shape[:-1] + levels.shape)

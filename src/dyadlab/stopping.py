@@ -25,6 +25,7 @@ profiles without changing the integrals the form sees.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,19 +33,21 @@ import numpy as np
 from . import lattice
 from .forms import Instance, all_box_integrals, all_cube_averages, level_test_input
 from .lattice import DyadicSystem
-from .measures import conjugate, ksum
+from .measures import conjugate, group_ksum
 
 
 @dataclass(frozen=True)
 class StoppingFamily:
     kind: str                         # "average" or "ratio"
     top: int                          # linear cube id
-    members: tuple[int, ...]          # enumeration order
+    members: tuple[int, ...]          # breadth-first order of the stopping tree
     children: dict[int, tuple[int, ...]]
-    # per cube id: the smallest member holding it, -1 outside the top; read-only
+    # Per cube id, read-only: the smallest member holding it (-1 outside the
+    # top); the member's average (avg) or bracket (ratio) and, ratio kind
+    # only, its test-input mass, 0.0 off the members.
     projection: np.ndarray = field(compare=False)
-    stats: dict[int, float]           # per-member average (avg) or bracket (ratio)
-    phi_mass: dict[int, float] = field(default_factory=dict)  # ratio kind only
+    stats: np.ndarray = field(compare=False)
+    phi_mass: np.ndarray | None = field(default=None, compare=False)
     params: dict[str, float] = field(default_factory=dict)
 
 
@@ -91,6 +94,11 @@ def _level_sweep(
     return members, {m: tuple(below[m]) for m in members}, proj
 
 
+def _is_member(proj: np.ndarray) -> np.ndarray:
+    """Mask over cube ids of the members, the cubes that are their own projection."""
+    return proj == np.arange(proj.size)
+
+
 def build_average_family(inst: Instance, top: int, g: np.ndarray) -> StoppingFamily:
     """Average-stopping family for an atom function, threshold factor 2."""
     sys = inst.sys
@@ -98,7 +106,8 @@ def build_average_family(inst: Instance, top: int, g: np.ndarray) -> StoppingFam
     members, children, proj = _level_sweep(
         sys, top, lambda cubes, owners: avg[cubes] > 2.0 * avg[owners]
     )
-    stats = {m: float(avg[m]) for m in members}
+    stats = np.where(_is_member(proj), avg, 0.0)
+    stats.flags.writeable = False
     return StoppingFamily("average", top, tuple(members), children, proj, stats)
 
 
@@ -120,71 +129,56 @@ def build_ratio_family(
     num = all_box_integrals(inst, f)
     # A member's test input is its level's profile restricted to the member,
     # and the trigger only reads box integrals of subcubes of the member:
-    # there the profile's box integrals are the member's own.  ``ratio``
-    # holds each cube's calibrated mass under its own level's profile.
-    dens: dict[int, np.ndarray] = {}
-    ratio = np.zeros(sys.num_cubes)
-
-    def den_at(level: int) -> np.ndarray:
-        if level not in dens:
-            dens[level] = den = all_box_integrals(inst, level_test_input(inst, level))
-            lo, hi = sys.level_offset[level], sys.level_offset[level + 1]
-            np.divide(num[lo:hi], den[lo:hi], out=ratio[lo:hi], where=den[lo:hi] > 0)
-        return dens[level]
+    # there the profile's box integrals, and f's box masses calibrated by
+    # them, are the member's own.
+    @functools.cache
+    def calibrated(level: int) -> tuple[np.ndarray, np.ndarray]:
+        den = all_box_integrals(inst, level_test_input(inst, level))
+        return den, np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
     def triggered(cubes: np.ndarray, owners: np.ndarray) -> np.ndarray:
         owner_level = sys.cube_level[owners]
-        den = np.empty(len(cubes))
+        hit = np.empty(len(cubes), dtype=bool)
         for level in set(owner_level.tolist()):
             at = owner_level == level
-            den[at] = den_at(level)[cubes[at]]
-        calibrated = np.divide(num[cubes], den, out=np.zeros_like(den), where=den > 0)
-        return (den > 0) & (calibrated > A * ratio[owners])
+            den, ratio = calibrated(level)
+            hit[at] = (den[cubes[at]] > 0) & (ratio[cubes[at]] > A * ratio[owners[at]])
+        return hit
 
     members, children, proj = _level_sweep(sys, top, triggered)
-    levels = sys.cube_level[members].tolist()
-    phi_mass = {m: float(den_at(level)[m]) for m, level in zip(members, levels)}
-    stats = {m: float(ratio[m]) for m in members}  # den_at filled every member level
-    return StoppingFamily(
-        "ratio",
-        top,
-        tuple(members),
-        children,
-        proj,
-        stats,
-        phi_mass,
-        {"A": float(A), "B": float(b)},
-    )
+    member, phi_mass = _is_member(proj), np.zeros(sys.num_cubes)
+    for level in set(sys.cube_level[members].tolist()):
+        at = slice(sys.level_offset[level], sys.level_offset[level + 1])
+        phi_mass[at] = np.where(member[at], calibrated(level)[0][at], 0.0)
+    stats = np.divide(num, phi_mass, out=np.zeros_like(num), where=phi_mass > 0)
+    stats.flags.writeable = phi_mass.flags.writeable = False
+    params = {"A": float(A), "B": float(b)}
+    return StoppingFamily("ratio", top, tuple(members), children, proj, stats, phi_mass, params)
 
 
-def subtree_totals(family: StoppingFamily, own) -> dict[int, float]:
-    """Per member: ``own[member]`` plus the totals of its stopping children,
-    summed children before parents, in member order."""
-    total: dict[int, float] = {}
-    for member in reversed(family.members):
-        total[member] = own[member] + sum(total[c] for c in family.children[member])
-    return total
+def subtree_totals(sys: DyadicSystem, family: StoppingFamily, own: np.ndarray) -> np.ndarray:
+    """Per cube: the sum of the per-cube ``own`` over the members inside it,
+    one ``lattice.subtree_sums`` pass.  At a member, its own value plus the
+    totals of its stopping children."""
+    return lattice.subtree_sums(sys, np.where(_is_member(family.projection), own, 0.0))
 
 
-def largest_subtree_ratio(family: StoppingFamily, own) -> tuple[float, bool]:
+def largest_subtree_ratio(sys: DyadicSystem, family: StoppingFamily, own) -> tuple[float, bool]:
     """Largest ratio of a member's subtree total to its own value, over members
     with a positive own value, and whether a member with no own value carries
     a positive total."""
-    total = subtree_totals(family, own)
-    best, flagged = 0.0, False
-    for member in reversed(family.members):
-        if own[member] > 0:
-            best = max(best, float(total[member] / own[member]))
-        elif total[member] > 0:
-            flagged = True
-    return best, flagged
+    member = _is_member(family.projection)
+    total, own = subtree_totals(sys, family, own)[member], np.asarray(own)[member]
+    positive = own > 0
+    best = (total[positive] / own[positive]).max(initial=0.0)
+    return float(best), bool((total[~positive] > 0).any())
 
 
 def carleson_constant(sys: DyadicSystem, family: StoppingFamily, w: np.ndarray) -> float:
     """Largest subfamily-to-member mass ratio; inf if a massless member
     carries positive subfamily mass."""
     masses = lattice.cube_sums(sys, np.asarray(w, dtype=np.float64))
-    best, flagged = largest_subtree_ratio(family, masses)
+    best, flagged = largest_subtree_ratio(sys, family, masses)
     return float("inf") if flagged else best
 
 
@@ -258,19 +252,18 @@ def child_mass_bound(family: StoppingFamily) -> float:
     """Largest ratio (sum of children test-input masses) / (member mass)."""
     if family.kind != "ratio":
         raise ValueError("test-input masses exist only for ratio families")
-    worst = 0.0
-    for member in family.members:
-        parent_mass = family.phi_mass[member]
-        if parent_mass == 0.0:
-            continue
-        child_sum = ksum([family.phi_mass[c] for c in family.children[member]])
-        worst = max(worst, child_sum / parent_mass)
-    return worst
+    # in breadth-first order, the members after the top are the children
+    # lists of the members, one after the other
+    parents = np.repeat(family.members, [len(family.children[m]) for m in family.members])
+    child_sums = np.array(group_ksum(parents, family.phi_mass[list(family.members[1:])], family.members))
+    own = family.phi_mass[list(family.members)]
+    ratios = np.divide(child_sums, own, out=np.zeros_like(own), where=own > 0)
+    return float(ratios.max(initial=0.0))
 
 
-def subfamily_mass_bound(family: StoppingFamily) -> float:
+def subfamily_mass_bound(sys: DyadicSystem, family: StoppingFamily) -> float:
     """Largest ratio (sum of test-input masses over the stopping subtree) /
     (member mass)."""
     if family.kind != "ratio":
         raise ValueError("test-input masses exist only for ratio families")
-    return largest_subtree_ratio(family, family.phi_mass)[0]
+    return largest_subtree_ratio(sys, family, family.phi_mass)[0]

@@ -303,7 +303,7 @@ def _check_stopping(s: _Suite):
             # constants only in the p >= 2 regime
             if child_mass_bound(ffam) > 0.5:
                 fails_s.append((inst, "child test-input mass above half the parent"))
-            if subfamily_mass_bound(ffam) > 2.0:
+            if subfamily_mass_bound(sys, ffam) > 2.0:
                 fails_g.append((inst, "subfamily test-input mass above twice the parent"))
         checked += 1
     s.record("average-family-2-carleson", fails_c, checked)

@@ -17,8 +17,11 @@ projection table stored on each family replaced (``stopping_family`` builds
 hand-made families and the BFS builders' tables with it), and the
 multi-index derivations of parents, children, paths, subcube masks and the
 dense form kernel that the
-``lattice.DyadicSystem`` tables replaced; the BFS builders and the path-based
-family writer use those, not the tables they check.  They name a cube by the
+``lattice.DyadicSystem`` tables replaced, and the walks over the stopping
+tree (``subtree_totals``, ``largest_subtree_ratio`` and the per-member
+``child_mass_bound``) that one ``lattice.subtree_sums`` pass and one grouped
+exact sum over the per-cube family arrays replaced; the BFS builders and the
+path-based family writer use those, not the tables they check.  They name a cube by the
 ``Cube(level, index)`` tuple the package used before the linear id became a
 cube's only name, converted with copies of the package's old ``linear`` and
 ``cube_at``.  The tree aggregations that ``lattice.level_sums`` and
@@ -53,13 +56,7 @@ from dyadlab.forms import (
     level_test_input,
     test_function,
 )
-from dyadlab.stopping import (
-    StoppingFamily,
-    cross_children,
-    default_ratio_constants,
-    largest_subtree_ratio,
-    subtree_totals,
-)
+from dyadlab.stopping import StoppingFamily, cross_children, default_ratio_constants
 from dyadlab.generators import _MU, GenSpec, _log_uniform, generate, philox
 from dyadlab.io import ReportRow
 from dyadlab.lattice import DyadicSystem, build_system
@@ -526,14 +523,62 @@ def project(sys: DyadicSystem, family: StoppingFamily, cube: int) -> int:
     return member
 
 
+def _per_cube(sys, values):
+    """A read-only array over cube ids holding a member-keyed dict, 0.0 elsewhere."""
+    out = np.zeros(sys.num_cubes)
+    for m, v in values.items():
+        out[m] = v
+    out.flags.writeable = False
+    return out
+
+
 def stopping_family(sys, kind, top, members, children, stats, phi_mass=None, params=None):
-    """A ``StoppingFamily`` with its projection table from the per-cube walk:
+    """A ``StoppingFamily`` with its projection table from the per-cube walk
+    and its member-keyed ``stats`` and ``phi_mass`` dicts as per-cube arrays:
     for the BFS builders and hand-made families."""
     table = np.array([_walk_up(sys, top, children, c) for c in range(sys.num_cubes)], dtype=np.intp)
     table.flags.writeable = False
+    masses = None if phi_mass is None else _per_cube(sys, phi_mass)
     return StoppingFamily(
-        kind, top, tuple(members), children, table, stats, phi_mass or {}, params or {}
+        kind, top, tuple(members), children, table, _per_cube(sys, stats), masses, params or {}
     )
+
+
+def subtree_totals(family: StoppingFamily, own) -> dict[int, float]:
+    """Per member: ``own[member]`` plus the totals of its stopping children,
+    summed children before parents, in member order (the package takes one
+    ``lattice.subtree_sums`` pass over the members)."""
+    total: dict[int, float] = {}
+    for member in reversed(family.members):
+        total[member] = own[member] + sum(total[c] for c in family.children[member])
+    return total
+
+
+def largest_subtree_ratio(family: StoppingFamily, own) -> tuple[float, bool]:
+    """Largest ratio of a member's subtree total to its own value, over members
+    with a positive own value, and whether a member with no own value carries
+    a positive total, by the walk of :func:`subtree_totals`."""
+    total = subtree_totals(family, own)
+    best, flagged = 0.0, False
+    for member in reversed(family.members):
+        if own[member] > 0:
+            best = max(best, float(total[member] / own[member]))
+        elif total[member] > 0:
+            flagged = True
+    return best, flagged
+
+
+def child_mass_bound(family: StoppingFamily) -> float:
+    """Largest ratio (sum of children test-input masses) / (member mass), one
+    exact sum of the children's masses a member."""
+    worst = 0.0
+    for member in family.members:
+        parent_mass = family.phi_mass[member]
+        if parent_mass == 0.0:
+            continue
+        child_sum = measures.ksum([family.phi_mass[c] for c in family.children[member]])
+        worst = max(worst, child_sum / parent_mass)
+    return worst
 
 
 def subcubes(sys, cube):
@@ -818,12 +863,12 @@ def family_to_dict_path_of(sys, family):
         cube = cube_at(sys, m)
         entry = {
             "path": path_of(sys, cube),
-            "stat": family.stats[m],
+            "stat": float(family.stats[m]),
         }
         if m in parent:
             entry["parent"] = path_of(sys, cube_at(sys, parent[m]))
-        if family.phi_mass:
-            entry["test_input_mass"] = family.phi_mass[m]
+        if family.phi_mass is not None:
+            entry["test_input_mass"] = float(family.phi_mass[m])
         members.append(entry)
     edges = [
         [path_of(sys, cube_at(sys, m)), path_of(sys, cube_at(sys, c))]
@@ -913,7 +958,8 @@ class LiftedMeasure:
 def lifted_measure(family: StoppingFamily) -> LiftedMeasure:
     if family.kind != "ratio":
         raise ValueError("lifted measure requires a ratio family")
-    return LiftedMeasure(dict(family.phi_mass), subtree_totals(family, family.phi_mass))
+    point_mass = {m: float(family.phi_mass[m]) for m in family.members}
+    return LiftedMeasure(point_mass, subtree_totals(family, point_mass))
 
 
 def stopping_embedding_report_masks(inst, f, family):

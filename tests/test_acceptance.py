@@ -153,7 +153,7 @@ def _family_sweep(p: float):
             ffam = build_ratio_family(inst, inst.sys.root, f)
             stats["child_mass_max"] = max(stats["child_mass_max"], child_mass_bound(ffam))
             stats["subtree_mass_max"] = max(
-                stats["subtree_mass_max"], subfamily_mass_bound(ffam)
+                stats["subtree_mass_max"], subfamily_mass_bound(inst.sys, ffam)
             )
             rep = stopping_embedding_report(inst, f, ffam)
             if not math.isfinite(rep.ratio):

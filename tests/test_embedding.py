@@ -153,8 +153,8 @@ def test_stopping_embedding_structure_random(p):
         assert math.isfinite(rep.ratio)
         assert rep.nu_carleson_factor <= 4.0
         assert rep.alpha_identity_rel_err <= 1e-12
-        assert subtree_totals(fam, fam.phi_mass)[fam.top] == pytest.approx(
-            sum(fam.phi_mass.values()), rel=1e-12, abs=1e-300
+        assert subtree_totals(inst.sys, fam, fam.phi_mass)[fam.top] == pytest.approx(
+            fam.phi_mass.sum(), rel=1e-12, abs=1e-300
         )
 
 
@@ -457,14 +457,18 @@ def test_verify_steps_its_embedding_searches_together(monkeypatch):
 
 # -- exclusive sums by one grouping against the per-member masks -------------
 
-REPORT_FIELDS = ("lhs", "rhs", "ratio", "nu_carleson_factor", "alpha_identity_rel_err")
-
 
 def _assert_same_report(inst, f, fam):
     got = stopping_embedding_report(inst, f, fam)
     want = ref.stopping_embedding_report_masks(inst, f, fam)
-    for name in REPORT_FIELDS:
+    for name in ("lhs", "rhs", "ratio"):
         assert getattr(got, name) == getattr(want, name), name
+    # the two fields read off subtree totals, which the package adds in
+    # lattice order and the reference in stopping-child order; these inputs
+    # move them by at most 1.8 u
+    u = 2.0**-53
+    assert got.nu_carleson_factor == pytest.approx(want.nu_carleson_factor, rel=4 * u, abs=0.0)
+    assert abs(got.alpha_identity_rel_err - want.alpha_identity_rel_err) <= 4 * u
 
 
 @pytest.mark.parametrize("dimension,depth", [(1, 10), (3, 4), (1, 12)])

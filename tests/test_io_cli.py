@@ -112,6 +112,8 @@ def test_read_instance_rejects_duplicate_keys(old, new, tmp_path, capsys):
         (lambda d: d.pop("sigma"), "sigma"),
         (lambda d: d.update(version="nope/9"), "version"),
         (lambda d: d.update(p=1.0), "p"),
+        (lambda d: d.update(p=0.0), "p"),
+        (lambda d: d.update(p=-1.0), "p"),
         (lambda d: d.update(p="zz"), "p"),
         (lambda d: d.update(sigma=[1]), "sigma"),
         (lambda d: d.update(sigma=[1, -2]), "sigma[1]"),

@@ -89,6 +89,18 @@ def test_estimate_is_the_exact_witnessed_ratio(p):
         _assert_exact_witnessed_ratio(W[name])
 
 
+def test_estimate_dominates_the_testing_constants_up_to_rounding():
+    # exact arithmetic puts the estimate at or above max(T, T*); the rounded
+    # witnessed ratio can read below it, on the p = 1.02 sweep (seeds 0-39 of
+    # these shapes) in 30 of 240 rows, by 6.75 u at worst (d3 D1 seed 25).
+    # d1 D1 rows run the grid oracle, so only its first four seeds are here.
+    u = 2.0**-53
+    for dimension, depth, count in ((1, 1, 4), (1, 3, 40), (1, 5, 40), (2, 1, 40), (2, 2, 40), (3, 1, 40)):
+        for seed, inst in enumerate(sweep(0, count, dimension, depth, 1.02)):
+            row = runner.evaluate_instance(inst, "sweep", seed)
+            assert row.lambda_norm_lb >= max(row.T, row.Tstar) * (1 - 8 * u)
+
+
 def test_alternating_degenerate():
     w1 = W["w1"]
     dead = Instance(w1.sys, 2.0, w1.sigma, w1.omega, w1.mu, np.zeros(3))

@@ -227,6 +227,25 @@ def test_tree_aggregations_live_in_lattice():
     assert "chain_total" not in defined
 
 
+def test_stopping_subtrees_sum_with_lattice_subtree_sums():
+    # a stopping subtree's total is one ``lattice.subtree_sums`` pass over
+    # the family's per-cube arrays: no function walks the members backwards
+    calls, walks = set(), []
+    for module, tree in _parse_package():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (module, node.name) == ("stopping", "subtree_totals"):
+                inner = [n.func for n in ast.walk(node) if isinstance(n, ast.Call)]
+                calls = {getattr(f, "attr", getattr(f, "id", None)) for f in inner}
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "reversed"
+                and any(isinstance(a, ast.Attribute) and a.attr == "members" for a in node.args)
+            ):
+                walks.append(f"{module}:{node.lineno}")
+    assert "subtree_sums" in calls
+    assert walks == []
+
+
 SOLVER_NORMS = {"lp_norms", "lp_norming", "mixed_norming", "_normed"}
 
 
