@@ -24,7 +24,7 @@ from .errors import GuardError
 from .forms import Instance, all_box_integrals, cube_averages
 from .generators import philox
 from .lattice import DyadicSystem
-from .measures import conjugate, group_ksum, ksum, lp_norm, lp_norming, mixed_norm
+from .measures import conjugate, finite_nonnegative, group_ksum, ksum, largest_ratio, lp_norm, lp_norming, mixed_norm
 from .normest import best_start, power_ascent
 from .stopping import StoppingFamily, largest_subtree_ratio, subtree_totals
 
@@ -37,14 +37,9 @@ class CarlesonData:
     nu: np.ndarray  # per-atom, shape (num_atoms,)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        nu = np.asarray(self.nu, dtype=np.float64)
-        if np.any(a < 0) or not np.all(np.isfinite(a)):
-            raise ValueError("cube masses must be finite and nonnegative")
-        if np.any(nu < 0) or not np.all(np.isfinite(nu)):
-            raise ValueError("measure must be finite and nonnegative")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "nu", nu)
+        # no lattice to check against: any shape passes
+        object.__setattr__(self, "a", finite_nonnegative(self.a, np.shape(self.a), "a"))
+        object.__setattr__(self, "nu", finite_nonnegative(self.nu, np.shape(self.nu), "nu"))
 
 
 def carleson_condition_constant(sys: DyadicSystem, data: CarlesonData) -> float:
@@ -53,14 +48,8 @@ def carleson_condition_constant(sys: DyadicSystem, data: CarlesonData) -> float:
     Returns inf when some cube carries zero measure but positive cube mass
     at or below it (the condition cannot hold at any constant).
     """
-    sub = lattice.subtree_sums(sys, data.a)
-    masses = lattice.cube_sums(sys, data.nu)
-    if np.any((masses == 0) & (sub > 0)):
-        return float("inf")
-    positive = masses > 0
-    if not np.any(positive):
-        return 0.0
-    return float(np.max(sub[positive] / masses[positive]))
+    best, flagged = largest_ratio(lattice.subtree_sums(sys, data.a), lattice.cube_sums(sys, data.nu))
+    return float("inf") if flagged else best
 
 
 @dataclass(frozen=True)

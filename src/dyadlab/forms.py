@@ -35,6 +35,7 @@ from .measures import (
     as_weights,
     conjugate,
     ell2_slice,
+    finite_nonnegative,
     group_ksum,
     ksum,
     zero_preserving_power,
@@ -58,13 +59,7 @@ class Instance:
         object.__setattr__(self, "sigma", _frozen(as_weights(self.sys, self.sigma)))
         object.__setattr__(self, "omega", _frozen(as_weights(self.sys, self.omega)))
         object.__setattr__(self, "mu", _frozen(as_scale_function(self.sys, self.mu)))
-        lam = np.asarray(self.lam, dtype=np.float64)
-        if lam.shape != (self.sys.num_cubes,):
-            raise ValueError(
-                f"lambda must have shape ({self.sys.num_cubes},), got {lam.shape}"
-            )
-        if not np.all(np.isfinite(lam)) or np.any(lam < 0):
-            raise ValueError("lambda coefficients must be finite and nonnegative")
+        lam = finite_nonnegative(self.lam, (self.sys.num_cubes,), "lambda")
         object.__setattr__(self, "lam", _frozen(lam))
 
     @property
@@ -184,11 +179,11 @@ def phi_identity_check(inst: Instance) -> PhiIdentityReport:
     for level in range(sys.num_levels):
         profile = level_test_input(inst, level)
         boxed = np.where(np.arange(sys.num_levels)[:, None] >= level, inst.mu, 0.0)
-        local, cubes = sys.ancestor_local[level], range(sys.level_sizes[level])
         lo, hi = sys.level_offset[level : level + 2]
+        cells, cubes = sys.cell_cube[level], range(lo, hi)
         pairing += all_box_integrals(inst, profile)[lo:hi].tolist()
-        slices += group_ksum(local, inst.sigma * ell2_slice(boxed) ** q, cubes)
-        phis += group_ksum(local, inst.sigma * ell2_slice(profile) ** p, cubes)
+        slices += group_ksum(cells, inst.sigma * ell2_slice(boxed) ** q, cubes)
+        phis += group_ksum(cells, inst.sigma * ell2_slice(profile) ** p, cubes)
     mu_norm_power = [(total ** (1.0 / q)) ** q for total in slices]
     phi_norm_power = [(total ** (1.0 / p)) ** p for total in phis]
     vals = np.array([pairing, slices, mu_norm_power, phi_norm_power])

@@ -20,7 +20,7 @@ from . import lattice
 from .errors import GuardError, PathError, SchemaError
 from .forms import Instance
 from .lattice import build_system
-from .stopping import StoppingFamily
+from .stopping import StoppingFamily, stopping_parents
 
 SCHEMA_VERSION = "dyadlab-instance/1"
 
@@ -261,17 +261,19 @@ def write_summary(summary: list[dict], fp, fmt: str) -> None:
 
 def family_to_dict(sys, family: StoppingFamily) -> dict:
     ids = list(family.members)
-    paths, parents = lattice.paths(sys, ids), family.projection[sys.parent_linear[ids]].tolist()
+    paths = lattice.paths(sys, ids)
+    parents = [None] + [paths[up] for up in stopping_parents(sys, family).tolist()]
     masses = [None] * len(ids) if family.phi_mass is None else family.phi_mass[ids].tolist()
     members = []
     for m, stat, parent, mass in zip(ids, family.stats[ids].tolist(), parents, masses):
         entry = {"path": paths[m], "stat": stat}
-        if m != family.top:
-            entry["parent"] = paths[parent]
+        if parent is not None:
+            entry["parent"] = parent
         if mass is not None:
             entry["test_input_mass"] = mass
         members.append(entry)
-    edges = [[paths[m], paths[c]] for m in family.members for c in family.children[m]]
+    # in breadth-first order these are the members' children lists, one after another
+    edges = [[parent, paths[m]] for parent, m in zip(parents[1:], ids[1:])]
     return {
         "kind": family.kind,
         "top": paths[family.top],

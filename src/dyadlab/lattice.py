@@ -45,7 +45,6 @@ class DyadicSystem:
         self.num_levels = self.depth + 1
         self.num_atoms = 1 << (self.dimension * self.depth)
         counts = np.array([1 << (self.dimension * j) for j in range(self.num_levels)])
-        self.level_sizes = counts
         self.level_offset = np.concatenate(([0], np.cumsum(counts)))
         self.num_cubes = int(self.level_offset[-1])
 
@@ -55,16 +54,15 @@ class DyadicSystem:
         side = 1 << self.depth
         digits = np.indices((side,) * self.dimension).reshape(self.dimension, self.num_atoms)
 
-        # ancestor_local[j, a]: local index (within level j) of the level-j
-        # cube containing atom a, whose multi-index is digits >> (depth - j);
-        # cell_cube[j, a]: its linear id.  These and the tables below are the
-        # one definition of the index layout.
+        # cell_cube[j, a]: linear id of the level-j cube containing atom a,
+        # whose multi-index is digits >> (depth - j), placed lexicographically
+        # after the level's offset.  This and the tables below are the one
+        # definition of the index layout.
         level = np.arange(self.num_levels)[:, None]
-        self.ancestor_local = sum(
+        self.cell_cube = self.level_offset[:-1, None] + sum(
             (digits[i] >> (self.depth - level)) << (level * (self.dimension - 1 - i))
             for i in range(self.dimension)
         )
-        self.cell_cube = self.level_offset[:-1, None] + self.ancestor_local
 
         # parent_linear[c]: linear id of the parent cube, -1 for the root.
         self.parent_linear = np.full(self.num_cubes, -1, dtype=np.intp)
@@ -84,9 +82,7 @@ class DyadicSystem:
         self.child_code[self.child_linear] = sum(
             ((k >> (self.dimension - 1 - i)) & 1) << i for i in range(self.dimension)
         )
-        for table in (
-            self.ancestor_local, self.cell_cube, self.parent_linear, self.child_linear, self.child_code
-        ):
+        for table in (self.cell_cube, self.parent_linear, self.child_linear, self.child_code):
             table.flags.writeable = False
 
     # -- cube ids ---------------------------------------------------------
@@ -273,9 +269,7 @@ def subtree_sums(sys: DyadicSystem, cube_values: np.ndarray) -> np.ndarray:
     """out[Q] = sum of values over all subcubes of Q, including Q."""
     out = np.asarray(cube_values, dtype=np.float64).copy()
     for j in range(sys.depth, 0, -1):
-        lo, hi = sys.level_offset[j], sys.level_offset[j + 1]
-        parents = sys.parent_linear[lo:hi] - sys.level_offset[j - 1]
-        out[sys.level_offset[j - 1] : lo] += np.bincount(
-            parents, weights=out[lo:hi], minlength=int(sys.level_sizes[j - 1])
-        )
+        above, lo, hi = sys.level_offset[j - 1 : j + 2]
+        parents = sys.parent_linear[lo:hi] - above
+        out[above:lo] += np.bincount(parents, weights=out[lo:hi], minlength=int(lo - above))
     return out

@@ -6,14 +6,14 @@ Two array shapes carry all function data:
 * weights / atom functions: shape ``(atoms,)``,
 * scale functions: shape ``(levels, atoms)`` -- one row per scale level.
 
-All values are nonnegative binary64; validation helpers normalize dtype and
-reject negatives, NaNs and infinities.  Reported numbers sum exactly
-(:func:`ksum`, :func:`group_ksum`), as identity checks run at 1e-10 relative;
-the norming maps, which the solvers call every half-step, sum with numpy
-(:func:`lp_norms`), within about log2(n) u (Higham, *Accuracy and Stability
-of Numerical Algorithms*, ch. 4).  Per-cube quantities are arrays over every
-cube at once: box and cube integrals and averages in :mod:`dyadlab.forms`,
-cube masses as ``lattice.cube_sums`` of a weight.
+All values are nonnegative binary64; one check, :func:`finite_nonnegative`,
+normalizes dtype and rejects negatives, NaNs and infinities.  Reported
+numbers sum exactly (:func:`ksum`, :func:`group_ksum`), as identity checks
+run at 1e-10 relative; the norming maps, which the solvers call every
+half-step, sum with numpy (:func:`lp_norms`), within about log2(n) u (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 4).  Per-cube
+quantities are arrays over every cube at once: box and cube integrals and
+averages in :mod:`dyadlab.forms`, cube masses as ``lattice.cube_sums``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,17 @@ def conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _checked(values, shape, what: str) -> np.ndarray:
+def largest_ratio(num, den) -> tuple[float, bool]:
+    """The largest ``num / den`` over ``den > 0`` (0.0 if none; a NaN ratio
+    propagates), and whether a positive ``num`` stands over no positive ``den``."""
+    num, den = np.asarray(num, dtype=np.float64), np.asarray(den, dtype=np.float64)
+    positive = den > 0
+    return float((num[positive] / den[positive]).max(initial=0.0)), bool((num[~positive] > 0).any())
+
+
+def finite_nonnegative(values, shape, what: str) -> np.ndarray:
+    """``values`` as a binary64 array of ``shape``; the one check that data
+    is finite and nonnegative, a ValueError naming ``what`` otherwise."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
@@ -62,11 +72,11 @@ def _checked(values, shape, what: str) -> np.ndarray:
 
 
 def as_weights(sys: DyadicSystem, values) -> np.ndarray:
-    return _checked(values, (sys.num_atoms,), "weights")
+    return finite_nonnegative(values, (sys.num_atoms,), "weights")
 
 
 def as_scale_function(sys: DyadicSystem, values) -> np.ndarray:
-    return _checked(values, (sys.num_levels, sys.num_atoms), "scale function")
+    return finite_nonnegative(values, (sys.num_levels, sys.num_atoms), "scale function")
 
 
 def zero_preserving_power(base: np.ndarray, exponent: float) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from . import generators, lattice
 from .errors import GuardError
 from .forms import Instance, apply_adjoint_operator, apply_box_operator, lambda_form, test_function
-from .measures import ell2_slice, lp_norm, lp_norming, mixed_norm, mixed_norming
+from .measures import ell2_slice, largest_ratio, lp_norm, lp_norming, mixed_norm, mixed_norming
 from .testing_constants import TestingReport, testing_report
 
 
@@ -265,19 +265,15 @@ def grid_oracle(inst: Instance, resolution: int) -> float:
     def norm(x, w, p):  # the Lp(w) norm of each row
         return (x**p @ w) ** (1.0 / p)
 
-    def largest(num, den):  # the largest ratio where den > 0, or 0.0
-        ok = den > 0
-        return float(np.max(num[ok] / den[ok])) if np.any(ok) else 0.0
-
     shape = (-1, sys.num_levels, sys.num_atoms)
     # f side on the grid, g side exact
     fgrid = _axis_grid(cells, resolution)
     h = fgrid @ apply_box_operator(inst, np.eye(cells).reshape(shape))
-    f_side = largest(norm(h, inst.omega, inst.p), norm(ell2_slice(fgrid.reshape(shape)), inst.sigma, inst.p))
+    f_side = largest_ratio(norm(h, inst.omega, inst.p), norm(ell2_slice(fgrid.reshape(shape)), inst.sigma, inst.p))[0]
     # g side on the grid, f side exact
     ggrid = _axis_grid(sys.num_atoms, resolution)
     kg = ggrid @ apply_adjoint_operator(inst, np.eye(sys.num_atoms)).reshape(sys.num_atoms, cells)
-    g_side = largest(norm(ell2_slice(kg.reshape(shape)), inst.sigma, inst.q), norm(ggrid, inst.omega, inst.q))
+    g_side = largest_ratio(norm(ell2_slice(kg.reshape(shape)), inst.sigma, inst.q), norm(ggrid, inst.omega, inst.q))[0]
     return max(0.0, f_side, g_side)  # a NaN side drops out
 
 

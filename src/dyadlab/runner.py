@@ -57,7 +57,7 @@ def evaluate_instance(
     )
     avg_family = build_average_family(inst, sys.root, g)
     g_carleson = carleson_constant(sys, avg_family, inst.omega)
-    sparse_max = child_mass_bound(ratio_family)
+    sparse_max = child_mass_bound(sys, ratio_family)
 
     rng = generators.philox(seed, generators.STREAM_A)
     a = np.exp(rng.random(sys.num_cubes) * 2.0 - 1.0) * (rng.random(sys.num_cubes) >= 0.5)

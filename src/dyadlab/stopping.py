@@ -11,16 +11,17 @@ Two constructions, both iterated maximal-cube selections below a top cube:
 Both are built by one top-down sweep over the levels below the top, which
 tests each strict subcube once, one array comparison per level, against the
 threshold of its nearest strict-ancestor member.  Members form a tree (the
-stopping tree) that is in general much sparser than the lattice tree; a
-member's stopping children are listed by level, then in Morton order (the
-order of ``lattice.children``: coordinate 0 in the high bit of each child
-code), and ``members`` is the breadth-first order of the stopping tree.  The
-sweep also builds the family's projection table (each cube's smallest
-containing member), which defines the exclusive sets (member minus its
-stopping children), the cross children (stopping children whose projection
-under the *other* family stays inside the member), and the two collapse
-operations that replace a function below cross children by calibrated
-profiles without changing the integrals the form sees.
+stopping tree) that is in general much sparser than the lattice tree, listed
+in ``members`` breadth first, each member's children by level, then in
+Morton order (that of ``lattice.children``: coordinate 0 in the high bit of
+each child code).  The sweep also builds the family's projection table (each
+cube's smallest containing member), which defines the tree (a member's
+parent is the projection of its lattice parent, :func:`stopping_parents`;
+children are implied by ``members`` and not stored), the exclusive sets
+(member minus its stopping children), the cross children (stopping children
+whose projection under the *other* family stays inside the member), and the
+two collapse operations that replace a function below cross children by
+calibrated profiles without changing the integrals the form sees.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import lattice
 from .forms import Instance, all_box_integrals, all_cube_averages, level_test_input
 from .lattice import DyadicSystem
-from .measures import conjugate, group_ksum
+from .measures import conjugate, group_ksum, largest_ratio
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class StoppingFamily:
     kind: str                         # "average" or "ratio"
     top: int                          # linear cube id
     members: tuple[int, ...]          # breadth-first order of the stopping tree
-    children: dict[int, tuple[int, ...]]
     # Per cube id, read-only: the smallest member holding it (-1 outside the
     # top); the member's average (avg) or bracket (ratio) and, ratio kind
     # only, its test-input mass, 0.0 off the members.
@@ -59,10 +59,8 @@ def default_ratio_constants(p: float) -> tuple[float, float]:
     return 4.0 * b ** (2.0 - q), b
 
 
-def _level_sweep(
-    sys: DyadicSystem, top: int, triggered
-) -> tuple[list[int], dict[int, tuple[int, ...]], np.ndarray]:
-    """Members (BFS order), stopping children and projection below ``top``.
+def _level_sweep(sys: DyadicSystem, top: int, triggered) -> tuple[list[int], np.ndarray]:
+    """Members (BFS order) and projection below ``top``.
 
     One pass per level walks the top's subtree along the lattice's
     ``child_linear`` rows, in ``lattice.children`` order, the order a
@@ -85,13 +83,14 @@ def _level_sweep(
         found.extend(hits.tolist())
     proj.flags.writeable = False
 
+    # the level order, grouped by stopping parent, is the breadth-first order
     below: dict[int, list[int]] = {m: [] for m in [top, *found]}
     for c, o in zip(found, proj[sys.parent_linear[found]].tolist()):
         below[o].append(c)
     members = [top]
     for member in members:  # grows while it is walked: a BFS queue
         members.extend(below[member])
-    return members, {m: tuple(below[m]) for m in members}, proj
+    return members, proj
 
 
 def _is_member(proj: np.ndarray) -> np.ndarray:
@@ -103,12 +102,10 @@ def build_average_family(inst: Instance, top: int, g: np.ndarray) -> StoppingFam
     """Average-stopping family for an atom function, threshold factor 2."""
     sys = inst.sys
     avg = all_cube_averages(inst, g)
-    members, children, proj = _level_sweep(
-        sys, top, lambda cubes, owners: avg[cubes] > 2.0 * avg[owners]
-    )
+    members, proj = _level_sweep(sys, top, lambda cubes, owners: avg[cubes] > 2.0 * avg[owners])
     stats = np.where(_is_member(proj), avg, 0.0)
     stats.flags.writeable = False
-    return StoppingFamily("average", top, tuple(members), children, proj, stats)
+    return StoppingFamily("average", top, tuple(members), proj, stats)
 
 
 def build_ratio_family(
@@ -145,7 +142,7 @@ def build_ratio_family(
             hit[at] = (den[cubes[at]] > 0) & (ratio[cubes[at]] > A * ratio[owners[at]])
         return hit
 
-    members, children, proj = _level_sweep(sys, top, triggered)
+    members, proj = _level_sweep(sys, top, triggered)
     member, phi_mass = _is_member(proj), np.zeros(sys.num_cubes)
     for level in set(sys.cube_level[members].tolist()):
         at = slice(sys.level_offset[level], sys.level_offset[level + 1])
@@ -153,7 +150,13 @@ def build_ratio_family(
     stats = np.divide(num, phi_mass, out=np.zeros_like(num), where=phi_mass > 0)
     stats.flags.writeable = phi_mass.flags.writeable = False
     params = {"A": float(A), "B": float(b)}
-    return StoppingFamily("ratio", top, tuple(members), children, proj, stats, phi_mass, params)
+    return StoppingFamily("ratio", top, tuple(members), proj, stats, phi_mass, params)
+
+
+def stopping_parents(sys: DyadicSystem, family: StoppingFamily) -> np.ndarray:
+    """The stopping parent of each member after the top, in ``members``
+    order: the projection of its lattice parent."""
+    return family.projection[sys.parent_linear[list(family.members[1:])]]
 
 
 def subtree_totals(sys: DyadicSystem, family: StoppingFamily, own: np.ndarray) -> np.ndarray:
@@ -168,10 +171,7 @@ def largest_subtree_ratio(sys: DyadicSystem, family: StoppingFamily, own) -> tup
     with a positive own value, and whether a member with no own value carries
     a positive total."""
     member = _is_member(family.projection)
-    total, own = subtree_totals(sys, family, own)[member], np.asarray(own)[member]
-    positive = own > 0
-    best = (total[positive] / own[positive]).max(initial=0.0)
-    return float(best), bool((total[~positive] > 0).any())
+    return largest_ratio(subtree_totals(sys, family, own)[member], np.asarray(own)[member])
 
 
 def carleson_constant(sys: DyadicSystem, family: StoppingFamily, w: np.ndarray) -> float:
@@ -187,10 +187,10 @@ def cross_children(
 ) -> list[int]:
     """Stopping children of ``member`` whose projection under the other
     family stays inside ``member``."""
-    proj = other.projection
-    level = sys.cube_level[member]
+    proj, level = other.projection, sys.cube_level[member]
+    kids = np.asarray(family.members[1:], dtype=np.intp)[stopping_parents(sys, family) == member]
     out = []
-    for c in family.children[member]:
+    for c in kids.tolist():
         if proj[c] < 0:
             raise ValueError(f"cube {lattice.paths(sys, [c])[c]!r} lies outside the family top")
         # proj and member both contain c, so they nest: proj lies inside
@@ -210,7 +210,7 @@ def collapse_scale_function(
     """Replace f below the cross children of an average-family member by
     calibrated test-input profiles; box integrals over cubes projecting to
     this member (strictly inside their ratio projection) are unchanged."""
-    if member not in avg_family.children:
+    if member not in avg_family.members:
         raise ValueError("member does not belong to the average family")
     sys = inst.sys
     out = f * (avg_family.projection[sys.cell_cube] == member)
@@ -238,7 +238,7 @@ def collapse_atom_function(
 ) -> np.ndarray:
     """Replace g below the cross children of a ratio-family member by its
     averages; cube integrals over cubes projecting to this member are kept."""
-    if member not in ratio_family.children:
+    if member not in ratio_family.members:
         raise ValueError("member does not belong to the ratio family")
     sys = inst.sys
     out = g * (ratio_family.projection[sys.cell_cube[-1]] == member)
@@ -248,17 +248,13 @@ def collapse_atom_function(
     return out
 
 
-def child_mass_bound(family: StoppingFamily) -> float:
+def child_mass_bound(sys: DyadicSystem, family: StoppingFamily) -> float:
     """Largest ratio (sum of children test-input masses) / (member mass)."""
     if family.kind != "ratio":
         raise ValueError("test-input masses exist only for ratio families")
-    # in breadth-first order, the members after the top are the children
-    # lists of the members, one after the other
-    parents = np.repeat(family.members, [len(family.children[m]) for m in family.members])
-    child_sums = np.array(group_ksum(parents, family.phi_mass[list(family.members[1:])], family.members))
-    own = family.phi_mass[list(family.members)]
-    ratios = np.divide(child_sums, own, out=np.zeros_like(own), where=own > 0)
-    return float(ratios.max(initial=0.0))
+    members = list(family.members)
+    child_sums = group_ksum(stopping_parents(sys, family), family.phi_mass[members[1:]], members)
+    return largest_ratio(child_sums, family.phi_mass[members])[0]
 
 
 def subfamily_mass_bound(sys: DyadicSystem, family: StoppingFamily) -> float:

@@ -88,18 +88,18 @@ def _select(sys, exponent: float, num_terms, den_terms, skip: np.ndarray):
     picks = viable & (~sure | (ratio >= (1.0 - RESELECT_MARGIN) * top))
     best, best_cube = 0.0, None
     for level in range(sys.num_levels):
-        lo = int(sys.level_offset[level])
-        local = np.flatnonzero(picks[lo : sys.level_offset[level + 1]])
-        if local.size == 0:
+        lo, hi = sys.level_offset[level : level + 2]
+        cubes = lo + np.flatnonzero(picks[lo:hi])
+        if cubes.size == 0:
             continue
-        anc = sys.ancestor_local[level]
-        nums = group_ksum(anc, num_terms[level], local)
-        dens = group_ksum(anc, den_terms[level], local)
+        cells = sys.cell_cube[level]
+        nums = group_ksum(cells, num_terms[level], cubes)
+        dens = group_ksum(cells, den_terms[level], cubes)
         # a viable cube has a positive denominator term, so no zero divides
-        for i, num, den in zip(local.tolist(), nums, dens):
+        for cube, num, den in zip(cubes.tolist(), nums, dens):
             r = num ** (1.0 / exponent) / den ** (1.0 / exponent)
             if r > best:
-                best, best_cube = r, lo + i
+                best, best_cube = r, cube
     return best, best_cube
 
 

@@ -301,7 +301,7 @@ def _check_stopping(s: _Suite):
         if inst.p >= 2.0:
             # the geometric mass decay is a consequence of the default
             # constants only in the p >= 2 regime
-            if child_mass_bound(ffam) > 0.5:
+            if child_mass_bound(sys, ffam) > 0.5:
                 fails_s.append((inst, "child test-input mass above half the parent"))
             if subfamily_mass_bound(sys, ffam) > 2.0:
                 fails_g.append((inst, "subfamily test-input mass above twice the parent"))

@@ -21,7 +21,12 @@ dense form kernel that the
 tree (``subtree_totals``, ``largest_subtree_ratio`` and the per-member
 ``child_mass_bound``) that one ``lattice.subtree_sums`` pass and one grouped
 exact sum over the per-cube family arrays replaced; the BFS builders and the
-path-based family writer use those, not the tables they check.  They name a cube by the
+path-based family writer use those, not the tables they check.  A family
+keeps no children: the walks read them off ``stopping_children``, which
+builds them from ``members`` and ``projection``, and the BFS builders return
+their own children dicts beside the family.  The level-local cube index and
+the level sizes the lattice no longer stores are ``ancestor_local`` and
+``level_sizes`` here.  They name a cube by the
 ``Cube(level, index)`` tuple the package used before the linear id became a
 cube's only name, converted with copies of the package's old ``linear`` and
 ``cube_at``.  The tree aggregations that ``lattice.level_sums`` and
@@ -338,13 +343,23 @@ def form_kernel_shared_levels(inst) -> np.ndarray:
 # sum (``form_kernel`` below).
 
 
+def ancestor_local(sys: DyadicSystem, j: int) -> np.ndarray:
+    """Per atom: the index within level ``j`` of its level-``j`` cube."""
+    return sys.cell_cube[j] - sys.level_offset[j]
+
+
+def level_sizes(sys: DyadicSystem) -> np.ndarray:
+    """The number of cubes on each level."""
+    return np.diff(sys.level_offset)
+
+
 def cube_sums(sys: DyadicSystem, atom_values: np.ndarray) -> np.ndarray:
     """Per-cube sums of an atom array: out[Q] = sum of values over atoms in Q."""
     v = np.asarray(atom_values, dtype=np.float64)
     out = np.empty(sys.num_cubes, dtype=np.float64)
     for j in range(sys.num_levels):
         out[sys.level_offset[j] : sys.level_offset[j + 1]] = np.bincount(
-            sys.ancestor_local[j], weights=v, minlength=int(sys.level_sizes[j])
+            ancestor_local(sys, j), weights=v, minlength=int(level_sizes(sys)[j])
         )
     return out
 
@@ -359,7 +374,7 @@ def box_sums(sys: DyadicSystem, cell_values: np.ndarray) -> np.ndarray:
     out = np.empty(sys.num_cubes, dtype=np.float64)
     for j in range(sys.num_levels):
         out[sys.level_offset[j] : sys.level_offset[j + 1]] = np.bincount(
-            sys.ancestor_local[j], weights=suffix[j], minlength=int(sys.level_sizes[j])
+            ancestor_local(sys, j), weights=suffix[j], minlength=int(level_sizes(sys)[j])
         )
     return out
 
@@ -374,7 +389,7 @@ def chain_running(
     acc = np.zeros(sys.num_atoms, dtype=np.float64)
     for j in range(start_level, sys.num_levels):
         level_vals = v[sys.level_offset[j] : sys.level_offset[j + 1]]
-        acc = acc + level_vals[sys.ancestor_local[j]]
+        acc = acc + level_vals[ancestor_local(sys, j)]
         out[j] = acc
     return out
 
@@ -385,7 +400,7 @@ def chain_total(sys: DyadicSystem, cube_values: np.ndarray) -> np.ndarray:
     acc = np.zeros(sys.num_atoms, dtype=np.float64)
     for j in range(sys.num_levels):
         level_vals = v[sys.level_offset[j] : sys.level_offset[j + 1]]
-        acc += level_vals[sys.ancestor_local[j]]
+        acc += level_vals[ancestor_local(sys, j)]
     return acc
 
 
@@ -403,7 +418,7 @@ def dual_skip(sys, kernels) -> np.ndarray:
     for level, kernel in enumerate(kernels):
         cut = slice(sys.level_offset[level], sys.level_offset[level + 1])
         bad = ~np.isfinite(kernel).all(axis=0)
-        inside = np.bincount(sys.ancestor_local[level], weights=bad, minlength=cut.stop - cut.start)
+        inside = np.bincount(ancestor_local(sys, level), weights=bad, minlength=cut.stop - cut.start)
         skip[cut] = inside < bad.sum()
     return skip
 
@@ -517,7 +532,7 @@ def _walk_up(sys: DyadicSystem, top: int, members, cube: int) -> int:
 def project(sys: DyadicSystem, family: StoppingFamily, cube: int) -> int:
     """Smallest family member containing ``cube``, by walking up the parents
     (the package reads it off the family's ``projection`` table)."""
-    member = _walk_up(sys, family.top, family.children, cube)  # keyed by every member
+    member = _walk_up(sys, family.top, set(family.members), cube)
     if member < 0:
         raise ValueError(f"cube {cube_at(sys, cube)} lies outside the family top")
     return member
@@ -534,31 +549,46 @@ def _per_cube(sys, values):
 
 def stopping_family(sys, kind, top, members, children, stats, phi_mass=None, params=None):
     """A ``StoppingFamily`` with its projection table from the per-cube walk
-    and its member-keyed ``stats`` and ``phi_mass`` dicts as per-cube arrays:
-    for the BFS builders and hand-made families."""
+    over the members ``children`` is keyed by, and its member-keyed ``stats``
+    and ``phi_mass`` dicts as per-cube arrays: for the BFS builders and
+    hand-made families.  The family keeps no children; the walks below read
+    them off :func:`stopping_children`."""
     table = np.array([_walk_up(sys, top, children, c) for c in range(sys.num_cubes)], dtype=np.intp)
     table.flags.writeable = False
     masses = None if phi_mass is None else _per_cube(sys, phi_mass)
-    return StoppingFamily(
-        kind, top, tuple(members), children, table, _per_cube(sys, stats), masses, params or {}
-    )
+    return StoppingFamily(kind, top, tuple(members), table, _per_cube(sys, stats), masses, params or {})
 
 
-def subtree_totals(family: StoppingFamily, own) -> dict[int, float]:
+def stopping_children(sys, family: StoppingFamily) -> dict[int, list[int]]:
+    """Per member, its stopping children in ``members`` order: the members
+    after the top whose lattice parent projects to it."""
+    children: dict[int, list[int]] = {m: [] for m in family.members}
+    for c in family.members[1:]:
+        children[int(family.projection[sys.parent_linear[c]])].append(c)
+    return children
+
+
+def children_of(sys, family: StoppingFamily, member: int) -> list[int]:
+    """The stopping children of one member, as in :func:`stopping_children`."""
+    kids = np.asarray(family.members[1:], dtype=np.intp)
+    return kids[family.projection[sys.parent_linear[kids]] == member].tolist()
+
+
+def subtree_totals(sys, family: StoppingFamily, own) -> dict[int, float]:
     """Per member: ``own[member]`` plus the totals of its stopping children,
     summed children before parents, in member order (the package takes one
     ``lattice.subtree_sums`` pass over the members)."""
-    total: dict[int, float] = {}
+    children, total = stopping_children(sys, family), {}
     for member in reversed(family.members):
-        total[member] = own[member] + sum(total[c] for c in family.children[member])
+        total[member] = own[member] + sum(total[c] for c in children[member])
     return total
 
 
-def largest_subtree_ratio(family: StoppingFamily, own) -> tuple[float, bool]:
+def largest_subtree_ratio(sys, family: StoppingFamily, own) -> tuple[float, bool]:
     """Largest ratio of a member's subtree total to its own value, over members
     with a positive own value, and whether a member with no own value carries
     a positive total, by the walk of :func:`subtree_totals`."""
-    total = subtree_totals(family, own)
+    total = subtree_totals(sys, family, own)
     best, flagged = 0.0, False
     for member in reversed(family.members):
         if own[member] > 0:
@@ -568,15 +598,15 @@ def largest_subtree_ratio(family: StoppingFamily, own) -> tuple[float, bool]:
     return best, flagged
 
 
-def child_mass_bound(family: StoppingFamily) -> float:
+def child_mass_bound(sys, family: StoppingFamily) -> float:
     """Largest ratio (sum of children test-input masses) / (member mass), one
     exact sum of the children's masses a member."""
-    worst = 0.0
+    worst, children = 0.0, stopping_children(sys, family)
     for member in family.members:
         parent_mass = family.phi_mass[member]
         if parent_mass == 0.0:
             continue
-        child_sum = measures.ksum([family.phi_mass[c] for c in family.children[member]])
+        child_sum = measures.ksum([family.phi_mass[c] for c in children[member]])
         worst = max(worst, child_sum / parent_mass)
     return worst
 
@@ -806,7 +836,7 @@ def build_average_family_bfs(inst, top, g):
         members.extend(ch)
         queue.extend(ch)
     stats = {m: float(avg[m]) for m in members}
-    return stopping_family(sys, "average", top, members, children, stats)
+    return stopping_family(sys, "average", top, members, children, stats), children
 
 
 def build_ratio_family_bfs(inst, top, f, A=None):
@@ -840,9 +870,8 @@ def build_ratio_family_bfs(inst, top, f, A=None):
         children[member] = tuple(ch)
         members.extend(ch)
         queue.extend(ch)
-    return stopping_family(
-        sys, "ratio", top, members, children, stats, phi_mass, {"A": float(A), "B": float(b)}
-    )
+    params = {"A": float(A), "B": float(b)}
+    return stopping_family(sys, "ratio", top, members, children, stats, phi_mass, params), children
 
 
 def instance_lambda_map_path_of(inst):
@@ -857,7 +886,8 @@ def instance_lambda_map_path_of(inst):
 
 
 def family_to_dict_path_of(sys, family):
-    parent = {c: m for m in family.members for c in family.children[m]}
+    children = stopping_children(sys, family)
+    parent = {c: m for m in family.members for c in children[m]}
     members = []
     for m in family.members:
         cube = cube_at(sys, m)
@@ -873,7 +903,7 @@ def family_to_dict_path_of(sys, family):
     edges = [
         [path_of(sys, cube_at(sys, m)), path_of(sys, cube_at(sys, c))]
         for m in family.members
-        for c in family.children[m]
+        for c in children[m]
     ]
     return {
         "kind": family.kind,
@@ -894,14 +924,14 @@ def family_to_dict_path_of(sys, family):
 
 def exclusive_box_mask(sys, family, member):
     mask = sys.box_mask(member)
-    for c in family.children[member]:
+    for c in children_of(sys, family, member):
         mask &= ~sys.box_mask(c)
     return mask
 
 
 def exclusive_atom_mask(sys, family, member):
     mask = sys.atom_mask(member)
-    for c in family.children[member]:
+    for c in children_of(sys, family, member):
         mask &= ~sys.atom_mask(c)
     return mask
 
@@ -955,11 +985,11 @@ class LiftedMeasure:
         return measures.ksum(list(self.point_mass.values()))
 
 
-def lifted_measure(family: StoppingFamily) -> LiftedMeasure:
+def lifted_measure(sys, family: StoppingFamily) -> LiftedMeasure:
     if family.kind != "ratio":
         raise ValueError("lifted measure requires a ratio family")
     point_mass = {m: float(family.phi_mass[m]) for m in family.members}
-    return LiftedMeasure(point_mass, subtree_totals(family, point_mass))
+    return LiftedMeasure(point_mass, subtree_totals(sys, family, point_mass))
 
 
 def stopping_embedding_report_masks(inst, f, family):
@@ -973,13 +1003,13 @@ def stopping_embedding_report_masks(inst, f, family):
     rhs = measures.mixed_norm(f, inst.sigma, inst.p) ** inst.p
     ratio = lhs / rhs if rhs > 0 else 0.0
 
-    factor = largest_subtree_ratio(family, lifted_measure(family).box_mass)[0]
+    factor = largest_subtree_ratio(sys, family, lifted_measure(sys, family).box_mass)[0]
 
     weights = inst.sigma[None, :] * f * inst.mu
     exclusive = {
         m: measures.ksum(weights[exclusive_box_mask(sys, family, m)]) for m in family.members
     }
-    acc = subtree_totals(family, exclusive)
+    acc = subtree_totals(sys, family, exclusive)
     err = 0.0
     for member in reversed(family.members):
         target = num[member]

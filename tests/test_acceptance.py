@@ -151,7 +151,7 @@ def _family_sweep(p: float):
             )
             f = embedding_probe_function(inst, seed)
             ffam = build_ratio_family(inst, inst.sys.root, f)
-            stats["child_mass_max"] = max(stats["child_mass_max"], child_mass_bound(ffam))
+            stats["child_mass_max"] = max(stats["child_mass_max"], child_mass_bound(inst.sys, ffam))
             stats["subtree_mass_max"] = max(
                 stats["subtree_mass_max"], subfamily_mass_bound(inst.sys, ffam)
             )

@@ -36,6 +36,17 @@ def _w1_data():
     return s, CarlesonData(np.array([2.0, 1.0, 1.0]), np.array([1.0, 1.0]))
 
 
+def test_carleson_data_rejects_bad_entries():
+    s, data = _w1_data()
+    for bad in (-1.0, math.inf, math.nan):
+        a, nu = data.a.copy(), data.nu.copy()
+        a[1], nu[0] = bad, bad
+        with pytest.raises(ValueError, match="^a contains"):
+            CarlesonData(a, data.nu)
+        with pytest.raises(ValueError, match="^nu contains"):
+            CarlesonData(data.a, nu)
+
+
 def test_condition_constant_example():
     s, data = _w1_data()
     assert carleson_condition_constant(s, data) == 2.0

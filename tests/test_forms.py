@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -205,8 +207,9 @@ def test_instance_validation():
         Instance(s, 2.0, [1, -1], [1, 1], np.ones((2, 2)), np.zeros(3))
     with pytest.raises(ValueError):
         Instance(s, 2.0, [1, 1], [1, 1], np.ones((2, 2)), np.zeros(4))
-    with pytest.raises(ValueError):
-        Instance(s, 2.0, [1, 1], [1, 1], np.ones((2, 2)), [0.0, -1.0, 0.0])
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda contains"):
+            Instance(s, 2.0, [1, 1], [1, 1], np.ones((2, 2)), [0.0, bad, 0.0])
     inst = Instance(s, 2.0, [1, 1], [1, 1], np.ones((2, 2)), np.zeros(3))
     assert inst.q == 2.0
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from dyadlab.measures import (
     ell2_slice,
     group_ksum,
     ksum,
+    largest_ratio,
     lp_norm,
     lp_norms,
     mixed_norm,
@@ -188,6 +189,21 @@ def test_validation_rejects_bad_values():
         as_weights(s, [1.0])
     with pytest.raises(ValueError):
         as_scale_function(s, np.ones((3, 2)))
+
+
+def test_largest_ratio_cases():
+    # the maxima of the Carleson constants, the child mass bound and the grid
+    # oracle: over den > 0 only, flagging a positive num over a zero den
+    assert largest_ratio([1.0, 2.0], [0.0, -1.0]) == (0.0, True)
+    assert largest_ratio([0.0, 0.0], [0.0, -1.0]) == (0.0, False)
+    assert largest_ratio([3.0, 1.0, 6.0], [0.0, 2.0, 4.0]) == (1.5, True)
+    assert largest_ratio(np.zeros(3), np.zeros(3)) == (0.0, False)
+    assert largest_ratio([], []) == (0.0, False)
+    best, flagged = largest_ratio([1.0, math.nan, 0.0], [1.0, 2.0, 0.0])
+    assert math.isnan(best) and not flagged
+    with np.errstate(invalid="ignore"):  # inf / inf, as from overflowed norms
+        best, flagged = largest_ratio([math.inf, 1.0], [math.inf, 1.0])
+    assert math.isnan(best) and not flagged
 
 
 # -- grouped exact sums ------------------------------------------------------

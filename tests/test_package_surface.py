@@ -303,3 +303,60 @@ def test_only_cli_opens_files():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"
     ]
     assert opened == ["cli"]
+
+
+def _calls_in(tree, function: str) -> set:
+    """Names called anywhere in the top-level function ``function``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            funcs = [n.func for n in ast.walk(node) if isinstance(n, ast.Call)]
+            return {getattr(f, "attr", getattr(f, "id", None)) for f in funcs}
+    raise AssertionError(f"no function {function}")
+
+
+def test_each_table_and_rule_has_one_copy():
+    # the stopping tree is ``projection`` and the breadth-first ``members``
+    # order, a cube's index is its linear id, and "largest num / den over
+    # den > 0" and "finite and nonnegative" each have one body in ``measures``
+    trees = dict(_parse_package())
+    fields = [
+        item.target.id
+        for node in trees["stopping"].body
+        if isinstance(node, ast.ClassDef) and node.name == "StoppingFamily"
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+    ]
+    assert "members" in fields and "children" not in fields
+    reads = [
+        f"{module}:{node.lineno} .{node.attr}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (
+            node.attr in ("ancestor_local", "level_sizes")
+            or node.attr == "children" and not (isinstance(node.value, ast.Name) and node.value.id == "lattice")
+        )
+    ]
+    assert reads == []
+    for module, function in (
+        ("embedding", "carleson_condition_constant"),
+        ("stopping", "largest_subtree_ratio"),
+        ("stopping", "child_mass_bound"),
+        ("normest", "grid_oracle"),
+    ):
+        assert "largest_ratio" in _calls_in(trees[module], function), function
+    checks = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == "isfinite" for n in ast.walk(node))
+        and any(
+            isinstance(n, ast.Compare)
+            and isinstance(n.ops[0], ast.Lt)
+            and isinstance(n.comparators[0], ast.Constant)
+            and n.comparators[0].value == 0
+            for n in ast.walk(node)
+        )
+    ]
+    assert checks == ["measures.finite_nonnegative"]

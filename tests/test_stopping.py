@@ -27,6 +27,7 @@ from dyadlab.stopping import (
     collapse_scale_function,
     cross_children,
     default_ratio_constants,
+    stopping_parents,
     subfamily_mass_bound,
     subtree_totals,
 )
@@ -110,7 +111,7 @@ def test_cross_child_outside_other_top_rejected():
     avg = build_average_family(inst, s.root, spike)
     flat_f = np.ones((s.num_levels, s.num_atoms))
     ratio = build_ratio_family(inst, left, flat_f, A=1.25)
-    assert right in avg.children[avg.top]
+    assert right in ref.stopping_children(s, avg)[avg.top]
     with pytest.raises(ValueError, match=outside):
         cross_children(s, avg, ratio, avg.top)
     with pytest.raises(ValueError, match=outside):
@@ -118,7 +119,7 @@ def test_cross_child_outside_other_top_rejected():
     # the mirror: ratio family at the root, average family on the left half
     ratio = build_ratio_family(inst, s.root, flat_f + spike, A=1.25)
     avg = build_average_family(inst, left, np.ones(s.num_atoms))
-    assert right in ratio.children[ratio.top]
+    assert right in ref.stopping_children(s, ratio)[ratio.top]
     with pytest.raises(ValueError, match=outside):
         cross_children(s, ratio, avg, ratio.top)
     with pytest.raises(ValueError, match=outside):
@@ -173,7 +174,7 @@ def test_ratio_family_mass_bounds(p):
     for inst in _stress_instances(p, 25):
         f = random_scale_function(inst.sys, int(inst.p * 100), base=inst.mu)
         fam = build_ratio_family(inst, inst.sys.root, f)
-        assert child_mass_bound(fam) <= 0.5
+        assert child_mass_bound(inst.sys, fam) <= 0.5
         assert subfamily_mass_bound(inst.sys, fam) <= 2.0
 
 
@@ -200,9 +201,9 @@ def test_deep_chain_forces_generations():
     gfam = build_average_family(inst, inst.sys.root, g)
 
     def generations(fam):
-        depth_of = {fam.top: 0}
+        depth_of, children = {fam.top: 0}, ref.stopping_children(inst.sys, fam)
         for m in fam.members:
-            depth_of.update((c, depth_of[m] + 1) for c in fam.children[m])
+            depth_of.update((c, depth_of[m] + 1) for c in children[m])
         return max(depth_of.values())
 
     assert generations(ffam) >= 2
@@ -297,9 +298,12 @@ def test_ratio_family_passes_scale_with_levels(monkeypatch):
 # -- level sweep against the per-member BFS ---------------------------------
 
 
-def _assert_same_family(sys, got, want):
-    for name in ("kind", "top", "members", "children", "params"):
+def _assert_same_family(sys, got, built):
+    want, children = built
+    for name in ("kind", "top", "members", "params"):
         assert getattr(got, name) == getattr(want, name), name
+    parent = {c: m for m, kids in children.items() for c in kids}
+    assert stopping_parents(sys, got).tolist() == [parent[c] for c in got.members[1:]]
     for name in ("projection", "stats", "phi_mass"):
         table = getattr(got, name)
         assert (table is None) == (getattr(want, name) is None), name
@@ -487,11 +491,11 @@ def test_family_arrays_and_subtree_totals_match_the_walks():
         for own in (masses, fam.phi_mass):
             if own is None:
                 continue
-            got, want = subtree_totals(sys, fam, own), ref.subtree_totals(fam, own)
+            got, want = subtree_totals(sys, fam, own), ref.subtree_totals(sys, fam, own)
             for m in fam.members:
                 assert got[m] == (want[m] if exact else pytest.approx(want[m], rel=2 * u, abs=0.0))
         if fam.kind == "ratio":
-            assert child_mass_bound(fam) == ref.child_mass_bound(fam)
+            assert child_mass_bound(sys, fam) == ref.child_mass_bound(sys, fam)
 
 
 @pytest.mark.parametrize("depth", [4, 5])
