@@ -25,7 +25,6 @@ from .embedding import (
     stopping_embedding_report,
 )
 from .errors import GuardError, SchemaError
-from .lattice import paths
 from .normest import alternating_maximization, attach_oracle
 from .stopping import build_average_family, build_ratio_family
 from .testing_constants import testing_report
@@ -128,13 +127,12 @@ def _cmd_eval(args, out) -> int:
 def _cmd_testing(args, out) -> int:
     inst = _load_or_generate(args)
     rep = testing_report(inst)
-    argmax = [c for c in (rep.forward_cube, rep.dual_cube) if c is not None]
-    named = paths(inst.sys, argmax)
+    named = [None if c is None else inst.sys.path[c] for c in (rep.forward_cube, rep.dual_cube)]
     payload = {
         "T": rep.forward,
         "Tstar": rep.dual,
-        "argmax_T": named.get(rep.forward_cube),
-        "argmax_Tstar": named.get(rep.dual_cube),
+        "argmax_T": named[0],
+        "argmax_Tstar": named[1],
         "witness_g": rep.witness_g.tolist(),
         "witness_f": rep.witness_f.tolist(),
     }

@@ -61,7 +61,6 @@ def _parse_int(value, path: str) -> int:
 
 def instance_to_dict(inst: Instance) -> dict:
     sys, lam = inst.sys, inst.lam.tolist()
-    named = lattice.paths(sys, np.flatnonzero(inst.lam).tolist())
     # each value as the hex of the Python float ``tolist`` gives, the same double
     return {
         "version": SCHEMA_VERSION,
@@ -71,7 +70,7 @@ def instance_to_dict(inst: Instance) -> dict:
         "sigma": list(map(float.hex, inst.sigma.tolist())),
         "omega": list(map(float.hex, inst.omega.tolist())),
         "mu": [list(map(float.hex, row)) for row in inst.mu.tolist()],
-        "lambda": {path: lam[c].hex() for c, path in named.items()},
+        "lambda": {sys.path[c]: lam[c].hex() for c in np.flatnonzero(inst.lam).tolist()},
     }
 
 
@@ -260,23 +259,22 @@ def write_summary(summary: list[dict], fp, fmt: str) -> None:
 
 
 def family_to_dict(sys, family: StoppingFamily) -> dict:
-    ids = list(family.members)
-    paths = lattice.paths(sys, ids)
-    parents = [None] + [paths[up] for up in stopping_parents(sys, family).tolist()]
+    ids, name = list(family.members), sys.path
+    parents = [None] + [name[up] for up in stopping_parents(sys, family).tolist()]
     masses = [None] * len(ids) if family.phi_mass is None else family.phi_mass[ids].tolist()
     members = []
     for m, stat, parent, mass in zip(ids, family.stats[ids].tolist(), parents, masses):
-        entry = {"path": paths[m], "stat": stat}
+        entry = {"path": name[m], "stat": stat}
         if parent is not None:
             entry["parent"] = parent
         if mass is not None:
             entry["test_input_mass"] = mass
         members.append(entry)
     # in breadth-first order these are the members' children lists, one after another
-    edges = [[parent, paths[m]] for parent, m in zip(parents[1:], ids[1:])]
+    edges = [[parent, name[m]] for parent, m in zip(parents[1:], ids[1:])]
     return {
         "kind": family.kind,
-        "top": paths[family.top],
+        "top": name[family.top],
         "params": dict(family.params),
         "members": members,
         "edges": edges,

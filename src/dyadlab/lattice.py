@@ -10,11 +10,14 @@ Atoms are enumerated in lexicographic multi-index order, cubes level-major and
 lexicographically within each level; a cube's position in that order, its
 linear id, is its only name inside the package (the root is id 0).  The
 tables of :class:`DyadicSystem` are the one definition of this layout: other
-modules read cells, parents, children and path codes off them and derive no
-index themselves.
+modules read cells, parents, children, path codes and names off them and
+derive no index themselves.
 """
 
 from __future__ import annotations
+
+import functools
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,7 +33,8 @@ class DyadicSystem:
     The heavy lifting elsewhere in the package happens on flat numpy arrays:
     weights are indexed by atom id, cube data by the linear cube id (level
     major).  This class owns the index tables and is safe to share
-    between threads; nothing mutates it after construction.
+    between threads; nothing mutates it after construction but the name
+    tables, each built once on first use.
     """
 
     def __init__(self, dimension: int, depth: int):
@@ -89,6 +93,20 @@ class DyadicSystem:
 
     root = 0
 
+    @functools.cached_property
+    def path(self) -> tuple[str, ...]:
+        """The name of each cube, by linear id: its parent's name, ``/`` and
+        its child code (see the path grammar below)."""
+        names = [""]
+        for up, code in zip(self.parent_linear[1:].tolist(), self.child_code[1:].tolist()):
+            names.append(f"{names[up]}/{code}" if up else str(code))
+        return tuple(names)
+
+    @functools.cached_property
+    def cube_of_path(self) -> MappingProxyType:
+        """The inverse of ``path``: name -> linear id."""
+        return MappingProxyType({name: cube for cube, name in enumerate(self.path)})
+
     def level_of(self, cube: int) -> int:
         """Level of a cube id; the one range check on cube ids."""
         if not 0 <= cube < self.num_cubes:
@@ -114,8 +132,10 @@ class DyadicSystem:
         return mask
 
 
+@functools.lru_cache(maxsize=None)
 def build_system(dimension: int, depth: int) -> DyadicSystem:
-    """Build the truncated lattice; rejects sizes beyond the memory guard."""
+    """The truncated lattice, built once per shape and shared (it is
+    immutable); rejects sizes beyond the memory guard."""
     return DyadicSystem(dimension, depth)
 
 
@@ -131,46 +151,24 @@ def children(sys: DyadicSystem, cube: int) -> list[int]:
 # A path is the child-code string from the root, codes separated by "/";
 # the empty string is the root.  Bit i of a code is the offset of the child
 # in coordinate i.  Paths name cubes outside the package, ids inside it:
-# ``cube_from_path`` and ``paths`` are the two conversions.
+# ``DyadicSystem.path`` is the one name table, ``cube_from_path`` its inverse.
 
 
 def cube_from_path(sys: DyadicSystem, path: str) -> int:
-    if path == "":
-        return sys.root
+    cube = sys.cube_of_path.get(path)
+    if cube is not None:
+        return cube
     parts = path.split("/")
     if len(parts) > sys.depth:
         raise PathError(f"path {path!r} deeper than lattice depth {sys.depth}")
-    # only the spelling ``paths`` writes (ASCII digits, no sign, space or
-    # leading zero) names a child, so that each cube has one name
-    codes = {str(code): code for code in range(1 << sys.dimension)}
-    cube = sys.root
-    for part in parts:
-        if part not in codes:
-            raise PathError(
-                f"path component {part!r} is not a canonical child code in"
-                f" [0, {1 << sys.dimension}) in path {path!r}"
-            )
-        kids = sys.child_linear[cube]
-        cube = kids[sys.child_code[kids] == codes[part]][0]
-    return int(cube)
-
-
-def paths(sys: DyadicSystem, cubes) -> dict[int, str]:
-    """The path of each id in ``cubes``, in their order.  A path is its
-    parent's path plus the cube's child code; each is built once."""
-    code, up = sys.child_code.tolist(), sys.parent_linear.tolist()
-    memo, out = {sys.root: ""}, {}
-    for cube in cubes:
-        sys.level_of(cube)  # the range check: a list would wrap -1
-        chain, c = [], cube
-        while c not in memo:
-            chain.append(c)
-            c = up[c]
-        for c in reversed(chain):
-            above = memo[up[c]]
-            memo[c] = f"{above}/{code[c]}" if above else str(code[c])
-        out[cube] = memo[cube]
-    return out
+    # a miss: only the spelling ``path`` holds (ASCII digits, no sign, space
+    # or leading zero) names a child, so that each cube has one name
+    codes = {str(code) for code in range(1 << sys.dimension)}
+    part = next(part for part in parts if part not in codes)
+    raise PathError(
+        f"path component {part!r} is not a canonical child code in"
+        f" [0, {1 << sys.dimension}) in path {path!r}"
+    )
 
 
 # A chunk of functions for one batched lattice pass holds about this many

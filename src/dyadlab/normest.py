@@ -292,6 +292,8 @@ def testing_norm_ratios(
     total = report.forward + report.dual
     if total == 0.0:
         raise ValueError("degenerate instance: both testing constants vanish")
+    if not 0.0 < estimate.value < math.inf:
+        raise GuardError(f"norm estimate {estimate.value} cannot bound positive testing constants")
     return TestingNormRatios(
         lower=max(report.forward, report.dual) / estimate.value,
         upper=estimate.value / total,

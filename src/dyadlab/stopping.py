@@ -192,7 +192,7 @@ def cross_children(
     out = []
     for c in kids.tolist():
         if proj[c] < 0:
-            raise ValueError(f"cube {lattice.paths(sys, [c])[c]!r} lies outside the family top")
+            raise ValueError(f"cube {sys.path[c]!r} lies outside the family top")
         # proj and member both contain c, so they nest: proj lies inside
         # member exactly when it is no coarser
         if sys.cube_level[proj[c]] >= level:

@@ -103,7 +103,7 @@ class _Suite:
 
 def _at(sys, cube: int) -> str:
     """A cube named for a failure detail: by its path."""
-    return f"cube {lattice.paths(sys, [cube])[cube]!r}"
+    return f"cube {sys.path[cube]!r}"
 
 
 def _rel(a: float, b: float) -> float:

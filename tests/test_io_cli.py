@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io as _io
 import json
 import math
@@ -80,7 +81,7 @@ def test_schema_accepts_plain_numbers():
 
 def test_schema_cube_named_twice_is_rejected():
     # "01" once read as cube "1" and overwrote its coefficient; a cube has
-    # one name, the one ``lattice.paths`` writes
+    # one name, the one ``DyadicSystem.path`` holds
     doc = _base_doc()
     doc["lambda"] = {"1": 2.0, "": 3.0, "01": 5.0}
     with pytest.raises(SchemaError, match="canonical child code") as err:
@@ -408,8 +409,44 @@ def test_paths_match_per_cube_path_of():
         for fam in (build_average_family(inst, sys.root, g), build_ratio_family(inst, sys.root, f)):
             want = ref.family_to_dict_path_of(sys, fam)
             assert json.dumps(io.family_to_dict(sys, fam)) == json.dumps(want)
-        names = lattice.paths(sys, range(sys.num_cubes))
-        assert list(names.values()) == [ref.path_of(sys, ref.cube_at(sys, c)) for c in names]
+        assert list(sys.path) == [ref.path_of(sys, ref.cube_at(sys, c)) for c in range(sys.num_cubes)]
+
+
+# sha256 of the stdout of ``dyadlab gen --seed 3`` and ``dyadlab stopping
+# --seed 1 --p 2`` at 4096-atom shapes: every cube name they write is pinned.
+GEN_SHA256 = {
+    (1, 12): "9b012c30c452a20198ac9df78acff3d8e7defb6f07a408b4a150dfb2d8eb9c90",
+    (2, 6): "16862d90a4d1c821884319ea47964900d604e9764fa4e6b1046b03cd36908356",
+    (3, 4): "b737ffd7d8b9a1b72349c1a8d23dfcbf7a8a41076dca8c026b59c6151a9d6ccf",
+}
+STOPPING_SHA256 = {
+    (1, 12): "99e612c98710c87262906d6df0f800cd8f25819ac7b60eb6376ec95cfcb34881",
+    (3, 4): "0a55bc7bd6998a6bf4cbd9bff4cff9b6cee80450d4caaf71bc92e90651d846a5",
+}
+
+
+def _stdout_sha256(capsys, argv) -> tuple[str, str]:
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    return text, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("dim,depth", list(GEN_SHA256))
+def test_gen_at_4096_atoms_is_pinned_and_reads_back(dim, depth, capsys):
+    text, digest = _stdout_sha256(capsys, ["gen", "--seed", "3", "--dim", str(dim), "--depth", str(depth)])
+    assert digest == GEN_SHA256[dim, depth]
+    got = io.read_instance(_io.StringIO(text))
+    want = generate(GenSpec(seed=3, dimension=dim, depth=depth))
+    assert got.sys is want.sys and got.p == want.p
+    for name in ("sigma", "omega", "mu", "lam"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim,depth", list(STOPPING_SHA256))
+def test_stopping_at_4096_atoms_is_pinned(dim, depth, capsys):
+    argv = ["stopping", "--seed", "1", "--p", "2", "--dim", str(dim), "--depth", str(depth)]
+    assert _stdout_sha256(capsys, argv)[1] == STOPPING_SHA256[dim, depth]
 
 
 def test_cli_schema_error_exit_code(tmp_path, capsys):

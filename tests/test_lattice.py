@@ -81,12 +81,26 @@ def test_tree_navigation_examples():
 @pytest.mark.parametrize("n,d", [(1, 4), (2, 2), (3, 1)])
 def test_path_round_trip(n, d):
     s = build_system(n, d)
-    named = lattice.paths(s, range(s.num_cubes))
-    assert list(named) == list(range(s.num_cubes))
-    assert lattice.paths(s, iter(range(s.num_cubes))) == named  # one pass over the ids
+    named = s.path
+    assert isinstance(named, tuple) and len(set(named)) == len(named) == s.num_cubes
+    assert s.path is named  # built once, on first use
     for lin in range(s.num_cubes):
         assert lattice.cube_from_path(s, named[lin]) == lin
-        assert lattice.paths(s, [lin]) == {lin: named[lin]}
+
+
+def test_one_lattice_per_shape():
+    # each accepted shape is built once per process, with one name table
+    for n, deepest in lattice.MAX_DEPTH.items():
+        for d in range(deepest + 1):
+            s = build_system(n, d)
+            assert build_system(n, d) is s
+            assert isinstance(s.path, tuple) and len(set(s.path)) == len(s.path) == s.num_cubes
+            assert all(lattice.cube_from_path(s, name) == c for c, name in enumerate(s.path))
+    # a rejected shape is rejected on every call: no exception is cached
+    for n, d in [(0, 1), (4, 1), (1, -1), (1, 13), (2, 7), (3, 5)]:
+        for _ in range(2):
+            with pytest.raises(SizeLimitError):
+                build_system(n, d)
 
 
 def test_malformed_paths():
@@ -120,7 +134,7 @@ RESPELLINGS = {
 def test_paths_accept_only_the_spelling_paths_writes(respell):
     # int() reads most of these spellings; each cube keeps one name
     s = build_system(2, 2)
-    for lin, path in lattice.paths(s, range(1, s.num_cubes)).items():
+    for lin, path in enumerate(s.path[1:], start=1):
         assert lattice.cube_from_path(s, path) == lin
         codes = path.split("/")
         for k in range(len(codes)):
@@ -141,7 +155,6 @@ def test_invalid_cube_rejected():
         s.box_mask,
         s.descendant_mask,
         lambda c: lattice.children(s, c),
-        lambda c: lattice.paths(s, [0, c]),
         lambda c: make_test_input(inst, c),
         lambda c: lambda_form_local(inst, c, f, g),
         lambda c: build_average_family(inst, c, g),
@@ -195,7 +208,7 @@ def test_enumeration_order_is_level_major_lexicographic():
     # bit i of a child code is the offset in coordinate i
     named = ["", "0", "2", "1", "3"]
     assert [ref.path_of(s, c) for c in cubes] == named
-    assert list(lattice.paths(s, range(s.num_cubes)).values()) == named
+    assert list(s.path) == named
 
 
 @pytest.mark.parametrize("n,d", [(1, 3), (2, 2)])
@@ -321,7 +334,7 @@ def test_index_tables_match_multi_index_definitions(n, d):
             path = ref.path_of(s, ref.cube_at(s, up))
             code = str(s.child_code[lin])
             assert lattice.cube_from_path(s, f"{path}/{code}" if path else code) == lin
-        assert lattice.paths(s, [lin]) == {lin: ref.path_of(s, cube)}
+        assert s.path[lin] == ref.path_of(s, cube)
         assert [ref.cube_at(s, c) for c in lattice.children(s, lin)] == ref.children(s, cube)
         if level < d:
             assert [ref.cube_at(s, c) for c in s.child_linear[lin]] == ref.children(s, cube)

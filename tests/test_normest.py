@@ -13,6 +13,7 @@ from dyadlab.forms import lambda_form
 from dyadlab.generators import GenSpec, generate, random_atom_function, random_scale_function, sweep
 from dyadlab.measures import conjugate, ksum, lp_norm, mixed_norm
 from dyadlab.normest import (
+    NormEstimate,
     alternating_maximization,
     attach_oracle,
     best_f_given_g,
@@ -708,6 +709,14 @@ def test_testing_norm_ratios_guards():
         _ratios(dead)
     with pytest.raises(GuardError):
         _ratios(W["w3"])
+    # a vanished or non-finite estimate against positive testing constants is
+    # a guard violation naming the value, not a ZeroDivisionError or an inf/NaN ratio
+    rep = testing_report(w1)
+    f, g = np.ones((w1.sys.num_levels, w1.sys.num_atoms)), np.ones(w1.sys.num_atoms)
+    for value in (0.0, math.inf, math.nan):
+        est = NormEstimate(value, f, g, iterations=0, restarts=0, converged=True, degenerate=False)
+        with pytest.raises(GuardError, match=f"norm estimate {value} "):
+            testing_norm_ratios(w1, est, rep)
 
 
 def test_attach_oracle_kinds():

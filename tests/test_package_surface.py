@@ -274,7 +274,7 @@ def test_exact_sums_stay_out_of_the_solvers_norms():
 
 def test_no_module_reaches_into_another_modules_private_names():
     # an underscore name belongs to its module: a name another module needs
-    # is public, imported by name or read off the module (``lattice.paths``)
+    # is public, imported by name or read off the module (``lattice.children``)
     reached = []
     for module, tree in _parse_package():
         aliases = set()  # package modules bound by ``from . import m``
