@@ -14,6 +14,7 @@ the power method of :func:`normest.power_ascent` on the cube-average map.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +70,7 @@ def _ratios(sys: DyadicSystem, nu, a, masses, h: np.ndarray, p: float):
     return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
 
 
+@functools.lru_cache(maxsize=None)
 def _indicator_ratios(sys: DyadicSystem):
     """The map (data, masses, cubes, p) -> :func:`_ratios` of the indicators
     of ``cubes``, cubes with mass, bit for bit, over pair tables of ``sys``.
@@ -113,7 +115,7 @@ def _average_maps(sys: DyadicSystem, p: float):
 
     def backward(g, nu, a, masses):
         t = np.divide(a * g, masses, out=np.zeros_like(g), where=masses > 0)
-        return lp_norming(lattice.chain_running(sys, t)[..., -1, :], nu, q)
+        return lp_norming(lattice.chain_total(sys, t), nu, q)
 
     return forward, backward
 
@@ -123,7 +125,7 @@ def embedding_ratio_searches(sys: DyadicSystem, datas, p: float, restarts: int, 
     seed: the largest ratio ||A h||^p / ||h||^p found for the cube-average
     map A: Lp(nu) -> lp(a).  Each cube indicator with mass, which certifies
     that a result dominates the condition constant, is one evaluation, in
-    closed form (:func:`_indicator_ratios`, tables built once).  The constant
+    closed form (:func:`_indicator_ratios`, kept per lattice).  The constant
     function, the first best indicator and ``restarts`` random starts of each
     instance (drawn once a seed) then step together in one ascent, each row
     with its instance's weight rows; the exact ratio of an instance's first

@@ -118,7 +118,7 @@ def apply_box_operator(inst: Instance, f: np.ndarray) -> np.ndarray:
     """The operator side of the form: out[a] = sum over cubes containing a of
     lam[Q] times the box pairing of f over Q.  Both operators take a batch."""
     contrib = inst.lam * all_box_integrals(inst, f)
-    return lattice.chain_running(inst.sys, contrib)[..., -1, :]
+    return lattice.chain_total(inst.sys, contrib)
 
 
 def apply_adjoint_operator(inst: Instance, g: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ class DyadicSystem:
     weights are indexed by atom id, cube data by the linear cube id (level
     major).  This class owns the index tables and is safe to share
     between threads; nothing mutates it after construction but the name
-    tables, each built once on first use.
+    tables and the batch bin table, each built once on first use.
     """
 
     def __init__(self, dimension: int, depth: int):
@@ -106,6 +106,13 @@ class DyadicSystem:
     def cube_of_path(self) -> MappingProxyType:
         """The inverse of ``path``: name -> linear id."""
         return MappingProxyType({name: cube for cube, name in enumerate(self.path)})
+
+    @functools.cached_property
+    def batch_bins(self) -> np.ndarray:
+        """The bins of ``chunk_rows`` batch rows of cube data: row i at ``cell_cube + i * num_cubes``."""
+        bins = self.cell_cube + self.num_cubes * np.arange(chunk_rows(self))[:, None, None]
+        bins.flags.writeable = False
+        return bins
 
     def level_of(self, cube: int) -> int:
         """Level of a cube id; the one range check on cube ids."""
@@ -189,8 +196,15 @@ def chunk_rows(sys: DyadicSystem) -> int:
 #
 # The numeric workhorses shared by the other modules: plain sums along the
 # lattice tree.  All but ``subtree_sums`` (a bincount per level, the one sum
-# over lattice and stopping subtrees) are built on two primitives:
-# ``level_sums`` sums up the tree, ``level_cumsum`` runs down it.
+# over lattice and stopping subtrees) and ``chain_total`` (one gather and one
+# reduction) are built on two primitives: ``level_sums`` sums up the tree,
+# ``level_cumsum`` runs down it.  A batch of up to ``chunk_rows`` rows reads its bins off ``batch_bins``.
+
+
+def _bins(sys: DyadicSystem, k: int) -> np.ndarray:
+    if k > chunk_rows(sys):
+        return sys.cell_cube + sys.num_cubes * np.arange(k)[:, None, None]
+    return sys.batch_bins[:k] if k > 1 else sys.cell_cube
 
 
 def level_sums(sys: DyadicSystem, rows) -> np.ndarray:
@@ -205,11 +219,9 @@ def level_sums(sys: DyadicSystem, rows) -> np.ndarray:
     bit-identical to its own call and to a bincount per level.
     """
     rows = np.asarray(rows)
-    batch, bins = rows.shape[:-2], sys.cell_cube
+    batch = rows.shape[:-2]
     k = batch[0] if batch else 1
-    if k > 1:
-        bins = bins + sys.num_cubes * np.arange(k)[:, None, None]
-    out = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=k * sys.num_cubes)
+    out = np.bincount(_bins(sys, k).ravel(), weights=rows.ravel(), minlength=k * sys.num_cubes)
     return out.reshape(batch + (sys.num_cubes,))
 
 
@@ -245,7 +257,7 @@ def box_sums(sys: DyadicSystem, cell_values: np.ndarray) -> np.ndarray:
 def chain_running(sys: DyadicSystem, cube_values: np.ndarray) -> np.ndarray:
     """Running ancestor sums: out[j, a] = sum of values over the ancestors of
     atom a at levels 0 .. j.  Values of shape (k, num_cubes) give the k runs,
-    shape (k, levels, atoms)."""
+    shape (k, levels, atoms); ``chain_total`` gives the finest row alone."""
     v = np.asarray(cube_values, dtype=np.float64)
     # Two bodies on purpose: the batch body's ``np.take`` is slower on one run
     # (also on the eval-deep rows), and the gather ``v[..., cell_cube]`` on a
@@ -261,6 +273,15 @@ def chain_running(sys: DyadicSystem, cube_values: np.ndarray) -> np.ndarray:
     levels[:1] += 0.0
     level_cumsum(levels)
     return np.ascontiguousarray(out)  # a batch's rows back to back
+
+
+def chain_total(sys: DyadicSystem, cube_values: np.ndarray) -> np.ndarray:
+    """out[a] = sum of values over the cubes containing atom a, bit for bit
+    the finest row of ``chain_running``.  Values (k, num_cubes) give (k, atoms)."""
+    v = np.asarray(cube_values, dtype=np.float64)
+    levels = v.reshape(-1)[_bins(sys, v.shape[0] if v.ndim > 1 else 1)]
+    # the atom axis innermost, the levels add in order from 0.0, as chain_running's do
+    return np.add.reduce(levels, axis=-2, initial=0.0).reshape(v.shape[:-1] + (sys.num_atoms,))
 
 
 def subtree_sums(sys: DyadicSystem, cube_values: np.ndarray) -> np.ndarray:

@@ -334,8 +334,8 @@ def form_kernel_shared_levels(inst) -> np.ndarray:
 #
 # The package sums up the tree with ``lattice.level_sums`` and runs down it
 # with ``lattice.level_cumsum``.  These are the bodies those two replaced,
-# kept as they were: the four aggregations (``chain_total`` is gone from the
-# package, whose callers read the last row of ``chain_running``; this
+# kept as they were: the four aggregations (the package's ``chain_total`` is
+# a gather and one reduction, no longer a loop over the levels; this
 # ``chain_running`` keeps the ``start_level`` the package's lost, for the
 # per-cube loops below), the one
 # ``bincount`` over every cell that the testing constants' ``_select`` scan

@@ -270,6 +270,7 @@ def _assert_indicator_ratios_are_the_averages_pass(s, data, p):
     cubes = np.flatnonzero(masses > 0)
     want = [ref._embedding_ratio(s, data, s.atom_mask(c).astype(np.float64), p) for c in cubes]
     assert embedding._indicator_ratios(s)(data, masses, cubes, p) == want
+    assert embedding._indicator_ratios(s) is embedding._indicator_ratios(s)  # tables once a lattice
 
 
 @pytest.mark.parametrize("p", [1.25, 2.0, 3.0, 7.5])

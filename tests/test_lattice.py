@@ -287,6 +287,7 @@ def test_tree_aggregations_match_the_replaced_bodies(n, d):
                 ref.chain_running(s, cv, start_level=start),
             )
         _assert_same_bits(lattice.chain_running(s, cv)[-1], ref.chain_total(s, cv))
+        _assert_same_bits(lattice.chain_total(s, cv), ref.chain_total(s, cv))
     # the dual's skip count, with ``level`` non-finite columns in each level's kernel
     kernels = rng.random((s.num_levels, s.num_levels, s.num_atoms))
     for level, kernel in enumerate(kernels):
@@ -316,6 +317,55 @@ def test_batched_aggregations_match_per_row_calls(n, d):
             got = lattice.chain_running(s, np.where(s.cube_level >= start, cv, 0.0))
             want = [ref.chain_running(s, row, start_level=start) for row in cv]
             _assert_same_bits(got, np.array(want))
+
+
+CHAIN_SHAPES = [(1, d) for d in range(7)] + [(2, d) for d in range(4)] + [(3, d) for d in range(3)]
+CHAIN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3),
+    st.floats(1e299, 1e300),
+    st.floats(-1e300, -1e299),
+)
+
+
+@given(st.data(), st.sampled_from(CHAIN_SHAPES), st.integers(0, 9), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_chain_total_is_the_finest_row_of_chain_running(data, shape, k, negative_zero_root):
+    # k == 0 draws one row without a batch axis
+    s = build_system(*shape)
+    rows, size = ((k,) if k else ()), s.num_cubes * max(k, 1)
+    v = np.array(data.draw(st.lists(CHAIN_VALUES, min_size=size, max_size=size)))
+    v = v.reshape(rows + (s.num_cubes,))
+    if negative_zero_root:
+        v[..., 0] = -0.0
+    got = lattice.chain_total(s, v)
+    assert got.shape == rows + (s.num_atoms,) and got.flags.c_contiguous
+    assert got.tobytes() == lattice.chain_running(s, v)[..., -1, :].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n,d", ALL_SHAPES)
+def test_batched_level_sums_match_per_row_calls_on_and_off_the_bin_table(n, d):
+    # batches up to ``chunk_rows`` read the cached bin table, larger ones
+    # build their bins: every row has the bytes of its own call either way
+    s = build_system(n, d)
+    rng = np.random.Generator(np.random.Philox(key=[n, 32 + d]))
+    rows = lattice.chunk_rows(s)
+    for k in sorted(set(range(1, 10)) | {rows, rows + 1}):
+        cells = _edge_values(rng, (k, s.num_levels, s.num_atoms), "mixed")
+        want = b"".join(lattice.level_sums(s, row).tobytes() for row in cells)
+        assert lattice.level_sums(s, cells).tobytes() == want
+
+
+@pytest.mark.parametrize("n,d", [(1, 0), (1, 3), (2, 3), (3, 2)])
+def test_batch_bin_table_is_read_only(n, d):
+    s = build_system(n, d)
+    bins = s.batch_bins
+    assert s.batch_bins is bins and bins.shape == (lattice.chunk_rows(s), s.num_levels, s.num_atoms)
+    assert np.array_equal(bins[-1], s.cell_cube + (len(bins) - 1) * s.num_cubes)
+    assert not bins.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        bins[0, 0, 0] = 1
 
 
 @pytest.mark.parametrize("n,d", [(1, 0), (1, 4), (2, 3), (3, 2)])
