@@ -110,8 +110,12 @@ def lambda_form(inst: Instance, f: np.ndarray, g: np.ndarray) -> float:
 
 def lambda_form_local(inst: Instance, top: int, f: np.ndarray, g: np.ndarray) -> float:
     """Same sum restricted to the subcubes of ``top``."""
-    terms = inst.lam * all_box_integrals(inst, f) * all_cube_integrals(inst, g)
-    return ksum(terms[inst.sys.descendant_mask(top)])
+    return local_form(inst, top, all_box_integrals(inst, f), all_cube_integrals(inst, g))
+
+
+def local_form(inst: Instance, top: int, boxes: np.ndarray, integrals: np.ndarray) -> float:
+    """``lambda_form_local`` from the box integrals of f and the cube integrals of g."""
+    return ksum((inst.lam * boxes * integrals)[inst.sys.descendant_mask(top)])
 
 
 def apply_box_operator(inst: Instance, f: np.ndarray) -> np.ndarray:
@@ -155,6 +159,14 @@ def test_function(inst: Instance, cube: int) -> np.ndarray:
     return np.where(inst.sys.atom_mask(cube)[None, :], profile, 0.0)
 
 
+def box_slice_sums(inst: Instance, f: np.ndarray, exponent: float) -> list[float]:
+    """Per cube, the exact sum whose ``1 / exponent`` power is, bit for bit,
+    ``mixed_norm(f * box_mask(cube), sigma, exponent)``: on the box of a cube,
+    the l2 slice of f is that of the rows from the cube's level on."""
+    slices = np.array([ell2_slice(f[level:]) for level in range(inst.sys.num_levels)])
+    return group_ksum(inst.sys.cell_cube.ravel(), (inst.sigma * slices**exponent).ravel(), range(inst.sys.num_cubes))
+
+
 @dataclass(frozen=True)
 class PhiIdentityReport:
     """Four expressions that agree exactly for the optimal test input, each an
@@ -168,22 +180,18 @@ class PhiIdentityReport:
 
 
 def phi_identity_check(inst: Instance) -> PhiIdentityReport:
-    """The identity chain of every cube's test input, one pass per level.
+    """The identity chain of every cube's test input, one batched pass over
+    the level profiles.
 
     A cube's test input is its level's profile on its atoms and an atom's l2
     slice sees only its column, so the profile's box sums and exact sums by
     the level's cubes give each cube the bits of its own test input.
     """
     sys, p, q = inst.sys, inst.p, inst.q
-    pairing, slices, phis = [], [], []
-    for level in range(sys.num_levels):
-        profile = level_test_input(inst, level)
-        boxed = np.where(np.arange(sys.num_levels)[:, None] >= level, inst.mu, 0.0)
-        lo, hi = sys.level_offset[level : level + 2]
-        cells, cubes = sys.cell_cube[level], range(lo, hi)
-        pairing += all_box_integrals(inst, profile)[lo:hi].tolist()
-        slices += group_ksum(cells, inst.sigma * ell2_slice(boxed) ** q, cubes)
-        phis += group_ksum(cells, inst.sigma * ell2_slice(profile) ** p, cubes)
+    profiles = np.stack([level_test_input(inst, level) for level in range(sys.num_levels)])
+    pairing = all_box_integrals(inst, profiles)[sys.cube_level, np.arange(sys.num_cubes)]
+    slices = box_slice_sums(inst, inst.mu, q)
+    phis = group_ksum(sys.cell_cube.ravel(), (inst.sigma * ell2_slice(profiles) ** p).ravel(), range(sys.num_cubes))
     mu_norm_power = [(total ** (1.0 / q)) ** q for total in slices]
     phi_norm_power = [(total ** (1.0 / p)) ** p for total in phis]
     vals = np.array([pairing, slices, mu_norm_power, phi_norm_power])

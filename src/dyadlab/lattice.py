@@ -216,13 +216,15 @@ def level_sums(sys: DyadicSystem, rows) -> np.ndarray:
     num_cubes).  One bincount over the flat cell table does it all, batch row
     i in the bins ``cell_cube + i * num_cubes``: a bin belongs to one level
     and one batch row and adds its terms in atom order, so every batch row is
-    bit-identical to its own call and to a bincount per level.
+    bit-identical to its own call and to a bincount per level.  The rows of
+    levels ``start..depth`` alone give the bits of those levels' cubes alone.
     """
     rows = np.asarray(rows)
-    batch = rows.shape[:-2]
+    batch, start = rows.shape[:-2], sys.num_levels - rows.shape[-2]
     k = batch[0] if batch else 1
-    out = np.bincount(_bins(sys, k).ravel(), weights=rows.ravel(), minlength=k * sys.num_cubes)
-    return out.reshape(batch + (sys.num_cubes,))
+    bins = _bins(sys, k)[..., start:, :] if start else _bins(sys, k)
+    out = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=k * sys.num_cubes).reshape(batch + (-1,))
+    return out[..., sys.level_offset[start] :] if start else out
 
 
 def level_cumsum(x: np.ndarray) -> np.ndarray:
@@ -257,17 +259,22 @@ def box_sums(sys: DyadicSystem, cell_values: np.ndarray) -> np.ndarray:
 def chain_running(sys: DyadicSystem, cube_values: np.ndarray) -> np.ndarray:
     """Running ancestor sums: out[j, a] = sum of values over the ancestors of
     atom a at levels 0 .. j.  Values of shape (k, num_cubes) give the k runs,
-    shape (k, levels, atoms); ``chain_total`` gives the finest row alone."""
+    shape (k, levels, atoms); ``chain_total`` gives the finest row alone.  The
+    values of levels ``start..depth`` alone give those rows of a run begun there."""
     v = np.asarray(cube_values, dtype=np.float64)
+    cells, coarser = sys.cell_cube, sys.num_cubes - v.shape[-1]
+    if coarser:  # the gather reads no coarser cube: zeros keep the linear ids
+        cells = cells[sys.cube_level[coarser] :]
+        v = np.concatenate((np.zeros(v.shape[:-1] + (coarser,)), v), axis=-1)
     # Two bodies on purpose: the batch body's ``np.take`` is slower on one run
     # (also on the eval-deep rows), and the gather ``v[..., cell_cube]`` on a
     # batch leaves a layout that is not C-ordered, whose later numpy row sums
     # round otherwise than the rows' single calls.
     if v.ndim == 1 or len(v) == 1:
-        levels = v.reshape(-1)[sys.cell_cube]
+        levels = v.reshape(-1)[cells]
         out = levels.reshape(v.shape[:-1] + levels.shape)
     else:  # the batch axis goes last, so that each level is one block
-        levels = np.take(v.T, sys.cell_cube, axis=0)
+        levels = np.take(v.T, cells, axis=0)
         out = levels.transpose(2, 0, 1)
     # a running sum starts from 0.0, which turns a -0.0 start value into +0.0
     levels[:1] += 0.0

@@ -131,7 +131,8 @@ def mixed_norming(k: np.ndarray, sigma: np.ndarray, p: float):
     s = ell2_slice(k)
     values = lp_norms(np.atleast_2d(s), sigma, q)
     shaped = k if q == 2.0 else zero_preserving_power(s, q - 2.0)[..., None, :] * k
-    norms = lp_norms(np.atleast_2d(ell2_slice(shaped)), sigma, p)
+    # at q == 2 the shaped function is k and p == q, so its norms are the values
+    norms = values if q == 2.0 else lp_norms(np.atleast_2d(ell2_slice(shaped)), sigma, p)
     return _normed(k.ndim == 2, shaped, norms, values, 1.0)
 
 

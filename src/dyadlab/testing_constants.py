@@ -15,8 +15,10 @@ Q is the level profile ``level_test_input`` restricted to Q, and the dual
 kernel of Q is ``mu`` times the running sum of ``lam * cube_sums(omega)``
 down the levels from Q's own, restricted to Q.  So each ratio is a sum over
 Q's atoms of per-atom terms that one level computes for all of its cubes at
-once (forward: one ``box_sums`` and one ``chain_running``; dual: one
-``chain_running``), O(levels**2 * atoms) in all.
+once, from its own and finer rows only.  The levels go in batches of
+``lattice.chunk_rows`` (``normest.power_ascent``'s rule), each over the rows
+from its coarsest level on: a ``box_sums`` (forward; one serves all at p = 2)
+and a ``chain_running`` per batch, a row's coarser cubes zeroed as a prefix.
 
 Each level's terms are summed twice.  A ``level_sums`` scan gives every cube a
 ratio close to the exact one; the cubes within ``RESELECT_MARGIN`` of the
@@ -103,28 +105,40 @@ def _select(sys, exponent: float, num_terms, den_terms, skip: np.ndarray):
     return best, best_cube
 
 
-def _running_from(sys, contrib: np.ndarray, level: int) -> np.ndarray:
-    """``chain_running`` of the cubes at ``level`` and finer: the coarser
-    cubes add nothing (``np.where``, so an inf there cannot become NaN)."""
-    return lattice.chain_running(sys, np.where(sys.cube_level >= level, contrib, 0.0))
+def _level_batches(sys):
+    step = lattice.chunk_rows(sys)
+    return [range(lo, min(lo + step, sys.num_levels)) for lo in range(0, sys.num_levels, step)]
+
+
+def _runs_from(sys, contrib: np.ndarray, levels: range) -> np.ndarray:
+    """``chain_running`` from level ``levels.start`` on, row i begun at ``levels[i]``, of
+    ``contrib``: one shared value per cube, or per row those of the finer cubes."""
+    lo = sys.level_offset[levels.start]
+    values = np.repeat(contrib[None, lo:], len(levels), axis=0) if contrib.ndim == 1 else contrib
+    for row, level in zip(values, levels):
+        row[: sys.level_offset[level] - lo] = 0.0  # the coarser cubes, a prefix
+    return lattice.chain_running(sys, values)
 
 
 def forward_testing_constant(inst: Instance) -> TestingSide:
     sys = inst.sys
-    rows, num_terms, den_terms = [], [], []
-    for level in range(sys.num_levels):
-        phi = level_test_input(inst, level)
-        contrib = inst.lam * all_box_integrals(inst, phi)
+    rows, den_terms = np.empty_like(inst.mu), np.empty_like(inst.mu)
+    # at p = 2 a level's profile is mu on its rows: every level shares the box integrals
+    contrib = inst.lam * all_box_integrals(inst, inst.mu) if inst.p == 2.0 else None
+    for levels in _level_batches(sys):
+        phi = np.stack([level_test_input(inst, level) for level in levels])
+        if inst.p != 2.0:
+            boxes = lattice.box_sums(sys, inst.sigma * phi[:, levels.start :] * inst.mu[levels.start :])
+            contrib = inst.lam[sys.level_offset[levels.start] :] * boxes
         # the whole run, not ``chain_total``: with only its row kept, d1 D12
         # p3 rows took 3-5% longer, in page faults as the heap shrank and grew
-        row = _running_from(sys, contrib, level)[sys.depth]
-        rows.append(row)
-        num_terms.append(inst.omega * row**inst.p)
-        den_terms.append(inst.sigma * ell2_slice(phi) ** inst.p)
+        rows[levels.start : levels.stop] = _runs_from(sys, contrib, levels)[:, -1]
+        # all rows: where s**(q-2) overflows, the profile is NaN above its level
+        den_terms[levels.start : levels.stop] = inst.sigma * ell2_slice(phi) ** inst.p
     # A cube's own test input vanishes off its atoms, so no value on the rest
     # of the level reaches its ratio, finite or not.
     skip = np.zeros(sys.num_cubes, dtype=bool)
-    best, cube = _select(sys, inst.p, num_terms, den_terms, skip)
+    best, cube = _select(sys, inst.p, inst.omega * rows**inst.p, den_terms, skip)
     if cube is None:
         return TestingSide(0.0, None, np.zeros(sys.num_atoms))
     h = np.where(sys.atom_mask(cube), rows[sys.level_of(cube)], 0.0)
@@ -134,19 +148,20 @@ def forward_testing_constant(inst: Instance) -> TestingSide:
 def dual_testing_constant(inst: Instance) -> TestingSide:
     sys = inst.sys
     contrib = inst.lam * lattice.cube_sums(sys, inst.omega)
-    num_terms, bad = [], np.zeros((sys.num_levels, sys.num_atoms), dtype=bool)
-    for level in range(sys.num_levels):
-        kernel = inst.mu * _running_from(sys, contrib, level)
-        num_terms.append(inst.sigma * ell2_slice(kernel) ** inst.q)
-        bad[level] = ~np.isfinite(kernel).all(axis=0)
+    num_terms, bad = np.empty_like(inst.mu), np.empty(inst.mu.shape, dtype=bool)
+    for levels in _level_batches(sys):
+        kernel = inst.mu[levels.start :] * _runs_from(sys, contrib, levels)
+        num_terms[levels.start : levels.stop] = inst.sigma * ell2_slice(kernel) ** inst.q
+        bad[levels.start : levels.stop] = ~np.isfinite(kernel).all(axis=-2)
     # A cube's kernel is its level's kernel times its atom mask, which turns a
     # non-finite column off the cube into NaN: such cubes have no ratio.
     skip = lattice.level_sums(sys, bad) < bad.sum(axis=1)[sys.cube_level]
     best, cube = _select(sys, inst.q, num_terms, [inst.omega] * sys.num_levels, skip)
     if cube is None:
         return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)))
-    running = _running_from(sys, contrib, sys.level_of(cube))
-    kernel = inst.mu * running * sys.atom_mask(cube)[None, :]
+    level, kernel = sys.level_of(cube), np.zeros_like(inst.mu)  # the run begun at the cube's level
+    run = lattice.chain_running(sys, contrib[sys.level_offset[level] :])
+    kernel[level:] = inst.mu[level:] * run * sys.atom_mask(cube)[None, :]
     return TestingSide(best, cube, mixed_norming(kernel, inst.sigma, inst.p)[0])
 
 

@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from dyadlab import embedding, forms, generators, lattice, measures, normest, runner
+from dyadlab import embedding, forms, generators, lattice, measures, normest, runner, testing_constants
 from dyadlab.embedding import RatioSearchResult, StoppingEmbeddingReport
 from dyadlab.errors import GuardError
 from dyadlab.forms import (
@@ -792,6 +792,57 @@ def dual_testing_constant_loop(inst):
             best, best_cube = ratio, cube
             best_witness = norming_scale_function(kernel, inst.sigma, inst.p)
     return TestingSide(best, best_cube, best_witness)
+
+
+# -- per-level testing constants with whole-lattice runs --------------------
+#
+# The package steps the testing constants' levels in batches over the finer
+# rows only.  These are the per-level bodies that batching replaced, kept as
+# they were: every level builds the box integrals of every cube and a whole
+# ``chain_running`` run, and ``running_from`` zeroes the coarser cubes with
+# ``np.where``.  They share the package's ``_select``, so their results
+# compare bit for bit.
+
+
+def running_from(sys, contrib: np.ndarray, level: int) -> np.ndarray:
+    """``chain_running`` of the cubes at ``level`` and finer: the coarser
+    cubes add nothing (``np.where``, so an inf there cannot become NaN)."""
+    return lattice.chain_running(sys, np.where(sys.cube_level >= level, contrib, 0.0))
+
+
+def forward_testing_constant_levels(inst: Instance) -> TestingSide:
+    sys = inst.sys
+    rows, num_terms, den_terms = [], [], []
+    for level in range(sys.num_levels):
+        phi = level_test_input(inst, level)
+        contrib = inst.lam * all_box_integrals(inst, phi)
+        row = running_from(sys, contrib, level)[sys.depth]
+        rows.append(row)
+        num_terms.append(inst.omega * row**inst.p)
+        den_terms.append(inst.sigma * measures.ell2_slice(phi) ** inst.p)
+    skip = np.zeros(sys.num_cubes, dtype=bool)
+    best, cube = testing_constants._select(sys, inst.p, num_terms, den_terms, skip)
+    if cube is None:
+        return TestingSide(0.0, None, np.zeros(sys.num_atoms))
+    h = np.where(sys.atom_mask(cube), rows[sys.level_of(cube)], 0.0)
+    return TestingSide(best, cube, measures.lp_norming(h, inst.omega, inst.p)[0])
+
+
+def dual_testing_constant_levels(inst: Instance) -> TestingSide:
+    sys = inst.sys
+    contrib = inst.lam * lattice.cube_sums(sys, inst.omega)
+    num_terms, bad = [], np.zeros((sys.num_levels, sys.num_atoms), dtype=bool)
+    for level in range(sys.num_levels):
+        kernel = inst.mu * running_from(sys, contrib, level)
+        num_terms.append(inst.sigma * measures.ell2_slice(kernel) ** inst.q)
+        bad[level] = ~np.isfinite(kernel).all(axis=0)
+    skip = lattice.level_sums(sys, bad) < bad.sum(axis=1)[sys.cube_level]
+    best, cube = testing_constants._select(sys, inst.q, num_terms, [inst.omega] * sys.num_levels, skip)
+    if cube is None:
+        return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)))
+    running = running_from(sys, contrib, sys.level_of(cube))
+    kernel = inst.mu * running * sys.atom_mask(cube)[None, :]
+    return TestingSide(best, cube, measures.mixed_norming(kernel, inst.sigma, inst.p)[0])
 
 
 # -- stopping families by per-member BFS -----------------------------------

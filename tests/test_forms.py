@@ -7,13 +7,14 @@ from dyadlab import Instance, build_system, lambda_array, lattice, worked_instan
 from dyadlab.forms import (
     apply_adjoint_operator,
     apply_box_operator,
+    box_slice_sums,
     lambda_form,
     lambda_form_local,
     phi_identity_check,
     test_function as make_test_input,
 )
-from dyadlab.generators import GenSpec, generate
-from dyadlab.measures import ksum, lp_norming, mixed_norming
+from dyadlab.generators import GenSpec, generate, random_scale_function
+from dyadlab.measures import ksum, lp_norming, mixed_norm, mixed_norming
 
 import _reference as ref
 from test_lattice import ALL_SHAPES
@@ -142,6 +143,23 @@ def test_phi_identity_chain_random(seed, p):
     inst, _ = _random_instance(seed, p=p)
     spreads = phi_identity_check(inst).max_rel_spread
     assert spreads.shape == (inst.sys.num_cubes,) and np.all(spreads <= 1e-10)
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 3), (2, 3), (3, 2), (1, 6)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_box_slice_sums_give_the_masked_mixed_norms(dim, depth, p):
+    # verify's Hoelder check reads the per-level grouped sums: every cube gets
+    # the bits of mixed_norm(f * box) * mixed_norm(mu * box), the per-cube
+    # products of masked copies they replaced
+    inst = generate(GenSpec(seed=dim + depth, dimension=dim, depth=depth, p=p))
+    s = inst.sys
+    f = random_scale_function(s, 3)
+    f_sums, mu_sums = box_slice_sums(inst, f, p), box_slice_sums(inst, inst.mu, inst.q)
+    for cube in range(s.num_cubes):
+        box = s.box_mask(cube)
+        want = mixed_norm(f * box, inst.sigma, p) * mixed_norm(inst.mu * box, inst.sigma, inst.q)
+        got = f_sums[cube] ** (1.0 / p) * mu_sums[cube] ** (1.0 / inst.q)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), cube
 
 
 CHAIN_SHAPES = [(1, D) for D in range(7)] + [(2, D) for D in range(1, 4)] + [(3, 1), (3, 2)]

@@ -343,6 +343,43 @@ def test_chain_total_is_the_finest_row_of_chain_running(data, shape, k, negative
     assert got.tobytes() == lattice.chain_running(s, v)[..., -1, :].tobytes()
 
 
+# Edge values for the finer-level property: signed zeros, subnormals, values
+# whose sums overflow, and infinities.
+FINER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf]),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e-307, 1e-307),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(st.data(), st.sampled_from(CHAIN_SHAPES), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_finer_level_aggregations_are_the_finer_cubes_of_full_calls(data, shape, k):
+    # rows or cube values of the levels start..depth alone (k == 0 draws one
+    # row without a batch axis) give, byte for byte, the finer cubes or rows
+    # of a full call whose coarser rows or cube values are zero
+    s = build_system(*shape)
+    start = data.draw(st.integers(0, s.depth))
+    pool = np.array(data.draw(st.lists(FINER_VALUES, min_size=1, max_size=6)))
+    rng = np.random.Generator(np.random.Philox(key=[data.draw(st.integers(0, 2**32)), 61]))
+    batch, lo = ((k,) if k else ()), s.level_offset[start]
+
+    rows = rng.choice(pool, size=batch + (s.num_levels - start, s.num_atoms))
+    full = np.zeros(batch + (s.num_levels, s.num_atoms))
+    full[..., start:, :] = rows
+    for aggregation in (lattice.level_sums, lattice.box_sums):
+        got, want = aggregation(s, rows), aggregation(s, full)[..., lo:]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    values = rng.choice(pool, size=batch + (s.num_cubes - lo,))
+    full = np.zeros(batch + (s.num_cubes,))
+    full[..., lo:] = values
+    got, want = lattice.chain_running(s, values), lattice.chain_running(s, full)[..., start:, :]
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n,d", ALL_SHAPES)
 def test_batched_level_sums_match_per_row_calls_on_and_off_the_bin_table(n, d):

@@ -240,6 +240,62 @@ def test_exact_sums_match_loop_at_extreme_scales(name):
     _assert_same_report(_scaled(*EXTREME_SCALES[name]))
 
 
+def _side_or_error(constant, inst):
+    try:
+        side = constant(inst)
+    except ArithmeticError as exc:  # fsum's overflow, compared by type and text
+        return type(exc), str(exc)
+    cube_type = type(side.cube)
+    return np.float64(side.value).tobytes(), side.cube, cube_type, side.witness.shape, side.witness.tobytes()
+
+
+def _assert_same_as_per_level_runs(inst):
+    # the level batches over the finer rows against the per-level whole-lattice
+    # runs they replaced: T, T*, both cubes and both witnesses, byte for byte
+    for constant, reference in (
+        (forward_testing_constant, ref.forward_testing_constant_levels),
+        (dual_testing_constant, ref.dual_testing_constant_levels),
+    ):
+        assert _side_or_error(constant, inst) == _side_or_error(reference, inst)
+
+
+# 124 generated instances: 40 each at d1 D3 p 2 and p 3, where one batch holds
+# every level; then shapes with batches of several levels (d2 D2, d1 D6, d2
+# D5), of one level each (d1 D10 and the 4096-atom shapes) and p = 2's shared
+# box integrals (d2 D6).
+LEVEL_BATCH_SET = [
+    (1, 3, 2.0, 40), (1, 3, 3.0, 40), (2, 2, 1.5, 10), (1, 6, 3.0, 10), (1, 10, 3.0, 6),
+    (2, 5, 3.0, 6), (1, 12, 3.0, 4), (3, 4, 3.0, 4), (2, 6, 2.0, 4),
+]
+
+
+@pytest.mark.parametrize("dim,depth,p,count", LEVEL_BATCH_SET)
+def test_level_batches_match_per_level_runs(dim, depth, p, count):
+    for seed in range(1, count + 1):
+        _assert_same_as_per_level_runs(
+            generators.generate(generators.GenSpec(seed=seed, dimension=dim, depth=depth, p=p))
+        )
+
+
+# Scalings at the edges of binary64: squares of mu that overflow or underflow
+# (the profile of a level is then NaN or 0 above it), contributions and
+# weights that overflow.
+BATCH_SCALES = {"mu*1e200": "mu", "mu*1e-200": "mu", "lambda*1e300": "lam",
+                "lambda*1e-200": "lam", "sigma*1e250": "sigma", "omega*1e300": "omega"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", sorted(BATCH_SCALES))
+def test_level_batches_match_per_level_runs_at_extreme_scales(name, p):
+    factor = float(name.split("*")[1])
+    for dim, depth in [(1, 3), (2, 3), (1, 8), (1, 10), (3, 2)]:
+        base = generators.generate(generators.GenSpec(seed=depth, dimension=dim, depth=depth, p=p))
+        data = {key: getattr(base, key) for key in ("sigma", "omega", "mu", "lam")}
+        data[BATCH_SCALES[name]] = factor * data[BATCH_SCALES[name]]
+        _assert_same_as_per_level_runs(Instance(base.sys, p, **data))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_dual_skips_cubes_with_a_non_finite_kernel_column_off_them():
     # mu * running overflows in column 5 on row 2, so the level 0-2 kernels
