@@ -22,7 +22,7 @@ from .embedding import (
     carleson_condition_constant,
     disjointness_inequality,
     embedding_ratio_search,
-    stopping_embedding_report,
+    stopping_embedding_ratio,
 )
 from .errors import GuardError, SchemaError
 from .normest import alternating_maximization, attach_oracle
@@ -185,7 +185,7 @@ def _cmd_embed_check(args, out) -> int:
     prop2 = None
     if inst.p >= 2:
         fam = build_ratio_family(inst, sys_.root, f)
-        prop2 = stopping_embedding_report(inst, f, fam).ratio
+        prop2 = stopping_embedding_ratio(inst, f, fam)[2]
     violations = 0
     for k in range(max(args.instances, 1) * 10):
         h = generators.random_scale_function(sys_, args.seed + k, stream=generators.STREAM_H)

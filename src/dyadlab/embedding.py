@@ -66,7 +66,7 @@ _MAX_ITER, _TOL = 40, 1e-10  # the ascent's step cap and stop tolerance
 def _ratios(sys: DyadicSystem, nu, a, masses, h: np.ndarray, p: float):
     """Embedding ratios of the rows of h: one averages pass, exact sums a row."""
     norms = [lp_norm(row, w, p) for row, w in zip(h, nu)]
-    sums = [ksum(row) for row in a * cube_averages(sys, nu, masses, h) ** p]
+    sums = [ksum(row) for row in a * cube_averages(sys, nu, masses, masses > 0, h) ** p]
     return [0.0 if n**p == 0.0 else total / n**p for n, total in zip(norms, sums)]
 
 
@@ -106,15 +106,15 @@ def _indicator_ratios(sys: DyadicSystem):
 
 
 def _average_maps(sys: DyadicSystem, p: float):
-    """The half-steps, each row with its instance's ``nu``, ``a`` and
-    ``masses`` rows: A h normed in lp(a), and A* g normed in Lq(nu)."""
+    """The half-steps, each row with its instance's ``nu``, ``a``, ``masses`` and
+    ``held = masses > 0`` rows: A h normed in lp(a), and A* g normed in Lq(nu)."""
     q = conjugate(p)
 
-    def forward(h, nu, a, masses):
-        return lp_norming(cube_averages(sys, nu, masses, h), a, p)
+    def forward(h, nu, a, masses, held):
+        return lp_norming(cube_averages(sys, nu, masses, held, h), a, p)
 
-    def backward(g, nu, a, masses):
-        t = np.divide(a * g, masses, out=np.zeros_like(g), where=masses > 0)
+    def backward(g, nu, a, masses, held):
+        t = np.divide(a * g, masses, out=np.zeros(g.shape), where=held)
         return lp_norming(lattice.chain_total(sys, t), nu, q)
 
     return forward, backward
@@ -151,7 +151,7 @@ def embedding_ratio_searches(sys: DyadicSystem, datas, p: float, restarts: int, 
         starts += rows
     owner = np.repeat(np.arange(len(datas)), [hi - lo for *_, lo, hi in found])
     starts = np.array(starts).reshape(-1, sys.num_atoms)
-    weights = nu[owner], a[owner], masses[owner]
+    weights = nu[owner], a[owner], masses[owner], masses[owner] > 0
     values, pairs, _, steps = power_ascent(sys, starts, *_average_maps(sys, p), _TOL, _MAX_ITER, *weights)
     wins = [best_start(values, pairs, lo, hi) for *_, lo, hi in found]
     won = [i for i, win in enumerate(wins) if win is not None]  # one ratios pass for all
@@ -203,27 +203,30 @@ class StoppingEmbeddingReport:
     alpha_identity_rel_err: float
 
 
-def stopping_embedding_report(
-    inst: Instance, f: np.ndarray, family: StoppingFamily
-) -> StoppingEmbeddingReport:
-    """Embedding sum of bracket averages against test-input masses, plus the
-    two structural facts its proof runs on: the lifted measure (each
-    member's test-input mass summed over its stopping subtree) is a Carleson
-    family with factor at most 4, and box masses of f reconstruct exactly
-    from the exclusive boxes of the stopping subtree."""
+def stopping_embedding_ratio(inst: Instance, f: np.ndarray, family: StoppingFamily) -> tuple[float, float, float]:
+    """(lhs, rhs, lhs / rhs): the embedding sum of the brackets (the stored stats) against
+    the test-input masses of ``family``, f's ratio family, and the p-th power mixed norm of f."""
     if inst.p < 2.0:
         raise GuardError(f"stopping embedding requires p >= 2, got {inst.p}")
     if family.kind != "ratio":
         raise ValueError("stopping embedding requires a ratio family")
-
-    sys, members = inst.sys, list(family.members)
-    num = all_box_integrals(inst, f)
+    members = list(family.members)
     # brackets in Python floats: numpy's array power may round otherwise than ``**``
     masses = family.phi_mass[members].tolist()
-    lhs = ksum([(n / m) ** inst.p * m for n, m in zip(num[members].tolist(), masses) if m > 0])
+    lhs = ksum([b**inst.p * m for b, m in zip(family.stats[members].tolist(), masses) if m > 0])
     rhs = mixed_norm(f, inst.sigma, inst.p) ** inst.p
-    ratio = lhs / rhs if rhs > 0 else 0.0
+    return lhs, rhs, lhs / rhs if rhs > 0 else 0.0
 
+
+def stopping_embedding_report(
+    inst: Instance, f: np.ndarray, family: StoppingFamily
+) -> StoppingEmbeddingReport:
+    """:func:`stopping_embedding_ratio`, plus the two structural facts its proof
+    runs on: the lifted measure (each member's test-input mass summed over its
+    stopping subtree) is a Carleson family with factor at most 4, and box
+    masses of f reconstruct exactly from the exclusive boxes of the subtree."""
+    lhs, rhs, ratio = stopping_embedding_ratio(inst, f, family)
+    sys, members = inst.sys, list(family.members)
     factor = largest_subtree_ratio(sys, family, subtree_totals(sys, family, family.phi_mass))[0]
 
     # One grouping of the cells by projection gives every exclusive-box sum.
@@ -231,7 +234,7 @@ def stopping_embedding_report(
     owner = family.projection[sys.cell_cube].ravel()
     exclusive = np.zeros(sys.num_cubes)
     exclusive[members] = group_ksum(owner, weights, members)
-    acc, target = subtree_totals(sys, family, exclusive)[members], num[members]
+    acc, target = subtree_totals(sys, family, exclusive)[members], all_box_integrals(inst, f)[members]
     scale = np.maximum(np.maximum(np.abs(target), np.abs(acc)), 1e-300)
     err = float((np.abs(acc - target) / scale).max())
 

@@ -92,16 +92,17 @@ def all_cube_integrals(inst: Instance, g: np.ndarray) -> np.ndarray:
     return lattice.cube_sums(inst.sys, inst.omega * g)
 
 
-def cube_averages(sys: DyadicSystem, w: np.ndarray, masses: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The cube-average map: the w-average of h over every cube, given the
-    cube masses of w, 0 on a cube without mass.  Takes a batch by rows."""
+def cube_averages(sys: DyadicSystem, w: np.ndarray, masses: np.ndarray, held: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The cube-average map: the w-average of h over every cube, given the cube masses
+    of w and ``held = masses > 0``, 0 on a cube without mass.  Takes a batch by rows."""
     integrals = lattice.cube_sums(sys, w * h)
-    return np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
+    return np.divide(integrals, masses, out=np.zeros(integrals.shape), where=held)
 
 
 def all_cube_averages(inst: Instance, g: np.ndarray) -> np.ndarray:
     """omega-average of g over every cube at once; 0 on a cube without mass."""
-    return cube_averages(inst.sys, inst.omega, lattice.cube_sums(inst.sys, inst.omega), g)
+    masses = lattice.cube_sums(inst.sys, inst.omega)
+    return cube_averages(inst.sys, inst.omega, masses, masses > 0, g)
 
 
 def lambda_form(inst: Instance, f: np.ndarray, g: np.ndarray) -> float:
@@ -152,6 +153,15 @@ def level_test_input(inst: Instance, level: int) -> np.ndarray:
     return zero_preserving_power(s, inst.q - 2.0)[None, :] * boxed
 
 
+def profile_box_integrals(inst: Instance):
+    """The map from a level to its profile's box integrals over the cubes from
+    ``level_offset[level]`` on, which read only its rows from the level on: mu's at q = 2, one pass."""
+    if inst.q == 2.0:
+        shared = all_box_integrals(inst, inst.mu)
+        return lambda level: shared[inst.sys.level_offset[level] :]
+    return lambda level: lattice.box_sums(inst.sys, (inst.sigma * level_test_input(inst, level) * inst.mu)[level:])
+
+
 def test_function(inst: Instance, cube: int) -> np.ndarray:
     """Hoelder-optimal test input on the box of ``cube``: the level profile
     :func:`level_test_input` on the cube's atoms, zero elsewhere."""
@@ -196,5 +206,5 @@ def phi_identity_check(inst: Instance) -> PhiIdentityReport:
     phi_norm_power = [(total ** (1.0 / p)) ** p for total in phis]
     vals = np.array([pairing, slices, mu_norm_power, phi_norm_power])
     top, gap = np.abs(vals).max(axis=0), vals.max(axis=0) - vals.min(axis=0)
-    spread = np.divide(gap, top, out=np.zeros_like(top), where=top != 0.0)
+    spread = np.divide(gap, top, out=np.zeros(top.shape), where=top != 0.0)
     return PhiIdentityReport(*vals, spread)

@@ -8,6 +8,7 @@ exercise every zero convention downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,12 +22,24 @@ _SIGMA, _OMEGA, _MU, _LAMBDA = 0, 1, 2, 3
 STREAM_F, STREAM_G, STREAM_A, STREAM_H = 10, 11, 12, 13
 
 
+@functools.cache
+def _key_type() -> type:
+    """A seed sequence of key words, which Philox takes as its key at counter 0 as ``key=`` does,
+    without seeding one from OS entropy first.  Built on first use: importing numpy.random
+    with the package made its import slower and a process's peak RSS larger."""
+
+    class Key(tuple, np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype):
+            return np.array(self, dtype=np.uint64)
+
+    return Key
+
+
 def philox(seed: int, stream: int) -> np.random.Generator:
     """Philox stream keyed (seed mod 2**64, stream), the one key builder for
     every seeded draw in the package.  The key is built as uint64 so seeds at
     or above 2**63, negative ones included, stay distinct."""
-    key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_key_type()((seed & (2**64 - 1), stream))))
 
 
 def _log_uniform(rng, lo: float, hi: float, shape) -> np.ndarray:

@@ -10,8 +10,9 @@ All values are nonnegative binary64; one check, :func:`finite_nonnegative`,
 normalizes dtype and rejects negatives, NaNs and infinities.  Reported
 numbers sum exactly (:func:`ksum`, :func:`group_ksum`), as identity checks
 run at 1e-10 relative; the norming maps, which the solvers call every
-half-step, sum with numpy (:func:`lp_norms`), within about log2(n) u (Higham,
-*Accuracy and Stability of Numerical Algorithms*, ch. 4).  Per-cube
+half-step, sum with numpy (:func:`lp_norms`, one ``np.add.reduce`` a row, kept
+as a column), within about log2(n) u (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 4).  Per-cube
 quantities are arrays over every cube at once: box and cube integrals and
 averages in :mod:`dyadlab.forms`, cube masses as ``lattice.cube_sums``.
 """
@@ -82,7 +83,7 @@ def as_scale_function(sys: DyadicSystem, values) -> np.ndarray:
 def zero_preserving_power(base: np.ndarray, exponent: float) -> np.ndarray:
     """``base ** exponent`` with the convention 0**e = 0, needed for e <= 0."""
     base = np.asarray(base, dtype=np.float64)
-    out = np.zeros_like(base)
+    out = np.zeros(base.shape)
     np.power(base, exponent, out=out, where=base > 0.0)
     return out
 
@@ -91,7 +92,7 @@ def ell2_slice(f: np.ndarray) -> np.ndarray:
     """Pointwise (per atom) l2 norm across scale levels; a leading batch axis
     passes through."""
     f = np.asarray(f, dtype=np.float64)
-    return np.sqrt((f * f).sum(axis=-2))
+    return np.sqrt(np.add.reduce(f * f, axis=-2))
 
 
 def mixed_norm(f: np.ndarray, sigma: np.ndarray, p: float) -> float:
@@ -104,8 +105,8 @@ def lp_norm(g: np.ndarray, w: np.ndarray, p: float) -> float:
 
 
 def lp_norms(g: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """The solvers' ``lp_norm`` of each row of a (k, atoms) array, by numpy sums."""
-    return (w * g**p).sum(axis=-1) ** (1.0 / p)
+    """The solvers' ``lp_norm`` of each row of a (k, atoms) array, by numpy sums, as a (k, 1) column."""
+    return np.add.reduce(w * g**p, axis=-1, keepdims=True) ** (1.0 / p)
 
 
 def lp_norming(h: np.ndarray, w: np.ndarray, p: float):
@@ -116,7 +117,7 @@ def lp_norming(h: np.ndarray, w: np.ndarray, p: float):
     zero row where h vanishes, and the array of values, each as its own call.
     """
     h = np.asarray(h, dtype=np.float64)
-    values = lp_norms(np.atleast_2d(h), w, p)
+    values = lp_norms(h, w, p)
     return _normed(h.ndim == 1, h, values, values, p - 1.0)
 
 
@@ -129,19 +130,19 @@ def mixed_norming(k: np.ndarray, sigma: np.ndarray, p: float):
     q = conjugate(p)
     k = np.asarray(k, dtype=np.float64)
     s = ell2_slice(k)
-    values = lp_norms(np.atleast_2d(s), sigma, q)
+    values = lp_norms(s, sigma, q)
     shaped = k if q == 2.0 else zero_preserving_power(s, q - 2.0)[..., None, :] * k
     # at q == 2 the shaped function is k and p == q, so its norms are the values
-    norms = values if q == 2.0 else lp_norms(np.atleast_2d(ell2_slice(shaped)), sigma, p)
-    return _normed(k.ndim == 2, shaped, norms, values, 1.0)
+    norms = values if q == 2.0 else lp_norms(ell2_slice(shaped), sigma, p)
+    return _normed(k.ndim == 2, shaped, norms[..., None], values[..., None], 1.0)
 
 
 def _normed(single: bool, x: np.ndarray, by: np.ndarray, values: np.ndarray, power: float):
-    """(x / by) ** power by rows, 0 where the value is 0.0, or one row and value."""
-    out = x / np.where(values != 0.0, by, np.inf).reshape((-1,) + (1,) * (x.ndim - 1))
+    """(x / by) ** power by rows, 0 where ``values`` (shaped as ``by``) is 0.0, or one row and value."""
+    out = x / np.where(values != 0.0, by, np.inf)
     if power != 1.0:  # x ** 1.0 is x
         out **= power
+    values = values.reshape(-1)
     if not single:
         return out, values
     return (None, 0.0) if values[0] == 0.0 else (out, float(values[0]))
-

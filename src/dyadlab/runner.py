@@ -11,7 +11,7 @@ from .embedding import (
     CarlesonData,
     carleson_condition_constant,
     embedding_ratio_search,
-    stopping_embedding_report,
+    stopping_embedding_ratio,
 )
 from .forms import Instance
 from .io import ReportRow
@@ -52,9 +52,7 @@ def evaluate_instance(
     g = generators.random_atom_function(sys, seed)
 
     ratio_family = build_ratio_family(inst, sys.root, f)
-    prop2 = (
-        stopping_embedding_report(inst, f, ratio_family).ratio if inst.p >= 2 else None
-    )
+    prop2 = stopping_embedding_ratio(inst, f, ratio_family)[2] if inst.p >= 2 else None
     avg_family = build_average_family(inst, sys.root, g)
     g_carleson = carleson_constant(sys, avg_family, inst.omega)
     sparse_max = child_mass_bound(sys, ratio_family)

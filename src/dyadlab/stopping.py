@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lattice
-from .forms import Instance, all_box_integrals, all_cube_averages, level_test_input
+from .forms import Instance, all_box_integrals, all_cube_averages, level_test_input, profile_box_integrals
 from .lattice import DyadicSystem
 from .measures import conjugate, group_ksum, largest_ratio
 
@@ -123,31 +123,31 @@ def build_ratio_family(
     if not A > 0:
         raise ValueError(f"stopping factor A must be positive, got {A}")
     sys = inst.sys
-    num = all_box_integrals(inst, f)
+    num, profile_boxes = all_box_integrals(inst, f), profile_box_integrals(inst)
     # A member's test input is its level's profile restricted to the member,
     # and the trigger only reads box integrals of subcubes of the member:
     # there the profile's box integrals, and f's box masses calibrated by
-    # them, are the member's own.
+    # them, are the member's own.  Both are kept from the member's level on.
     @functools.cache
     def calibrated(level: int) -> tuple[np.ndarray, np.ndarray]:
-        den = all_box_integrals(inst, level_test_input(inst, level))
-        return den, np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        den = profile_boxes(level)
+        return den, np.divide(num[sys.level_offset[level] :], den, out=np.zeros(den.shape), where=den > 0)
 
     def triggered(cubes: np.ndarray, owners: np.ndarray) -> np.ndarray:
         owner_level = sys.cube_level[owners]
         hit = np.empty(len(cubes), dtype=bool)
         for level in set(owner_level.tolist()):
-            at = owner_level == level
-            den, ratio = calibrated(level)
-            hit[at] = (den[cubes[at]] > 0) & (ratio[cubes[at]] > A * ratio[owners[at]])
+            at, lo = owner_level == level, sys.level_offset[level]
+            (den, ratio), inner = calibrated(level), cubes[at] - lo
+            hit[at] = (den[inner] > 0) & (ratio[inner] > A * ratio[owners[at] - lo])
         return hit
 
     members, proj = _level_sweep(sys, top, triggered)
     member, phi_mass = _is_member(proj), np.zeros(sys.num_cubes)
     for level in set(sys.cube_level[members].tolist()):
-        at = slice(sys.level_offset[level], sys.level_offset[level + 1])
-        phi_mass[at] = np.where(member[at], calibrated(level)[0][at], 0.0)
-    stats = np.divide(num, phi_mass, out=np.zeros_like(num), where=phi_mass > 0)
+        lo, hi = sys.level_offset[level : level + 2]
+        phi_mass[lo:hi] = np.where(member[lo:hi], calibrated(level)[0][: hi - lo], 0.0)
+    stats = np.divide(num, phi_mass, out=np.zeros(num.shape), where=phi_mass > 0)
     stats.flags.writeable = phi_mass.flags.writeable = False
     params = {"A": float(A), "B": float(b)}
     return StoppingFamily("ratio", top, tuple(members), proj, stats, phi_mass, params)

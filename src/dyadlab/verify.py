@@ -32,9 +32,9 @@ from .forms import (
     box_slice_sums,
     lambda_form,
     lambda_form_local,
-    level_test_input,
     local_form,
     phi_identity_check,
+    profile_box_integrals,
     test_function,
 )
 from .measures import conjugate, ksum, lp_norm, mixed_norm
@@ -286,14 +286,14 @@ def _check_stopping(s: _Suite):
         gfam = build_average_family(inst, sys.root, g)
         if carleson_constant(sys, gfam, inst.omega) > 2.0:
             fails_c.append((inst, "average family exceeds the 2-Carleson bound"))
-        num = all_box_integrals(inst, f)
-        dens = {}  # per member level: its profile's box integrals, a member's own inside it
+        num, profile_boxes = all_box_integrals(inst, f), profile_box_integrals(inst)
+        dens = {}  # per member level: its profile's box integrals from the level on, a member's own inside it
         for cube in range(0, sys.num_cubes, max(1, sys.num_cubes // 6)):
             member = int(ffam.projection[cube])
             level = sys.level_of(member)
             if level not in dens:
-                dens[level] = all_box_integrals(inst, level_test_input(inst, level))
-            den = dens[level][cube]
+                dens[level] = profile_boxes(level)
+            den = dens[level][cube - sys.level_offset[level]]
             lhs = num[cube] / den if den > 0 else 0.0
             if lhs > ffam.params["A"] * ffam.stats[member] * (1 + 1e-12):
                 fails_p.append((inst, f"stopping bound broken at {_at(sys, cube)}"))

@@ -39,9 +39,14 @@ adversarial families the package no longer builds, but for the deep chain,
 and the ascent and the grid oracle from before ``normest`` kept one body for
 each of their jobs.  ``sweep_rows``, the generated sweep's row loop from
 before ``eval`` ran one loop over its instance list, is kept verbatim as the
-oracle of that loop.
+oracle of that loop.  At the end, the norming maps and the embedding's
+average maps from before the maps took their norms as columns and the
+held-mass mask as a row, the embedding report's bracket sum from a box
+pass, and the ratio family's whole-lattice box pass per owner level are
+kept verbatim as the oracles of their bit-identical replacements.
 """
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -49,7 +54,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from dyadlab import embedding, forms, generators, lattice, measures, normest, runner, testing_constants
+from dyadlab import embedding, forms, generators, lattice, measures, normest, runner, stopping, testing_constants
 from dyadlab.embedding import RatioSearchResult, StoppingEmbeddingReport
 from dyadlab.errors import GuardError
 from dyadlab.forms import (
@@ -1467,3 +1472,98 @@ def sweep_rows(
             )
         )
     return rows
+
+
+# -- bodies the small-lattice eval rows replaced, kept verbatim as oracles ----
+
+
+def lp_norming_rows(h: np.ndarray, w: np.ndarray, p: float):
+    """``measures.lp_norming`` as it was: norms summed without keepdims over
+    ``np.atleast_2d`` rows, a reshaped divisor in :func:`normed_rows`."""
+    h = np.asarray(h, dtype=np.float64)
+    values = (w * np.atleast_2d(h) ** p).sum(axis=-1) ** (1.0 / p)
+    return normed_rows(h.ndim == 1, h, values, values, p - 1.0)
+
+
+def mixed_norming_rows(k: np.ndarray, sigma: np.ndarray, p: float):
+    """``measures.mixed_norming`` as it was (see :func:`lp_norming_rows`)."""
+    q = measures.conjugate(p)
+    k = np.asarray(k, dtype=np.float64)
+    s = np.sqrt((k * k).sum(axis=-2))
+    values = (sigma * np.atleast_2d(s) ** q).sum(axis=-1) ** (1.0 / q)
+    shaped = k if q == 2.0 else measures.zero_preserving_power(s, q - 2.0)[..., None, :] * k
+    if q == 2.0:
+        norms = values
+    else:
+        norms = (sigma * np.atleast_2d(np.sqrt((shaped * shaped).sum(axis=-2))) ** p).sum(axis=-1) ** (1.0 / p)
+    return normed_rows(k.ndim == 2, shaped, norms, values, 1.0)
+
+
+def normed_rows(single, x, by, values, power):
+    out = x / np.where(values != 0.0, by, np.inf).reshape((-1,) + (1,) * (x.ndim - 1))
+    if power != 1.0:
+        out **= power
+    if not single:
+        return out, values
+    return (None, 0.0) if values[0] == 0.0 else (out, float(values[0]))
+
+
+def average_maps_without_mask(sys: DyadicSystem, p: float):
+    """``embedding._average_maps`` as it was: each half-step recomputes
+    ``masses > 0`` and a ``zeros_like`` buffer, and takes no mask row."""
+    q = measures.conjugate(p)
+
+    def forward(h, nu, a, masses):
+        integrals = lattice.cube_sums(sys, nu * h)
+        averages = np.divide(integrals, masses, out=np.zeros_like(integrals), where=masses > 0)
+        return lp_norming_rows(averages, a, p)
+
+    def backward(g, nu, a, masses):
+        t = np.divide(a * g, masses, out=np.zeros_like(g), where=masses > 0)
+        return lp_norming_rows(lattice.chain_total(sys, t), nu, q)
+
+    return forward, backward
+
+
+def stopping_embedding_ratio_boxes(inst, f, family):
+    """The embedding report's (lhs, rhs, ratio) as it was: brackets from a
+    box pass of f over the members' test-input masses."""
+    members = list(family.members)
+    num = all_box_integrals(inst, f)
+    masses = family.phi_mass[members].tolist()
+    lhs = measures.ksum([(n / m) ** inst.p * m for n, m in zip(num[members].tolist(), masses) if m > 0])
+    rhs = measures.mixed_norm(f, inst.sigma, inst.p) ** inst.p
+    return lhs, rhs, lhs / rhs if rhs > 0 else 0.0
+
+
+def build_ratio_family_whole(inst, top: int, f: np.ndarray, A=None) -> StoppingFamily:
+    """``stopping.build_ratio_family`` as it was: one whole-lattice box pass
+    of each owner level's profile, the calibrated ratios over every cube."""
+    a_default, b = default_ratio_constants(inst.p)
+    if A is None:
+        A = a_default
+    sys = inst.sys
+    num = all_box_integrals(inst, f)
+
+    @functools.cache
+    def calibrated(level: int):
+        den = all_box_integrals(inst, level_test_input(inst, level))
+        return den, np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+    def triggered(cubes, owners):
+        owner_level = sys.cube_level[owners]
+        hit = np.empty(len(cubes), dtype=bool)
+        for level in set(owner_level.tolist()):
+            at = owner_level == level
+            den, ratio = calibrated(level)
+            hit[at] = (den[cubes[at]] > 0) & (ratio[cubes[at]] > A * ratio[owners[at]])
+        return hit
+
+    members, proj = stopping._level_sweep(sys, top, triggered)
+    member, phi_mass = proj == np.arange(proj.size), np.zeros(sys.num_cubes)
+    for level in set(sys.cube_level[members].tolist()):
+        at = slice(sys.level_offset[level], sys.level_offset[level + 1])
+        phi_mass[at] = np.where(member[at], calibrated(level)[0][at], 0.0)
+    stats = np.divide(num, phi_mass, out=np.zeros_like(num), where=phi_mass > 0)
+    params = {"A": float(A), "B": float(b)}
+    return StoppingFamily("ratio", top, tuple(members), proj, stats, phi_mass, params)

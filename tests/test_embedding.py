@@ -9,6 +9,7 @@ from dyadlab.embedding import (
     carleson_condition_constant,
     disjointness_inequality,
     embedding_ratio_search,
+    stopping_embedding_ratio,
     stopping_embedding_report,
 )
 from dyadlab.errors import GuardError
@@ -16,6 +17,7 @@ from dyadlab.generators import (
     GenSpec,
     adversarial_family,
     deep_chain_profiles,
+    embedding_probe_function,
     generate,
     lemma_violation_fixture,
     random_scale_function,
@@ -25,6 +27,7 @@ from dyadlab.stopping import build_ratio_family, subtree_totals
 from dyadlab.testing_constants import testing_report
 
 import _reference as ref
+from test_measures import EDGE_ENTRIES, bits_of
 from test_normest import assert_lockstep
 from test_stopping import SWEEP_SHAPES
 
@@ -284,6 +287,37 @@ def test_indicator_ratios_in_closed_form_match_the_averages_pass(p):
     _assert_indicator_ratios_are_the_averages_pass(*_tied_indicators(), p)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p", [1.25, 2.0, 3.0, 7.5])
+def test_average_maps_keep_their_bits_on_edge_values(p):
+    # massless cubes, subnormal, 1e300 and overflowing masses, inf and NaN
+    # iterates, an inf on every massless cube and zero rows: the maps with
+    # the held-mass mask row give the bits of the maps that recomputed it, on
+    # a batch and on each row alone (an inf-padded mass divisor reads NaN
+    # where an inf iterate meets a massless cube; these maps read 0)
+    rng = np.random.Generator(np.random.Philox(key=[int(p * 100), 76]))
+    for s in (build_system(1, 3), build_system(2, 2), build_system(1, 6)):
+        maps, before = embedding._average_maps(s, p), ref.average_maps_without_mask(s, p)
+        for _ in range(15):
+            nu = rng.choice([0.0, 5e-324, 1e-310, 0.5, 2.0, 1e300, 1e308], size=(6, s.num_atoms))
+            nu[1:3, : s.num_atoms // 2] = 0.0  # massless cubes above the finest level
+            a = rng.choice([0.0, 5e-324, 0.5, 3.0, 1e300], size=(6, s.num_cubes))
+            masses = lattice.cube_sums(s, nu)
+            h = rng.choice(EDGE_ENTRIES, size=(6, s.num_atoms))
+            g = rng.choice(EDGE_ENTRIES, size=(6, s.num_cubes))
+            h[0], g[0] = 0.0, 0.0
+            g[1][masses[1] == 0.0] = math.inf
+            weights = (nu, a, masses)
+            for step, old, x in zip(maps, before, (h, g)):
+                batch = step(x, *weights, masses > 0)
+                assert bits_of(batch) == bits_of(old(x, *weights))
+                for i in range(len(x)):
+                    rows = [w[i : i + 1] for w in (x, *weights)]
+                    one = step(*rows, rows[-1] > 0)
+                    assert bits_of(one) == bits_of(old(*rows))
+                    assert bits_of(one) == bits_of((batch[0][i : i + 1], batch[1][i : i + 1]))
+
+
 def test_lockstep_rows_leave_at_different_steps():
     # on the average maps: a zero row's forward map vanishes at once, the
     # random and constant rows stop at steps of their own, and every row
@@ -291,7 +325,7 @@ def test_lockstep_rows_leave_at_different_steps():
     s = build_system(1, 4)
     data = _search_data(s, 1)[0]
     masses = lattice.cube_sums(s, data.nu)
-    weights = [np.tile(w, (3, 1)) for w in (data.nu, data.a, masses)]  # three rows of the one instance
+    weights = [np.tile(w, (3, 1)) for w in (data.nu, data.a, masses, masses > 0)]  # three rows of the one instance
     forward, backward = embedding._average_maps(s, 3.0)
     rng = np.random.Generator(np.random.Philox(key=[2, 66]))
     seeds = np.array([rng.random(s.num_atoms), np.zeros(s.num_atoms), np.ones(s.num_atoms)])
@@ -400,8 +434,9 @@ def _assert_same_search(got, want):
 
 
 def _forward_calls(monkeypatch):
-    """Record the arguments after the iterates, the weight rows ``nu``, ``a``
-    and ``masses``, of every forward step of the searches' cube-average map."""
+    """Record the arguments after the iterates, the weight rows ``nu``, ``a``,
+    ``masses`` and ``held``, of every forward step of the searches'
+    cube-average map."""
     maps, calls = embedding._average_maps, []
 
     def recorded(*args):
@@ -451,7 +486,7 @@ def test_batched_searches_with_chunks_ending_inside_an_instance(monkeypatch, cel
         calls.clear()
         got = embedding.embedding_ratio_searches(s, datas, p, 2, list(range(5)))
         rows = lattice.chunk_rows(s)
-        spans = any(len(np.unique(nu, axis=0)) > 1 for nu, _, _ in calls)
+        spans = any(len(np.unique(nu, axis=0)) > 1 for nu, *_ in calls)
         assert rows < 4 * len(datas) and spans == (4 % rows != 0)
         for result, want in zip(got, wants):
             _assert_same_search(result, want)
@@ -500,6 +535,29 @@ def test_stopping_embedding_matches_member_masks_on_sweep(p):
         left = lattice.cube_from_path(inst.sys, "0")
         for top, A in ((inst.sys.root, None), (inst.sys.root, 1.5), (left, 1.25)):
             _assert_same_report(inst, f, build_ratio_family(inst, top, f, A=A))
+
+
+# eval's d1 D3 rows, the eval-deep shapes, and small shapes at p 2.5 and 4
+RATIO_SHAPES = [(1, 3, 2.0), (1, 3, 3.0), (1, 10, 3.0), (2, 5, 3.0), (1, 8, 2.0), (2, 2, 2.5), (3, 2, 4.0)]
+
+
+@pytest.mark.parametrize("dimension,depth,p", RATIO_SHAPES)
+def test_embedding_ratio_reads_the_brackets_off_the_family(monkeypatch, dimension, depth, p):
+    # a member's stored stat is f's box integral over its mass by the same
+    # division, so the ratio body gives the bits of the box pass it replaced,
+    # and of the report's three fields, without a box pass
+    cases = []
+    for seed in range(1, 31):
+        inst = generate(GenSpec(seed=seed, dimension=dimension, depth=depth, p=p))
+        f = embedding_probe_function(inst, seed)
+        fam = build_ratio_family(inst, inst.sys.root, f)
+        want = ref.stopping_embedding_ratio_boxes(inst, f, fam)
+        report = stopping_embedding_report(inst, f, fam)
+        assert bits_of([report.lhs, report.rhs, report.ratio]) == bits_of(want)
+        cases.append((inst, f, fam, want))
+    monkeypatch.setattr(lattice, "box_sums", None)
+    for inst, f, fam, want in cases:
+        assert bits_of(stopping_embedding_ratio(inst, f, fam)) == bits_of(want)
 
 
 def test_stopping_embedding_builds_no_box_masks(monkeypatch):

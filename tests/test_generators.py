@@ -41,6 +41,32 @@ def test_negative_seeds_draw_their_own_streams():
             assert np.array_equal(philox(seed, stream).random(8), want)
 
 
+# Every stream id the package draws from: the instance components 0-3, the
+# auxiliary draws 10-13, verify's 21, 100, 200 and 201, embed-check's 77 and
+# the ascents' restarts 0-31.
+PACKAGE_STREAMS = sorted({*range(4), *range(10, 14), 21, 77, 100, 200, 201, *range(32)})
+
+
+def _state(rng):
+    state = rng.bit_generator.state
+    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()}, "buffer": state["buffer"].tolist()}
+
+
+def test_philox_streams_are_numpys_keyed_streams():
+    # the key handed over without a seed sequence gives numpy's own keyed
+    # stream: the same bit-generator state and the same draws.  The key is a
+    # uint64 array, as the package builds it: numpy reads a list holding an
+    # int at or above 2**63 as floats, which key 2**64 - 1 as 0.
+    for seed in (0, 1, -1, -5, 2**63 - 1, 2**63, 2**64 - 1):
+        for stream in PACKAGE_STREAMS:
+            got = philox(seed, stream)
+            key = np.array([seed % 2**64, stream], dtype=np.uint64)
+            want = np.random.Generator(np.random.Philox(key=key))
+            assert _state(got) == _state(want)
+            assert got.random(1000).tobytes() == want.random(1000).tobytes()
+            assert _state(got) == _state(want)
+
+
 def test_generated_instances_satisfy_invariants():
     for seed in range(5):
         inst = generate(GenSpec(seed=seed, dimension=1, depth=3, p=2.5))

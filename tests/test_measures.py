@@ -14,8 +14,10 @@ from dyadlab.measures import (
     ksum,
     largest_ratio,
     lp_norm,
+    lp_norming,
     lp_norms,
     mixed_norm,
+    mixed_norming,
     zero_preserving_power,
 )
 
@@ -287,3 +289,44 @@ def test_solver_norms_are_within_the_pairwise_bound_of_the_exact_norm(p):
             for row, value in zip(rows, lp_norms(rows, w, p)):
                 exact = lp_norm(row, w, p)
                 assert abs(value - exact) <= math.ceil(math.log2(n)) * 2 * u * exact
+
+
+# Entries at the edges of binary64 for the norming maps' rows: zeros,
+# subnormals, tiny and huge values, inf and NaN; weights stay finite.
+EDGE_ENTRIES = [0.0, 5e-324, 1e-310, 1e-300, 0.5, 1.0, 3.0, 1e300, 1e308, math.inf, math.nan]
+EDGE_WEIGHTS = [0.0, 5e-324, 1e-300, 0.5, 2.0, 1e300]
+
+
+def bits_of(result) -> list:
+    """Each item of a map's result as bytes with its shape, None as None."""
+    return [
+        None if x is None else (np.shape(x), np.asarray(x, dtype=np.float64).tobytes())
+        for x in result
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 7.5])
+def test_norming_maps_keep_their_bits_on_edge_values(p):
+    # the norms summed with keepdims give the bits of the bodies that summed
+    # over ``atleast_2d`` rows, on a batch (zero row first) and on each of
+    # its rows alone, and a batch row is that row's own call: a zero row
+    # where the call gave None
+    rng = np.random.Generator(np.random.Philox(key=[int(p * 100), 75]))
+    cases = [(lp_norming, ref.lp_norming_rows, ()), (mixed_norming, ref.mixed_norming_rows, (3,))]
+    for atoms in (1, 3, 8, 200):
+        for _ in range(20):
+            w = rng.choice(EDGE_WEIGHTS, size=atoms)
+            for norming, before, levels in cases:
+                x = rng.choice(EDGE_ENTRIES, size=(5, *levels, atoms))
+                x[0] = 0.0
+                batch = norming(x, w, p)
+                assert bits_of(batch) == bits_of(before(x, w, p))
+                assert bits_of(norming(x[:1], w, p)) == bits_of(before(x[:1], w, p))
+                for row, out, value in zip(x, *batch):
+                    one = norming(row, w, p)
+                    assert bits_of(one) == bits_of(before(row, w, p))
+                    if one[0] is None:
+                        assert value == 0.0 and not out.any()
+                    else:
+                        assert bits_of(one) == bits_of((out, float(value)))

@@ -305,7 +305,8 @@ def _ascent_inputs(dim, depth, p, seed):
     for nu_i, a_i in ((base.sigma, rng.random(s.num_cubes)), (nu, a)):
         h = np.array([np.zeros(s.num_atoms), np.ones(s.num_atoms), *rng.random((3, s.num_atoms))])
         weights = (np.tile(nu_i, (len(h), 1)), np.tile(a_i, (len(h), 1)))
-        weights += (lattice.cube_sums(s, weights[0]),)
+        masses = lattice.cube_sums(s, weights[0])
+        weights += (masses, masses > 0)
         yield s, h, *embedding._average_maps(s, p), weights
 
 

@@ -516,3 +516,48 @@ def test_collapse_matches_member_masks(depth, p):
             collapse_atom_function(inst, g, gfam, ffam, m),
             ref.collapse_atom_function_masks(inst, g, gfam, ffam, m),
         )
+
+
+# ROADMAP item 20's 124 generated instances (the testing constants' level
+# batch set): d1 D3 p 2 and p 3, several levels a batch, one level a batch,
+# and p = 2's shared box pass at d2 D6.
+RATIO_FAMILY_SET = [
+    (1, 3, 2.0, 40), (1, 3, 3.0, 40), (2, 2, 1.5, 10), (1, 6, 3.0, 10), (1, 10, 3.0, 6),
+    (2, 5, 3.0, 6), (1, 12, 3.0, 4), (3, 4, 3.0, 4), (2, 6, 2.0, 4),
+]
+
+
+def _assert_same_as_whole_lattice_passes(inst, f, top, A=None):
+    got, want = build_ratio_family(inst, top, f, A=A), ref.build_ratio_family_whole(inst, top, f, A=A)
+    assert (got.members, got.params) == (want.members, want.params)
+    for name in ("projection", "stats", "phi_mass"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("dim,depth,p,count", RATIO_FAMILY_SET)
+def test_ratio_family_box_passes_from_the_owner_level_match_whole_lattice_passes(dim, depth, p, count):
+    # each owner level's profile takes one box pass over its rows from the
+    # level on (one pass for every level at p = 2), with the bits of the
+    # whole-lattice pass on the cubes the sweep reads; eval's probe and
+    # stopping's modulated density, from the root and from a child at A 1.5
+    for seed in range(1, count + 1):
+        inst = generate(GenSpec(seed=seed, dimension=dim, depth=depth, p=p))
+        probe = generators.embedding_probe_function(inst, seed)
+        modulated = random_scale_function(inst.sys, seed, base=inst.mu)
+        for f in (probe, modulated):
+            _assert_same_as_whole_lattice_passes(inst, f, inst.sys.root)
+        _assert_same_as_whole_lattice_passes(inst, modulated, lattice.cube_from_path(inst.sys, "0"), A=1.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("factor", [1e200, 1e-200])
+def test_ratio_family_box_passes_match_whole_lattice_passes_at_extreme_scales(factor, p):
+    # mu * 1e200 overflows the profiles' squares (NaN above a level at p <
+    # 2), mu * 1e-200 underflows them
+    for dim, depth in [(1, 3), (2, 3), (1, 8), (1, 10), (3, 2)]:
+        base = generate(GenSpec(seed=depth, dimension=dim, depth=depth, p=p))
+        inst = Instance(base.sys, p, base.sigma, base.omega, factor * base.mu, base.lam)
+        for seed in (depth, depth + 1):
+            _assert_same_as_whole_lattice_passes(inst, random_scale_function(inst.sys, seed, base=inst.mu), inst.sys.root)
+            _assert_same_as_whole_lattice_passes(inst, generators.embedding_probe_function(inst, seed), inst.sys.root)
