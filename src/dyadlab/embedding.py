@@ -151,8 +151,8 @@ def embedding_ratio_searches(sys: DyadicSystem, datas, p: float, restarts: int, 
         starts += rows
     owner = np.repeat(np.arange(len(datas)), [hi - lo for *_, lo, hi in found])
     starts = np.array(starts).reshape(-1, sys.num_atoms)
-    weights = nu[owner], a[owner], masses[owner], masses[owner] > 0
-    values, pairs, _, steps = power_ascent(sys, starts, *_average_maps(sys, p), _TOL, _MAX_ITER, *weights)
+    weights = nu, a, masses, masses > 0
+    values, pairs, _, steps = power_ascent(sys, starts, *_average_maps(sys, p), _TOL, _MAX_ITER, owner, *weights)
     wins = [best_start(values, pairs, lo, hi) for *_, lo, hi in found]
     won = [i for i, win in enumerate(wins) if win is not None]  # one ratios pass for all
     h = np.array([pairs[wins[i]][0] for i in won]).reshape(-1, sys.num_atoms)

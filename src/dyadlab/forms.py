@@ -9,10 +9,11 @@ function ``g``::
 
 Two adjoint operators realize the same pairing: ``apply_box_operator`` maps
 ``f`` to an atom function, ``apply_adjoint_operator`` maps ``g`` to a scale
-function.  ``test_function`` is the Hoelder-optimal input shaped from ``mu``
-on a single box, the restriction of the per-level profile
-``level_test_input``; :func:`phi_identity_check` checks the defining identity
-chain of every cube's test input at once.
+function, each with one instance's weights or each function's own weight rows.
+``test_function`` is the Hoelder-optimal input shaped from ``mu`` on a
+single box, the restriction of the per-level profile ``level_test_input``;
+:func:`phi_identity_check` checks the defining identity chain of every
+cube's test input at once.
 
 The per-cube quantities the form and the paper's conditions read -- box
 pairings, omega-integrals and omega-averages -- each have one primitive that
@@ -119,17 +120,15 @@ def local_form(inst: Instance, top: int, boxes: np.ndarray, integrals: np.ndarra
     return ksum((inst.lam * boxes * integrals)[inst.sys.descendant_mask(top)])
 
 
-def apply_box_operator(inst: Instance, f: np.ndarray) -> np.ndarray:
-    """The operator side of the form: out[a] = sum over cubes containing a of
-    lam[Q] times the box pairing of f over Q.  Both operators take a batch."""
-    contrib = inst.lam * all_box_integrals(inst, f)
-    return lattice.chain_total(inst.sys, contrib)
+def apply_box_operator(sys: DyadicSystem, sigma, mu, lam, f: np.ndarray) -> np.ndarray:
+    """The operator side of the form: out[a] = sum over cubes containing a of lam[Q] times
+    the box pairing of f over Q.  Both take a batch, with one instance's weights or each function's own."""
+    return lattice.chain_total(sys, lam * lattice.box_sums(sys, sigma[..., None, :] * f * mu))
 
 
-def apply_adjoint_operator(inst: Instance, g: np.ndarray) -> np.ndarray:
+def apply_adjoint_operator(sys: DyadicSystem, omega, mu, lam, g: np.ndarray) -> np.ndarray:
     """Adjoint of the box operator: a scale function supported where mu is."""
-    contrib = inst.lam * all_cube_integrals(inst, g)
-    return inst.mu * lattice.chain_running(inst.sys, contrib)
+    return mu * lattice.chain_running(sys, lam * lattice.cube_sums(sys, omega * g))
 
 
 def level_test_input(inst: Instance, level: int) -> np.ndarray:

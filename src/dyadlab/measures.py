@@ -113,19 +113,19 @@ def lp_norming(h: np.ndarray, w: np.ndarray, p: float):
     """The unit-Lq(w) atom function norming h, with q the conjugate of p.
 
     Returns (g, value) with value = ||h||_{Lp(w)} = the w-pairing of g and
-    h; (None, 0.0) when h vanishes.  A batch of rows gives the rows of g, a
-    zero row where h vanishes, and the array of values, each as its own call.
+    h.  A batch of rows gives the rows of g and the array of values, each as
+    its own call; where h vanishes, a zero row and 0.0.
     """
     h = np.asarray(h, dtype=np.float64)
     values = lp_norms(h, w, p)
-    return _normed(h.ndim == 1, h, values, values, p - 1.0)
+    return _normed(h, values, values, p - 1.0), values[..., 0]
 
 
 def mixed_norming(k: np.ndarray, sigma: np.ndarray, p: float):
     """The unit mixed-p-norm scale function norming k in the sigma-pairing.
 
     Returns (f, value) with value = the mixed q-norm of k = the pairing of f
-    and k, q the conjugate of p; (None, 0.0) when k vanishes.  Batches as
+    and k, q the conjugate of p.  Batches, and vanishes, as
     :func:`lp_norming` does."""
     q = conjugate(p)
     k = np.asarray(k, dtype=np.float64)
@@ -134,15 +134,12 @@ def mixed_norming(k: np.ndarray, sigma: np.ndarray, p: float):
     shaped = k if q == 2.0 else zero_preserving_power(s, q - 2.0)[..., None, :] * k
     # at q == 2 the shaped function is k and p == q, so its norms are the values
     norms = values if q == 2.0 else lp_norms(ell2_slice(shaped), sigma, p)
-    return _normed(k.ndim == 2, shaped, norms[..., None], values[..., None], 1.0)
+    return _normed(shaped, norms[..., None], values[..., None], 1.0), values[..., 0]
 
 
-def _normed(single: bool, x: np.ndarray, by: np.ndarray, values: np.ndarray, power: float):
-    """(x / by) ** power by rows, 0 where ``values`` (shaped as ``by``) is 0.0, or one row and value."""
+def _normed(x: np.ndarray, by: np.ndarray, values: np.ndarray, power: float) -> np.ndarray:
+    """(x / by) ** power by rows, 0 where ``values`` (shaped as ``by``) is 0.0."""
     out = x / np.where(values != 0.0, by, np.inf)
     if power != 1.0:  # x ** 1.0 is x
         out **= power
-    values = values.reshape(-1)
-    if not single:
-        return out, values
-    return (None, 0.0) if values[0] == 0.0 else (out, float(values[0]))
+    return out

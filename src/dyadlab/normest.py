@@ -9,7 +9,8 @@ ratio of rounded iterates can read a few ulps below max(T, T*) (6.75 u at
 worst on a p = 1.02 sweep of 240 instances); only a directed rounding of
 the reported bound would make it a true lower bound.
 :func:`power_ascent` is that nonlinear power method, seeds in lockstep, for
-the box operator here and for the cube-average map of :mod:`dyadlab.embedding`.
+the box operator here (:func:`box_maps`) and the cube-average map of
+:mod:`dyadlab.embedding`, each row with its own instance's weight rows.
 
 Two oracles certify the estimate on small problems: the exact largest
 singular value at p = 2 (the form is then a weighted matrix pairing and the
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -33,20 +33,22 @@ from .measures import ell2_slice, largest_ratio, lp_norm, lp_norming, mixed_norm
 from .testing_constants import TestingReport, testing_report
 
 
-def best_f_given_g(inst: Instance, g: np.ndarray):
-    """Unit mixed-norm maximizer of the form against a fixed atom function:
-    (f, form(f, g)), or (None, 0.0) when the adjoint kernel vanishes
-    (degenerate direction).  Both maximizers take a batch."""
-    return mixed_norming(apply_adjoint_operator(inst, g), inst.sigma, inst.p)
+def box_maps(sys: lattice.DyadicSystem, p: float):
+    """The box ascent's half-steps, each row with its instance's ``sigma``,
+    ``omega``, ``mu`` and ``lam`` rows (or one instance's arrays): f to the
+    unit-Lq(omega) g maximizing the form against it, and g to the unit
+    mixed-norm f, each with the value form(f, g), by the norming maps."""
+
+    def forward(f, sigma, omega, mu, lam):
+        return lp_norming(apply_box_operator(sys, sigma, mu, lam, f), omega, p)
+
+    def backward(g, sigma, omega, mu, lam):
+        return mixed_norming(apply_adjoint_operator(sys, omega, mu, lam, g), sigma, p)
+
+    return forward, backward
 
 
-def best_g_given_f(inst: Instance, f: np.ndarray):
-    """Unit dual-norm maximizer of the form against a fixed unit scale
-    function.  Returns (g, value) with value = form(f, g), or (None, 0.0)."""
-    return lp_norming(apply_box_operator(inst, f), inst.omega, inst.p)
-
-
-def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: float, max_iter: int, *weights):
+def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: float, max_iter: int, owner, *weights):
     """Nonlinear power method (Boyd, 1974) from every row of ``starts``, in
     chunks of ``lattice.chunk_rows`` rows stepped together; the rows may come
     from several instances of one lattice.
@@ -54,7 +56,8 @@ def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: floa
     A step takes x to ``y, _ = forward(x, *w)``, then to ``x', v =
     backward(y, *w)``, each an operator and its norming map on a batch
     (value 0.0: vanishing, with a zero row), ``w`` the stepping rows' rows
-    of ``weights`` (arrays of a row per start).  A row stops when a step
+    of the ``weights`` tables, row ``owner[i]`` for start i (gathered a chunk
+    at a time, so no table is copied for every start).  A row stops when a step
     gains d <= ``tol * v`` (pair (x', y); converged if the Aitken gap
     d r / (1 - r), r = d / the gain before, is <= ``tol * v`` too), when
     ``backward``'s value is NaN (that value and pair, so the row never
@@ -68,7 +71,8 @@ def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: floa
     values, pairs, converged, steps = [0.0] * n, [None] * n, [False] * n, [max_iter] * n
     rows = lattice.chunk_rows(sys)
     for lo in range(0, n, rows):
-        x, live, *w = (a[lo : lo + rows] for a in (starts, np.arange(n), *weights))
+        x, live, at = (a[lo : lo + rows] for a in (starts, np.arange(n), owner))
+        w = [t[at] for t in weights]
         value, gain, y = np.zeros(len(x)), np.full(len(x), math.inf), None
         for step in range(1, max_iter + 1):
             y_before, (y, vy) = y, forward(x, *w)
@@ -110,6 +114,69 @@ class NormEstimate:
     oracle_kind: Optional[str] = None
 
 
+def alternating_maximizations(insts, reports, restarts: int, tol: float, max_iter: int, seeds) -> list[NormEstimate]:
+    """Best ratio over seeded alternating ascents of each of ``insts``, of one
+    lattice and one p, with its testing report and seed: all in one
+    :func:`power_ascent`, each row with its instance's weight rows.
+
+    Seeds: the two testing witnesses paired with their test inputs, the
+    constant pair and ``restarts`` random pairs, each stream keyed (seed, k).
+    The value is the winning pair's exact witnessed ratio.  No pair while a
+    testing constant is positive, or a zero denominator, is a GuardError for
+    the first such instance; so is a tol outside (0, 1), under which every
+    seed stops at step 1, its first gain being its whole value.
+    """
+    if restarts < 1:
+        raise GuardError(f"restarts must be >= 1, got {restarts}")
+    if not 0.0 < tol < 1.0:
+        raise GuardError(f"tol must lie in (0, 1), got {tol}")
+    if not insts:
+        return []
+    sys, p = insts[0].sys, insts[0].p
+    if any((inst.sys.dimension, inst.sys.depth, inst.p) != (sys.dimension, sys.depth, p) for inst in insts):
+        raise ValueError("a batch of ascents takes instances of one lattice and one p")
+    shape, forward, backward = (sys.num_levels, sys.num_atoms), *box_maps(sys, p)
+    starts, spans = [], []
+    for inst, report, seed in zip(insts, reports, seeds, strict=True):
+        candidates = []
+        if report.forward > 0 and report.forward_cube is not None:
+            candidates.append((test_function(inst, report.forward_cube), report.witness_g))
+        if report.dual > 0 and report.dual_cube is not None:
+            candidates.append((report.witness_f, sys.atom_mask(report.dual_cube).astype(np.float64)))
+        candidates.append((np.ones(shape), np.ones(sys.num_atoms)))
+        for k in range(restarts):
+            rng = generators.philox(seed, k)
+            candidates.append((rng.random(shape), rng.random(sys.num_atoms)))
+        # each f at unit norm, or the maximizer against its g where f vanishes
+        lo = len(starts)
+        for f, g in candidates:
+            n = mixed_norm(f, inst.sigma, p)
+            f, n = (f / n, n) if n > 0 else backward(g, inst.sigma, inst.omega, inst.mu, inst.lam)
+            if n:
+                starts.append(f)
+        spans.append((lo, len(starts), len(candidates)))
+    owner = np.repeat(np.arange(len(insts)), [hi - lo for lo, hi, _ in spans])
+    weights = [np.array(w) for w in zip(*[(i.sigma, i.omega, i.mu, i.lam) for i in insts])]
+    starts = np.array(starts).reshape(-1, *shape)
+    values, pairs, converged, steps = power_ascent(sys, starts, forward, backward, tol, max_iter, owner, *weights)
+
+    estimates = []
+    for inst, rep, (lo, hi, seeded) in zip(insts, reports, spans):
+        win, taken = best_start(values, pairs, lo, hi), sum(steps[lo:hi])
+        if win is None:
+            if rep.forward > 0 or rep.dual > 0:
+                raise GuardError(f"no ascent seed yields a pair although T = {rep.forward:g}, T* = {rep.dual:g}")
+            estimates.append(NormEstimate(0.0, np.zeros(shape), np.zeros(sys.num_atoms), taken, seeded, True, True))
+            continue
+        wf, wg = pairs[win]
+        norms = mixed_norm(wf, inst.sigma, p) * lp_norm(wg, inst.omega, inst.q)
+        if norms == 0.0:
+            raise GuardError(f"a winning witness vanished although its ascent reached {values[win]:g}")
+        value = lambda_form(inst, wf, wg) / norms
+        estimates.append(NormEstimate(value, wf, wg, taken, seeded, converged[win], False))
+    return estimates
+
+
 def alternating_maximization(
     inst: Instance,
     restarts: int = 32,
@@ -118,52 +185,10 @@ def alternating_maximization(
     seed: int = 0,
     report: TestingReport | None = None,
 ) -> NormEstimate:
-    """Best ratio over seeded alternating ascents, by :func:`power_ascent`.
-
-    Seeds: the two testing witnesses paired with their test inputs, the
-    constant pair and ``restarts`` counter-keyed random pairs.  Each random
-    stream is keyed (seed, k) so results do not depend on evaluation order.
-    The value is the winning pair's exact witnessed ratio.  No pair while a
-    testing constant is positive, or a zero denominator, is a GuardError.
-    """
-    if restarts < 1:
-        raise GuardError(f"restarts must be >= 1, got {restarts}")
-    if not tol > 0:
-        raise GuardError(f"tol must be positive, got {tol}")
-    sys, shape = inst.sys, (inst.sys.num_levels, inst.sys.num_atoms)
-    if report is None:
-        report = testing_report(inst)
-
-    seeds: list[tuple[np.ndarray, np.ndarray]] = []
-    if report.forward > 0 and report.forward_cube is not None:
-        seeds.append((test_function(inst, report.forward_cube), report.witness_g))
-    if report.dual > 0 and report.dual_cube is not None:
-        seeds.append((report.witness_f, sys.atom_mask(report.dual_cube).astype(np.float64)))
-    seeds.append((np.ones(shape), np.ones(sys.num_atoms)))
-    for k in range(restarts):
-        rng = generators.philox(seed, k)
-        seeds.append((rng.random(shape), rng.random(sys.num_atoms)))
-
-    # each f at unit norm, or the maximizer against its g where f vanishes
-    norms = [mixed_norm(f, inst.sigma, inst.p) for f, _ in seeds]
-    starts = [f / n if n > 0 else best_f_given_g(inst, g)[0] for (f, g), n in zip(seeds, norms)]
-    starts = np.array([f for f in starts if f is not None]).reshape(-1, *shape)
-    forward, backward = partial(best_g_given_f, inst), partial(best_f_given_g, inst)
-    values, pairs, converged, steps = power_ascent(sys, starts, forward, backward, tol, max_iter)
-    win, steps = best_start(values, pairs, 0, len(values)), sum(steps)
-
-    if win is None:
-        if report.forward > 0 or report.dual > 0:
-            raise GuardError(
-                f"no ascent seed yields a pair although T = {report.forward:g}, T* = {report.dual:g}"
-            )
-        return NormEstimate(0.0, np.zeros(shape), np.zeros(sys.num_atoms), steps, len(seeds), True, True)
-
-    wf, wg = pairs[win]
-    norms = mixed_norm(wf, inst.sigma, inst.p) * lp_norm(wg, inst.omega, inst.q)
-    if norms == 0.0:
-        raise GuardError(f"a winning witness vanished although its ascent reached {values[win]:g}")
-    return NormEstimate(lambda_form(inst, wf, wg) / norms, wf, wg, steps, len(seeds), converged[win], False)
+    """:func:`alternating_maximizations` of one instance, with its testing
+    report (computed when not given)."""
+    report = testing_report(inst) if report is None else report
+    return alternating_maximizations([inst], [report], restarts, tol, max_iter, [seed])[0]
 
 
 def attach_oracle(inst: Instance, estimate: NormEstimate) -> NormEstimate:
@@ -268,11 +293,11 @@ def grid_oracle(inst: Instance, resolution: int) -> float:
     shape = (-1, sys.num_levels, sys.num_atoms)
     # f side on the grid, g side exact
     fgrid = _axis_grid(cells, resolution)
-    h = fgrid @ apply_box_operator(inst, np.eye(cells).reshape(shape))
+    h = fgrid @ apply_box_operator(sys, inst.sigma, inst.mu, inst.lam, np.eye(cells).reshape(shape))
     f_side = largest_ratio(norm(h, inst.omega, inst.p), norm(ell2_slice(fgrid.reshape(shape)), inst.sigma, inst.p))[0]
     # g side on the grid, f side exact
     ggrid = _axis_grid(sys.num_atoms, resolution)
-    kg = ggrid @ apply_adjoint_operator(inst, np.eye(sys.num_atoms)).reshape(sys.num_atoms, cells)
+    kg = ggrid @ apply_adjoint_operator(sys, inst.omega, inst.mu, inst.lam, np.eye(sys.num_atoms)).reshape(-1, cells)
     g_side = largest_ratio(norm(ell2_slice(kg.reshape(shape)), inst.sigma, inst.q), norm(ggrid, inst.omega, inst.q))[0]
     return max(0.0, f_side, g_side)  # a NaN side drops out
 

@@ -214,17 +214,15 @@ def collapse_scale_function(
         raise ValueError("member does not belong to the average family")
     sys = inst.sys
     out = f * (avg_family.projection[sys.cell_cube] == member)
-    num = all_box_integrals(inst, f)
-    profiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    num, profile_boxes = all_box_integrals(inst, f), profile_box_integrals(inst)
+    profile = functools.cache(lambda level: (level_test_input(inst, level), profile_boxes(level)))
     for c in cross_children(sys, avg_family, ratio_family, member):
         # c lies inside its ratio projection, whose test input is therefore
         # the projection level's profile on the box of c.
         level = int(sys.cube_level[ratio_family.projection[c]])
-        if level not in profiles:
-            phi = level_test_input(inst, level)
-            profiles[level] = (phi, all_box_integrals(inst, phi))
-        phi, den = profiles[level]
-        coeff = num[c] / den[c] if den[c] > 0 else 0.0
+        phi, boxes = profile(level)
+        den = boxes[c - sys.level_offset[level]]
+        coeff = num[c] / den if den > 0 else 0.0
         out = out + coeff * (phi * sys.box_mask(c))
     return out
 

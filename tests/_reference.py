@@ -70,7 +70,7 @@ from dyadlab.stopping import StoppingFamily, cross_children, default_ratio_const
 from dyadlab.generators import _MU, GenSpec, _log_uniform, generate, philox
 from dyadlab.io import ReportRow
 from dyadlab.lattice import DyadicSystem, build_system
-from dyadlab.normest import NormEstimate, best_f_given_g, best_g_given_f
+from dyadlab.normest import NormEstimate
 from dyadlab.testing_constants import TestingReport, TestingSide, testing_report
 
 
@@ -747,14 +747,12 @@ def phi_identity_check_cube(inst: Instance, cube: int) -> forms.PhiIdentityRepor
 
 def norming_atom_function(h: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
     """Unit-Lq(w) maximizer of the pairing against h; zero if h vanishes."""
-    g, _ = measures.lp_norming(h, w, p)
-    return np.zeros_like(h) if g is None else g
+    return measures.lp_norming(h, w, p)[0]
 
 
 def norming_scale_function(k: np.ndarray, sigma: np.ndarray, p: float) -> np.ndarray:
     """Unit mixed-p-norm maximizer of the sigma-pairing against k."""
-    f, _ = measures.mixed_norming(k, sigma, p)
-    return np.zeros_like(k) if f is None else f
+    return measures.mixed_norming(k, sigma, p)[0]
 
 
 def forward_testing_constant_loop(inst):
@@ -1261,7 +1259,40 @@ def embedding_ratio_search_one(sys, data, p, restarts=4, seed=0):
 # winning pair's exact witnessed ratio as the package reports it: the same
 # half-steps in the same order, so value, witnesses, ``iterations`` and
 # ``restarts`` compare with ``==``.  Its ``converged`` is the old flag, set on
-# any stop by the gain test.
+# any stop by the gain test.  Its half-steps are the package's one-instance
+# maps as they were, ``best_f_given_g`` and ``best_g_given_f``, now over
+# ``normest.box_maps``, with the operators of one instance beside them.
+
+
+def apply_box_operator(inst: Instance, f: np.ndarray) -> np.ndarray:
+    """``forms.apply_box_operator`` with the weights of ``inst``."""
+    return forms.apply_box_operator(inst.sys, inst.sigma, inst.mu, inst.lam, f)
+
+
+def apply_adjoint_operator(inst: Instance, g: np.ndarray) -> np.ndarray:
+    """``forms.apply_adjoint_operator`` with the weights of ``inst``."""
+    return forms.apply_adjoint_operator(inst.sys, inst.omega, inst.mu, inst.lam, g)
+
+
+def box_weights(inst: Instance, rows: int | None = None):
+    """The weight arguments of ``normest.box_maps`` for ``inst``: its arrays,
+    or ``rows`` copies of each, tables of a row per start (for
+    ``normest.power_ascent`` with the owner index ``arange(rows)``)."""
+    weights = inst.sigma, inst.omega, inst.mu, inst.lam
+    return weights if rows is None else tuple(np.array([w] * rows) for w in weights)
+
+
+def best_f_given_g(inst: Instance, g: np.ndarray):
+    """``normest.best_f_given_g`` as it was: the box ascent's backward
+    half-step on ``inst``, or (None, 0.0) where it vanishes."""
+    f, value = normest.box_maps(inst.sys, inst.p)[1](g, *box_weights(inst))
+    return (None, 0.0) if value == 0.0 else (f, float(value))
+
+
+def best_g_given_f(inst: Instance, f: np.ndarray):
+    """``normest.best_g_given_f`` as it was: the forward half-step, or (None, 0.0)."""
+    g, value = normest.box_maps(inst.sys, inst.p)[0](f, *box_weights(inst))
+    return (None, 0.0) if value == 0.0 else (g, float(value))
 
 
 def alternating_maximization_per_seed(
@@ -1428,7 +1459,7 @@ def grid_oracle_two_sides(inst: Instance, resolution: int) -> float:
     )
     den = (slices**inst.p @ inst.sigma) ** (1.0 / inst.p)
     unit_cells = np.eye(cells).reshape(cells, sys.num_levels, sys.num_atoms)
-    h = fgrid @ forms.apply_box_operator(inst, unit_cells)
+    h = fgrid @ apply_box_operator(inst, unit_cells)
     num = (h**inst.p @ inst.omega) ** (1.0 / inst.p)
     ok = den > 0
     if np.any(ok):
@@ -1436,7 +1467,7 @@ def grid_oracle_two_sides(inst: Instance, resolution: int) -> float:
 
     # g side on the grid, f side exact
     ggrid = normest._axis_grid(sys.num_atoms, resolution)
-    kg = ggrid @ forms.apply_adjoint_operator(inst, np.eye(sys.num_atoms)).reshape(sys.num_atoms, cells)
+    kg = ggrid @ apply_adjoint_operator(inst, np.eye(sys.num_atoms)).reshape(sys.num_atoms, cells)
     kg = kg.reshape(-1, sys.num_levels, sys.num_atoms)
     s = np.sqrt((kg**2).sum(axis=1))
     num2 = (s**inst.q @ inst.sigma) ** (1.0 / inst.q)

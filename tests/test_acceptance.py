@@ -35,6 +35,7 @@ from dyadlab.generators import (
 from dyadlab.io import ReportRow
 from dyadlab.normest import (
     alternating_maximization,
+    alternating_maximizations,
     grid_oracle,
     spectral_oracle_p2,
     testing_norm_ratios,
@@ -209,13 +210,12 @@ def test_criterion_4_embedding_sweep(p):
 def _theorem_cell(p: float, depth: int):
     rows = []
     degenerate = 0
-    for k in range(200):
-        seed = 40_000 + 1000 * depth + k
-        inst = generate(GenSpec(seed=seed, dimension=1, depth=depth, p=p))
-        rep = testing_report(inst)
-        est = alternating_maximization(
-            inst, restarts=2, tol=1e-10, max_iter=400, seed=seed, report=rep
-        )
+    seeds = [40_000 + 1000 * depth + k for k in range(200)]
+    insts = [generate(GenSpec(seed=seed, dimension=1, depth=depth, p=p)) for seed in seeds]
+    reports = [testing_report(inst) for inst in insts]
+    # the cell's 200 instances share one lattice and p: one batch of ascents
+    estimates = alternating_maximizations(insts, reports, 2, 1e-10, 400, seeds)
+    for seed, inst, rep, est in zip(seeds, insts, reports, estimates):
         if rep.forward + rep.dual == 0.0:
             degenerate += 1
             assert est.value == 0.0  # degenerate testing constants mean a null form

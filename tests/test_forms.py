@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from dyadlab import Instance, build_system, lambda_array, lattice, worked_instances
+from dyadlab import forms
 from dyadlab.forms import (
-    apply_adjoint_operator,
-    apply_box_operator,
     box_slice_sums,
     lambda_form,
     lambda_form_local,
@@ -17,6 +16,7 @@ from dyadlab.generators import GenSpec, generate, random_scale_function
 from dyadlab.measures import ksum, lp_norming, mixed_norm, mixed_norming
 
 import _reference as ref
+from _reference import apply_adjoint_operator, apply_box_operator
 from test_lattice import ALL_SHAPES
 
 
@@ -237,8 +237,8 @@ def test_instance_validation():
 @pytest.mark.parametrize("n,d", ALL_SHAPES)
 def test_batched_operators_and_normings_match_per_row_calls(n, d):
     # a leading batch axis gives each row the bits of its own call; a row
-    # that vanishes comes back as a zero row with value 0.0, where its own
-    # call gives (None, 0.0)
+    # that vanishes comes back as a zero row with value 0.0, as its own call
+    # does
     rng = np.random.Generator(np.random.Philox(key=[n, 32 + d]))
     for p in (1.5, 2.0):  # q = 2 takes the short cut of mixed_norming
         inst = generate(GenSpec(seed=d, dimension=n, depth=d, p=p))
@@ -257,10 +257,25 @@ def test_batched_operators_and_normings_match_per_row_calls(n, d):
                 assert normed.shape == images.shape and values.shape == (k,)
                 for row, value, image in zip(normed, values, images):
                     one, one_value = norming(image, weight, p)
-                    assert value == one_value
-                    if one is None:
-                        assert value == 0.0 and not row.any()
-                    else:
-                        assert np.array_equal(row, one)
+                    assert value == one_value and np.array_equal(row, one)
+                    if one_value == 0.0:
+                        assert not row.any()
                 if k > 1:
                     assert values[1] == 0.0
+
+
+@pytest.mark.parametrize("n,d", ALL_SHAPES)
+def test_operators_take_a_weight_row_per_function(n, d):
+    # functions of several instances of one lattice, each with its
+    # instance's weight rows, get the bytes of their instance's own call
+    rng = np.random.Generator(np.random.Philox(key=[n, 48 + d]))
+    insts = [generate(GenSpec(seed=seed, dimension=n, depth=d, p=2.5)) for seed in range(4)]
+    s = insts[0].sys
+    f, g = rng.random((4, s.num_levels, s.num_atoms)), rng.random((4, s.num_atoms))
+    f[1] = g[2] = 0.0
+    sigma, omega, mu, lam = (np.array(rows) for rows in zip(*[ref.box_weights(inst) for inst in insts]))
+    boxes = forms.apply_box_operator(s, sigma, mu, lam, f)
+    adjoints = forms.apply_adjoint_operator(s, omega, mu, lam, g)
+    for i, inst in enumerate(insts):
+        assert boxes[i].tobytes() == apply_box_operator(inst, f[i]).tobytes()
+        assert adjoints[i].tobytes() == apply_adjoint_operator(inst, g[i]).tobytes()

@@ -172,6 +172,19 @@ def test_mixed_norm_vanishes_only_off_support():
     assert mixed_norm(f, sigma, 2.0) > 0.0
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_norming_maps_of_a_vanishing_row_give_a_zero_row_and_zero(p):
+    # one convention for a row and a batch: where the image vanishes, or its
+    # mass sits on weightless atoms only, a zero row of its shape and 0.0
+    sigma = np.array([0.0, 2.0])
+    for h in (np.zeros(2), np.array([3.0, 0.0])):
+        g, value = lp_norming(h, sigma, p)
+        assert g is not None and g.shape == (2,) and not g.any() and value == 0.0
+    for k in (np.zeros((2, 2)), np.array([[3.0, 0.0], [1.0, 0.0]])):
+        f, value = mixed_norming(k, sigma, p)
+        assert f is not None and f.shape == (2, 2) and not f.any() and value == 0.0
+
+
 def test_zero_preserving_power():
     x = np.array([0.0, 1.0, 4.0])
     assert np.array_equal(zero_preserving_power(x, -0.5), [0.0, 1.0, 0.5])
@@ -310,8 +323,8 @@ def bits_of(result) -> list:
 def test_norming_maps_keep_their_bits_on_edge_values(p):
     # the norms summed with keepdims give the bits of the bodies that summed
     # over ``atleast_2d`` rows, on a batch (zero row first) and on each of
-    # its rows alone, and a batch row is that row's own call: a zero row
-    # where the call gave None
+    # its rows alone (a zero row where the body gave None), and a batch row
+    # is that row's own call
     rng = np.random.Generator(np.random.Philox(key=[int(p * 100), 75]))
     cases = [(lp_norming, ref.lp_norming_rows, ()), (mixed_norming, ref.mixed_norming_rows, (3,))]
     for atoms in (1, 3, 8, 200):
@@ -324,9 +337,9 @@ def test_norming_maps_keep_their_bits_on_edge_values(p):
                 assert bits_of(batch) == bits_of(before(x, w, p))
                 assert bits_of(norming(x[:1], w, p)) == bits_of(before(x[:1], w, p))
                 for row, out, value in zip(x, *batch):
-                    one = norming(row, w, p)
-                    assert bits_of(one) == bits_of(before(row, w, p))
-                    if one[0] is None:
-                        assert value == 0.0 and not out.any()
-                    else:
-                        assert bits_of(one) == bits_of((out, float(value)))
+                    one, (want, want_value) = norming(row, w, p), before(row, w, p)
+                    want = np.zeros(out.shape) if want is None else want
+                    assert bits_of(one) == bits_of((want, want_value))
+                    assert bits_of(one) == bits_of((out, float(value)))
+                    if want_value == 0.0:
+                        assert not out.any()

@@ -15,10 +15,10 @@ from dyadlab.measures import conjugate, ksum, lp_norm, mixed_norm
 from dyadlab.normest import (
     NormEstimate,
     alternating_maximization,
+    alternating_maximizations,
     attach_oracle,
-    best_f_given_g,
-    best_g_given_f,
     best_start,
+    box_maps,
     grid_oracle,
     power_ascent,
     spectral_oracle_p2,
@@ -34,29 +34,31 @@ ROOT2 = math.sqrt(2.0)
 
 def test_best_f_given_g_on_w1():
     w1 = W["w1"]
-    f, value = best_f_given_g(w1, np.ones(2))
+    backward = box_maps(w1.sys, w1.p)[1]
+    f, value = backward(np.ones(2), *ref.box_weights(w1))
     assert np.allclose(f, 0.5)
     assert value == pytest.approx(4.0, rel=1e-12)
     assert lambda_form(w1, f, np.ones(2)) == pytest.approx(4.0, rel=1e-12)
-    none_f, zero = best_f_given_g(w1, np.zeros(2))
-    assert none_f is None and zero == 0.0
+    zero_f, zero = backward(np.zeros(2), *ref.box_weights(w1))  # a vanished map: a zero row and 0.0
+    assert zero_f.shape == (2, 2) and not zero_f.any() and zero == 0.0
 
 
 def test_best_g_given_f_on_w1():
     w1 = W["w1"]
+    forward = box_maps(w1.sys, w1.p)[0]
     f = np.full((2, 2), 0.5)  # unit mixed norm
-    g, value = best_g_given_f(w1, f)
+    g, value = forward(f, *ref.box_weights(w1))
     assert value == pytest.approx(2 * ROOT2, rel=1e-12)
     assert np.allclose(g, 1 / ROOT2)
-    none_g, zero = best_g_given_f(w1, np.zeros((2, 2)))
-    assert none_g is None and zero == 0.0
+    zero_g, zero = forward(np.zeros((2, 2)), *ref.box_weights(w1))
+    assert zero_g.shape == (2,) and not zero_g.any() and zero == 0.0
 
 
 def test_half_steps_are_exact_suprema_p2():
     # at p = 2 the optimizers are proportional to the kernels
     w1 = W["w1"]
     g = np.array([0.3, 1.7])
-    f, value = best_f_given_g(w1, g)
+    f, value = box_maps(w1.sys, w1.p)[1](g, *ref.box_weights(w1))
     rng = np.random.Generator(np.random.Philox(key=[1, 70]))
     for _ in range(200):
         probe = rng.random((2, 2))
@@ -142,6 +144,107 @@ def test_alternating_matches_per_seed_loop(monkeypatch, p, cells):
                     _assert_same_estimate(got, ref.alternating_maximization_per_seed(inst, **kwargs))
 
 
+# -- several instances of one lattice in one ascent ---------------------------
+
+
+def _assert_same_estimate_bits(got, want):
+    # every field of the estimate, the witnesses by their bytes
+    assert (got.value, got.iterations, got.restarts) == (want.value, want.iterations, want.restarts)
+    assert (got.converged, got.degenerate) == (want.converged, want.degenerate)
+    assert got.witness_f.tobytes() == want.witness_f.tobytes()
+    assert got.witness_g.tobytes() == want.witness_g.tobytes()
+    assert (got.oracle_value, got.oracle_kind) == (want.oracle_value, want.oracle_kind)
+
+
+def _batch_and_loop(insts, restarts, tol, max_iter, seeds):
+    """The batched estimates and the per-instance ones, each instance with its testing report."""
+    reports = [testing_report(inst) for inst in insts]
+    loop = [
+        alternating_maximization(inst, restarts, tol, max_iter, seed, report)
+        for inst, report, seed in zip(insts, reports, seeds)
+    ]
+    return alternating_maximizations(insts, reports, restarts, tol, max_iter, seeds), loop
+
+
+@pytest.mark.parametrize("few_rows", [False, True])
+@pytest.mark.parametrize(
+    "dim,depth,p,count,max_iter",
+    # chunks of 512, 512, 7, 2 and 1 rows, or of at most 3 rows, so that
+    # they end inside an instance (a lattice's cached bin table has room
+    # for its chunk_rows, so a chunk takes no more)
+    [(1, 3, 2.0, 12, 400), (1, 3, 3.0, 12, 400), (1, 8, 2.0, 4, 400), (2, 5, 3.0, 3, 400), (3, 4, 3.0, 2, 30)],
+)
+def test_batched_ascents_are_the_per_instance_ascents(monkeypatch, dim, depth, p, count, max_iter, few_rows):
+    # each instance's seeds step with its own weight rows, beside the other
+    # instances' rows, and give the estimate of its own call: value,
+    # witness bytes, iterations, restarts, converged and degenerate
+    s = build_system(dim, depth)
+    if few_rows:
+        rows = min(3, lattice.chunk_rows(s))
+        monkeypatch.setattr(lattice, "_CHUNK_CELLS", rows * s.num_levels * s.num_atoms)
+    insts = [generate(GenSpec(seed=seed, dimension=dim, depth=depth, p=p)) for seed in range(1, count + 1)]
+    seeds = [seed % 3 for seed in range(count)]  # instances may share a seed
+    got, want = _batch_and_loop(insts, 2, 1e-10, max_iter, seeds)
+    assert len(got) == count
+    for one, other in zip(got, want):
+        _assert_same_estimate_bits(one, other)
+    assert not any(est.degenerate for est in got)
+
+
+def test_a_degenerate_instance_inside_a_batch():
+    # a null form among live ones: its seeds vanish at step 1, its estimate
+    # is the degenerate zero, and its neighbours keep their own estimates
+    insts = [generate(GenSpec(seed=seed, dimension=1, depth=3, p=3.0)) for seed in (1, 2)]
+    base = insts[0]
+    dead = Instance(base.sys, base.p, base.sigma, base.omega, base.mu, np.zeros(base.sys.num_cubes))
+    got, want = _batch_and_loop([insts[0], dead, insts[1]], 3, 1e-10, 400, [0, 1, 2])
+    for one, other in zip(got, want):
+        _assert_same_estimate_bits(one, other)
+    assert [est.degenerate for est in got] == [False, True, False] and got[1].value == 0.0
+
+
+def test_an_empty_batch_has_no_estimates():
+    assert alternating_maximizations([], [], 4, 1e-10, 1000, []) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_batch_raises_the_guard_error_the_loop_raises_first():
+    # at p = 1.01, d1 D3 seed 1's winning witness vanishes and seeds 2-4
+    # yield no pair, each naming its own testing constants
+    insts = {seed: generate(GenSpec(seed=seed, dimension=1, depth=3, p=1.01)) for seed in range(1, 5)}
+    for order in ([1, 2, 3], [3, 1, 2], [4, 2, 1]):
+        batch = [insts[seed] for seed in order]
+        reports = [testing_report(inst) for inst in batch]
+        with pytest.raises(GuardError) as first:
+            for inst, report, seed in zip(batch, reports, order):
+                alternating_maximization(inst, restarts=2, seed=seed, report=report)
+        with pytest.raises(GuardError) as batched:
+            alternating_maximizations(batch, reports, 2, 1e-10, 1000, order)
+        assert str(batched.value) == str(first.value)
+
+
+def test_a_batch_takes_one_lattice_and_one_p():
+    base = generate(GenSpec(seed=1, dimension=1, depth=3, p=2.0))
+    for other in (
+        generate(GenSpec(seed=2, dimension=1, depth=3, p=3.0)),
+        generate(GenSpec(seed=2, dimension=1, depth=4, p=2.0)),
+        generate(GenSpec(seed=2, dimension=3, depth=1, p=2.0)),  # 8 atoms, as d1 D3
+    ):
+        insts = [base, other]
+        with pytest.raises(ValueError, match="one lattice and one p"):
+            alternating_maximizations(insts, [testing_report(i) for i in insts], 2, 1e-10, 1000, [0, 0])
+
+
+@pytest.mark.parametrize("argv", [["normest"], ["verify", "--instances", "3"], ["eval", "--instances", "1"]])
+@pytest.mark.parametrize("tol", ["1", "inf", "nan"])
+def test_a_tolerance_without_a_second_step_exits_3(capsys, argv, tol):
+    # at seed 1, d1 D3, p 2, --tol inf used to stop all 7 seeds at step 1
+    # and report converged, 4.9e-6 below the spectral oracle
+    assert main([*argv, "--seed", "1", "--tol", tol]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tol must lie in (0, 1)" in captured.err
+
+
 def assert_lockstep(sys, starts, forward, backward, tol, max_iter, *weights):
     """Run ``power_ascent`` on the rows of ``starts`` together and one by one,
     each with its rows of ``weights``.  The batch gives each start the value,
@@ -150,7 +253,9 @@ def assert_lockstep(sys, starts, forward, backward, tol, max_iter, *weights):
     with their rows of ``weights``: an extra weight, each start's index, says
     which rows they are.  Returns the steps of each single run."""
     alone = [
-        power_ascent(sys, starts[i : i + 1], forward, backward, tol, max_iter, *(w[i : i + 1] for w in weights))
+        power_ascent(
+            sys, starts[i : i + 1], forward, backward, tol, max_iter, np.arange(1), *(w[i : i + 1] for w in weights)
+        )
         for i in range(len(starts))
     ]
     own = [one[3][0] for one in alone]
@@ -165,7 +270,7 @@ def assert_lockstep(sys, starts, forward, backward, tol, max_iter, *weights):
 
     index = np.arange(len(starts), dtype=float)
     values, pairs, converged, steps = power_ascent(
-        sys, starts, recorded, lambda y, _, *w: backward(y, *w), tol, max_iter, index, *weights
+        sys, starts, recorded, lambda y, _, *w: backward(y, *w), tol, max_iter, np.arange(len(starts)), index, *weights
     )
     assert sizes == [sum(n > step for n in own) for step in range(max(own))]
     assert steps == own
@@ -190,8 +295,7 @@ def test_lockstep_rows_leave_at_different_steps_on_the_box_pair():
     starts = np.array([rng.random(shape), np.zeros(shape), np.ones(shape)])
     starts[0] /= mixed_norm(starts[0], inst.sigma, inst.p)
     starts[2] /= mixed_norm(starts[2], inst.sigma, inst.p)
-    forward, backward = partial(best_g_given_f, inst), partial(best_f_given_g, inst)
-    own = assert_lockstep(s, starts, forward, backward, 1e-10, 400)
+    own = assert_lockstep(s, starts, *box_maps(s, inst.p), 1e-10, 400, *ref.box_weights(inst, len(starts)))
     assert own[1] == 1 and len(set(own)) == 3 and max(own) < 400
 
 
@@ -230,7 +334,7 @@ def test_a_nan_value_ends_its_row_at_once():
         def forward(x):
             return x.sum(axis=1), np.ones(len(x))
 
-        values, pairs, converged, steps = power_ascent(s, starts, forward, backward, 1e-10, 1000)
+        values, pairs, converged, steps = power_ascent(s, starts, forward, backward, 1e-10, 1000, np.arange(3))
         assert all(math.isnan(v) for v in values) and None not in pairs
         assert best_start(values, pairs, 0, 3) is None and converged == [False] * 3
         assert steps == [finite_steps + 1] * 3 and calls == [3] * (finite_steps + 1)
@@ -261,9 +365,13 @@ def test_each_row_keeps_its_weights_through_chunks_and_exits(monkeypatch):
 
     s = build_system(1, 1)
     monkeypatch.setattr(lattice, "_CHUNK_CELLS", 3 * s.num_levels * s.num_atoms)
-    values, pairs, converged, steps = power_ascent(s, starts, forward, backward, 1e-12, 8, c, b)
+    values, pairs, converged, steps = power_ascent(s, starts, forward, backward, 1e-12, 8, np.arange(11), c, b)
+    # the same rows as tables in reverse, each start's row picked by the owner index
+    flipped = power_ascent(s, starts, forward, backward, 1e-12, 8, np.arange(11)[::-1], c[::-1], b[::-1])
+    assert np.array_equal(flipped[0], values, equal_nan=True) and flipped[2:] == (converged, steps)
+    assert [p and [a.tobytes() for a in p] for p in flipped[1]] == [p and [a.tobytes() for a in p] for p in pairs]
     for i in range(len(starts)):
-        one = power_ascent(s, starts[i : i + 1], forward, backward, 1e-12, 8, c[i : i + 1], b[i : i + 1])
+        one = power_ascent(s, starts[i : i + 1], forward, backward, 1e-12, 8, np.arange(1), c[i : i + 1], b[i : i + 1])
         assert np.array_equal(values[i], one[0][0], equal_nan=True)
         assert (converged[i], steps[i]) == (one[2][0], one[3][0])
         assert (pairs[i] is None) == (one[1][0] is None)
@@ -298,7 +406,7 @@ def _ascent_inputs(dim, depth, p, seed):
         top = np.zeros(shape)
         top[0] = 1.0
         starts = np.array([np.zeros(shape), top, np.ones(shape), *rng.random((3, *shape))])
-        yield s, starts, partial(best_g_given_f, inst), partial(best_f_given_g, inst), ()
+        yield s, starts, *box_maps(s, p), ref.box_weights(inst, len(starts))
     nu, a = base.sigma.copy(), rng.random(s.num_cubes)
     nu[::2] = 0.0
     a[: s.num_cubes // 2] = 0.0
@@ -339,16 +447,16 @@ def test_power_ascent_is_the_two_block_ascent(tol, max_iter):
     for dim, depth in [(1, 3), (2, 2), (3, 1), (1, 5)]:
         for p in (1.5, 3.0):
             for s, starts, forward, backward, weights in _ascent_inputs(dim, depth, p, seed=dim + depth):
-                got = power_ascent(s, starts, forward, backward, tol, max_iter, *weights)
+                got = power_ascent(s, starts, forward, backward, tol, max_iter, np.arange(len(starts)), *weights)
                 want = ref.power_ascent_two_blocks(s, starts, forward, backward, tol, max_iter, *weights)
                 _assert_same_ascent(got, want)
     calls, forward, backward = _late_vanishing_maps()
     starts = np.random.Generator(np.random.Philox(key=[6, 21])).random((8, 3))
     stop = np.array([1.0, 2.0, 3.0, 0.0, 2.0, 0.0, 5.0, 0.0])
     runs = []
-    for ascent in (power_ascent, ref.power_ascent_two_blocks):
+    for ascent, owner in ((power_ascent, [np.arange(len(starts))]), (ref.power_ascent_two_blocks, [])):
         calls.clear()
-        runs.append(ascent(build_system(1, 1), starts, forward, backward, tol, max_iter, stop))
+        runs.append(ascent(build_system(1, 1), starts, forward, backward, tol, max_iter, *owner, stop))
     _assert_same_ascent(*runs)
     # row 1 vanishes at step 2 and keeps its step-1 pair
     assert runs[0][1][0] is None and runs[0][1][1] is not None and runs[0][3][:2] == [1, 2]
@@ -383,12 +491,6 @@ def test_converged_estimate_is_within_twice_tol_of_the_oracle():
         oracle = spectral_oracle_p2(inst)
         est = alternating_maximization(inst, restarts=2)
         assert est.converged and (oracle - est.value) / oracle <= 2e-10
-
-
-def test_converged_counts_a_stop_on_the_first_gain():
-    # with tol 1 the first gain stops every seed
-    est = alternating_maximization(W["w1"], restarts=2, tol=1.0)
-    assert est.converged and est.iterations == est.restarts
 
 
 # -- no degenerate zero for a form that is not null -------------------------
@@ -470,6 +572,11 @@ def test_alternating_guards():
         alternating_maximization(W["w1"], restarts=0)
     with pytest.raises(GuardError):
         alternating_maximization(W["w1"], tol=0.0)
+    # every ascent starts at value 0.0, so its first gain is its whole value:
+    # at tol >= 1 no seed would take a second step
+    for tol in (1.0, math.inf, math.nan):
+        with pytest.raises(GuardError, match=r"tol must lie in \(0, 1\)"):
+            alternating_maximization(W["w1"], tol=tol)
 
 
 def test_alternating_dominates_testing_constants():
@@ -670,10 +777,11 @@ def test_ratio_sequence_monotone():
     f = rng.random((inst.sys.num_levels, inst.sys.num_atoms))
     f /= mixed_norm(f, inst.sigma, inst.p)
     prev = 0.0
+    forward, backward = box_maps(inst.sys, inst.p)
     for _ in range(30):
-        g, vg = best_g_given_f(inst, f)
+        g, vg = forward(f, *ref.box_weights(inst))
         assert vg >= prev * (1 - 1e-12)
-        f, vf = best_f_given_g(inst, g)
+        f, vf = backward(g, *ref.box_weights(inst))
         assert vf >= vg * (1 - 1e-12)
         prev = vf
 

@@ -549,6 +549,35 @@ def test_ratio_family_box_passes_from_the_owner_level_match_whole_lattice_passes
         _assert_same_as_whole_lattice_passes(inst, modulated, lattice.cube_from_path(inst.sys, "0"), A=1.5)
 
 
+def _assert_collapses_are_whole_lattice_collapses(inst, f, g):
+    """The top and the first six average members with cross children;
+    returns the number of cross children collapsed."""
+    s = inst.sys
+    gfam, ffam = build_average_family(inst, s.root, g), build_ratio_family(inst, s.root, f)
+    crossed = [(m, len(cross_children(s, gfam, ffam, m))) for m in gfam.members]
+    members = [(m, n) for m, n in crossed if n][:6] + ([] if crossed[0][1] else crossed[:1])
+    for m, _ in members:
+        got = collapse_scale_function(inst, f, gfam, ffam, m)
+        assert got.tobytes() == ref.collapse_scale_function_masks(inst, f, gfam, ffam, m).tobytes()
+    return sum(n for _, n in members)
+
+
+@pytest.mark.parametrize("dim,depth,p,count", RATIO_FAMILY_SET)
+def test_scale_collapse_reads_the_profile_box_integrals(dim, depth, p, count):
+    # a cross child's denominator is the owner level's profile box integral
+    # over the finer cubes (one pass a level, shared at p = 2), with the
+    # bytes of the whole-lattice pass of each level's profile; eval's probe
+    # and random atom function, and the deep-chain profiles
+    collapsed = 0
+    for seed in range(1, count + 1):
+        inst = generate(GenSpec(seed=seed, dimension=dim, depth=depth, p=p))
+        probe = generators.embedding_probe_function(inst, seed)
+        collapsed += _assert_collapses_are_whole_lattice_collapses(inst, probe, random_atom_function(inst.sys, seed))
+    assert collapsed > 0
+    deep = adversarial_family("deep-chain", dimension=3, depth=4, p=p)[0]
+    assert _assert_collapses_are_whole_lattice_collapses(deep, *deep_chain_profiles(deep.sys)) > 0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("factor", [1e200, 1e-200])
