@@ -14,8 +14,6 @@ import math
 import os
 import sys as _sys
 
-import numpy as np
-
 from . import generators, io, runner, verify
 from .embedding import (
     CarlesonData,
@@ -176,9 +174,7 @@ def _cmd_embed_check(args, out) -> int:
     inst = _load_or_generate(args)
     sys_ = inst.sys
     rng = generators.philox(args.seed, generators.STREAM_A)
-    nu = np.exp(rng.random(sys_.num_atoms) * 2.0 - 1.0)
-    a = np.exp(rng.random(sys_.num_cubes)) * (rng.random(sys_.num_cubes) >= 0.4)
-    data = CarlesonData(a, nu)
+    data = CarlesonData(*generators.embedding_check_data(sys_, rng))
     cprime = carleson_condition_constant(sys_, data)
     search = embedding_ratio_search(sys_, data, inst.p, restarts=args.restarts, seed=args.seed)
     f = generators.random_scale_function(sys_, args.seed, base=inst.mu)

@@ -103,6 +103,15 @@ def random_atom_function(sys: DyadicSystem, seed: int) -> np.ndarray:
     return _sparse_field(philox(seed, STREAM_G), 0.25, 4.0, 0.1, sys.num_atoms)
 
 
+def embedding_check_data(sys: DyadicSystem, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Carleson data (a, nu) for the embedding checks, drawn from ``rng``: nu
+    = exp(2U - 1) on the atoms, then a = exp(U) on the cubes, zero unless a
+    second uniform is at least 0.4."""
+    nu = np.exp(rng.random(sys.num_atoms) * 2.0 - 1.0)
+    a = np.exp(rng.random(sys.num_cubes)) * (rng.random(sys.num_cubes) >= 0.4)
+    return a, nu
+
+
 def embedding_probe_function(inst, seed: int) -> np.ndarray:
     """Scale-function law for embedding sweeps: alternates between mild
     modulations of the root test input (the near-extremal direction, whose

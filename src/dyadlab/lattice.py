@@ -26,6 +26,15 @@ from .errors import PathError, SizeLimitError
 # Memory guard: keeps the largest system around a few thousand atoms.
 MAX_DEPTH = {1: 12, 2: 6, 3: 4}
 
+# A chunk of functions for one batched lattice pass holds about this many
+# (level, atom) cells, and at least one function: ``normest.power_ascent``
+# steps its seeds in such chunks, which may end inside one instance's seeds
+# or hold those of several instances of one lattice.  In the alternating
+# maximization (35 seeds, 1 BLAS thread) one batch of all the seeds took 1.35x
+# the rule's time at d1 D12 p 3, 1.21x at d2 D6 p 2 and 1.12x at d3 D4 p 3,
+# where a chunk is one function, and 0.91x at d1 D8 p 3 (7 rows a chunk).
+_CHUNK_CELLS = 1 << 14
+
 
 class DyadicSystem:
     """Immutable indexing tables for one (dimension, depth) lattice.
@@ -34,7 +43,7 @@ class DyadicSystem:
     weights are indexed by atom id, cube data by the linear cube id (level
     major).  This class owns the index tables and is safe to share
     between threads; nothing mutates it after construction but the name
-    tables and the batch bin table, each built once on first use.
+    tables, each built once on first use.
     """
 
     def __init__(self, dimension: int, depth: int):
@@ -86,7 +95,14 @@ class DyadicSystem:
         self.child_code[self.child_linear] = sum(
             ((k >> (self.dimension - 1 - i)) & 1) << i for i in range(self.dimension)
         )
-        for table in (self.cell_cube, self.parent_linear, self.child_linear, self.child_code):
+
+        # chunk_rows: the functions one batched pass takes.  batch_bins[i]: the
+        # bins of batch row i of cube data, cell_cube + i * num_cubes (a view
+        # of cell_cube where a chunk is one row).
+        self.chunk_rows = max(1, _CHUNK_CELLS // (self.num_levels * self.num_atoms))
+        rows = np.arange(self.chunk_rows)[:, None, None]
+        self.batch_bins = self.cell_cube + self.num_cubes * rows if self.chunk_rows > 1 else self.cell_cube[None]
+        for table in (self.cell_cube, self.parent_linear, self.child_linear, self.child_code, self.batch_bins):
             table.flags.writeable = False
 
     # -- cube ids ---------------------------------------------------------
@@ -106,13 +122,6 @@ class DyadicSystem:
     def cube_of_path(self) -> MappingProxyType:
         """The inverse of ``path``: name -> linear id."""
         return MappingProxyType({name: cube for cube, name in enumerate(self.path)})
-
-    @functools.cached_property
-    def batch_bins(self) -> np.ndarray:
-        """The bins of ``chunk_rows`` batch rows of cube data: row i at ``cell_cube + i * num_cubes``."""
-        bins = self.cell_cube + self.num_cubes * np.arange(chunk_rows(self))[:, None, None]
-        bins.flags.writeable = False
-        return bins
 
     def level_of(self, cube: int) -> int:
         """Level of a cube id; the one range check on cube ids."""
@@ -178,31 +187,18 @@ def cube_from_path(sys: DyadicSystem, path: str) -> int:
     )
 
 
-# A chunk of functions for one batched lattice pass holds about this many
-# (level, atom) cells, and at least one function: ``normest.power_ascent``
-# steps its seeds in such chunks, which may end inside one instance's seeds
-# or hold those of several instances of one lattice.  In the alternating
-# maximization (35 seeds, 1 BLAS thread) one batch of all the seeds took 1.35x
-# the rule's time at d1 D12 p 3, 1.21x at d2 D6 p 2 and 1.12x at d3 D4 p 3,
-# where a chunk is one function, and 0.91x at d1 D8 p 3 (7 rows a chunk).
-_CHUNK_CELLS = 1 << 14
-
-
-def chunk_rows(sys: DyadicSystem) -> int:
-    return max(1, _CHUNK_CELLS // (sys.num_levels * sys.num_atoms))
-
-
 # -- tree aggregations -----------------------------------------------------
 #
 # The numeric workhorses shared by the other modules: plain sums along the
 # lattice tree.  All but ``subtree_sums`` (a bincount per level, the one sum
 # over lattice and stopping subtrees) and ``chain_total`` (one gather and one
 # reduction) are built on two primitives: ``level_sums`` sums up the tree,
-# ``level_cumsum`` runs down it.  A batch of up to ``chunk_rows`` rows reads its bins off ``batch_bins``.
+# ``level_cumsum`` runs down it.  A batch reads its bins off ``batch_bins``
+# where the table has its rows, and builds them where it has not.
 
 
 def _bins(sys: DyadicSystem, k: int) -> np.ndarray:
-    if k > chunk_rows(sys):
+    if k > len(sys.batch_bins):
         return sys.cell_cube + sys.num_cubes * np.arange(k)[:, None, None]
     return sys.batch_bins[:k] if k > 1 else sys.cell_cube
 
@@ -242,7 +238,7 @@ def cube_sums(sys: DyadicSystem, atom_values: np.ndarray) -> np.ndarray:
     """out[Q] = sum of values over the atoms in Q: ``level_sums`` of the atom
     row repeated on every level.  Values (k, atoms) give (k, num_cubes)."""
     v = np.asarray(atom_values, dtype=np.float64)
-    return level_sums(sys, np.repeat(v[..., None, :], sys.num_levels, axis=-2))
+    return level_sums(sys, v[..., None, :].repeat(sys.num_levels, axis=-2))
 
 
 def box_sums(sys: DyadicSystem, cell_values: np.ndarray) -> np.ndarray:

@@ -50,8 +50,8 @@ def box_maps(sys: lattice.DyadicSystem, p: float):
 
 def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: float, max_iter: int, owner, *weights):
     """Nonlinear power method (Boyd, 1974) from every row of ``starts``, in
-    chunks of ``lattice.chunk_rows`` rows stepped together; the rows may come
-    from several instances of one lattice.
+    chunks of ``sys.chunk_rows`` rows stepped together; the rows may come from
+    several instances of one lattice.
 
     A step takes x to ``y, _ = forward(x, *w)``, then to ``x', v =
     backward(y, *w)``, each an operator and its norming map on a batch
@@ -69,7 +69,7 @@ def power_ascent(sys: lattice.DyadicSystem, starts, forward, backward, tol: floa
     rows copied off the batch), convergence and step count."""
     n = len(starts)
     values, pairs, converged, steps = [0.0] * n, [None] * n, [False] * n, [max_iter] * n
-    rows = lattice.chunk_rows(sys)
+    rows = sys.chunk_rows
     for lo in range(0, n, rows):
         x, live, at = (a[lo : lo + rows] for a in (starts, np.arange(n), owner))
         w = [t[at] for t in weights]

@@ -15,10 +15,11 @@ Q is the level profile ``level_test_input`` restricted to Q, and the dual
 kernel of Q is ``mu`` times the running sum of ``lam * cube_sums(omega)``
 down the levels from Q's own, restricted to Q.  So each ratio is a sum over
 Q's atoms of per-atom terms that one level computes for all of its cubes at
-once, from its own and finer rows only.  The levels go in batches of
-``lattice.chunk_rows`` (``normest.power_ascent``'s rule), each over the rows
-from its coarsest level on: a ``box_sums`` (forward; one serves all at p = 2)
-and a ``chain_running`` per batch, a row's coarser cubes zeroed as a prefix.
+once, from its own and finer rows only.  The levels go in batches of the
+lattice's ``chunk_rows`` (``normest.power_ascent``'s chunks), each over the
+rows from its coarsest level on: a ``box_sums`` (forward; one serves all at
+p = 2) and a ``chain_running`` per batch, a row's coarser cubes zeroed as a
+prefix.
 
 Each level's terms are summed twice.  A ``level_sums`` scan gives every cube a
 ratio close to the exact one; the cubes within ``RESELECT_MARGIN`` of the
@@ -106,7 +107,7 @@ def _select(sys, exponent: float, num_terms, den_terms, skip: np.ndarray):
 
 
 def _level_batches(sys):
-    step = lattice.chunk_rows(sys)
+    step = sys.chunk_rows
     return [range(lo, min(lo + step, sys.num_levels)) for lo in range(0, sys.num_levels, step)]
 
 

@@ -344,12 +344,9 @@ def _check_stopping(s: _Suite):
 
 
 def _check_embedding(s: _Suite):
-    fails, checked, datas = [], 0, []
+    fails, checked = [], 0
     rng = generators.philox(s.seed, 200)
-    for _ in s.draws:
-        nu = np.exp(rng.random(s.sys.num_atoms) * 2.0 - 1.0)
-        a = np.exp(rng.random(s.sys.num_cubes)) * (rng.random(s.sys.num_cubes) >= 0.4)
-        datas.append(CarlesonData(a, nu))
+    datas = [CarlesonData(*generators.embedding_check_data(s.sys, rng)) for _ in s.draws]
     # the draws share the suite's lattice and p, so their searches step together
     searches = embedding_ratio_searches(s.sys, datas, s.p, 2, [s.seed] * len(datas))
     for (inst, f, g), data, search in zip(s.draws, datas, searches):

@@ -651,6 +651,12 @@ def member_cubes(sys, family):
     return [cube_at(sys, m) for m in family.members]
 
 
+def chunk_rows(sys, cells: int) -> int:
+    """The rows of a chunk of ``cells`` (level, atom) cells on ``sys``, at
+    least one: ``DyadicSystem.chunk_rows`` at ``lattice._CHUNK_CELLS`` cells."""
+    return max(1, cells // (sys.num_levels * sys.num_atoms))
+
+
 # -- the adversarial families ------------------------------------------------
 #
 # The package builds only the deep-chain instance, which ``verify`` and the
@@ -1170,7 +1176,7 @@ def embedding_ratio_search_three_pass(sys, data, p, restarts=4, iterations=40, s
 
 def power_ascent_first_best(sys, starts, forward, backward, tol, max_iter):
     best, best_pair, best_converged, steps = 0.0, None, False, 0
-    rows = lattice.chunk_rows(sys)
+    rows = sys.chunk_rows
     for lo in range(0, len(starts), rows):
         x = starts[lo : lo + rows]
         live = list(range(len(x)))  # the chunk row of each iterate
@@ -1390,8 +1396,8 @@ def alternating_maximization_per_seed(
 
 def power_ascent_two_blocks(sys: lattice.DyadicSystem, starts, forward, backward, tol: float, max_iter: int, *weights):
     """Nonlinear power method (Boyd, 1974) from every row of ``starts``, in
-    chunks of ``lattice.chunk_rows`` rows stepped together; the rows may come
-    from several instances of one lattice.
+    chunks of ``sys.chunk_rows`` rows stepped together; the rows may come from
+    several instances of one lattice.
 
     A step takes x to ``y, _ = forward(x, *w)``, then to ``x', v =
     backward(y, *w)``, each an operator and its norming map on a batch
@@ -1405,7 +1411,7 @@ def power_ascent_two_blocks(sys: lattice.DyadicSystem, starts, forward, backward
     rows copied off the batch), convergence and step count."""
     n = len(starts)
     values, pairs, converged, steps = [0.0] * n, [None] * n, [False] * n, [max_iter] * n
-    rows = lattice.chunk_rows(sys)
+    rows = sys.chunk_rows
     for lo in range(0, n, rows):
         x, live, *w = (a[lo : lo + rows] for a in (starts, np.arange(n), *weights))
         value, gain, y = np.zeros(len(x)), np.full(len(x), math.inf), None

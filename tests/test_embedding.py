@@ -249,7 +249,7 @@ def test_search_passes_do_not_grow_with_the_cubes_with_mass(monkeypatch, dimensi
     # still counts every indicator as an evaluation
     s = build_system(dimension, depth)
     data = _search_data(s, 1)[0]
-    assert np.all(data.nu > 0) and lattice.chunk_rows(s) < s.num_cubes
+    assert np.all(data.nu > 0) and s.chunk_rows < s.num_cubes
 
     sizes = _batches(monkeypatch)
     result = embedding_ratio_search(s, data, 3.0, restarts=2, seed=1)
@@ -378,9 +378,10 @@ def test_search_in_small_chunks_matches_three_pass_search(monkeypatch, cells):
         for p in (1.5, 3.0)
     ]
     wants = [embedding_ratio_search(s, data, p, restarts=2, seed=seed) for s, data, p, seed in cases]
-    monkeypatch.setattr(lattice, "_CHUNK_CELLS", cells)
+    for s in {case[0] for case in cases}:
+        monkeypatch.setattr(s, "chunk_rows", ref.chunk_rows(s, cells))
     for (s, data, p, seed), want in zip(cases, wants):
-        assert lattice.chunk_rows(s) < 4
+        assert s.chunk_rows < 4
         got = _assert_near_three_pass_search(s, data, p, 2, seed)
         assert (got.value, got.evaluations) == (want.value, want.evaluations)
         assert np.array_equal(got.witness, want.witness)
@@ -404,7 +405,7 @@ def test_search_passes_stay_within_the_chunk_rule(monkeypatch, dimension, depth)
         return level_sums(sys, rows)
 
     monkeypatch.setattr(lattice, "level_sums", recorded)
-    rows = lattice.chunk_rows(s)
+    rows = s.chunk_rows
     embedding_ratio_search(s, data, 3.0, restarts=2, seed=1)
     searched = len(batches)
     est = alternating_maximization(inst, restarts=1, max_iter=3, report=report)
@@ -480,12 +481,13 @@ def test_batched_searches_with_chunks_ending_inside_an_instance(monkeypatch, cel
         for p in (1.5, 3.0):
             wants = [ref.embedding_ratio_search_one(s, data, p, 2, seed) for seed, data in enumerate(datas)]
             cases.append((s, datas, p, wants))
-    monkeypatch.setattr(lattice, "_CHUNK_CELLS", cells)
+    for s in {case[0] for case in cases}:
+        monkeypatch.setattr(s, "chunk_rows", ref.chunk_rows(s, cells))
     calls = _forward_calls(monkeypatch)
     for s, datas, p, wants in cases:
         calls.clear()
         got = embedding.embedding_ratio_searches(s, datas, p, 2, list(range(5)))
-        rows = lattice.chunk_rows(s)
+        rows = s.chunk_rows
         spans = any(len(np.unique(nu, axis=0)) > 1 for nu, *_ in calls)
         assert rows < 4 * len(datas) and spans == (4 % rows != 0)
         for result, want in zip(got, wants):

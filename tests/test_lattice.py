@@ -383,26 +383,50 @@ def test_finer_level_aggregations_are_the_finer_cubes_of_full_calls(data, shape,
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n,d", ALL_SHAPES)
 def test_batched_level_sums_match_per_row_calls_on_and_off_the_bin_table(n, d):
-    # batches up to ``chunk_rows`` read the cached bin table, larger ones
+    # batches up to ``chunk_rows`` read the lattice's bin table, larger ones
     # build their bins: every row has the bytes of its own call either way
     s = build_system(n, d)
     rng = np.random.Generator(np.random.Philox(key=[n, 32 + d]))
-    rows = lattice.chunk_rows(s)
+    rows = s.chunk_rows
     for k in sorted(set(range(1, 10)) | {rows, rows + 1}):
         cells = _edge_values(rng, (k, s.num_levels, s.num_atoms), "mixed")
         want = b"".join(lattice.level_sums(s, row).tobytes() for row in cells)
         assert lattice.level_sums(s, cells).tobytes() == want
 
 
-@pytest.mark.parametrize("n,d", [(1, 0), (1, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,d", [(1, 0), (1, 3), (2, 3), (3, 2), (1, 12), (3, 4)])
 def test_batch_bin_table_is_read_only(n, d):
+    # a table of the lattice, a chunk's rows of bins; where a chunk is one
+    # row (at 4096 atoms) it is a view of cell_cube, no copy
     s = build_system(n, d)
     bins = s.batch_bins
-    assert s.batch_bins is bins and bins.shape == (lattice.chunk_rows(s), s.num_levels, s.num_atoms)
+    assert s.chunk_rows == ref.chunk_rows(s, lattice._CHUNK_CELLS)
+    assert s.batch_bins is bins and bins.shape == (s.chunk_rows, s.num_levels, s.num_atoms)
     assert np.array_equal(bins[-1], s.cell_cube + (len(bins) - 1) * s.num_cubes)
+    assert (bins.base is s.cell_cube) == (s.chunk_rows == 1) == (s.num_atoms == 4096)
     assert not bins.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         bins[0, 0, 0] = 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 3), (3, 2)])
+def test_a_lattice_keeps_the_chunk_it_was_built_with(monkeypatch, n, d):
+    # a lattice built, and batched, while the chunk size is lowered keeps its
+    # two-row table; batches of more rows at the default chunk size build
+    # their bins, and every batch row has the bytes of its own call
+    with monkeypatch.context() as patched:
+        patched.setattr(lattice, "_CHUNK_CELLS", 2 * (d + 1) * 2 ** (n * d))
+        s = lattice.DyadicSystem(n, d)
+        lattice.level_sums(s, np.ones((2, s.num_levels, s.num_atoms)))
+    rng = np.random.Generator(np.random.Philox(key=[n, 48 + d]))
+    for k in (3, 5):
+        cells = _edge_values(rng, (k, s.num_levels, s.num_atoms), "mixed")
+        cubes = _edge_values(rng, (k, s.num_cubes), "mixed")
+        for aggregation, rows in ((lattice.level_sums, cells), (lattice.box_sums, cells), (lattice.chain_total, cubes)):
+            want = b"".join(aggregation(s, row).tobytes() for row in rows)
+            assert aggregation(s, rows).tobytes() == want
+    assert (s.chunk_rows, len(s.batch_bins)) == (2, 2) and build_system(n, d).chunk_rows > 5
 
 
 @pytest.mark.parametrize("n,d", [(1, 0), (1, 4), (2, 3), (3, 2)])

@@ -126,9 +126,12 @@ def _assert_same_estimate(got, want):
 def test_alternating_matches_per_seed_loop(monkeypatch, p, cells):
     # three steps hit the cap; with 1 or 64 cells a chunk the seeds span
     # chunks of one or two rows
+    shapes = [(1, 1), (1, 3), (2, 2), (3, 1)]
     if cells is not None:
-        monkeypatch.setattr(lattice, "_CHUNK_CELLS", cells)
-    for n, d in [(1, 1), (1, 3), (2, 2), (3, 1)]:
+        for n, d in shapes:
+            s = build_system(n, d)
+            monkeypatch.setattr(s, "chunk_rows", ref.chunk_rows(s, cells))
+    for n, d in shapes:
         for seed in range(2):
             inst = generate(GenSpec(seed=seed, dimension=n, depth=d, p=p))
             rep = testing_report(inst)
@@ -170,8 +173,7 @@ def _batch_and_loop(insts, restarts, tol, max_iter, seeds):
 @pytest.mark.parametrize(
     "dim,depth,p,count,max_iter",
     # chunks of 512, 512, 7, 2 and 1 rows, or of at most 3 rows, so that
-    # they end inside an instance (a lattice's cached bin table has room
-    # for its chunk_rows, so a chunk takes no more)
+    # they end inside an instance
     [(1, 3, 2.0, 12, 400), (1, 3, 3.0, 12, 400), (1, 8, 2.0, 4, 400), (2, 5, 3.0, 3, 400), (3, 4, 3.0, 2, 30)],
 )
 def test_batched_ascents_are_the_per_instance_ascents(monkeypatch, dim, depth, p, count, max_iter, few_rows):
@@ -180,8 +182,7 @@ def test_batched_ascents_are_the_per_instance_ascents(monkeypatch, dim, depth, p
     # witness bytes, iterations, restarts, converged and degenerate
     s = build_system(dim, depth)
     if few_rows:
-        rows = min(3, lattice.chunk_rows(s))
-        monkeypatch.setattr(lattice, "_CHUNK_CELLS", rows * s.num_levels * s.num_atoms)
+        monkeypatch.setattr(s, "chunk_rows", min(3, s.chunk_rows))
     insts = [generate(GenSpec(seed=seed, dimension=dim, depth=depth, p=p)) for seed in range(1, count + 1)]
     seeds = [seed % 3 for seed in range(count)]  # instances may share a seed
     got, want = _batch_and_loop(insts, 2, 1e-10, max_iter, seeds)
@@ -364,7 +365,7 @@ def test_each_row_keeps_its_weights_through_chunks_and_exits(monkeypatch):
         return normed(b[:, None] * ((base + c[:, None, None] * coupling) * y[:, :, None]).sum(axis=1))
 
     s = build_system(1, 1)
-    monkeypatch.setattr(lattice, "_CHUNK_CELLS", 3 * s.num_levels * s.num_atoms)
+    monkeypatch.setattr(s, "chunk_rows", 3)
     values, pairs, converged, steps = power_ascent(s, starts, forward, backward, 1e-12, 8, np.arange(11), c, b)
     # the same rows as tables in reverse, each start's row picked by the owner index
     flipped = power_ascent(s, starts, forward, backward, 1e-12, 8, np.arange(11)[::-1], c[::-1], b[::-1])

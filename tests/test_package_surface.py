@@ -217,7 +217,7 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
 TREE_AGGREGATIONS = {
     "level_sums", "level_cumsum", "cube_sums", "box_sums", "chain_running", "chain_total", "subtree_sums"
 }
-LATTICE_OTHERS = {"build_system", "children", "cube_from_path", "chunk_rows", "_bins"}
+LATTICE_OTHERS = {"build_system", "children", "cube_from_path", "_bins"}
 
 
 def test_tree_aggregations_live_in_lattice():
@@ -235,6 +235,39 @@ def test_tree_aggregations_live_in_lattice():
             defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert calls == []
     assert defined - LATTICE_OTHERS == TREE_AGGREGATIONS
+
+
+def _scopes_loading(tree, name: str) -> list:
+    """The scope (``Class.method``, ``function`` or ``<module>``) of every load
+    of ``name`` in ``tree``, as a bare name or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            if getattr(node, "id", getattr(node, "attr", None)) == name:
+                found.append(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_chunk_size_is_fixed_where_a_lattice_is_built():
+    # ``_CHUNK_CELLS`` is read once, where a lattice sets its ``chunk_rows``
+    # and its bin table: no function works a chunk size out when it is called
+    reads, calls = [], []
+    for module, tree in _parse_package():
+        reads += [f"{module}:{scope}" for scope in _scopes_loading(tree, "_CHUNK_CELLS")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "chunk_rows":
+                    calls.append(f"{module}:{node.lineno}")
+    assert reads == ["lattice:DyadicSystem.__init__"]
+    assert calls == []
 
 
 def test_stopping_subtrees_sum_with_lattice_subtree_sums():
