@@ -185,7 +185,7 @@ def _cmd_embed_check(args, out) -> int:
     violations = 0
     for k in range(max(args.instances, 1) * 10):
         h = generators.random_scale_function(sys_, args.seed + k, stream=generators.STREAM_H)
-        labels = generators.philox(args.seed + k, 77).integers(0, 3, size=h.shape)
+        labels = generators.philox(args.seed + k, generators.STREAM_LABELS).integers(0, 3, size=h.shape)
         if not disjointness_inequality(h, inst.sigma, inst.p, [labels == i for i in range(2)]).holds:
             violations += 1
     payload = {

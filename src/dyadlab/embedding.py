@@ -38,9 +38,17 @@ class CarlesonData:
     nu: np.ndarray  # per-atom, shape (num_atoms,)
 
     def __post_init__(self):
-        # no lattice to check against: any shape passes
+        # no lattice to check against here: the functions that read it check its shape
         object.__setattr__(self, "a", finite_nonnegative(self.a, np.shape(self.a), "a"))
         object.__setattr__(self, "nu", finite_nonnegative(self.nu, np.shape(self.nu), "nu"))
+
+
+def _fitted(sys: DyadicSystem, data: CarlesonData) -> CarlesonData:
+    """``data`` if its ``a`` holds one value a cube of ``sys`` and its ``nu`` one an atom."""
+    for name, shape in (("a", (sys.num_cubes,)), ("nu", (sys.num_atoms,))):
+        if getattr(data, name).shape != shape:
+            raise ValueError(f"Carleson data {name} has shape {getattr(data, name).shape}, the lattice's is {shape}")
+    return data
 
 
 def carleson_condition_constant(sys: DyadicSystem, data: CarlesonData) -> float:
@@ -49,7 +57,7 @@ def carleson_condition_constant(sys: DyadicSystem, data: CarlesonData) -> float:
     Returns inf when some cube carries zero measure but positive cube mass
     at or below it (the condition cannot hold at any constant).
     """
-    best, flagged = largest_ratio(lattice.subtree_sums(sys, data.a), lattice.cube_sums(sys, data.nu))
+    best, flagged = largest_ratio(lattice.subtree_sums(sys, _fitted(sys, data).a), lattice.cube_sums(sys, data.nu))
     return float("inf") if flagged else best
 
 
@@ -132,7 +140,7 @@ def embedding_ratio_searches(sys: DyadicSystem, datas, p: float, restarts: int, 
     best iterate wins only when larger, so the witness attains the value."""
     if not datas:
         return []
-    nu = np.array([data.nu for data in datas]).reshape(-1, sys.num_atoms)
+    nu = np.array([_fitted(sys, data).nu for data in datas]).reshape(-1, sys.num_atoms)
     a = np.array([data.a for data in datas]).reshape(-1, sys.num_cubes)
     masses = lattice.cube_sums(sys, nu)
     indicator_ratios, starts, found = _indicator_ratios(sys), [], []

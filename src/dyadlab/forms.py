@@ -152,15 +152,6 @@ def level_test_input(inst: Instance, level: int) -> np.ndarray:
     return zero_preserving_power(s, inst.q - 2.0)[None, :] * boxed
 
 
-def profile_box_integrals(inst: Instance):
-    """The map from a level to its profile's box integrals over the cubes from
-    ``level_offset[level]`` on, which read only its rows from the level on: mu's at q = 2, one pass."""
-    if inst.q == 2.0:
-        shared = all_box_integrals(inst, inst.mu)
-        return lambda level: shared[inst.sys.level_offset[level] :]
-    return lambda level: lattice.box_sums(inst.sys, (inst.sigma * level_test_input(inst, level) * inst.mu)[level:])
-
-
 def test_function(inst: Instance, cube: int) -> np.ndarray:
     """Hoelder-optimal test input on the box of ``cube``: the level profile
     :func:`level_test_input` on the cube's atoms, zero elsewhere."""

@@ -17,9 +17,11 @@ import numpy as np
 from .forms import Instance, lambda_array, test_function
 from .lattice import DyadicSystem, build_system
 
-# stream ids: instance components, then auxiliary draws
+# stream ids: instance components, auxiliary draws, and the fixed draws of embed-check's
+# cell labels and verify's sampled atoms, second scale function, Carleson data, cell labels
 _SIGMA, _OMEGA, _MU, _LAMBDA = 0, 1, 2, 3
 STREAM_F, STREAM_G, STREAM_A, STREAM_H = 10, 11, 12, 13
+STREAM_LABELS, STREAM_ATOMS, STREAM_F2, STREAM_DATA, STREAM_CELLS = 77, 100, 21, 200, 201
 
 
 @functools.cache

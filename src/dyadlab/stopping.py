@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lattice
-from .forms import Instance, all_box_integrals, all_cube_averages, level_test_input, profile_box_integrals
+from .forms import Instance, all_box_integrals, all_cube_averages, level_test_input
 from .lattice import DyadicSystem
 from .measures import conjugate, group_ksum, largest_ratio
 
@@ -108,6 +108,24 @@ def build_average_family(inst: Instance, top: int, g: np.ndarray) -> StoppingFam
     return StoppingFamily("average", top, tuple(members), proj, stats)
 
 
+def calibration(inst: Instance, f: np.ndarray):
+    """The map, cached per level, from a member level to the test-input box masses of
+    the cubes from the level on and f's box masses divided by them, 0.0 where a mass is
+    not positive: a member's own on its subcubes.  One box pass a level, one for all at q = 2."""
+    sys, num = inst.sys, all_box_integrals(inst, f)
+    shared = all_box_integrals(inst, inst.mu) if inst.q == 2.0 else None
+
+    @functools.cache
+    def calibrated(level: int) -> tuple[np.ndarray, np.ndarray]:
+        if shared is not None:  # every profile is mu's rows from its level on
+            den = shared[sys.level_offset[level] :]
+        else:
+            den = lattice.box_sums(sys, (inst.sigma * level_test_input(inst, level) * inst.mu)[level:])
+        return den, np.divide(num[sys.level_offset[level] :], den, out=np.zeros(den.shape), where=den > 0)
+
+    return calibrated
+
+
 def build_ratio_family(
     inst: Instance, top: int, f: np.ndarray, A: float | None = None
 ) -> StoppingFamily:
@@ -123,15 +141,7 @@ def build_ratio_family(
     if not A > 0:
         raise ValueError(f"stopping factor A must be positive, got {A}")
     sys = inst.sys
-    num, profile_boxes = all_box_integrals(inst, f), profile_box_integrals(inst)
-    # A member's test input is its level's profile restricted to the member,
-    # and the trigger only reads box integrals of subcubes of the member:
-    # there the profile's box integrals, and f's box masses calibrated by
-    # them, are the member's own.  Both are kept from the member's level on.
-    @functools.cache
-    def calibrated(level: int) -> tuple[np.ndarray, np.ndarray]:
-        den = profile_boxes(level)
-        return den, np.divide(num[sys.level_offset[level] :], den, out=np.zeros(den.shape), where=den > 0)
+    calibrated = calibration(inst, f)
 
     def triggered(cubes: np.ndarray, owners: np.ndarray) -> np.ndarray:
         owner_level = sys.cube_level[owners]
@@ -143,11 +153,10 @@ def build_ratio_family(
         return hit
 
     members, proj = _level_sweep(sys, top, triggered)
-    member, phi_mass = _is_member(proj), np.zeros(sys.num_cubes)
+    member, phi_mass, stats = _is_member(proj), np.zeros(sys.num_cubes), np.zeros(sys.num_cubes)
     for level in set(sys.cube_level[members].tolist()):
         lo, hi = sys.level_offset[level : level + 2]
-        phi_mass[lo:hi] = np.where(member[lo:hi], calibrated(level)[0][: hi - lo], 0.0)
-    stats = np.divide(num, phi_mass, out=np.zeros(num.shape), where=phi_mass > 0)
+        phi_mass[lo:hi], stats[lo:hi] = (np.where(member[lo:hi], own[: hi - lo], 0.0) for own in calibrated(level))
     stats.flags.writeable = phi_mass.flags.writeable = False
     params = {"A": float(A), "B": float(b)}
     return StoppingFamily("ratio", top, tuple(members), proj, stats, phi_mass, params)
@@ -187,17 +196,13 @@ def cross_children(
 ) -> list[int]:
     """Stopping children of ``member`` whose projection under the other
     family stays inside ``member``."""
-    proj, level = other.projection, sys.cube_level[member]
     kids = np.asarray(family.members[1:], dtype=np.intp)[stopping_parents(sys, family) == member]
-    out = []
-    for c in kids.tolist():
-        if proj[c] < 0:
-            raise ValueError(f"cube {sys.path[c]!r} lies outside the family top")
-        # proj and member both contain c, so they nest: proj lies inside
-        # member exactly when it is no coarser
-        if sys.cube_level[proj[c]] >= level:
-            out.append(c)
-    return out
+    owners = other.projection[kids]
+    if np.any(owners < 0):
+        raise ValueError(f"cube {sys.path[kids[np.argmax(owners < 0)]]!r} lies outside the family top")
+    # an owner and the member both contain the child, so they nest: the owner
+    # lies inside the member exactly when it is no coarser
+    return kids[sys.cube_level[owners] >= sys.cube_level[member]].tolist()
 
 
 def collapse_scale_function(
@@ -214,16 +219,13 @@ def collapse_scale_function(
         raise ValueError("member does not belong to the average family")
     sys = inst.sys
     out = f * (avg_family.projection[sys.cell_cube] == member)
-    num, profile_boxes = all_box_integrals(inst, f), profile_box_integrals(inst)
-    profile = functools.cache(lambda level: (level_test_input(inst, level), profile_boxes(level)))
+    calibrated = calibration(inst, f)
     for c in cross_children(sys, avg_family, ratio_family, member):
         # c lies inside its ratio projection, whose test input is therefore
         # the projection level's profile on the box of c.
         level = int(sys.cube_level[ratio_family.projection[c]])
-        phi, boxes = profile(level)
-        den = boxes[c - sys.level_offset[level]]
-        coeff = num[c] / den if den > 0 else 0.0
-        out = out + coeff * (phi * sys.box_mask(c))
+        coeff = calibrated(level)[1][c - sys.level_offset[level]]
+        out = out + coeff * (level_test_input(inst, level) * sys.box_mask(c))
     return out
 
 

@@ -34,7 +34,6 @@ from .forms import (
     lambda_form_local,
     local_form,
     phi_identity_check,
-    profile_box_integrals,
     test_function,
 )
 from .measures import conjugate, ksum, lp_norm, mixed_norm
@@ -48,6 +47,7 @@ from .normest import (
 from .stopping import (
     build_average_family,
     build_ratio_family,
+    calibration,
     carleson_constant,
     child_mass_bound,
     collapse_atom_function,
@@ -153,7 +153,7 @@ def _check_lattice(s: _Suite):
     s.record("lattice-box-partition", fails, checked)
 
     fails, checked = [], 0
-    rng = generators.philox(s.seed, 100)
+    rng = generators.philox(s.seed, generators.STREAM_ATOMS)
     atoms = [int(rng.integers(sys.num_atoms)) for _ in range(50)]
     # which cubes hold each sampled atom, from one mask per cube
     holds = np.array([sys.atom_mask(cube)[atoms] for cube in range(sys.num_cubes)])
@@ -169,7 +169,7 @@ def _check_lattice(s: _Suite):
 def _check_measures(s: _Suite):
     fails, checked = [], 0
     for k, (inst, f, g) in enumerate(s.draws):
-        f2 = generators.random_scale_function(inst.sys, s.seed + 7 + k, stream=21)
+        f2 = generators.random_scale_function(inst.sys, s.seed + 7 + k, stream=generators.STREAM_F2)
         n1 = mixed_norm(f, inst.sigma, inst.p)
         n2 = mixed_norm(f2, inst.sigma, inst.p)
         nsum = mixed_norm(f + f2, inst.sigma, inst.p)
@@ -286,15 +286,11 @@ def _check_stopping(s: _Suite):
         gfam = build_average_family(inst, sys.root, g)
         if carleson_constant(sys, gfam, inst.omega) > 2.0:
             fails_c.append((inst, "average family exceeds the 2-Carleson bound"))
-        num, profile_boxes = all_box_integrals(inst, f), profile_box_integrals(inst)
-        dens = {}  # per member level: its profile's box integrals from the level on, a member's own inside it
+        calibrated = calibration(inst, f)
         for cube in range(0, sys.num_cubes, max(1, sys.num_cubes // 6)):
             member = int(ffam.projection[cube])
             level = sys.level_of(member)
-            if level not in dens:
-                dens[level] = profile_boxes(level)
-            den = dens[level][cube - sys.level_offset[level]]
-            lhs = num[cube] / den if den > 0 else 0.0
+            lhs = calibrated(level)[1][cube - sys.level_offset[level]]
             if lhs > ffam.params["A"] * ffam.stats[member] * (1 + 1e-12):
                 fails_p.append((inst, f"stopping bound broken at {_at(sys, cube)}"))
         if inst.p >= 2.0:
@@ -345,7 +341,7 @@ def _check_stopping(s: _Suite):
 
 def _check_embedding(s: _Suite):
     fails, checked = [], 0
-    rng = generators.philox(s.seed, 200)
+    rng = generators.philox(s.seed, generators.STREAM_DATA)
     datas = [CarlesonData(*generators.embedding_check_data(s.sys, rng)) for _ in s.draws]
     # the draws share the suite's lattice and p, so their searches step together
     searches = embedding_ratio_searches(s.sys, datas, s.p, 2, [s.seed] * len(datas))
@@ -370,7 +366,7 @@ def _check_embedding(s: _Suite):
     s.record("stopping-embedding-report", fails, checked)
 
     fails, checked = [], 0
-    rng = generators.philox(s.seed, 201)
+    rng = generators.philox(s.seed, generators.STREAM_CELLS)
     for inst, f, g in s.draws:
         if inst.p < 2:
             continue

@@ -43,7 +43,10 @@ oracle of that loop.  At the end, the norming maps and the embedding's
 average maps from before the maps took their norms as columns and the
 held-mass mask as a row, the embedding report's bracket sum from a box
 pass, and the ratio family's whole-lattice box pass per owner level are
-kept verbatim as the oracles of their bit-identical replacements.
+kept verbatim as the oracles of their bit-identical replacements, as are
+the ratio calibration from before ``stopping.calibration`` (the profile box
+integrals ``forms`` returned as a closure and the builder's division) and
+the per-child loop of ``stopping.cross_children``.
 """
 
 import functools
@@ -1604,3 +1607,39 @@ def build_ratio_family_whole(inst, top: int, f: np.ndarray, A=None) -> StoppingF
     stats = np.divide(num, phi_mass, out=np.zeros_like(num), where=phi_mass > 0)
     params = {"A": float(A), "B": float(b)}
     return StoppingFamily("ratio", top, tuple(members), proj, stats, phi_mass, params)
+
+
+def profile_box_integrals(inst):
+    """``forms.profile_box_integrals`` as it was: the map from a level to its
+    profile's box integrals over the cubes from ``level_offset[level]`` on,
+    which read only its rows from the level on: mu's at q = 2, one pass."""
+    if inst.q == 2.0:
+        shared = all_box_integrals(inst, inst.mu)
+        return lambda level: shared[inst.sys.level_offset[level] :]
+    return lambda level: lattice.box_sums(inst.sys, (inst.sigma * level_test_input(inst, level) * inst.mu)[level:])
+
+
+def calibration(inst, f):
+    """The ratio family builder's ``calibrated`` as it was, over
+    :func:`profile_box_integrals`: per level, the profile's box integrals and
+    f's box masses divided by them, 0.0 where the integral is not positive."""
+    num, profile_boxes = all_box_integrals(inst, f), profile_box_integrals(inst)
+
+    def calibrated(level: int):
+        den = profile_boxes(level)
+        return den, np.divide(num[inst.sys.level_offset[level] :], den, out=np.zeros(den.shape), where=den > 0)
+
+    return calibrated
+
+
+def cross_children(sys, family, other, member):
+    """``stopping.cross_children`` as it was: one test per stopping child."""
+    proj, level = other.projection, sys.cube_level[member]
+    kids = np.asarray(family.members[1:], dtype=np.intp)[stopping.stopping_parents(sys, family) == member]
+    out = []
+    for c in kids.tolist():
+        if proj[c] < 0:
+            raise ValueError(f"cube {sys.path[c]!r} lies outside the family top")
+        if sys.cube_level[proj[c]] >= level:
+            out.append(c)
+    return out

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from dyadlab.embedding import (
     carleson_condition_constant,
     disjointness_inequality,
     embedding_ratio_search,
+    embedding_ratio_searches,
     stopping_embedding_ratio,
     stopping_embedding_report,
 )
@@ -17,9 +19,11 @@ from dyadlab.generators import (
     GenSpec,
     adversarial_family,
     deep_chain_profiles,
+    embedding_check_data,
     embedding_probe_function,
     generate,
     lemma_violation_fixture,
+    philox,
     random_scale_function,
 )
 from dyadlab.normest import alternating_maximization
@@ -48,6 +52,36 @@ def test_carleson_data_rejects_bad_entries():
             CarlesonData(a, data.nu)
         with pytest.raises(ValueError, match="^nu contains"):
             CarlesonData(data.a, nu)
+
+
+def test_carleson_data_must_fit_the_lattice():
+    # a datum carries no lattice, so the functions that read it check its
+    # shapes against theirs before stacking rows: a nu of twice the atoms
+    # was read as two atom rows, the first datum's extra atoms landing in
+    # the second datum's row
+    s = build_system(1, 3)
+    a1, nu1 = embedding_check_data(s, philox(1, 12))
+    a2, nu2 = embedding_check_data(s, philox(2, 12))
+    doubled = [CarlesonData(a, np.concatenate([nu, 5 * nu])) for a, nu in ((a1, nu1), (a2, nu2))]
+    nu_shape = re.escape(f"Carleson data nu has shape ({2 * s.num_atoms},), the lattice's is ({s.num_atoms},)")
+    with pytest.raises(ValueError, match=nu_shape):
+        embedding_ratio_search(s, doubled[0], 2.0, restarts=2, seed=1)
+    with pytest.raises(ValueError, match=nu_shape):
+        embedding_ratio_searches(s, doubled, 2.0, 2, [1, 1])
+    with pytest.raises(ValueError, match=nu_shape):
+        carleson_condition_constant(s, doubled[0])
+    # a fitting first datum does not let an unfitting second one through
+    with pytest.raises(ValueError, match=nu_shape):
+        embedding_ratio_searches(s, [CarlesonData(a1, nu1), doubled[1]], 2.0, 2, [1, 1])
+    short = CarlesonData(a1[:-1], nu1)
+    a_shape = re.escape(f"Carleson data a has shape ({s.num_cubes - 1},), the lattice's is ({s.num_cubes},)")
+    with pytest.raises(ValueError, match=a_shape):
+        carleson_condition_constant(s, short)
+    with pytest.raises(ValueError, match=a_shape):
+        embedding_ratio_searches(s, [short], 2.0, 2, [1])
+    # the second datum's own value, which its search on the stacked rows missed
+    alone = embedding_ratio_searches(s, [CarlesonData(a2, nu2)], 2.0, 2, [1])[0]
+    assert alone.value == pytest.approx(4.653130557132017, rel=1e-9)
 
 
 def test_condition_constant_example():

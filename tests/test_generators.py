@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dyadlab import GenSpec, adversarial_family, generate, worked_instances
-from dyadlab import io
+from dyadlab import generators, io
 from dyadlab.generators import (
     philox,
     deep_chain_profiles,
@@ -19,6 +19,16 @@ def test_generation_is_deterministic():
     assert io.digest(generate(spec)) == io.digest(generate(spec))
     other = generate(GenSpec(seed=43, dimension=1, depth=2))
     assert io.digest(other) != io.digest(generate(spec))
+
+
+def test_fixed_stream_ids_are_distinct():
+    # the instance components, the auxiliary draws, and the fixed draws of
+    # embed-check and verify: no two of them share a Philox stream of a seed
+    names = ["_SIGMA", "_OMEGA", "_MU", "_LAMBDA"] + [n for n in dir(generators) if n.startswith("STREAM_")]
+    ids = [getattr(generators, name) for name in names]
+    assert len(ids) == 13 and len(set(ids)) == len(ids)
+    assert (generators.STREAM_LABELS, generators.STREAM_ATOMS, generators.STREAM_F2,
+            generators.STREAM_DATA, generators.STREAM_CELLS) == (77, 100, 21, 200, 201)
 
 
 def test_seed42_digest_frozen():

@@ -715,6 +715,19 @@ def test_verify_stdout_at_4096_atoms_is_the_stored_text(capsys):
     assert capsys.readouterr().out == stored
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("verify_d1_D3_p3_stdout.txt", ["--p", "3", "--instances", "50"]),
+    ("verify_d1_D3_p1.5_stdout.txt", ["--p", "1.5", "--instances", "50"]),
+    ("verify_d1_D12_p3_stdout.txt", ["--p", "3", "--dim", "1", "--depth", "12", "--instances", "1"]),
+])
+def test_verify_stdout_off_p_2_is_the_stored_text(name, argv, capsys):
+    # every other stored text is p = 2, where the ratio calibration takes one
+    # shared pass of mu: these pin its pass a level, which the stopping bound
+    # and the scale collapse read
+    assert main(["verify", *argv]) == 0
+    assert capsys.readouterr().out == pathlib.Path(__file__).with_name(name).read_text()
+
+
 VERIFY_STDOUT = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "perfbench/reference/verify.json").read_text()
 )

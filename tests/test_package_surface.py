@@ -403,3 +403,44 @@ def test_each_table_and_rule_has_one_copy():
         )
     ]
     assert checks == ["measures.finite_nonnegative"]
+
+
+def test_the_ratio_calibration_has_one_body():
+    # f's box masses over the member's test-input masses are divided in
+    # ``stopping.calibration`` alone: the family builder, the scale collapse
+    # and verify's stopping bound read it, and no other module keeps a
+    # profile box pass of its own
+    trees = dict(_parse_package())
+    for module, function in (
+        ("stopping", "build_ratio_family"),
+        ("stopping", "collapse_scale_function"),
+        ("verify", "_check_stopping"),
+    ):
+        assert "calibration" in _calls_in(trees[module], function), function
+    def names(tree):
+        return {
+            node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.FunctionDef))
+        }
+
+    assert all(names(tree).isdisjoint({"profile_box_integrals", "profile_boxes"}) for tree in trees.values())
+    assert "dens" not in names(trees["verify"])  # its per-level cache of the masses
+
+
+def test_every_fixed_stream_is_named_in_generators():
+    # a stream id written as a literal where it is drawn can collide with
+    # another draw unseen: each fixed one is a name in ``generators``, where
+    # the ids stand side by side
+    literal, seen = [], 0
+    for module, tree in _parse_package():
+        for node in ast.walk(tree):
+            name = getattr(getattr(node, "func", None), "attr", getattr(getattr(node, "func", None), "id", None))
+            index = {"philox": 1, "random_scale_function": 2}.get(name)
+            if not isinstance(node, ast.Call) or index is None:
+                continue
+            seen += 1
+            streams = node.args[index : index + 1] + [k.value for k in node.keywords if k.arg == "stream"]
+            if any(isinstance(x, ast.Constant) and isinstance(x.value, int) for x in streams):
+                literal.append(f"{module}:{node.lineno} {name}")
+    assert seen > 10 and literal == []

@@ -21,6 +21,7 @@ from dyadlab.generators import (
 from dyadlab.stopping import (
     build_average_family,
     build_ratio_family,
+    calibration,
     carleson_constant,
     child_mass_bound,
     collapse_atom_function,
@@ -590,3 +591,84 @@ def test_ratio_family_box_passes_match_whole_lattice_passes_at_extreme_scales(fa
         for seed in (depth, depth + 1):
             _assert_same_as_whole_lattice_passes(inst, random_scale_function(inst.sys, seed, base=inst.mu), inst.sys.root)
             _assert_same_as_whole_lattice_passes(inst, generators.embedding_probe_function(inst, seed), inst.sys.root)
+
+
+def _calibration_masses(inst, f):
+    """``calibration(inst, f)`` at every level, both arrays, byte for byte the
+    builder's division over ``forms.profile_box_integrals`` as it was; returns
+    the test-input masses of every level, joined."""
+    got, want = calibration(inst, f), ref.calibration(inst, f)
+    for level in range(inst.sys.num_levels):
+        for name, mine, theirs in zip(("masses", "ratios"), got(level), want(level), strict=True):
+            assert (mine.shape, mine.tobytes()) == (theirs.shape, theirs.tobytes()), (level, name)
+    return np.concatenate([got(level)[0] for level in range(inst.sys.num_levels)])
+
+
+@pytest.mark.parametrize("dim,depth,p,count", RATIO_FAMILY_SET)
+def test_calibration_is_the_builders_calibration(dim, depth, p, count):
+    # the one calibration the builder, the scale collapse and verify's
+    # stopping bound read: one pass of mu at q = 2, one box pass a level
+    # otherwise; eval's probe and stopping's modulated density
+    for seed in range(1, count + 1):
+        inst = generate(GenSpec(seed=seed, dimension=dim, depth=depth, p=p))
+        _calibration_masses(inst, generators.embedding_probe_function(inst, seed))
+        _calibration_masses(inst, random_scale_function(inst.sys, seed, base=inst.mu))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_calibration_is_the_builders_calibration_at_extreme_scales():
+    # mu * 1e200 overflows the profiles' squares and mu * 1e-200 underflows
+    # them: NaN, inf and zero test-input masses, all three met below
+    met = set()
+    for factor in (1e200, 1e-200):
+        for p in (1.5, 2.0, 3.0):
+            for dim, depth in [(1, 3), (2, 3), (1, 8), (3, 2)]:
+                base = generate(GenSpec(seed=depth, dimension=dim, depth=depth, p=p))
+                inst = Instance(base.sys, p, base.sigma, base.omega, factor * base.mu, base.lam)
+                for f in (random_scale_function(inst.sys, depth, base=inst.mu),
+                          generators.embedding_probe_function(inst, depth)):
+                    masses = _calibration_masses(inst, f)
+                    met |= {kind for kind, hit in (("nan", np.isnan(masses)), ("inf", np.isinf(masses)),
+                                                   ("zero", masses == 0.0)) if hit.any()}
+    assert met == {"nan", "inf", "zero"}
+
+
+@pytest.mark.parametrize("dim,depth,p,count", RATIO_FAMILY_SET)
+def test_cross_children_are_the_per_child_tests(dim, depth, p, count):
+    # one array pass a member gives the children, in the order, of one test
+    # a child, both ways between the two families; eval's probe and random
+    # atom function, and the deep-chain profiles
+    def crossed(inst, f, g):
+        s, total = inst.sys, 0
+        gfam, ffam = build_average_family(inst, s.root, g), build_ratio_family(inst, s.root, f)
+        for fam, other in ((gfam, ffam), (ffam, gfam)):
+            for m in fam.members:
+                got = cross_children(s, fam, other, m)
+                assert got == ref.cross_children(s, fam, other, m)
+                total += len(got)
+        return total
+
+    total = 0
+    for seed in range(1, count + 1):
+        inst = generate(GenSpec(seed=seed, dimension=dim, depth=depth, p=p))
+        total += crossed(inst, generators.embedding_probe_function(inst, seed), random_atom_function(inst.sys, seed))
+    deep = adversarial_family("deep-chain", dimension=dim, depth=min(depth, 5), p=p)[0]
+    assert total + crossed(deep, *deep_chain_profiles(deep.sys)) > 0
+
+
+@pytest.mark.parametrize("other_top", ["1", "0/1"])
+def test_cross_children_name_the_first_child_outside_the_other_top(other_top):
+    # three stopping children of the root, "1", "0/0" and "0/1" in members
+    # order; the other family's top holds one of them, and the first one it
+    # does not hold is named, as by one test a child
+    s = build_system(1, 2)
+    kids = tuple(lattice.cube_from_path(s, path) for path in ("1", "0/0", "0/1"))
+    members = (s.root, *kids)
+    fam = ref.stopping_family(s, "average", s.root, members, {s.root: kids, **{k: () for k in kids}},
+                              dict.fromkeys(members, 1.0))
+    top = lattice.cube_from_path(s, other_top)
+    other = ref.stopping_family(s, "average", top, (top,), {top: ()}, {top: 1.0})
+    first = re.escape(f"cube {'0/0' if other_top == '1' else '1'!r} lies outside the family top")
+    for cross in (cross_children, ref.cross_children):
+        with pytest.raises(ValueError, match=first):
+            cross(s, fam, other, s.root)
