@@ -125,14 +125,14 @@ def _cmd_eval(args, out) -> int:
 def _cmd_testing(args, out) -> int:
     inst = _load_or_generate(args)
     rep = testing_report(inst)
-    named = [None if c is None else inst.sys.path[c] for c in (rep.forward_cube, rep.dual_cube)]
+    named = [None if side.cube is None else inst.sys.path[side.cube] for side in (rep.forward, rep.dual)]
     payload = {
-        "T": rep.forward,
-        "Tstar": rep.dual,
+        "T": rep.forward.value,
+        "Tstar": rep.dual.value,
         "argmax_T": named[0],
         "argmax_Tstar": named[1],
-        "witness_g": rep.witness_g.tolist(),
-        "witness_f": rep.witness_f.tolist(),
+        "witness_g": rep.forward.g.tolist(),
+        "witness_f": rep.dual.f.tolist(),
     }
     out.write(io.json_text(payload))
     return EXIT_OK

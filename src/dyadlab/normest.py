@@ -28,7 +28,7 @@ import numpy as np
 
 from . import generators, lattice
 from .errors import GuardError
-from .forms import Instance, apply_adjoint_operator, apply_box_operator, lambda_form, test_function
+from .forms import Instance, apply_adjoint_operator, apply_box_operator, lambda_form
 from .measures import ell2_slice, largest_ratio, lp_norm, lp_norming, mixed_norm, mixed_norming
 from .testing_constants import TestingReport, testing_report
 
@@ -119,7 +119,7 @@ def alternating_maximizations(insts, reports, restarts: int, tol: float, max_ite
     lattice and one p, with its testing report and seed: all in one
     :func:`power_ascent`, each row with its instance's weight rows.
 
-    Seeds: the two testing witnesses paired with their test inputs, the
+    Seeds: the witness pairs of the report's positive sides, the
     constant pair and ``restarts`` random pairs, each stream keyed (seed, k).
     The value is the winning pair's exact witnessed ratio.  No pair while a
     testing constant is positive, or a zero denominator, is a GuardError for
@@ -138,11 +138,7 @@ def alternating_maximizations(insts, reports, restarts: int, tol: float, max_ite
     shape, forward, backward = (sys.num_levels, sys.num_atoms), *box_maps(sys, p)
     starts, spans = [], []
     for inst, report, seed in zip(insts, reports, seeds, strict=True):
-        candidates = []
-        if report.forward > 0 and report.forward_cube is not None:
-            candidates.append((test_function(inst, report.forward_cube), report.witness_g))
-        if report.dual > 0 and report.dual_cube is not None:
-            candidates.append((report.witness_f, sys.atom_mask(report.dual_cube).astype(np.float64)))
+        candidates = [(side.f, side.g) for side in (report.forward, report.dual) if side.value > 0]
         candidates.append((np.ones(shape), np.ones(sys.num_atoms)))
         for k in range(restarts):
             rng = generators.philox(seed, k)
@@ -164,8 +160,9 @@ def alternating_maximizations(insts, reports, restarts: int, tol: float, max_ite
     for inst, rep, (lo, hi, seeded) in zip(insts, reports, spans):
         win, taken = best_start(values, pairs, lo, hi), sum(steps[lo:hi])
         if win is None:
-            if rep.forward > 0 or rep.dual > 0:
-                raise GuardError(f"no ascent seed yields a pair although T = {rep.forward:g}, T* = {rep.dual:g}")
+            if rep.forward.value > 0 or rep.dual.value > 0:
+                values = f"T = {rep.forward.value:g}, T* = {rep.dual.value:g}"
+                raise GuardError(f"no ascent seed yields a pair although {values}")
             estimates.append(NormEstimate(0.0, np.zeros(shape), np.zeros(sys.num_atoms), taken, seeded, True, True))
             continue
         wf, wg = pairs[win]
@@ -314,12 +311,12 @@ def testing_norm_ratios(
     """Comparison ratios between the testing constants and the norm estimate."""
     if inst.p < 2.0:
         raise GuardError(f"testing comparison requires p >= 2, got {inst.p}")
-    total = report.forward + report.dual
+    total = report.forward.value + report.dual.value
     if total == 0.0:
         raise ValueError("degenerate instance: both testing constants vanish")
     if not 0.0 < estimate.value < math.inf:
         raise GuardError(f"norm estimate {estimate.value} cannot bound positive testing constants")
     return TestingNormRatios(
-        lower=max(report.forward, report.dual) / estimate.value,
+        lower=max(report.forward.value, report.dual.value) / estimate.value,
         upper=estimate.value / total,
     )

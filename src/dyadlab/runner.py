@@ -41,7 +41,7 @@ def evaluate_instance(
     )
     estimate = attach_oracle(inst, estimate)
 
-    total = report.forward + report.dual
+    total = report.forward.value + report.dual.value
     if total > 0 and inst.p >= 2.0:
         ratios = testing_norm_ratios(inst, estimate=estimate, report=report)
         ratio_upper, ratio_lower = ratios.upper, ratios.lower
@@ -74,8 +74,8 @@ def evaluate_instance(
         p=inst.p,
         dimension=sys.dimension,
         depth=sys.depth,
-        T=report.forward,
-        Tstar=report.dual,
+        T=report.forward.value,
+        Tstar=report.dual.value,
         lambda_norm_lb=estimate.value,
         oracle_value=estimate.oracle_value,
         oracle_kind=estimate.oracle_kind,

@@ -32,8 +32,10 @@ correctly rounded, so the winner, its value and its witness are those of a
 loop over every cube evaluating that formula.  The witness is rebuilt from
 the winning level alone.
 
-The recorded witnesses are the norming functions of the winning cube
-(``measures.lp_norming`` and ``measures.mixed_norming``), so plugging them
+Each side records the pair (f, g) that attains its constant on the winning
+cube: forward, the cube's test input and the norming function of its image
+(``measures.lp_norming``); dual, the norming function of its kernel
+(``measures.mixed_norming``) and the cube's indicator.  Plugging the pair
 back into the localized form reproduces ``constant * norm * norm`` exactly.
 """
 
@@ -44,25 +46,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lattice
-from .forms import Instance, all_box_integrals, level_test_input
+from .forms import Instance, all_box_integrals, level_test_input, test_function
 from .measures import ell2_slice, group_ksum, lp_norming, mixed_norming
 
 
 @dataclass(frozen=True)
 class TestingSide:
+    """One testing constant, its cube and the pair attaining it there: f a
+    scale function, g an atom function, both read-only (zeros, cube None, at
+    0.0)."""
+
     value: float
     cube: int | None
-    witness: np.ndarray  # atom function (forward) or scale function (dual)
+    f: np.ndarray
+    g: np.ndarray
+
+    def __post_init__(self):
+        self.f.flags.writeable = self.g.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class TestingReport:
-    forward: float
-    dual: float
-    forward_cube: int | None
-    dual_cube: int | None
-    witness_g: np.ndarray
-    witness_f: np.ndarray
+    forward: TestingSide
+    dual: TestingSide
 
 
 # Scanned ratios this close to the scan's maximum, relatively, are candidates
@@ -141,9 +147,9 @@ def forward_testing_constant(inst: Instance) -> TestingSide:
     skip = np.zeros(sys.num_cubes, dtype=bool)
     best, cube = _select(sys, inst.p, inst.omega * rows**inst.p, den_terms, skip)
     if cube is None:
-        return TestingSide(0.0, None, np.zeros(sys.num_atoms))
+        return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)), np.zeros(sys.num_atoms))
     h = np.where(sys.atom_mask(cube), rows[sys.level_of(cube)], 0.0)
-    return TestingSide(best, cube, lp_norming(h, inst.omega, inst.p)[0])
+    return TestingSide(best, cube, test_function(inst, cube), lp_norming(h, inst.omega, inst.p)[0])
 
 
 def dual_testing_constant(inst: Instance) -> TestingSide:
@@ -159,21 +165,12 @@ def dual_testing_constant(inst: Instance) -> TestingSide:
     skip = lattice.level_sums(sys, bad) < bad.sum(axis=1)[sys.cube_level]
     best, cube = _select(sys, inst.q, num_terms, [inst.omega] * sys.num_levels, skip)
     if cube is None:
-        return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)))
-    level, kernel = sys.level_of(cube), np.zeros_like(inst.mu)  # the run begun at the cube's level
-    run = lattice.chain_running(sys, contrib[sys.level_offset[level] :])
-    kernel[level:] = inst.mu[level:] * run * sys.atom_mask(cube)[None, :]
-    return TestingSide(best, cube, mixed_norming(kernel, inst.sigma, inst.p)[0])
+        return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)), np.zeros(sys.num_atoms))
+    level, kernel, mask = sys.level_of(cube), np.zeros_like(inst.mu), sys.atom_mask(cube)
+    run = lattice.chain_running(sys, contrib[sys.level_offset[level] :])  # the run begun at the cube's level
+    kernel[level:] = inst.mu[level:] * run * mask[None, :]
+    return TestingSide(best, cube, mixed_norming(kernel, inst.sigma, inst.p)[0], mask.astype(np.float64))
 
 
 def testing_report(inst: Instance) -> TestingReport:
-    fwd = forward_testing_constant(inst)
-    dua = dual_testing_constant(inst)
-    return TestingReport(
-        forward=fwd.value,
-        dual=dua.value,
-        forward_cube=fwd.cube,
-        dual_cube=dua.cube,
-        witness_g=fwd.witness,
-        witness_f=dua.witness,
-    )
+    return TestingReport(forward_testing_constant(inst), dual_testing_constant(inst))

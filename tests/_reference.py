@@ -749,9 +749,10 @@ def phi_identity_check_cube(inst: Instance, cube: int) -> forms.PhiIdentityRepor
 # The package computes both testing constants level by level; these loops
 # evaluate the defining per-cube ratio on every cube, in enumeration order,
 # keeping the first strict maximum.  They use the package's own helpers so
-# that results can be compared bit for bit, and take their witnesses from
-# the package's norming maps, ``measures.lp_norming`` and
-# ``measures.mixed_norming``, of the loop's own h or kernel.
+# that results can be compared bit for bit, and take their witness pairs from
+# the winning cube: forward, its test input and the package's
+# ``measures.lp_norming`` of the loop's own h; dual, ``measures.mixed_norming``
+# of the loop's own kernel and the cube's indicator.
 
 
 def norming_atom_function(h: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
@@ -764,22 +765,29 @@ def norming_scale_function(k: np.ndarray, sigma: np.ndarray, p: float) -> np.nda
     return measures.mixed_norming(k, sigma, p)[0]
 
 
+def forward_image(inst, cube, phi):
+    """The localized box operator's image of ``phi`` on the atoms of ``cube``."""
+    sys = inst.sys
+    contrib = inst.lam * all_box_integrals(inst, phi)
+    running = chain_running(sys, contrib, start_level=sys.level_of(cube))
+    return running[sys.depth] * sys.atom_mask(cube)
+
+
 def forward_testing_constant_loop(inst):
     sys = inst.sys
-    best, best_cube, best_witness = 0.0, None, np.zeros(sys.num_atoms)
+    best, best_cube = 0.0, None
+    best_f, best_g = np.zeros((sys.num_levels, sys.num_atoms)), np.zeros(sys.num_atoms)
     for cube in range(sys.num_cubes):
         phi = test_function(inst, cube)
         phinorm = measures.mixed_norm(phi, inst.sigma, inst.p)
         if phinorm == 0.0:
             continue
-        contrib = inst.lam * all_box_integrals(inst, phi)
-        running = chain_running(sys, contrib, start_level=sys.level_of(cube))
-        h = running[sys.depth] * sys.atom_mask(cube)
+        h = forward_image(inst, cube, phi)
         ratio = measures.lp_norm(h, inst.omega, inst.p) / phinorm
         if ratio > best:
             best, best_cube = ratio, cube
-            best_witness = norming_atom_function(h, inst.omega, inst.p)
-    return TestingSide(best, best_cube, best_witness)
+            best_f, best_g = phi, norming_atom_function(h, inst.omega, inst.p)
+    return TestingSide(best, best_cube, best_f, best_g)
 
 
 def dual_kernel(inst, cube):
@@ -793,7 +801,7 @@ def dual_kernel(inst, cube):
 def dual_testing_constant_loop(inst):
     sys = inst.sys
     best, best_cube = 0.0, None
-    best_witness = np.zeros((sys.num_levels, sys.num_atoms))
+    best_f, best_g = np.zeros((sys.num_levels, sys.num_atoms)), np.zeros(sys.num_atoms)
     for cube in range(sys.num_cubes):
         denom = measures.ksum(inst.omega[sys.atom_mask(cube)]) ** (1.0 / inst.q)
         if denom == 0.0:
@@ -802,8 +810,9 @@ def dual_testing_constant_loop(inst):
         ratio = measures.mixed_norm(kernel, inst.sigma, inst.q) / denom
         if ratio > best:
             best, best_cube = ratio, cube
-            best_witness = norming_scale_function(kernel, inst.sigma, inst.p)
-    return TestingSide(best, best_cube, best_witness)
+            best_f = norming_scale_function(kernel, inst.sigma, inst.p)
+            best_g = sys.atom_mask(cube).astype(np.float64)
+    return TestingSide(best, best_cube, best_f, best_g)
 
 
 # -- per-level testing constants with whole-lattice runs --------------------
@@ -835,9 +844,9 @@ def forward_testing_constant_levels(inst: Instance) -> TestingSide:
     skip = np.zeros(sys.num_cubes, dtype=bool)
     best, cube = testing_constants._select(sys, inst.p, num_terms, den_terms, skip)
     if cube is None:
-        return TestingSide(0.0, None, np.zeros(sys.num_atoms))
+        return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)), np.zeros(sys.num_atoms))
     h = np.where(sys.atom_mask(cube), rows[sys.level_of(cube)], 0.0)
-    return TestingSide(best, cube, measures.lp_norming(h, inst.omega, inst.p)[0])
+    return TestingSide(best, cube, test_function(inst, cube), measures.lp_norming(h, inst.omega, inst.p)[0])
 
 
 def dual_testing_constant_levels(inst: Instance) -> TestingSide:
@@ -851,10 +860,11 @@ def dual_testing_constant_levels(inst: Instance) -> TestingSide:
     skip = lattice.level_sums(sys, bad) < bad.sum(axis=1)[sys.cube_level]
     best, cube = testing_constants._select(sys, inst.q, num_terms, [inst.omega] * sys.num_levels, skip)
     if cube is None:
-        return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)))
+        return TestingSide(0.0, None, np.zeros((sys.num_levels, sys.num_atoms)), np.zeros(sys.num_atoms))
     running = running_from(sys, contrib, sys.level_of(cube))
     kernel = inst.mu * running * sys.atom_mask(cube)[None, :]
-    return TestingSide(best, cube, measures.mixed_norming(kernel, inst.sigma, inst.p)[0])
+    indicator = sys.atom_mask(cube).astype(np.float64)
+    return TestingSide(best, cube, measures.mixed_norming(kernel, inst.sigma, inst.p)[0], indicator)
 
 
 # -- stopping families by per-member BFS -----------------------------------
@@ -1314,9 +1324,10 @@ def alternating_maximization_per_seed(
 ) -> NormEstimate:
     """Best ratio over seeded alternating ascents.
 
-    Seeds: the two testing witnesses paired with their test inputs, the
-    constant pair and ``restarts`` counter-keyed random pairs.  Each random
-    stream is keyed (seed, k) so results do not depend on evaluation order.
+    Seeds: the pairs attaining the positive testing constants, each built
+    here from its side's cube (never read off the report), the constant pair
+    and ``restarts`` counter-keyed random pairs.  Each random stream is keyed
+    (seed, k) so results do not depend on evaluation order.
     """
     if restarts < 1:
         raise GuardError(f"restarts must be >= 1, got {restarts}")
@@ -1327,11 +1338,15 @@ def alternating_maximization_per_seed(
         report = testing_report(inst)
 
     seeds: list[tuple[np.ndarray, np.ndarray]] = []
-    if report.forward > 0 and report.forward_cube is not None:
-        seeds.append((test_function(inst, report.forward_cube), report.witness_g))
-    if report.dual > 0 and report.dual_cube is not None:
-        indicator = sys.atom_mask(report.dual_cube).astype(np.float64)
-        seeds.append((report.witness_f, indicator))
+    if report.forward.value > 0 and report.forward.cube is not None:
+        cube = report.forward.cube
+        phi = test_function(inst, cube)
+        seeds.append((phi, norming_atom_function(forward_image(inst, cube, phi), inst.omega, inst.p)))
+    if report.dual.value > 0 and report.dual.cube is not None:
+        cube = report.dual.cube
+        kernel = dual_kernel(inst, cube)
+        indicator = sys.atom_mask(cube).astype(np.float64)
+        seeds.append((norming_scale_function(kernel, inst.sigma, inst.p), indicator))
     seeds.append(
         (np.ones((sys.num_levels, sys.num_atoms)), np.ones(sys.num_atoms))
     )

@@ -216,7 +216,7 @@ def _theorem_cell(p: float, depth: int):
     # the cell's 200 instances share one lattice and p: one batch of ascents
     estimates = alternating_maximizations(insts, reports, 2, 1e-10, 400, seeds)
     for seed, inst, rep, est in zip(seeds, insts, reports, estimates):
-        if rep.forward + rep.dual == 0.0:
+        if rep.forward.value + rep.dual.value == 0.0:
             degenerate += 1
             assert est.value == 0.0  # degenerate testing constants mean a null form
             continue
@@ -224,8 +224,8 @@ def _theorem_cell(p: float, depth: int):
         rows.append(
             {
                 "seed": seed,
-                "T": rep.forward,
-                "Tstar": rep.dual,
+                "T": rep.forward.value,
+                "Tstar": rep.dual.value,
                 "value": est.value,
                 "upper": ratios.upper,
                 "lower": ratios.lower,
@@ -253,8 +253,8 @@ def test_criterion_5_exact_direction():
     w1est = alternating_maximization(W["w1"], restarts=2, report=w1rep)
     w1ratios = testing_norm_ratios(W["w1"], estimate=w1est, report=w1rep)
     w1_ok = (
-        abs(w1rep.forward - 2 * ROOT2) <= 1e-9
-        and abs(w1rep.dual - 2 * ROOT2) <= 1e-9
+        abs(w1rep.forward.value - 2 * ROOT2) <= 1e-9
+        and abs(w1rep.dual.value - 2 * ROOT2) <= 1e-9
         and abs(w1est.value - 2 * ROOT2) <= 1e-9
         and abs(w1ratios.upper - 0.5) <= 1e-9
     )

@@ -519,7 +519,7 @@ def _pairless_cases():
 def test_no_pair_with_a_positive_testing_constant_is_a_guard_error(tmp_path, capsys, case):
     inst = _pairless_cases()[case]
     rep = testing_report(inst)
-    assert rep.forward > 0 or rep.dual > 0
+    assert rep.forward.value > 0 or rep.dual.value > 0
     with pytest.raises(GuardError, match="no ascent seed yields a pair"):
         alternating_maximization(inst, restarts=4, report=rep)
     with pytest.raises(GuardError, match="no ascent seed yields a pair"):
@@ -585,7 +585,7 @@ def test_alternating_dominates_testing_constants():
         inst = generate(GenSpec(seed=seed, depth=3, p=p))
         rep = testing_report(inst)
         est = alternating_maximization(inst, restarts=2, report=rep)
-        assert est.value >= max(rep.forward, rep.dual) - 1e-9
+        assert est.value >= max(rep.forward.value, rep.dual.value) - 1e-9
 
 
 def test_spectral_oracle_w1_and_rank_one():
@@ -738,7 +738,7 @@ def test_grid_oracle_examples():
     rep = testing_report(w2)
     value = grid_oracle(w2, resolution=8)
     assert value == pytest.approx(8.0, rel=1e-12)
-    assert value == pytest.approx(rep.forward, rel=1e-12)
+    assert value == pytest.approx(rep.forward.value, rel=1e-12)
 
     assert grid_oracle(W["w1"], resolution=16) == pytest.approx(2 * ROOT2, rel=1e-2)
     dead = Instance(W["w1"].sys, 2.0, [1, 1], [1, 1], np.ones((2, 2)), np.zeros(3))

@@ -17,9 +17,13 @@ entry points that only outside callers configure are listed with a reason.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import dyadlab
+from dyadlab import testing_constants
 
 PACKAGE = pathlib.Path(dyadlab.__file__).parent
 
@@ -426,6 +430,37 @@ def test_the_ratio_calibration_has_one_body():
 
     assert all(names(tree).isdisjoint({"profile_box_integrals", "profile_boxes"}) for tree in trees.values())
     assert "dens" not in names(trees["verify"])  # its per-level cache of the masses
+
+
+def test_a_testing_report_is_its_two_sides():
+    # each side carries the pair attaining its constant, so the ascent seeds
+    # with the sides' pairs and rebuilds neither half from a cube, and no
+    # module reads a report's cubes by the fields the sides replaced
+    assert list(testing_constants.TestingReport.__annotations__) == ["forward", "dual"]
+    assert list(testing_constants.TestingSide.__annotations__) == ["value", "cube", "f", "g"]
+    trees = dict(_parse_package())
+    assert _calls_in(trees["normest"], "alternating_maximizations").isdisjoint({"test_function", "atom_mask"})
+    for tree in trees.values():
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert read.isdisjoint({"forward_cube", "dual_cube"})
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # ``generators`` builds the Philox key class on first use: importing
+    # numpy.random with the package slowed the import and raised peak RSS
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    code = (
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module('dyadlab.' + name)\n"
+        "loaded = 'numpy.random' in sys.modules\n"
+        "from dyadlab import generators\n"
+        "generators.philox(1, 2).random()\n"
+        "print(loaded, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_every_fixed_stream_is_named_in_generators():

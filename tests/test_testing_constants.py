@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 import _reference as ref
 from dyadlab import Instance, build_system, generators, lambda_array, lattice, worked_instances
+from dyadlab import io as dio
+from dyadlab.cli import main
 from dyadlab.forms import level_test_input, lambda_form_local, test_function as make_test_input
 from dyadlab.measures import conjugate, ell2_slice, lp_norm, mixed_norm, zero_preserving_power
 from dyadlab.testing_constants import dual_testing_constant, forward_testing_constant, testing_report
@@ -22,7 +25,7 @@ def test_forward_constant_on_w1():
     side = forward_testing_constant(W["w1"])
     assert side.value == pytest.approx(2 * ROOT2, rel=1e-12)
     assert side.cube == W["w1"].sys.root
-    assert side.witness == pytest.approx(np.full(2, 1 / ROOT2), rel=1e-12)
+    assert side.g == pytest.approx(np.full(2, 1 / ROOT2), rel=1e-12)
 
 
 def test_forward_zero_lambda():
@@ -54,8 +57,8 @@ def test_dual_zero_cases():
 
 def test_w2_constants():
     rep = testing_report(W["w2"])
-    assert rep.forward == pytest.approx(8.0, rel=1e-12)
-    assert rep.dual == pytest.approx(8.0, rel=1e-12)
+    assert rep.forward.value == pytest.approx(8.0, rel=1e-12)
+    assert rep.dual.value == pytest.approx(8.0, rel=1e-12)
 
 
 def _random_instance(seed, p, d=3):
@@ -76,20 +79,24 @@ def test_witnesses_attain_the_constants(seed, p):
     inst = _random_instance(seed, p)
     rep = testing_report(inst)
     q = conjugate(p)
-    if rep.forward > 0:
-        cube = rep.forward_cube
+    # each side carries its pair, read-only
+    assert not any(a.flags.writeable for side in (rep.forward, rep.dual) for a in (side.f, side.g))
+    if rep.forward.value > 0:
+        cube = rep.forward.cube
         phi = make_test_input(inst, cube)
-        lhs = lambda_form_local(inst, cube, phi, rep.witness_g)
-        rhs = rep.forward * mixed_norm(phi, inst.sigma, p) * lp_norm(rep.witness_g, inst.omega, q)
+        assert (rep.forward.f.dtype, rep.forward.f.tobytes()) == (phi.dtype, phi.tobytes())
+        lhs = lambda_form_local(inst, cube, phi, rep.forward.g)
+        rhs = rep.forward.value * mixed_norm(phi, inst.sigma, p) * lp_norm(rep.forward.g, inst.omega, q)
         assert lhs == pytest.approx(rhs, rel=1e-10)
-        assert lp_norm(rep.witness_g, inst.omega, q) == pytest.approx(1.0, rel=1e-12)
-    if rep.dual > 0:
-        cube = rep.dual_cube
-        ind = inst.sys.atom_mask(cube).astype(float)
-        lhs = lambda_form_local(inst, cube, rep.witness_f, ind)
-        rhs = rep.dual * mixed_norm(rep.witness_f, inst.sigma, p) * lp_norm(ind, inst.omega, q)
+        assert lp_norm(rep.forward.g, inst.omega, q) == pytest.approx(1.0, rel=1e-12)
+    if rep.dual.value > 0:
+        cube = rep.dual.cube
+        ind = inst.sys.atom_mask(cube).astype(np.float64)
+        assert (rep.dual.g.dtype, rep.dual.g.tobytes()) == (ind.dtype, ind.tobytes())
+        lhs = lambda_form_local(inst, cube, rep.dual.f, ind)
+        rhs = rep.dual.value * mixed_norm(rep.dual.f, inst.sigma, p) * lp_norm(ind, inst.omega, q)
         assert lhs == pytest.approx(rhs, rel=1e-10)
-        assert mixed_norm(rep.witness_f, inst.sigma, p) == pytest.approx(1.0, rel=1e-12)
+        assert mixed_norm(rep.dual.f, inst.sigma, p) == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed,p", [(5, 2.0), (6, 3.0), (7, 4.0)])
@@ -106,11 +113,11 @@ def test_constants_dominate_probe_ratios(seed, p):
         phi = make_test_input(inst, cube)
         den_f = mixed_norm(phi, inst.sigma, p) * lp_norm(g, inst.omega, q)
         if den_f > 0:
-            assert lambda_form_local(inst, cube, phi, g) <= rep.forward * den_f * (1 + 1e-12)
+            assert lambda_form_local(inst, cube, phi, g) <= rep.forward.value * den_f * (1 + 1e-12)
         ind = inst.sys.atom_mask(cube).astype(float)
         den_d = mixed_norm(f, inst.sigma, p) * lp_norm(ind, inst.omega, q)
         if den_d > 0:
-            assert lambda_form_local(inst, cube, f, ind) <= rep.dual * den_d * (1 + 1e-12)
+            assert lambda_form_local(inst, cube, f, ind) <= rep.dual.value * den_d * (1 + 1e-12)
 
 
 def test_constants_scale_linearly_in_lambda():
@@ -119,23 +126,23 @@ def test_constants_scale_linearly_in_lambda():
     scaled = Instance(inst.sys, inst.p, inst.sigma, inst.omega, inst.mu, 4.0 * inst.lam)
     rep4 = testing_report(scaled)
     # powers of two scale exactly through every p = 2 norm computation
-    assert rep4.forward == 4.0 * rep.forward
-    assert rep4.dual == 4.0 * rep.dual
+    assert rep4.forward.value == 4.0 * rep.forward.value
+    assert rep4.dual.value == 4.0 * rep.dual.value
     inst3 = _random_instance(9, 3.0)
     rep3 = testing_report(inst3)
     rep3s = testing_report(
         Instance(inst3.sys, 3.0, inst3.sigma, inst3.omega, inst3.mu, 2.0 * inst3.lam)
     )
-    assert rep3s.forward == pytest.approx(2.0 * rep3.forward, rel=1e-13)
-    assert rep3s.dual == pytest.approx(2.0 * rep3.dual, rel=1e-13)
+    assert rep3s.forward.value == pytest.approx(2.0 * rep3.forward.value, rel=1e-13)
+    assert rep3s.dual.value == pytest.approx(2.0 * rep3.dual.value, rel=1e-13)
 
 
 def test_dual_witness_is_true_norming_function():
     # brute check on a 2-atom system: no nonnegative f beats the dual witness
     inst = _random_instance(10, 4.0, d=1)
     rep = testing_report(inst)
-    assert rep.dual > 0
-    cube = rep.dual_cube
+    assert rep.dual.value > 0
+    cube = rep.dual.cube
     ind = inst.sys.atom_mask(cube).astype(float)
     q = conjugate(inst.p)
     rng = np.random.Generator(np.random.Philox(key=[10, 52]))
@@ -145,8 +152,8 @@ def test_dual_witness_is_true_norming_function():
         den = mixed_norm(f, inst.sigma, inst.p) * lp_norm(ind, inst.omega, q)
         if den > 0:
             best = max(best, lambda_form_local(inst, cube, f, ind) / den)
-    assert best <= rep.dual * (1 + 1e-10)
-    assert best >= rep.dual * 0.95  # random probes come close on 4 cells
+    assert best <= rep.dual.value * (1 + 1e-10)
+    assert best >= rep.dual.value * 0.95  # random probes come close on 4 cells
 
 
 # -- level factoring: bit-identical to the per-cube loops --------------------
@@ -169,12 +176,13 @@ def _assert_same_report(inst):
     rep = testing_report(inst)
     fwd = ref.forward_testing_constant_loop(inst)
     dua = ref.dual_testing_constant_loop(inst)
-    assert (rep.forward, rep.forward_cube) == (fwd.value, fwd.cube)
-    assert (rep.dual, rep.dual_cube) == (dua.value, dua.cube)
-    assert {type(c) for c in (rep.forward_cube, rep.dual_cube)} <= {int, type(None)}
-    # NaN wherever the loop's witness has NaN, equal everywhere else
-    assert np.array_equal(rep.witness_g, fwd.witness, equal_nan=True)
-    assert np.array_equal(rep.witness_f, dua.witness, equal_nan=True)
+    assert (rep.forward.value, rep.forward.cube) == (fwd.value, fwd.cube)
+    assert (rep.dual.value, rep.dual.cube) == (dua.value, dua.cube)
+    assert {type(c) for c in (rep.forward.cube, rep.dual.cube)} <= {int, type(None)}
+    # NaN wherever the loop's witness pair has NaN, equal everywhere else
+    for side, loop in ((rep.forward, fwd), (rep.dual, dua)):
+        assert np.array_equal(side.f, loop.f, equal_nan=True)
+        assert np.array_equal(side.g, loop.g, equal_nan=True)
     return rep
 
 
@@ -213,7 +221,7 @@ def test_level_scan_keeps_first_of_exact_ties(p):
     for dim, depth, level in ties:
         inst = _tied_instance(dim, depth, level, p)
         rep = _assert_same_report(inst)
-        assert rep.forward_cube == inst.sys.level_offset[level]
+        assert rep.forward.cube == inst.sys.level_offset[level]
 
 
 def _scaled(dim, depth, p, lam=1.0, sigma=1.0):
@@ -246,7 +254,8 @@ def _side_or_error(constant, inst):
     except ArithmeticError as exc:  # fsum's overflow, compared by type and text
         return type(exc), str(exc)
     cube_type = type(side.cube)
-    return np.float64(side.value).tobytes(), side.cube, cube_type, side.witness.shape, side.witness.tobytes()
+    pair = (side.f.shape, side.f.tobytes(), side.g.shape, side.g.tobytes())
+    return np.float64(side.value).tobytes(), side.cube, cube_type, *pair
 
 
 def _assert_same_as_per_level_runs(inst):
@@ -309,7 +318,7 @@ def test_dual_skips_cubes_with_a_non_finite_kernel_column_off_them():
     mu[2, 5] = 1e308
     inst = Instance(s, 3.0, sigma, np.ones(s.num_atoms), mu, np.ones(s.num_cubes))
     rep = _assert_same_report(inst)
-    assert rep.dual > 0 and s.level_of(rep.dual_cube) == 3
+    assert rep.dual.value > 0 and s.level_of(rep.dual.cube) == 3
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -318,13 +327,35 @@ def test_level_scan_matches_loop_on_null_data(p):
     s = base.sys
     no_lam = Instance(s, p, base.sigma, base.omega, base.mu, np.zeros(s.num_cubes))
     rep = _assert_same_report(no_lam)
-    assert (rep.forward, rep.dual, rep.forward_cube, rep.dual_cube) == (0.0, 0.0, None, None)
+    assert (rep.forward.value, rep.dual.value, rep.forward.cube, rep.dual.cube) == (0.0, 0.0, None, None)
     no_omega = Instance(s, p, base.sigma, np.zeros(s.num_atoms), base.mu, base.lam)
     rep = _assert_same_report(no_omega)
-    assert rep.forward == rep.dual == 0.0
+    assert rep.forward.value == rep.dual.value == 0.0
     mu = base.mu.copy()
     mu[:, ::3] = 0.0  # mu vanishes on whole columns
     _assert_same_report(Instance(s, p, base.sigma, base.omega, mu, base.lam))
+
+
+@pytest.mark.parametrize("dim,depth,p", [(1, 3, 2.0), (2, 2, 3.0)])
+def test_zero_sides_carry_zero_pairs(tmp_path, capsys, dim, depth, p):
+    # lambda = 0: both constants vanish with no cube, each side's pair is
+    # zeros of the scale and atom shapes, and the testing JSON writes them
+    base = generators.generate(generators.GenSpec(seed=1, dimension=dim, depth=depth, p=p))
+    s = base.sys
+    inst = Instance(s, p, base.sigma, base.omega, base.mu, np.zeros(s.num_cubes))
+    rep = testing_report(inst)
+    for side in (rep.forward, rep.dual):
+        assert (side.value, side.cube) == (0.0, None)
+        assert side.f.shape == (s.num_levels, s.num_atoms) and not side.f.any()
+        assert side.g.shape == (s.num_atoms,) and not side.g.any()
+        assert not side.f.flags.writeable and not side.g.flags.writeable
+    path = tmp_path / "inst.json"
+    with open(path, "w") as fp:
+        dio.write_instance(inst, fp)
+    assert main(["testing", "--in", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["witness_g"] == [0.0] * s.num_atoms
+    assert payload["witness_f"] == [[0.0] * s.num_atoms] * s.num_levels
 
 
 @pytest.mark.parametrize("dim,depth", [(1, 4), (2, 2), (3, 1)])
